@@ -61,6 +61,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> cargo build --examples"
 cargo build --examples
 
+# perfbench/ (the paper-scale benchmark) is a workspace of its own, so the
+# workspace clippy/test runs above never build it.  Type-check it against the
+# library crates it depends on by path, so an API change breaks CI rather
+# than only the benchmark.  The build output goes under target/, so nothing
+# is written into perfbench/.
+echo "==> cargo check --release --manifest-path perfbench/Cargo.toml"
+cargo check --release --offline --locked --manifest-path perfbench/Cargo.toml \
+    --target-dir target/perfbench
+
 if [ "$quick" -eq 0 ]; then
     echo "==> cargo build --release"
     cargo build --release
@@ -95,10 +104,11 @@ echo "==> cargo test -q -p sat --lib"
 cargo test -q -p sat --lib
 
 # The wide-simulation correctness story: the W-word blocked engine must match
-# the scalar reference bit for bit for W in {1,2,4,8}, and the batched oracle
-# transport / parallel analyses must leave the attack trajectory untouched.
-# Also part of the workspace run; re-run explicitly so a failure is
-# attributed to the wide-sim machinery.
+# the scalar reference bit for bit for W in {1,2,4,8}, the batched oracle
+# transport must leave the attack trajectory untouched, and the word-batched
+# confirmation prescreen must confirm the same key as the plain run.  Also
+# part of the workspace run; re-run explicitly so a failure is attributed to
+# the wide-sim machinery.
 echo "==> cargo test -q --test wide_sim"
 cargo test -q --test wide_sim
 

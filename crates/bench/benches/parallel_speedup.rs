@@ -2,21 +2,17 @@
 //!
 //! Measures the serial `partitioned_key_search` against
 //! `parallel_partitioned_key_search` at 1/2/4/8 workers on scaled Table 1
-//! circuits, plus the solver portfolio against the single-config SAT attack.
-//! Speedups are wall-clock and therefore bounded by the machine's core
-//! count: on a single-core host all worker counts collapse to roughly the
-//! serial time plus scheduling overhead.
+//! circuits.  Speedups are wall-clock and therefore bounded by the machine's
+//! core count: on a single-core host all worker counts collapse to roughly
+//! the serial time plus scheduling overhead.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fall::key_confirmation::{partitioned_key_search, KeyConfirmationConfig};
 use fall::oracle::SimOracle;
-use fall::parallel::{parallel_partitioned_key_search, portfolio_sat_attack};
-use fall::sat_attack::{sat_attack, SatAttackConfig};
+use fall::parallel::parallel_partitioned_key_search;
 use fall_bench::{HdPolicy, LockCase, Scale, TABLE1_CIRCUITS};
-use locking::{LockingScheme, XorLock};
-use sat::SolverConfig;
 
 const PARTITION_BITS: [usize; 2] = [2, 3];
 
@@ -60,32 +56,6 @@ fn bench_parallel_speedup(c: &mut Criterion) {
                 );
             }
         }
-    }
-
-    // Portfolio: diverse solver configurations racing one SAT-attack
-    // instance, against the default single-solver attack.
-    let original = netlist::random::generate(&netlist::random::RandomCircuitSpec::new(
-        "ps_portfolio",
-        12,
-        3,
-        120,
-    ));
-    let locked = XorLock::new(10).with_seed(1).lock(&original).expect("lock");
-    let oracle = SimOracle::new(original);
-    group.bench_function("sat_attack_single", |b| {
-        b.iter(|| sat_attack(&locked.locked, &oracle, &SatAttackConfig::default()))
-    });
-    for racers in [2usize, 4] {
-        group.bench_function(format!("sat_attack_portfolio_{racers}"), |b| {
-            b.iter(|| {
-                portfolio_sat_attack(
-                    &locked.locked,
-                    &oracle,
-                    &SolverConfig::portfolio(racers),
-                    &SatAttackConfig::default(),
-                )
-            })
-        });
     }
 
     group.finish();

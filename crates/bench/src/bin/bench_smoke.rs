@@ -22,9 +22,10 @@
 //!   per-worker `sessions_created`/`cone_encodings_built` counters of the
 //!   frame-scoped-predicate engine, and the clause-arena memory counters —
 //!   `*_arena_bytes`/`*_gc_runs`/`*_recycled_vars` from the single-threaded
-//!   workloads, including the 100-generation long-lived-session run, the
-//!   flight-recorder span counts `trace_*` from the traced single SAT
-//!   attack, and the farm telemetry-report count
+//!   workloads (the 1-worker drain reads them from
+//!   `ParallelSearchResult::solver_stats`), including the 100-generation
+//!   long-lived-session run, the flight-recorder span counts `trace_*` from
+//!   the traced single SAT attack, and the farm telemetry-report count
 //!   `dist_worker_stats_reports`) — gated at the tolerance (default 20 %);
 //!   any `*_s`/`*speedup*` metric that does land in a baseline gets a 3x
 //!   band;
@@ -43,7 +44,7 @@ use fall::key_confirmation::{
     key_confirmation, key_confirmation_in, partitioned_key_search, KeyConfirmationConfig,
 };
 use fall::oracle::{CountingOracle, SimOracle};
-use fall::parallel::{parallel_partitioned_key_search, portfolio_sat_attack};
+use fall::parallel::parallel_partitioned_key_search;
 use fall::sat_attack::{sat_attack, SatAttackConfig};
 use fall::session::AttackSession;
 use fall_bench::{HdPolicy, LockCase, MetricReport, Scale, TABLE1_CIRCUITS};
@@ -52,7 +53,6 @@ use netlist::cnf::KeyCone;
 use netlist::random::{generate, RandomCircuitSpec};
 use netlist::WideSim;
 use netshim::Value;
-use sat::SolverConfig;
 
 // Two partition bits put ex1010's winning region into the first worker wave,
 // so 4-worker cancellation speedups show up even on low-core CI machines,
@@ -160,17 +160,10 @@ fn measure() -> MetricReport {
             // Single-threaded, so the solver's memory counters are
             // deterministic too: the arena footprint after draining every
             // region, and how much the GC + variable recycling reclaimed.
-            report.record(
-                "parallel_1w_arena_bytes",
-                parallel.peak_arena_bytes as f64,
-                false,
-            );
-            report.record("parallel_1w_gc_runs", parallel.gc_runs as f64, false);
-            report.record(
-                "parallel_1w_recycled_vars",
-                parallel.recycled_vars as f64,
-                false,
-            );
+            let sat = &parallel.solver_stats;
+            report.record("parallel_1w_arena_bytes", sat.arena_bytes as f64, false);
+            report.record("parallel_1w_gc_runs", sat.gc_runs as f64, false);
+            report.record("parallel_1w_recycled_vars", sat.recycled_vars as f64, false);
             // Search-effort counters of the modern CDCL core (tiered
             // reduction, EMA restarts, bounded variable elimination), from
             // the same deterministic single-worker drain: how many conflicts
@@ -179,7 +172,6 @@ fn measure() -> MetricReport {
             // Baseline-gated so a heuristic regression that silently blows
             // up search effort fails the smoke even when wall-clock noise
             // would hide it.
-            let sat = &parallel.solver_stats;
             report.record("parallel_1w_conflicts", sat.conflicts as f64, false);
             report.record("parallel_1w_propagations", sat.propagations as f64, false);
             report.record("parallel_1w_reductions", sat.reductions as f64, false);
@@ -439,7 +431,7 @@ fn measure() -> MetricReport {
         "the screen must ship at least one 4-word batch"
     );
 
-    // ---- Solver portfolio on one SAT-attack instance ----------------------
+    // ---- Traced single SAT attack ------------------------------------------
     let pf_original = generate(&RandomCircuitSpec::new("smoke_pf", 12, 3, 120));
     let pf_locked = XorLock::new(10)
         .with_seed(1)
@@ -480,21 +472,6 @@ fn measure() -> MetricReport {
     report.record(
         "trace_oracle_queries",
         fall::trace::phase_count("oracle_query") as f64,
-        false,
-    );
-
-    let t = Instant::now();
-    let portfolio = portfolio_sat_attack(
-        &pf_locked.locked,
-        &pf_oracle,
-        &SolverConfig::portfolio(4),
-        &SatAttackConfig::default(),
-    );
-    report.record("info_portfolio_4_s", t.elapsed().as_secs_f64(), false);
-    assert!(portfolio.result.is_success(), "portfolio sat attack");
-    report.record(
-        "info_portfolio_4_unique_oracle_queries",
-        portfolio.oracle_queries as f64,
         false,
     );
 

@@ -48,8 +48,8 @@ pub struct PrefilterStats {
 }
 
 impl PrefilterStats {
-    /// Accumulates `other` into `self` (used when merging per-worker
-    /// sessions of the parallel analysis stage).
+    /// Accumulates `other` into `self` (used to total the counters of
+    /// several attacks, e.g. every FALL job a service target ran).
     pub fn merge(&mut self, other: &PrefilterStats) {
         self.polarities_refuted += other.polarities_refuted;
         self.candidates_refuted += other.candidates_refuted;

@@ -27,10 +27,11 @@
 //! frames, so learnt clauses accumulate across the entire attack instead of
 //! being discarded per query.
 //!
-//! The [`parallel`] module scales the stack across threads: § VI-D key-space
-//! partitioning on a worker pool ([`parallel::parallel_partitioned_key_search`],
-//! one session per worker, shared deduplicating oracle cache, first-winner
-//! cancellation) and solver portfolios ([`parallel::portfolio_sat_attack`]).
+//! The [`parallel`] module scales key confirmation across threads: § VI-D
+//! key-space partitioning on a worker pool
+//! ([`parallel::parallel_partitioned_key_search`], one session per worker,
+//! shared deduplicating oracle cache, first-winner cancellation).  Every
+//! other attack runs serially on its one session.
 //! The [`service`] module packages long-lived sessions as a multi-tenant
 //! pool ([`service::AttackService`]): registered targets own worker threads
 //! with primed sessions that persist across jobs and clients, behind bounded
@@ -84,9 +85,8 @@ pub use attack::{fall_attack, FallAttackConfig, FallAttackResult, FallStatus};
 pub use key_confirmation::{key_confirmation, KeyConfirmationConfig, KeyConfirmationResult};
 pub use oracle::{CountingOracle, Oracle, SimOracle};
 pub use parallel::{
-    drain_regions, parallel_partitioned_key_search, portfolio_sat_attack, AtomicRegionSource,
-    CachingOracle, CancelToken, ParallelSearchResult, PortfolioResult, RegionDrain,
-    RegionDrainOutcome, RegionSource,
+    drain_regions, parallel_partitioned_key_search, AtomicRegionSource, CachingOracle, CancelToken,
+    ParallelSearchResult, RegionDrain, RegionDrainOutcome, RegionSource,
 };
 pub use sat_attack::{sat_attack, SatAttackConfig, SatAttackResult, SatAttackStatus};
 pub use session::{AttackSession, KeyVector};

@@ -1,5 +1,4 @@
-//! The parallel attack engine: partitioned key search on a worker pool and
-//! solver portfolios.
+//! The parallel attack engine: partitioned key search on a worker pool.
 //!
 //! § VI-D of the paper observes that the key-confirmation predicate ϕ makes
 //! the key space trivially partitionable: fixing the first `p` key bits
@@ -25,13 +24,6 @@
 //! * **Cancellation token** — the moment one worker confirms a key, every
 //!   other solver observes the shared [`CancelToken`] at its next check
 //!   point (mid-search, not just between queries) and backs out.
-//!
-//! [`portfolio_sat_attack`] applies the same pool to a different axis:
-//! instead of splitting the key space it races N deliberately diverse
-//! [`SolverConfig`]s (restart pacing, decay rates, phase polarity, random
-//! branching — see [`SolverConfig::portfolio`]) on the *same* SAT-attack
-//! instance and takes the first winner, the classic portfolio pattern of
-//! parallel SAT solving.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -43,11 +35,10 @@ use std::time::{Duration, Instant};
 
 use locking::Key;
 use netlist::Netlist;
-use sat::{SolverConfig, SolverStats};
+use sat::SolverStats;
 
 use crate::key_confirmation::{key_confirmation_with_predicate_in, KeyConfirmationConfig};
 use crate::oracle::Oracle;
-use crate::sat_attack::{sat_attack_in, SatAttackConfig, SatAttackResult};
 use crate::session::AttackSession;
 
 /// A cloneable cancellation token shared by a group of workers.
@@ -392,21 +383,11 @@ pub struct ParallelSearchResult {
     /// (each worker primes its session once at thread start), however many
     /// regions it went on to search.
     pub cone_encodings_built: usize,
-    /// Clause-arena garbage collections summed across all worker solvers.
-    pub gc_runs: u64,
-    /// Per-generation Tseitin variables recycled, summed across all workers:
-    /// the counter that keeps a long-lived worker's variable space bounded
-    /// however many regions it searches.
-    pub recycled_vars: u64,
-    /// Largest end-of-run clause-arena size across the workers, in bytes.
-    pub peak_arena_bytes: u64,
-    /// Largest end-of-run wasted (tombstoned, not yet collected) byte count
-    /// across the workers.
-    pub peak_wasted_bytes: u64,
     /// End-of-run [`SolverStats`] absorbed across every worker session:
     /// conflicts/propagations, restarts by kind, reduction rounds, tier
-    /// sizes, eliminated/resurrected variables, EMA snapshots — the full
-    /// counter surface, for metric export and bench gating.
+    /// sizes, eliminated/resurrected variables, arena footprint, GC runs and
+    /// recycled variables, EMA snapshots — the full counter surface, for
+    /// metric export and bench gating.
     pub solver_stats: SolverStats,
     /// Wall-clock time of the whole run.
     pub elapsed: Duration,
@@ -449,10 +430,6 @@ pub fn parallel_partitioned_key_search(
         workers,
         sessions_created: 0,
         cone_encodings_built: 0,
-        gc_runs: 0,
-        recycled_vars: 0,
-        peak_arena_bytes: 0,
-        peak_wasted_bytes: 0,
         solver_stats: SolverStats::default(),
         elapsed: start.elapsed(),
     };
@@ -470,10 +447,6 @@ pub fn parallel_partitioned_key_search(
     let regions_searched = AtomicUsize::new(0);
     let sessions_created = AtomicUsize::new(0);
     let cone_encodings_built = AtomicUsize::new(0);
-    let gc_runs = AtomicU64::new(0);
-    let recycled_vars = AtomicU64::new(0);
-    let peak_arena_bytes = AtomicU64::new(0);
-    let peak_wasted_bytes = AtomicU64::new(0);
     let pool_stats: Mutex<SolverStats> = Mutex::new(SolverStats::default());
 
     thread::scope(|scope| {
@@ -510,15 +483,10 @@ pub fn parallel_partitioned_key_search(
                 }
                 cone_encodings_built
                     .fetch_add(session.cone_encodings_built() as usize, Ordering::Relaxed);
-                let stats = session.stats();
-                gc_runs.fetch_add(stats.gc_runs, Ordering::Relaxed);
-                recycled_vars.fetch_add(stats.recycled_vars, Ordering::Relaxed);
-                peak_arena_bytes.fetch_max(stats.arena_bytes, Ordering::Relaxed);
-                peak_wasted_bytes.fetch_max(stats.wasted_bytes, Ordering::Relaxed);
                 pool_stats
                     .lock()
                     .expect("pool stats lock poisoned")
-                    .absorb(&stats);
+                    .absorb(&session.stats());
             });
         }
     });
@@ -537,87 +505,7 @@ pub fn parallel_partitioned_key_search(
         workers,
         sessions_created: sessions_created.load(Ordering::Relaxed),
         cone_encodings_built: cone_encodings_built.load(Ordering::Relaxed),
-        gc_runs: gc_runs.load(Ordering::Relaxed),
-        recycled_vars: recycled_vars.load(Ordering::Relaxed),
-        peak_arena_bytes: peak_arena_bytes.load(Ordering::Relaxed),
-        peak_wasted_bytes: peak_wasted_bytes.load(Ordering::Relaxed),
         solver_stats: pool_stats.into_inner().expect("pool stats lock poisoned"),
-        elapsed: start.elapsed(),
-    }
-}
-
-/// The outcome of a [`portfolio_sat_attack`] run.
-#[derive(Clone, Debug)]
-pub struct PortfolioResult {
-    /// The winning attack result (or, when nobody won, the first loser's).
-    pub result: SatAttackResult,
-    /// Index into the configuration slice of the racer that won.
-    pub winner: Option<usize>,
-    /// Racers launched.
-    pub workers: usize,
-    /// Distinct patterns that reached the real oracle (cache misses).
-    pub oracle_queries: usize,
-    /// Oracle queries answered from the shared cache.
-    pub cache_hits: usize,
-    /// Wall-clock time of the whole race.
-    pub elapsed: Duration,
-}
-
-/// Races one SAT attack per [`SolverConfig`] on the same locked circuit and
-/// returns the first success, cancelling the rest.
-///
-/// All racers share one [`CachingOracle`], so distinguishing inputs
-/// discovered by one racer are free for the others — the portfolio costs CPU,
-/// not oracle access.  When every racer fails (timeout, budget, inconsistent
-/// oracle), the first failure recorded is returned with `winner: None`.
-///
-/// # Panics
-///
-/// Panics if `configs` is empty.
-pub fn portfolio_sat_attack(
-    locked: &Netlist,
-    oracle: &(dyn Oracle + Sync),
-    configs: &[SolverConfig],
-    attack: &SatAttackConfig,
-) -> PortfolioResult {
-    assert!(!configs.is_empty(), "portfolio needs at least one config");
-    let start = Instant::now();
-    let cache = CachingOracle::new(oracle);
-    let cancel = CancelToken::new();
-    let outcome: Mutex<Option<(Option<usize>, SatAttackResult)>> = Mutex::new(None);
-
-    thread::scope(|scope| {
-        for (index, solver_config) in configs.iter().enumerate() {
-            let (cache, cancel, outcome) = (&cache, &cancel, &outcome);
-            scope.spawn(move || {
-                let mut session = AttackSession::with_config(locked, solver_config.clone());
-                session.set_interrupt(Some(cancel.as_flag()));
-                let result = sat_attack_in(&mut session, cache, attack);
-                let mut slot = outcome.lock().expect("outcome lock poisoned");
-                if result.is_success() {
-                    if !matches!(&*slot, Some((Some(_), _))) {
-                        *slot = Some((Some(index), result));
-                        cancel.cancel();
-                    }
-                } else if slot.is_none() && !cancel.is_cancelled() {
-                    // Remember the first genuine failure as the fallback
-                    // verdict; keep racing — someone else may still win.
-                    *slot = Some((None, result));
-                }
-            });
-        }
-    });
-
-    let (winner, result) = outcome
-        .into_inner()
-        .expect("outcome lock poisoned")
-        .expect("every racer records an outcome");
-    PortfolioResult {
-        result,
-        winner,
-        workers: configs.len(),
-        oracle_queries: cache.unique_queries(),
-        cache_hits: cache.hits(),
         elapsed: start.elapsed(),
     }
 }
@@ -627,7 +515,6 @@ mod tests {
     use super::*;
     use crate::key_confirmation::{partitioned_key_search, KeyConfirmationConfig};
     use crate::oracle::SimOracle;
-    use crate::sat_attack::SatAttackStatus;
     use locking::{LockingScheme, SfllHd, XorLock};
     use netlist::random::{generate, RandomCircuitSpec};
 
@@ -751,11 +638,11 @@ mod tests {
                 "each worker encodes the circuit exactly once"
             );
             assert!(
-                parallel.peak_arena_bytes > 0,
+                parallel.solver_stats.arena_bytes > 0,
                 "{workers} workers: arena footprint is reported"
             );
             assert!(
-                parallel.recycled_vars > 0,
+                parallel.solver_stats.recycled_vars > 0,
                 "{workers} workers: retired generations recycle their variables"
             );
         }
@@ -794,52 +681,5 @@ mod tests {
         assert!(!result.completed);
         assert_eq!(result.key, None);
         assert_eq!(result.regions_searched, 0);
-    }
-
-    #[test]
-    fn portfolio_first_winner_takes_it() {
-        let original = generate(&RandomCircuitSpec::new("pf", 8, 3, 60));
-        let locked = XorLock::new(6).with_seed(5).lock(&original).expect("lock");
-        let oracle = SimOracle::new(original.clone());
-        let outcome = portfolio_sat_attack(
-            &locked.locked,
-            &oracle,
-            &SolverConfig::portfolio(3),
-            &SatAttackConfig::default(),
-        );
-        assert!(outcome.result.is_success(), "{:?}", outcome.result.status);
-        assert!(outcome.winner.is_some());
-        assert_eq!(outcome.workers, 3);
-        let key = outcome.result.key.expect("key");
-        for pattern in 0..256u64 {
-            let bits = netlist::sim::pattern_to_bits(pattern, 8);
-            assert_eq!(
-                locked.locked.evaluate(&bits, key.bits()),
-                original.evaluate(&bits, &[]),
-            );
-        }
-    }
-
-    #[test]
-    fn portfolio_reports_failure_when_nobody_wins() {
-        let original = generate(&RandomCircuitSpec::new("pf_fail", 10, 2, 70));
-        let locked = SfllHd::new(9, 0)
-            .with_seed(3)
-            .lock(&original)
-            .expect("lock");
-        let oracle = SimOracle::new(original);
-        let attack = SatAttackConfig {
-            max_iterations: 3,
-            time_limit: None,
-            conflict_budget: None,
-        };
-        let outcome = portfolio_sat_attack(
-            &locked.locked,
-            &oracle,
-            &SolverConfig::portfolio(2),
-            &attack,
-        );
-        assert!(outcome.winner.is_none());
-        assert_eq!(outcome.result.status, SatAttackStatus::IterationLimit);
     }
 }

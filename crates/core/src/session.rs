@@ -44,7 +44,7 @@ use locking::Key;
 use netlist::cnf::{encode_any_difference, encode_key_cone, KeyCone, Signal};
 use netlist::cnf::{IncrementalEncoder, PinBinding};
 use netlist::{Netlist, NodeId, WideSim, DEFAULT_WIDE_WORDS};
-use sat::{FrameId, Lit, SolveResult, Solver, SolverConfig, SolverStats};
+use sat::{FrameId, Lit, SolveResult, Solver, SolverStats};
 
 use crate::encode::{
     assumptions_for, instantiate, instantiate_sharing_inputs, model_key, model_values, CircuitCopy,
@@ -163,14 +163,7 @@ impl<'n> AttackSession<'n> {
     /// Creates an empty session for a locked netlist.  Nothing is encoded
     /// until the first query arrives.
     pub fn new(netlist: &'n Netlist) -> AttackSession<'n> {
-        AttackSession::with_config(netlist, SolverConfig::default())
-    }
-
-    /// Creates an empty session whose solver uses the given search
-    /// configuration (the portfolio entry point: each racer gets its own
-    /// deliberately diverse configuration).
-    pub fn with_config(netlist: &'n Netlist, config: SolverConfig) -> AttackSession<'n> {
-        let mut solver = Solver::with_config(config);
+        let mut solver = Solver::new();
         // Forward the solver's maintenance checkpoints (GC, reduction,
         // simplification, elimination, restarts) into the flight recorder.
         // `record_duration` is a no-op while tracing is disabled, and the

@@ -12,7 +12,8 @@
 //!   backjumping.
 //! * VSIDS variable activities with phase saving.
 //! * Glucose-style EMA restarts with trail-size blocking ([`RestartMode`]),
-//!   with Luby budgets as a portfolio mode.
+//!   with Luby budgets as the fallback that adaptive strategy switching
+//!   selects for bursty-conflict instances ([`SearchStrategy::HighSuccessive`]).
 //! * LBD-tiered learnt-clause management (CORE / TIER2 / LOCAL) with
 //!   promotion on use and glue protection.
 //! * One-shot adaptive strategy switching after a warm-up conflict budget

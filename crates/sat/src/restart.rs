@@ -30,9 +30,10 @@ pub enum RestartMode {
     #[default]
     Ema,
     /// Classic Luby-sequence budgets (`restart_base * luby(i)` conflicts for
-    /// the `i`-th run).  Kept as a portfolio mode: Luby members probe with a
-    /// schedule that is immune to LBD noise, decorrelating them from the EMA
-    /// members racing the same instance.
+    /// the `i`-th run).  Reached through adaptive strategy switching: an
+    /// instance classified [`crate::SearchStrategy::HighSuccessive`] switches
+    /// to Luby, whose schedule is immune to the LBD noise of long conflict
+    /// bursts.
     Luby,
 }
 

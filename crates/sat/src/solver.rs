@@ -196,10 +196,9 @@ impl SolverStats {
 
 /// Tunable search parameters of a [`Solver`].
 ///
-/// The defaults reproduce the solver's historical behaviour; alternative
-/// configurations exist for *portfolio solving*, where several solver
-/// instances with deliberately diverse heuristics race on the same instance
-/// and the first winner is taken (see [`SolverConfig::portfolio`]).
+/// The defaults reproduce the solver's historical behaviour; the differential
+/// suites flip individual knobs (GC, elimination, adaptation) to compare
+/// trajectories in lockstep.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SolverConfig {
     /// VSIDS variable-activity decay factor (0 < decay < 1, default 0.95).
@@ -219,16 +218,16 @@ pub struct SolverConfig {
     ///
     /// Only consulted in [`RestartMode::Luby`]: every restart budget is this
     /// value times the next Luby multiplier.  Smaller bases restart
-    /// aggressively (good on shuffled/adversarial instances, and a cheap
-    /// source of portfolio diversity); larger bases let each probe run deeper
-    /// before abandoning its decision prefix.
+    /// aggressively (good on shuffled/adversarial instances); larger bases
+    /// let each probe run deeper before abandoning its decision prefix.
     pub restart_base: u64,
     /// Restart pacing discipline (default [`RestartMode::Ema`]).
     ///
     /// EMA restarts adapt to the instance — they fire exactly when the
     /// search starts producing worse-than-usual clauses — and win on most
-    /// structured instances; Luby is the robust, noise-immune fallback and
-    /// the classic way to decorrelate portfolio members.
+    /// structured instances; Luby is the robust, noise-immune fallback that
+    /// adaptive strategy switching selects on
+    /// [`SearchStrategy::HighSuccessive`].
     pub restart_mode: RestartMode,
     /// EMA forcing threshold (default 1.25): restart when the fast LBD EMA
     /// exceeds this multiple of the slow one.
@@ -317,23 +316,6 @@ pub struct SolverConfig {
     /// keeps elimination focused on the short-clause structure (Tseitin
     /// definitions) it is best at removing.
     pub elim_clause_limit: usize,
-    /// Initial saved phase of fresh variables (default `false`; phase saving
-    /// overwrites it as the search proceeds).
-    ///
-    /// Flipping it steers the first descent toward the all-true corner
-    /// instead — one of the cheapest ways to decorrelate portfolio members.
-    pub default_phase: bool,
-    /// Probability of replacing an activity-driven branching decision with a
-    /// seeded pseudo-random one (0 disables random branching, the default).
-    ///
-    /// A few percent of random decisions breaks the determinism of pure
-    /// VSIDS ties and diversifies portfolio members; large values degrade
-    /// into random search.
-    pub random_branch_freq: f64,
-    /// Seed of the xorshift generator behind random branching.  Two
-    /// configurations differing only in seed explore decorrelated decision
-    /// sequences when `random_branch_freq > 0`.
-    pub seed: u64,
     /// Fraction of the clause arena that may be wasted (tombstoned) before a
     /// garbage collection compacts it.  `0.0` forces a GC at every check
     /// point (a testing mode exercised by the differential suite);
@@ -359,78 +341,8 @@ impl Default for SolverConfig {
             elim_occ_limit: ELIM_OCC_LIMIT,
             elim_grow: 0,
             elim_clause_limit: ELIM_CLAUSE_LIMIT,
-            default_phase: false,
-            random_branch_freq: 0.0,
-            seed: 0x9E37_79B9_7F4A_7C15,
             gc_wasted_ratio: GC_WASTED_RATIO,
         }
-    }
-}
-
-impl SolverConfig {
-    /// A deterministic family of `n` deliberately diverse configurations for
-    /// portfolio solving.  Index 0 is always the default configuration; later
-    /// indices vary restart discipline (EMA vs Luby and their thresholds),
-    /// clause-tier bounds, inprocessing, decay rates, initial phase and
-    /// random branching so the portfolio explores different parts of the
-    /// search space.
-    pub fn portfolio(n: usize) -> Vec<SolverConfig> {
-        (0..n)
-            .map(|i| {
-                let base = SolverConfig::default();
-                match i % 6 {
-                    0 => base,
-                    1 => SolverConfig {
-                        // Luby probing from the all-true corner.
-                        restart_mode: RestartMode::Luby,
-                        default_phase: true,
-                        restart_base: 50,
-                        ..base
-                    },
-                    2 => SolverConfig {
-                        // Nervous EMA restarts chasing recent conflicts.
-                        var_decay: 0.85,
-                        restart_thr: 1.1,
-                        restart_step: 30,
-                        random_branch_freq: 0.02,
-                        seed: base.seed ^ (i as u64).wrapping_mul(0xA24B_AED4_963E_E407),
-                        ..base
-                    },
-                    3 => SolverConfig {
-                        // Deep Luby runs with no inprocessing or adaptation:
-                        // the conservative, trajectory-stable member.
-                        restart_mode: RestartMode::Luby,
-                        restart_base: 200,
-                        var_decay: 0.99,
-                        cla_decay: 0.995,
-                        default_phase: true,
-                        adapt_strategy: false,
-                        elim_vars: false,
-                        random_branch_freq: 0.05,
-                        seed: base.seed ^ (i as u64).wrapping_mul(0x9FB2_1C65_1E98_DF25),
-                        ..base
-                    },
-                    4 => SolverConfig {
-                        // Hoarder: wide CORE/TIER2 bounds keep far more
-                        // lemmas; blocking kicks in early to protect deep
-                        // descents.
-                        co_lbd_bound: 5,
-                        tier2_lbd_bound: 8,
-                        restart_blk: 1.2,
-                        ..base
-                    },
-                    _ => SolverConfig {
-                        // Aggressive inprocessing with lazy restarts.
-                        elim_grow: 8,
-                        elim_occ_limit: 24,
-                        restart_thr: 1.4,
-                        default_phase: true,
-                        seed: base.seed ^ (i as u64).wrapping_mul(0xD134_2543_DE82_EF95),
-                        ..base
-                    },
-                }
-            })
-            .collect()
     }
 }
 
@@ -572,7 +484,6 @@ pub struct Solver {
     frames: Vec<Frame>,
     default_frame: Option<FrameId>,
     config: SolverConfig,
-    rng_state: u64,
     interrupt: Option<Arc<AtomicBool>>,
     /// Spent variables available for reuse by [`Solver::new_var`].
     free_vars: Vec<Var>,
@@ -654,7 +565,6 @@ impl Solver {
 
     /// Creates an empty solver using the given search configuration.
     pub fn with_config(config: SolverConfig) -> Solver {
-        let rng_state = config.seed | 1;
         let restart = RestartState::new(config.restart_mode, config.restart_base);
         Solver {
             var_inc: 1.0,
@@ -664,7 +574,6 @@ impl Solver {
             db: ClauseDb::new(),
             order: VarOrderHeap::new(),
             config,
-            rng_state,
             restart,
             ..Solver::default()
         }
@@ -766,7 +675,7 @@ impl Solver {
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.assigns.push(LBool::Undef);
-        self.phase.push(self.config.default_phase);
+        self.phase.push(false);
         self.reason.push(None);
         self.level.push(0);
         self.activity.push(0.0);
@@ -788,7 +697,7 @@ impl Solver {
             LBool::Undef,
             "recycled variables are unassigned at level 0"
         );
-        self.phase[var.index()] = self.config.default_phase;
+        self.phase[var.index()] = false;
         self.reason[var.index()] = None;
         self.level[var.index()] = 0;
         self.activity[var.index()] = 0.0;
@@ -1643,31 +1552,6 @@ impl Solver {
         self.cla_inc /= self.config.cla_decay;
     }
 
-    /// xorshift64* step for random branching; deterministic per seed.
-    fn next_random(&mut self) -> u64 {
-        let mut x = self.rng_state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng_state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Picks a random unassigned variable, if random branching is enabled and
-    /// the dice land that way.
-    fn pick_random_var(&mut self) -> Option<Var> {
-        if self.config.random_branch_freq <= 0.0 || self.num_vars == 0 {
-            return None;
-        }
-        let roll = (self.next_random() >> 11) as f64 / (1u64 << 53) as f64;
-        if roll >= self.config.random_branch_freq {
-            return None;
-        }
-        let index = (self.next_random() % self.num_vars as u64) as usize;
-        let var = Var::from_index(index);
-        (self.assigns[index] == LBool::Undef && !self.eliminated[index]).then_some(var)
-    }
-
     /// First-UIP conflict analysis.  Returns the learnt clause (asserting
     /// literal first) and the level to backtrack to.
     fn analyze(&mut self, mut confl: ClauseRef) -> (Vec<Lit>, usize) {
@@ -2061,8 +1945,7 @@ impl Solver {
                 let decision = match next {
                     Some(lit) => Some(lit),
                     None => self
-                        .pick_random_var()
-                        .or_else(|| self.pick_branch_var())
+                        .pick_branch_var()
                         .map(|var| Lit::new(var, !self.phase[var.index()])),
                 };
                 match decision {
@@ -2547,52 +2430,6 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_configs_are_diverse_and_all_correct() {
-        let configs = SolverConfig::portfolio(4);
-        assert_eq!(configs.len(), 4);
-        assert_eq!(configs[0], SolverConfig::default());
-        assert!(configs.iter().skip(1).any(|c| *c != configs[0]));
-        // Every configuration decides the same instances identically.
-        for config in configs {
-            let mut s = Solver::with_config(config.clone());
-            s.ensure_vars(3);
-            for c in [&[1, 2][..], &[-1, 3], &[-3, -2], &[2]] {
-                s.add_clause(lits(c));
-            }
-            assert_eq!(s.solve(), SolveResult::Sat, "{config:?}");
-            let mut u = Solver::with_config(config);
-            u.ensure_vars(2);
-            for c in [&[1][..], &[-1, 2], &[-2]] {
-                u.add_clause(lits(c));
-            }
-            assert_eq!(u.solve(), SolveResult::Unsat);
-        }
-    }
-
-    #[test]
-    fn random_branching_stays_sound() {
-        let config = SolverConfig {
-            random_branch_freq: 0.5,
-            seed: 42,
-            ..SolverConfig::default()
-        };
-        let mut s = Solver::with_config(config);
-        s.ensure_vars(6);
-        let v = |i: usize, j: usize| Lit::positive(Var::from_index(i * 2 + j));
-        for i in 0..3 {
-            s.add_clause([v(i, 0), v(i, 1)]);
-        }
-        for j in 0..2 {
-            for i1 in 0..3 {
-                for i2 in (i1 + 1)..3 {
-                    s.add_clause([!v(i1, j), !v(i2, j)]);
-                }
-            }
-        }
-        assert_eq!(s.solve(), SolveResult::Unsat, "pigeonhole stays unsat");
-    }
-
-    #[test]
     fn forced_gc_preserves_answers() {
         // gc_wasted_ratio 0.0 compacts the arena at every conflict; the
         // solver must decide exactly as the default configuration does.
@@ -2950,12 +2787,10 @@ mod tests {
 
     #[test]
     fn adaptive_strategy_classifies_after_warmup() {
-        let mut config = SolverConfig {
+        let mut s = Solver::with_config(SolverConfig {
             adapt_after_conflicts: 50,
             ..SolverConfig::default()
-        };
-        config.seed = 7;
-        let mut s = Solver::with_config(config);
+        });
         assert_eq!(s.strategy(), SearchStrategy::Initial);
         // A hard random 3-SAT-ish instance at the phase-transition ratio
         // produces plenty of conflicts to spend the warm-up budget.

@@ -1,5 +1,5 @@
 //! The parallel attack engine in action: partitioned key search on a worker
-//! pool, and a solver portfolio racing one SAT-attack instance.
+//! pool.
 //!
 //! ```text
 //! cargo run --release --example parallel_attack
@@ -9,11 +9,9 @@ use std::time::Instant;
 
 use fall::key_confirmation::{partitioned_key_search, KeyConfirmationConfig};
 use fall::oracle::SimOracle;
-use fall::parallel::{parallel_partitioned_key_search, portfolio_sat_attack};
-use fall::sat_attack::SatAttackConfig;
+use fall::parallel::parallel_partitioned_key_search;
 use locking::{LockingScheme, TtLock};
 use netlist::random::{generate, RandomCircuitSpec};
-use sat::SolverConfig;
 
 fn main() {
     let cores = std::thread::available_parallelism()
@@ -64,27 +62,4 @@ fn main() {
             serial_elapsed.as_secs_f64() / elapsed.as_secs_f64(),
         );
     }
-
-    // Portfolio mode: diverse solver configurations race the same instance.
-    println!("\n== solver portfolio on one SAT-attack instance ==\n");
-    let pf_original = generate(&RandomCircuitSpec::new("pf_demo", 12, 3, 120));
-    let pf_locked = locking::XorLock::new(10)
-        .with_seed(3)
-        .lock(&pf_original)
-        .expect("lock");
-    let pf_oracle = SimOracle::new(pf_original);
-    let t = Instant::now();
-    let outcome = portfolio_sat_attack(
-        &pf_locked.locked,
-        &pf_oracle,
-        &SolverConfig::portfolio(4),
-        &SatAttackConfig::default(),
-    );
-    println!(
-        "portfolio of 4 configs    : winner {:?}, key {:?}, {} unique queries, {:.2?}",
-        outcome.winner,
-        outcome.result.key.as_ref().map(|k| k.to_string()),
-        outcome.oracle_queries,
-        t.elapsed(),
-    );
 }

@@ -23,7 +23,7 @@ use fall::oracle::{Oracle, SimOracle};
 use fall::session::{AttackSession, KeyVector};
 use locking::{LockedCircuit, LockingScheme, SfllHd, TtLock, XorLock};
 use netlist::random::{generate, RandomCircuitSpec};
-use netlist::GateKind;
+use netlist::{GateKind, Netlist};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sat::{Lit, SolveResult, Solver, SolverConfig, Var};
@@ -43,6 +43,16 @@ fn disabled_gc() -> SolverConfig {
         gc_wasted_ratio: f64::INFINITY,
         ..SolverConfig::default()
     }
+}
+
+/// A fresh session for `netlist` whose solver runs under `config`.  The
+/// solver is swapped in before anything is encoded, so apart from the
+/// flight-recorder checkpoint hook (which this suite never reads) the session
+/// is exactly what [`AttackSession::new`] builds.
+fn session_with(netlist: &Netlist, config: SolverConfig) -> AttackSession<'_> {
+    let mut session = AttackSession::new(netlist);
+    *session.solver_mut() = Solver::with_config(config);
+    session
 }
 
 /// Bounded variable elimination forced on, with a SatELite-style growth
@@ -125,8 +135,8 @@ fn forced_gc_dip_loop_matches_disabled_gc() {
     check(301, 6, |case_index, rng| {
         let case = random_case(rng);
         let oracle = SimOracle::new(case.locked.original.clone());
-        let mut gc = AttackSession::with_config(&case.locked.locked, forced_gc());
-        let mut nogc = AttackSession::with_config(&case.locked.locked, disabled_gc());
+        let mut gc = session_with(&case.locked.locked, forced_gc());
+        let mut nogc = session_with(&case.locked.locked, disabled_gc());
         let ctx = |detail: &str| format!("case {case_index} [{}]: {detail}", case.label);
 
         let mut observed: Vec<(Vec<bool>, Vec<bool>)> = Vec::new();
@@ -204,8 +214,8 @@ fn forced_gc_confirmation_runs_match_disabled_gc() {
         let case = random_case(rng);
         let oracle = SimOracle::new(case.locked.original.clone());
         let config = KeyConfirmationConfig::default();
-        let mut gc = AttackSession::with_config(&case.locked.locked, forced_gc());
-        let mut nogc = AttackSession::with_config(&case.locked.locked, disabled_gc());
+        let mut gc = session_with(&case.locked.locked, forced_gc());
+        let mut nogc = session_with(&case.locked.locked, disabled_gc());
 
         for round in 0..4 {
             let shortlist = if round % 2 == 0 {
@@ -315,8 +325,8 @@ fn forced_elimination_dip_loop_matches_disabled_elimination() {
     check(303, 6, |case_index, rng| {
         let case = random_case(rng);
         let oracle = SimOracle::new(case.locked.original.clone());
-        let mut elim = AttackSession::with_config(&case.locked.locked, forced_elim());
-        let mut noelim = AttackSession::with_config(&case.locked.locked, disabled_elim());
+        let mut elim = session_with(&case.locked.locked, forced_elim());
+        let mut noelim = session_with(&case.locked.locked, disabled_elim());
         let ctx = |detail: &str| format!("case {case_index} [{}]: {detail}", case.label);
 
         let mut observed: Vec<(Vec<bool>, Vec<bool>)> = Vec::new();
@@ -479,7 +489,7 @@ fn unpoisoning_survives_forced_gc() {
     nl.add_output("g", g);
     nl.add_output("keyed", keyed);
 
-    let mut session = AttackSession::with_config(&nl, forced_gc());
+    let mut session = session_with(&nl, forced_gc());
     for round in 0..3 {
         let _phi = session.begin_predicate();
         // Output "g" ignores the key; claiming g(0) == 1 is impossible.

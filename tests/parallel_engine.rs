@@ -3,12 +3,10 @@
 
 use fall::key_confirmation::{partitioned_key_search, KeyConfirmationConfig};
 use fall::oracle::{CountingOracle, SimOracle};
-use fall::parallel::{parallel_partitioned_key_search, portfolio_sat_attack, CachingOracle};
-use fall::sat_attack::{sat_attack, SatAttackConfig};
+use fall::parallel::{parallel_partitioned_key_search, CachingOracle};
 use fall::unlock::{apply_key, equivalent_to};
-use locking::{LockingScheme, SfllHd, XorLock};
+use locking::{LockingScheme, SfllHd};
 use netlist::random::{generate, RandomCircuitSpec};
-use sat::SolverConfig;
 
 const PARTITION_BITS: usize = 2;
 
@@ -193,28 +191,4 @@ fn long_lived_worker_sessions_match_per_region_baseline() {
             "each worker encodes the circuit exactly once for all its regions"
         );
     }
-}
-
-/// The portfolio recovers a key functionally equivalent to the single-config
-/// SAT attack's.
-#[test]
-fn portfolio_and_single_sat_attack_agree() {
-    let original = generate(&RandomCircuitSpec::new("pe_pf", 10, 3, 80));
-    let locked = XorLock::new(8).with_seed(4).lock(&original).expect("lock");
-    let oracle = SimOracle::new(original.clone());
-
-    let single = sat_attack(&locked.locked, &oracle, &SatAttackConfig::default());
-    assert!(single.is_success());
-    let portfolio = portfolio_sat_attack(
-        &locked.locked,
-        &oracle,
-        &SolverConfig::portfolio(3),
-        &SatAttackConfig::default(),
-    );
-    assert!(portfolio.result.is_success());
-
-    let single_unlocked = apply_key(&locked.locked, &single.key.expect("key"));
-    let portfolio_unlocked = apply_key(&locked.locked, &portfolio.result.key.expect("key"));
-    assert!(equivalent_to(&single_unlocked, &original, 512, 9));
-    assert!(equivalent_to(&portfolio_unlocked, &original, 512, 9));
 }
