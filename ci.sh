@@ -103,6 +103,16 @@ cargo test -q --test gc_differential
 echo "==> cargo test -q -p sat --lib"
 cargo test -q -p sat --lib
 
+# The stripper-verdict correctness story: fall_attack's shortlist, status,
+# analyses_used and prefilter counters must equal a sweep that runs every
+# analysis and equivalence check on a fresh session (seeded TTLock/SFLL-HDh
+# netlists x h, with and without the equivalence check), a proven or refuted
+# candidate must answer with zero extra solves, and nothing may be recorded
+# at 2h = m or from an interrupted solve.  Also part of the workspace run;
+# re-run explicitly so a failure is attributed to the session's verdicts.
+echo "==> cargo test -q -p fall --lib stripper_verdicts"
+cargo test -q -p fall --lib stripper_verdicts
+
 # The wide-simulation correctness story: the W-word blocked engine must match
 # the scalar reference bit for bit for W in {1,2,4,8}, the batched oracle
 # transport must leave the attack trajectory untouched, and the word-batched

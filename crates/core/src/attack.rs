@@ -461,3 +461,261 @@ mod tests {
         assert!(result.timings.comparators > Duration::ZERO);
     }
 }
+
+/// The session's stripper verdicts ([`crate::session::StripperVerdict`])
+/// must leave every attack result unchanged and answer without solving.
+#[cfg(test)]
+mod stripper_verdicts {
+    use super::*;
+    use crate::equivalence::candidate_equals_strip;
+    use crate::functional::{distance_2h, sliding_window};
+    use crate::session::StripperVerdict;
+    use locking::{LockingScheme, SfllHd, TtLock};
+    use netlist::hamming::hamming_distance_equals_const;
+    use netlist::random::{generate, RandomCircuitSpec};
+    use netlist::sim::pattern_to_bits;
+    use netlist::GateKind;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+
+    /// What the lockstep compares: status, shortlist, `analyses_used` and
+    /// prefilter counters.
+    type Outcome = (FallStatus, Vec<Key>, Vec<Analysis>, PrefilterStats);
+
+    /// `fall_attack`'s oracle-less sweep with every analysis call and every
+    /// equivalence check on a fresh session, so no verdict is ever shared.
+    fn fresh_session_sweep(locked: &Netlist, h: usize, equivalence_check: bool) -> Outcome {
+        let candidates = find_candidates(locked, &find_comparators(locked));
+        let mut prefilter = PrefilterStats::default();
+        if candidates.candidates.is_empty()
+            || candidates.key_width() == 0
+            || candidates.paired_keys.len() != locked.num_key_inputs()
+        {
+            return (FallStatus::NoCandidates, Vec::new(), Vec::new(), prefilter);
+        }
+        let (mut shortlist, mut used) = (Vec::new(), Vec::new());
+        for &candidate in &candidates.candidates {
+            for analysis in Analysis::applicable(h, candidates.key_width()) {
+                let mut session = AttackSession::new(locked);
+                let cube = run_analysis(&mut session, candidate, analysis, h);
+                prefilter.merge(&session.prefilter_stats());
+                let Some(cube) = cube else { continue };
+                if equivalence_check && !candidate_equals_strip(locked, candidate, &cube, h) {
+                    continue;
+                }
+                let Some(key) = cube_to_key(locked, &candidates, &cube) else {
+                    continue;
+                };
+                if !shortlist.contains(&key) {
+                    shortlist.push(key);
+                }
+                if !used.contains(&analysis) {
+                    used.push(analysis);
+                }
+            }
+        }
+        let status = match shortlist.len() {
+            0 => FallStatus::NoKeysFound,
+            1 => FallStatus::UniqueKey,
+            _ => FallStatus::MultipleKeys,
+        };
+        (status, shortlist, used, prefilter)
+    }
+
+    #[test]
+    fn verdict_lockstep_matches_a_fresh_session_sweep() {
+        let mut lockings = Vec::new();
+        for seed in [3u64] {
+            let original = generate(&RandomCircuitSpec::new(format!("vl{seed}"), 14, 3, 90));
+            let ttlock = TtLock::new(10).with_seed(seed).lock(&original);
+            lockings.push(ttlock.expect("lock").optimized());
+            for h in 1..=3 {
+                let sfll = SfllHd::new(10, h)
+                    .with_seed(seed + h as u64)
+                    .lock(&original);
+                lockings.push(sfll.expect("lock").optimized());
+            }
+        }
+        let mut strippers_found = 0;
+        for locked in &lockings {
+            // Every h, not only the lock's own: a wrong h makes the true
+            // stripper a non-stripper for the analyses and the check.
+            for h in 0..=3 {
+                for equivalence_check in [true, false] {
+                    let mut config = FallAttackConfig::for_h(h);
+                    config.equivalence_check = equivalence_check;
+                    let result = fall_attack(&locked.locked, None, &config);
+                    let got = (
+                        result.status,
+                        result.shortlisted_keys.clone(),
+                        result.analyses_used.clone(),
+                        result.prefilter,
+                    );
+                    let want = fresh_session_sweep(&locked.locked, h, equivalence_check);
+                    assert_eq!(
+                        got,
+                        want,
+                        "{} h={h} eq={equivalence_check}",
+                        locked.locked.name()
+                    );
+                    strippers_found += usize::from(
+                        equivalence_check && result.shortlisted_keys.contains(&locked.key),
+                    );
+                }
+            }
+        }
+        assert!(strippers_found >= lockings.len(), "{strippers_found}");
+    }
+
+    /// `strip_h(cube)` over `m` fresh inputs.
+    fn stripper(m: usize, cube: u64, h: usize) -> (Netlist, NodeId, Vec<NodeId>) {
+        let mut nl = Netlist::new("strip");
+        let xs: Vec<NodeId> = (0..m).map(|i| nl.add_input(format!("x{i}"))).collect();
+        let out = hamming_distance_equals_const(&mut nl, &xs, &pattern_to_bits(cube, m), h);
+        nl.add_output("strip", out);
+        (nl, out, xs)
+    }
+
+    fn assignment(xs: &[NodeId], cube: u64) -> CubeAssignment {
+        xs.iter()
+            .enumerate()
+            .map(|(i, &id)| (id, (cube >> i) & 1 == 1))
+            .collect()
+    }
+
+    #[test]
+    fn verdict_on_a_proven_stripper_answers_without_solving() {
+        let (m, cube, h) = (8, 0b1011_0010, 1);
+        let (nl, out, xs) = stripper(m, cube, h);
+        let mut session = AttackSession::new(&nl);
+        // Refuting a cube no complete analysis suspected settles nothing.
+        let complement = assignment(&xs, !cube & 0xFF);
+        assert!(!candidate_equals_strip_in(
+            &mut session,
+            out,
+            &complement,
+            h
+        ));
+        assert_eq!(session.stripper_verdict(out, h), None);
+
+        let found = distance_2h_in(&mut session, out, h).expect("cube recovered");
+        assert_eq!(found, assignment(&xs, cube));
+        assert!(candidate_equals_strip_in(&mut session, out, &found, h));
+        assert_eq!(
+            session.stripper_verdict(out, h),
+            Some(&StripperVerdict::Stripper(found.clone()))
+        );
+
+        let solves = session.stats().solves;
+        let prefilter = session.prefilter_stats();
+        assert_eq!(sliding_window_in(&mut session, out, h), Some(found.clone()));
+        assert_eq!(distance_2h_in(&mut session, out, h), Some(found.clone()));
+        assert!(candidate_equals_strip_in(&mut session, out, &found, h));
+        assert!(!candidate_equals_strip_in(
+            &mut session,
+            out,
+            &complement,
+            h
+        ));
+        assert_eq!(session.stats().solves, solves, "no extra solve");
+        // The prefilters still ran: their counters do not see the verdicts.
+        assert!(session.prefilter_stats().sweeps > prefilter.sweeps);
+        // Exactly what fresh sessions compute.
+        assert_eq!(sliding_window(&nl, out, h), Some(found.clone()));
+        assert_eq!(distance_2h(&nl, out, h), Some(found));
+    }
+
+    #[test]
+    fn verdict_not_stripper_makes_the_analyses_bottom_without_solving() {
+        // The radius-1 sphere around `cube` minus one of its six points:
+        // every two satisfying points are within distance 2, so the
+        // prefilter passes, and both analyses recover `cube`, which the
+        // equivalence check refutes.
+        let (m, cube, h) = (6, 0b10_1101, 1);
+        let (mut nl, sphere, xs) = stripper(m, cube, h);
+        let hole =
+            hamming_distance_equals_const(&mut nl, &xs, &pattern_to_bits(cube ^ 1 << 5, m), 0);
+        let not_hole = nl.add_gate("not_hole", GateKind::Not, &[hole]);
+        let out = nl.add_gate("punctured", GateKind::And, &[sphere, not_hole]);
+        nl.add_output("punctured", out);
+
+        let mut session = AttackSession::new(&nl);
+        let suspect = distance_2h_in(&mut session, out, h).expect("a suspected cube");
+        assert_eq!(suspect, assignment(&xs, cube));
+        assert!(!candidate_equals_strip_in(&mut session, out, &suspect, h));
+        assert_eq!(
+            session.stripper_verdict(out, h),
+            Some(&StripperVerdict::NotStripper)
+        );
+
+        let solves = session.stats().solves;
+        assert_eq!(sliding_window_in(&mut session, out, h), None);
+        assert_eq!(distance_2h_in(&mut session, out, h), None);
+        assert!(!candidate_equals_strip_in(&mut session, out, &suspect, h));
+        assert_eq!(session.stats().solves, solves, "no extra solve");
+
+        // Fresh sessions do find cubes, and the equivalence check rejects
+        // each of them.
+        for fresh in [sliding_window(&nl, out, h), distance_2h(&nl, out, h)] {
+            let fresh = fresh.expect("a fresh session yields a cube");
+            assert!(!candidate_equals_strip(&nl, out, &fresh, h));
+        }
+    }
+
+    #[test]
+    fn verdict_is_not_recorded_when_2h_equals_m() {
+        // At 2h = m, strip_h(k) = strip_h(!k): the cube is not unique.
+        let (m, cube, h) = (4, 0b0110, 2);
+        let (nl, out, xs) = stripper(m, cube, h);
+        let mut session = AttackSession::new(&nl);
+        let _ = sliding_window_in(&mut session, out, h);
+        let _ = distance_2h_in(&mut session, out, h);
+        assert!(candidate_equals_strip_in(
+            &mut session,
+            out,
+            &assignment(&xs, cube),
+            h
+        ));
+        assert!(candidate_equals_strip_in(
+            &mut session,
+            out,
+            &assignment(&xs, !cube & 0xF),
+            h
+        ));
+        assert_eq!(session.stripper_verdict(out, h), None);
+    }
+
+    #[test]
+    fn verdict_is_not_recorded_from_an_interrupted_solve() {
+        let (m, cube, h) = (8, 0b0101_1100, 1);
+        let (nl, out, xs) = stripper(m, cube, h);
+        let expected = assignment(&xs, cube);
+        let flag = Arc::new(AtomicBool::new(true));
+
+        // An interrupted equivalence check with no suspect records nothing.
+        let mut session = AttackSession::new(&nl);
+        session.set_interrupt(Some(Arc::clone(&flag)));
+        assert!(!candidate_equals_strip_in(&mut session, out, &expected, h));
+        assert_eq!(session.stripper_verdict(out, h), None);
+        // Nor does an interrupted analysis.
+        assert_eq!(distance_2h_in(&mut session, out, h), None);
+        assert_eq!(session.stripper_verdict(out, h), None);
+
+        // An interrupted check of the suspect cube leaves the suspect.
+        flag.store(false, Ordering::Relaxed);
+        assert_eq!(distance_2h_in(&mut session, out, h), Some(expected.clone()));
+        flag.store(true, Ordering::Relaxed);
+        assert!(!candidate_equals_strip_in(&mut session, out, &expected, h));
+        assert_eq!(
+            session.stripper_verdict(out, h),
+            Some(&StripperVerdict::Suspect(expected.clone()))
+        );
+
+        flag.store(false, Ordering::Relaxed);
+        assert!(candidate_equals_strip_in(&mut session, out, &expected, h));
+        assert_eq!(
+            session.stripper_verdict(out, h),
+            Some(&StripperVerdict::Stripper(expected))
+        );
+    }
+}

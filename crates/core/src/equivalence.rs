@@ -32,6 +32,15 @@ pub fn candidate_equals_strip(
 /// miter is unsatisfiable).  Returns `false` when the candidate depends on
 /// key inputs or the cube does not cover its support.
 ///
+/// The check reads and records the session's stripper verdicts
+/// ([`crate::functional::Analysis`] results and earlier checks of the same
+/// candidate at the same `h`).  When `2h != m` (`m` = the support size),
+/// `strip_h` of a cube determines the cube, so the answer needs no solve
+/// once the candidate is proven `strip_h` of some cube, once it has been
+/// refuted against the cube a complete analysis suspected, or when `cube`
+/// differs from that suspect.  A decided solve records a proof or a
+/// refutation of the suspect; an interrupted one records nothing.
+///
 /// The reference function `HD(X1, Kc) == h` is expressed through the
 /// session's shared machinery: the second input space `X2` carries the cube
 /// constants (by assumption), positions outside the candidate's support are
@@ -50,13 +59,21 @@ pub fn candidate_equals_strip_in(
         return false;
     }
     let inputs: Vec<NodeId> = sup.primary.iter().copied().collect();
-    // The cube must assign every support input (order-insensitive lookup).
+    // The cube must assign every support input (order-insensitive lookup);
+    // normalised to the support, sorted by node id.
     let cube_value = |id: NodeId| cube.iter().find(|&&(cid, _)| cid == id).map(|&(_, v)| v);
-    if inputs.iter().any(|&id| cube_value(id).is_none()) {
+    let Some(cube) = inputs
+        .iter()
+        .map(|&id| cube_value(id).map(|v| (id, v)))
+        .collect::<Option<CubeAssignment>>()
+    else {
         return false;
-    }
+    };
     if h > inputs.len() {
         return false;
+    }
+    if let Some(equivalent) = session.known_equivalence(candidate, h, &cube) {
+        return equivalent;
     }
     let positions = input_positions(netlist, &inputs);
     let mut slot_of: Vec<Option<usize>> = vec![None; netlist.num_inputs()];
@@ -74,14 +91,18 @@ pub fn candidate_equals_strip_in(
     for (position, &slot) in slot_of.iter().enumerate() {
         if let Some(slot) = slot {
             let (_, x2) = session.input_pair(position);
-            let bit = cube_value(inputs[slot]).expect("checked above");
+            let bit = cube[slot].1;
             assumptions.push(if bit { x2 } else { !x2 });
         } else {
             assumptions.push(session.input_eq(position));
         }
     }
     assumptions.push(miter);
-    session.check_cone_property(&assumptions) == SolveResult::Unsat
+    let result = session.check_cone_property(&assumptions);
+    if result != SolveResult::Unknown {
+        session.record_equivalence(candidate, h, &cube, result == SolveResult::Unsat);
+    }
+    result == SolveResult::Unsat
 }
 
 /// Filters a list of `(candidate, suspected cube)` pairs down to those whose

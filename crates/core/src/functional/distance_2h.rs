@@ -11,9 +11,9 @@ use std::collections::BTreeMap;
 use netlist::{Netlist, NodeId};
 use sat::SolveResult;
 
-use super::pair::build_hd_query;
+use super::pair::{build_hd_query, HdPairQuery};
 use super::prefilter::satisfying_within_distance;
-use super::CubeAssignment;
+use super::{Analysis, CubeAssignment};
 use crate::session::AttackSession;
 
 /// Runs the Distance2H analysis on a candidate node using a throwaway
@@ -31,6 +31,15 @@ pub fn distance_2h(netlist: &Netlist, candidate: NodeId, h: usize) -> Option<Cub
 /// `4h <= m` (otherwise the second query may be unsatisfiable for the real
 /// stripper as well); callers should consult
 /// [`super::Analysis::applicable`].
+///
+/// When complete, the analysis runs through the session's stripper
+/// verdicts: once the equivalence check
+/// ([`crate::equivalence::candidate_equals_strip_in`]) has proved the
+/// candidate to be `strip_h` of a cube, the answer is that cube
+/// (Algorithm 3) without a solve, and once it has refuted the cube another
+/// complete analysis suspected, the answer is ⊥.  The word-parallel
+/// prefilter runs first either way, so the prefilter counters do not depend
+/// on the verdicts.
 pub fn distance_2h_in(
     session: &mut AttackSession<'_>,
     candidate: NodeId,
@@ -45,6 +54,15 @@ pub fn distance_2h_in(
     if !within {
         return None;
     }
+    let complete = Analysis::Distance2H.is_complete(h, query.inputs.len());
+    session.settle_cube(candidate, h, complete, |session| {
+        extract_cube(session, &query)
+    })
+}
+
+/// The SAT stage of Algorithm 3: a distance-`2h` model pair, then one query
+/// for a second pair agreeing on every position the first pair split.
+fn extract_cube(session: &mut AttackSession<'_>, query: &HdPairQuery) -> Option<CubeAssignment> {
     if session.check_cone_property(&query.base) != SolveResult::Sat {
         return None;
     }

@@ -61,6 +61,19 @@ impl Analysis {
         }
     }
 
+    /// Whether the analysis is complete for a candidate with `m` support
+    /// inputs: on a true `strip_h(k)` it returns exactly `k` (Lemma 1 at
+    /// `h = 0`, Lemmas 2 and 3 at `2h < m`, Algorithm 3 at `4h <= m`).
+    /// Only complete analyses read and record the session's stripper
+    /// verdicts ([`crate::session::AttackSession::settle_cube`]).
+    pub(crate) fn is_complete(self, h: usize, m: usize) -> bool {
+        match self {
+            Analysis::Unateness => h == 0,
+            Analysis::SlidingWindow => 2 * h < m,
+            Analysis::Distance2H => 4 * h <= m,
+        }
+    }
+
     /// Human-readable name matching the paper's figures.
     pub fn name(self) -> &'static str {
         match self {

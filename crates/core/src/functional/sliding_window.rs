@@ -10,9 +10,9 @@
 use netlist::{Netlist, NodeId};
 use sat::SolveResult;
 
-use super::pair::build_hd_query;
+use super::pair::{build_hd_query, HdPairQuery};
 use super::prefilter::satisfying_within_distance;
-use super::CubeAssignment;
+use super::{Analysis, CubeAssignment};
 use crate::session::AttackSession;
 
 /// Runs the SlidingWindow analysis on a candidate node using a throwaway
@@ -29,6 +29,15 @@ pub fn sliding_window(netlist: &Netlist, candidate: NodeId, h: usize) -> Option<
 /// `h` is the SFLL-HD parameter the adversary knows (§ II-A).  Returns the
 /// suspected protected cube, or `None` (⊥) if the node cannot be the cube
 /// stripping function.
+///
+/// At `2h < m` (`m` = the candidate's support size) the analysis is
+/// complete and runs through the session's stripper verdicts: once the
+/// equivalence check ([`crate::equivalence::candidate_equals_strip_in`])
+/// has proved the candidate to be `strip_h` of a cube, the answer is that
+/// cube (Lemmas 2 and 3) without a solve, and once it has refuted the cube
+/// another complete analysis suspected, the answer is ⊥.  The word-parallel
+/// prefilter runs first either way, so the prefilter counters do not depend
+/// on the verdicts.
 pub fn sliding_window_in(
     session: &mut AttackSession<'_>,
     candidate: NodeId,
@@ -45,6 +54,15 @@ pub fn sliding_window_in(
     if !within {
         return None;
     }
+    let complete = Analysis::SlidingWindow.is_complete(h, query.inputs.len());
+    session.settle_cube(candidate, h, complete, |session| {
+        extract_cube(session, &query)
+    })
+}
+
+/// The SAT stage of Algorithm 2: a distance-`2h` model pair, then one
+/// Lemma 3 query per disagreeing bit and value.
+fn extract_cube(session: &mut AttackSession<'_>, query: &HdPairQuery) -> Option<CubeAssignment> {
     if session.check_cone_property(&query.base) != SolveResult::Sat {
         return None;
     }
@@ -72,13 +90,12 @@ pub fn sliding_window_in(
             let mut assumptions = query.base.clone();
             assumptions.push(query.eq[i]);
             assumptions.push(value_lit(value));
-            session.check_cone_property(&assumptions) == SolveResult::Sat
+            session.check_cone_property(&assumptions)
         };
-        let sat_with_m1 = solve_pinned(session, m1[i]);
-        let sat_with_m2 = solve_pinned(session, m2[i]);
-        match (sat_with_m1, sat_with_m2) {
-            (true, false) => assignment.push((xi, m1[i])),
-            (false, true) => assignment.push((xi, m2[i])),
+        // An undecided query (interrupt) decides nothing: ⊥.
+        match (solve_pinned(session, m1[i]), solve_pinned(session, m2[i])) {
+            (SolveResult::Sat, SolveResult::Unsat) => assignment.push((xi, m1[i])),
+            (SolveResult::Unsat, SolveResult::Sat) => assignment.push((xi, m2[i])),
             _ => return None,
         }
     }

@@ -18,7 +18,7 @@ use netlist::{Netlist, NodeId};
 use sat::{Lit, SolveResult};
 
 use super::prefilter::unateness_polarities;
-use super::CubeAssignment;
+use super::{Analysis, CubeAssignment};
 use crate::session::AttackSession;
 
 /// Runs the unateness analysis on a candidate node using a throwaway
@@ -38,6 +38,15 @@ pub fn analyze_unateness(netlist: &Netlist, candidate: NodeId) -> Option<CubeAss
 ///
 /// Variables the function does not actually depend on are reported as
 /// positive unate (value 1), mirroring the order of checks in Algorithm 1.
+///
+/// The analysis is complete for `strip_0` (the cube itself) and runs
+/// through the session's stripper verdicts at `h = 0`: once the equivalence
+/// check ([`crate::equivalence::candidate_equals_strip_in`]) has proved the
+/// candidate to be `strip_0` of a cube, the answer is that cube (Lemma 1)
+/// without a solve, and once it has refuted the cube another complete
+/// analysis suspected, the answer is ⊥.  The word-parallel prefilter runs
+/// first either way, so the prefilter counters do not depend on the
+/// verdicts.  An undecided (interrupted) cofactor query yields ⊥.
 pub fn analyze_unateness_in(
     session: &mut AttackSession<'_>,
     candidate: NodeId,
@@ -61,7 +70,33 @@ pub fn analyze_unateness_in(
         return None;
     }
 
+    // The cube itself is `strip_0`, so the verdicts at h = 0 apply.
+    let complete = Analysis::Unateness.is_complete(0, inputs.len());
+    session.settle_cube(candidate, 0, complete, |session| {
+        extract_cube(session, candidate, &inputs, &positions, &polarities)
+    })
+}
+
+/// The SAT stage of Algorithm 1: per support input, one cofactor query per
+/// polarity the prefilter left open.
+fn extract_cube(
+    session: &mut AttackSession<'_>,
+    candidate: NodeId,
+    inputs: &[NodeId],
+    positions: &[usize],
+    polarities: &[(bool, bool)],
+) -> Option<CubeAssignment> {
     let (root1, root2) = session.cone_pair(candidate);
+    // Whether the cofactor assumptions plus `violation` are unsatisfiable;
+    // an undecided query (interrupt) decides nothing.
+    let unate = |session: &mut AttackSession<'_>, mut q: Vec<Lit>, violation: [Lit; 2]| {
+        q.extend(violation);
+        match session.check_cone_property(&q) {
+            SolveResult::Unsat => Some(true),
+            SolveResult::Sat => Some(false),
+            SolveResult::Unknown => None,
+        }
+    };
     let mut assignment: CubeAssignment = Vec::with_capacity(inputs.len());
     for (slot, &xi) in inputs.iter().enumerate() {
         let (may_pos, may_neg) = polarities[slot];
@@ -78,23 +113,9 @@ pub fn analyze_unateness_in(
         base.push(x2);
 
         // Positive unate: f(x_i = 0) <= f(x_i = 1), i.e. f0 & !f1 unsatisfiable.
-        let positive = may_pos && {
-            let mut q = base.clone();
-            q.push(root1);
-            q.push(!root2);
-            session.check_cone_property(&q) == SolveResult::Unsat
-        };
-        if positive {
+        if may_pos && unate(session, base.clone(), [root1, !root2])? {
             assignment.push((xi, true));
-            continue;
-        }
-        let negative = may_neg && {
-            let mut q = base;
-            q.push(!root1);
-            q.push(root2);
-            session.check_cone_property(&q) == SolveResult::Unsat
-        };
-        if negative {
+        } else if may_neg && unate(session, base, [!root1, root2])? {
             assignment.push((xi, false));
         } else {
             return None;

@@ -35,6 +35,13 @@
 //!   key-space region.  A contradictory generation (an I/O pair no key can
 //!   reproduce) poisons only its own frames, so a worker that draws an
 //!   impossible region survives to take the next one.
+//! * **Stripper verdicts** — what the functional analyses and the
+//!   equivalence check have settled about a candidate node at one `h`
+//!   (`StripperVerdict`).  A complete analysis consults the verdict before
+//!   its SAT stage and the equivalence check before its miter solve, so a
+//!   candidate whose cube one analysis already proved or refuted costs the
+//!   next analysis no solve at all.  Verdicts are facts about the netlist,
+//!   not about any frame, so they outlive every predicate generation.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
@@ -49,7 +56,7 @@ use sat::{FrameId, Lit, SolveResult, Solver, SolverStats};
 use crate::encode::{
     assumptions_for, instantiate, instantiate_sharing_inputs, model_key, model_values, CircuitCopy,
 };
-use crate::functional::{and2_lit, popcount_lits, xor2_lit, PrefilterStats};
+use crate::functional::{and2_lit, popcount_lits, xor2_lit, CubeAssignment, PrefilterStats};
 
 /// The flight-recorder phase name of a solver maintenance checkpoint.
 fn checkpoint_phase(checkpoint: sat::Checkpoint) -> &'static str {
@@ -60,6 +67,30 @@ fn checkpoint_phase(checkpoint: sat::Checkpoint) -> &'static str {
         sat::Checkpoint::Eliminate => "sat_eliminate",
         sat::Checkpoint::Restart => "sat_restart",
     }
+}
+
+/// What a session has settled about whether one candidate node computes
+/// the cube stripping function `strip_h(k)(X) = (HD(X, k) == h)` for some
+/// cube `k`, at one `h`.
+///
+/// A verdict is recorded only when `2h != m` (`m` = the candidate's support
+/// size): then `strip_h(k)` determines `k`, so "the candidate is `strip_h`
+/// of *this* cube" rules out every other cube.  At `2h == m` a cube and its
+/// complement give the same function and nothing is recorded.  No verdict
+/// is ever drawn from a [`SolveResult::Unknown`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) enum StripperVerdict {
+    /// A complete analysis (one that returns exactly `k` on a true
+    /// `strip_h(k)`, see [`crate::functional::Analysis::is_complete`])
+    /// returned this cube: the candidate is `strip_h` of this cube or of
+    /// none.
+    Suspect(CubeAssignment),
+    /// The equivalence check proved the candidate computes `strip_h` of
+    /// this cube.
+    Stripper(CubeAssignment),
+    /// The equivalence check refuted the [`StripperVerdict::Suspect`] cube,
+    /// so the candidate is `strip_h` of no cube.
+    NotStripper,
 }
 
 /// Which of the session's key-literal vectors an I/O constraint applies to.
@@ -157,6 +188,8 @@ pub struct AttackSession<'n> {
     /// Prefilter decision counters accumulated by every analysis run through
     /// this session.
     prefilter_stats: PrefilterStats,
+    /// Stripper verdicts keyed by `(candidate, h)`.
+    verdicts: BTreeMap<(NodeId, usize), StripperVerdict>,
 }
 
 impl<'n> AttackSession<'n> {
@@ -184,6 +217,7 @@ impl<'n> AttackSession<'n> {
             clauses_at_last_simplify: 0,
             wide: None,
             prefilter_stats: PrefilterStats::default(),
+            verdicts: BTreeMap::new(),
         }
     }
 
@@ -821,7 +855,94 @@ impl<'n> AttackSession<'n> {
     /// query.  All shared structure (cones, difference vector, popcount) is
     /// reused; the query itself adds no clauses.
     pub fn check_cone_property(&mut self, assumptions: &[Lit]) -> SolveResult {
+        let _span = crate::trace::span("solve");
         self.solver.solve_with(assumptions)
+    }
+
+    /// The verdict recorded for `candidate` at `h`, if any.
+    pub(crate) fn stripper_verdict(&self, candidate: NodeId, h: usize) -> Option<&StripperVerdict> {
+        self.verdicts.get(&(candidate, h))
+    }
+
+    /// Runs the SAT stage of a functional analysis of `candidate` at `h`
+    /// through the session's stripper verdicts.
+    ///
+    /// For a `complete` analysis a settled candidate needs no solve: on a
+    /// proven [`StripperVerdict::Stripper`] the answer is its cube, exactly
+    /// what the analysis computes on `strip_h` of that cube, and on
+    /// [`StripperVerdict::NotStripper`] it is ⊥, because any cube the
+    /// analysis found would fail the equivalence check.  Otherwise `extract`
+    /// runs, and a cube a complete analysis returns is recorded as the
+    /// [`StripperVerdict::Suspect`].  `extract` must return ⊥ whenever one
+    /// of its solves came back [`SolveResult::Unknown`].
+    pub(crate) fn settle_cube(
+        &mut self,
+        candidate: NodeId,
+        h: usize,
+        complete: bool,
+        extract: impl FnOnce(&mut Self) -> Option<CubeAssignment>,
+    ) -> Option<CubeAssignment> {
+        if !complete {
+            return extract(self);
+        }
+        match self.stripper_verdict(candidate, h) {
+            Some(StripperVerdict::Stripper(cube)) => return Some(cube.clone()),
+            Some(StripperVerdict::NotStripper) => return None,
+            Some(StripperVerdict::Suspect(_)) | None => {}
+        }
+        let cube = extract(self)?;
+        if 2 * h != cube.len() {
+            self.verdicts
+                .entry((candidate, h))
+                .or_insert_with(|| StripperVerdict::Suspect(cube.clone()));
+        }
+        Some(cube)
+    }
+
+    /// Whether `candidate` computes `strip_h(cube)`, when the verdicts
+    /// already decide it (`cube` normalised to the candidate's support,
+    /// sorted by node id).  A [`StripperVerdict::Suspect`] decides every
+    /// cube but its own: a true `strip_h(k)` would have made the complete
+    /// analysis return `k`.
+    pub(crate) fn known_equivalence(
+        &self,
+        candidate: NodeId,
+        h: usize,
+        cube: &CubeAssignment,
+    ) -> Option<bool> {
+        match self.stripper_verdict(candidate, h)? {
+            StripperVerdict::Stripper(proven) => Some(proven == cube),
+            StripperVerdict::NotStripper => Some(false),
+            StripperVerdict::Suspect(suspect) => (suspect != cube).then_some(false),
+        }
+    }
+
+    /// Records a decided equivalence check of `candidate` against
+    /// `strip_h(cube)` (`cube` normalised as for
+    /// [`AttackSession::known_equivalence`]): a proof makes the candidate a
+    /// [`StripperVerdict::Stripper`], a refutation of the suspect cube a
+    /// [`StripperVerdict::NotStripper`].
+    pub(crate) fn record_equivalence(
+        &mut self,
+        candidate: NodeId,
+        h: usize,
+        cube: &CubeAssignment,
+        equivalent: bool,
+    ) {
+        if 2 * h == cube.len() {
+            return;
+        }
+        let verdict = if equivalent {
+            StripperVerdict::Stripper(cube.clone())
+        } else if matches!(
+            self.stripper_verdict(candidate, h),
+            Some(StripperVerdict::Suspect(suspect)) if suspect == cube
+        ) {
+            StripperVerdict::NotStripper
+        } else {
+            return;
+        };
+        self.verdicts.insert((candidate, h), verdict);
     }
 
     fn cone_const_false(&mut self) -> Lit {
