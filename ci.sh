@@ -113,6 +113,14 @@ cargo test -q -p sat --lib
 echo "==> cargo test -q -p fall --lib stripper_verdicts"
 cargo test -q -p fall --lib stripper_verdicts
 
+# The prefilter-cache correctness story: the session's cached cofactor
+# verdicts and distance sweep must equal the per-call sweeping reference for
+# every node x input position (random, TTLock- and SFLL-locked netlists),
+# and a warm cache must answer with zero sweeps.  Also part of the workspace
+# run; re-run explicitly so a failure is attributed to the prefilter cache.
+echo "==> cargo test -q -p fall --lib prefilter"
+cargo test -q -p fall --lib prefilter
+
 # The wide-simulation correctness story: the W-word blocked engine must match
 # the scalar reference bit for bit for W in {1,2,4,8}, the batched oracle
 # transport must leave the attack trajectory untouched, and the word-batched

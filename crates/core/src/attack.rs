@@ -479,7 +479,8 @@ mod stripper_verdicts {
     use std::sync::Arc;
 
     /// What the lockstep compares: status, shortlist, `analyses_used` and
-    /// prefilter counters.
+    /// prefilter counters (the decision counters exactly, the sweep counters
+    /// as an upper bound).
     type Outcome = (FallStatus, Vec<Key>, Vec<Analysis>, PrefilterStats);
 
     /// `fall_attack`'s oracle-less sweep with every analysis call and every
@@ -549,14 +550,26 @@ mod stripper_verdicts {
                         result.status,
                         result.shortlisted_keys.clone(),
                         result.analyses_used.clone(),
-                        result.prefilter,
+                        result.prefilter.polarities_refuted,
+                        result.prefilter.candidates_refuted,
                     );
-                    let want = fresh_session_sweep(&locked.locked, h, equivalence_check);
-                    assert_eq!(
-                        got,
-                        want,
-                        "{} h={h} eq={equivalence_check}",
-                        locked.locked.name()
+                    let (status, shortlist, used, fresh) =
+                        fresh_session_sweep(&locked.locked, h, equivalence_check);
+                    let want = (
+                        status,
+                        shortlist,
+                        used,
+                        fresh.polarities_refuted,
+                        fresh.candidates_refuted,
+                    );
+                    let label = format!("{} h={h} eq={equivalence_check}", locked.locked.name());
+                    assert_eq!(got, want, "{label}");
+                    // The shared session reuses its prefilter sweeps, so it
+                    // runs at most what the fresh sessions ran in total.
+                    assert!(result.prefilter.sweeps <= fresh.sweeps, "{label}");
+                    assert!(
+                        result.prefilter.patterns_simulated <= fresh.patterns_simulated,
+                        "{label}"
                     );
                     strippers_found += usize::from(
                         equivalence_check && result.shortlisted_keys.contains(&locked.key),
@@ -618,8 +631,11 @@ mod stripper_verdicts {
             h
         ));
         assert_eq!(session.stats().solves, solves, "no extra solve");
-        // The prefilters still ran: their counters do not see the verdicts.
-        assert!(session.prefilter_stats().sweeps > prefilter.sweeps);
+        // The prefilters answered from the session's sweep cache: no new
+        // sweep ran, and their decision counters do not see the verdicts.
+        let repeat = session.prefilter_stats();
+        assert_eq!(repeat.sweeps, prefilter.sweeps, "no extra sweep");
+        assert_eq!(repeat.patterns_simulated, prefilter.patterns_simulated);
         // Exactly what fresh sessions compute.
         assert_eq!(sliding_window(&nl, out, h), Some(found.clone()));
         assert_eq!(distance_2h(&nl, out, h), Some(found));

@@ -12,7 +12,6 @@ use netlist::{Netlist, NodeId};
 use sat::SolveResult;
 
 use super::pair::{build_hd_query, HdPairQuery};
-use super::prefilter::satisfying_within_distance;
 use super::{Analysis, CubeAssignment};
 use crate::session::AttackSession;
 
@@ -46,12 +45,10 @@ pub fn distance_2h_in(
     h: usize,
 ) -> Option<CubeAssignment> {
     let query = build_hd_query(session, candidate, 2 * h)?;
-    let netlist = session.netlist();
-    let within = {
-        let (sim, stats) = session.wide_sim_parts();
-        satisfying_within_distance(netlist, candidate, &query.inputs, 2 * h, sim, stats)
-    };
-    if !within {
+    if !session
+        .prefilter()
+        .satisfying_within_distance(candidate, &query.inputs, 2 * h)
+    {
         return None;
     }
     let complete = Analysis::Distance2H.is_complete(h, query.inputs.len());

@@ -12,13 +12,12 @@
 //! but not bit-for-bit identical shortlists when the equivalence check is
 //! disabled.
 //!
-//! Both filters operate on whole wide blocks of the caller's reusable
-//! [`WideSim`] scratch (the session owns one, see
-//! [`crate::session::AttackSession::wide_sim_parts`]): one netlist sweep
-//! evaluates `width * 64` patterns, lane words are scanned with bitwise
-//! masks and `count_ones`, and the per-block scan exits early once a
-//! refutation witness is found.  Every decision is tallied in
-//! [`PrefilterStats`], which the attack surfaces on its result.
+//! Both filters run through [`Prefilter`], the cache each
+//! [`crate::session::AttackSession`] owns: one netlist sweep evaluates
+//! `width * 64` patterns, no sweep depends on the candidate, so each runs at
+//! most once per session, and later candidates only read its results (lane
+//! words scanned with bitwise masks and `count_ones`).  Every decision is
+//! tallied in [`PrefilterStats`], which the attack surfaces on its result.
 
 use netlist::analysis::input_positions;
 use netlist::{Netlist, NodeId, WideSim};
@@ -40,10 +39,12 @@ pub struct PrefilterStats {
     /// variable refuted in both polarities, or the distance filter found two
     /// satisfying assignments too far apart.
     pub candidates_refuted: u64,
-    /// Patterns pushed through the wide simulator by the filters
-    /// (`width * 64` per sweep).
+    /// Patterns pushed through the wide simulator by the sweeps this
+    /// session actually ran (`width * 64` per sweep).  Sweeps are cached for
+    /// the whole session, so later candidates add nothing here.
     pub patterns_simulated: u64,
-    /// Wide netlist sweeps performed.
+    /// Wide netlist sweeps this session actually ran: two per input position
+    /// any unateness query touched, plus one for the first distance query.
     pub sweeps: u64,
 }
 
@@ -64,152 +65,375 @@ impl PrefilterStats {
     }
 }
 
-/// For every support input of `candidate`, tests both unateness polarities on
-/// random patterns and reports which are still possible:
-/// `(may_be_positive, may_be_negative)`.
+/// The session-owned prefilter cache: the fixed random stimuli, the
+/// simulation scratch and every sweep result a later call can reuse.
 ///
-/// `false` entries are backed by an explicit monotonicity-violation witness,
-/// so the corresponding SAT query is guaranteed to come back satisfiable and
-/// can be skipped.  `(false, false)` for any variable proves the candidate is
-/// not unate at all.
+/// Neither filter's sweeps depend on the candidate — the netlist is fixed
+/// and every candidate sees the same seeded stimulus — so each sweep runs at
+/// most once per session:
 ///
-/// Each support variable costs two wide sweeps (both cofactors over
-/// `sim.width() * 64` shared random patterns); the lane scan exits early
-/// once both polarities are refuted.
-pub(crate) fn unateness_polarities(
-    netlist: &Netlist,
-    candidate: NodeId,
-    support: &[NodeId],
-    sim: &mut WideSim,
-    stats: &mut PrefilterStats,
-) -> Vec<(bool, bool)> {
-    let _span = crate::trace::span("prefilter_sweep");
-    let positions = input_positions(netlist, support);
-    let w = sim.width();
-    let mut rng = ChaCha8Rng::seed_from_u64(SEED);
-    let mut result = vec![(true, true); support.len()];
-
-    let base: Vec<u64> = (0..netlist.num_inputs() * w).map(|_| rng.gen()).collect();
-    let keys: Vec<u64> = (0..netlist.num_key_inputs() * w)
-        .map(|_| rng.gen())
-        .collect();
-    let mut probe = base.clone();
-    let mut f0 = vec![0u64; w];
-    for (slot, &position) in positions.iter().enumerate() {
-        // Cofactor x_i = 0 across every lane, then x_i = 1; all other pins
-        // keep the shared random block.
-        probe[position * w..][..w].fill(0);
-        sim.run(netlist, &probe, &keys)
-            .expect("widths are consistent");
-        f0.copy_from_slice(sim.node(candidate));
-        probe[position * w..][..w].fill(!0u64);
-        sim.run(netlist, &probe, &keys)
-            .expect("widths are consistent");
-        let f1 = sim.node(candidate);
-        probe[position * w..][..w].copy_from_slice(&base[position * w..][..w]);
-        stats.sweeps += 2;
-        stats.patterns_simulated += 2 * (w as u64) * 64;
-
-        // A pattern with f(x_i=0) > f(x_i=1) refutes positive unateness;
-        // the mirror image refutes negative unateness.
-        let (mut may_pos, mut may_neg) = (true, true);
-        for (lane, &lo) in f0.iter().enumerate() {
-            let hi = f1[lane];
-            may_pos &= lo & !hi == 0;
-            may_neg &= !lo & hi == 0;
-            if !may_pos && !may_neg {
-                break;
-            }
-        }
-        if !may_pos {
-            stats.polarities_refuted += 1;
-            result[slot].0 = false;
-        }
-        if !may_neg {
-            stats.polarities_refuted += 1;
-            result[slot].1 = false;
-        }
-    }
-    if result.iter().any(|&(p, n)| !p && !n) {
-        stats.candidates_refuted += 1;
-    }
-    result
+/// * **Cofactor verdicts.**  The first time input position `p` is asked
+///   for, the two cofactor sweeps (`x_p = 0`, then `x_p = 1`, every other
+///   pin on the shared random block) run once and leave a 2-bit
+///   refuted-polarity verdict for *every* node.  Any later candidate on `p`
+///   is a lookup.
+/// * **Distance sweep.**  The distance filter's single sweep runs on its
+///   first use and is kept; each call only harvests its candidate's lanes.
+///
+/// Every polarity, refutation and verdict is therefore exactly what a
+/// per-call sweep computes; only [`PrefilterStats::sweeps`] and
+/// [`PrefilterStats::patterns_simulated`] shrink, because they count the
+/// sweeps that actually ran.  Memory: 2 bits per node for each input
+/// position queried, plus the sweep buffers (`width` words per node each).
+pub(crate) struct Prefilter<'n> {
+    netlist: &'n Netlist,
+    /// Scratch of the cofactor sweeps.
+    sim: WideSim,
+    /// The shared random input block of the cofactor sweeps (pin-major, like
+    /// [`WideSim::run`] stimuli); a sweep overwrites one pin and restores it.
+    base: Vec<u64>,
+    /// The random key block every sweep of the cofactor stimulus uses.
+    keys: Vec<u64>,
+    /// Snapshot of the `x_p = 0` sweep while the `x_p = 1` sweep runs.
+    cofactor0: Vec<u64>,
+    /// Per input position, two bits per node (bit `2n`: positive unateness
+    /// of node `n` refuted, bit `2n + 1`: negative refuted); empty until the
+    /// position is first queried.
+    refuted: Vec<Vec<u64>>,
+    /// The distance filter's sweep, run on first use.
+    distance: Option<DistanceSweep>,
+    stats: PrefilterStats,
 }
 
-/// Tests whether random satisfying assignments of `candidate` stay within
-/// Hamming distance `max_distance` of each other over the support positions.
-///
-/// A cube-stripping function `HD(X, cube) == h` is satisfied only on the
-/// radius-`h` sphere around the cube, so any two satisfying assignments are
-/// within distance `2h`.  Finding two satisfying patterns further apart is a
-/// sound proof that the candidate is not the stripper for the assumed `h`.
-///
-/// One wide sweep evaluates the whole probe block; satisfying lanes are
-/// harvested with trailing-zeros scans, pairwise distances are plain
-/// `count_ones` on packed support bits, and the first witness pair exits.
-///
-/// Returns `false` only when such a witness pair was found.  Supports wider
-/// than 64 bits skip the filter (returns `true`).
-pub(crate) fn satisfying_within_distance(
-    netlist: &Netlist,
-    candidate: NodeId,
-    support: &[NodeId],
-    max_distance: usize,
-    sim: &mut WideSim,
-    stats: &mut PrefilterStats,
-) -> bool {
-    if support.len() > 64 || max_distance >= support.len() {
-        return true;
-    }
-    let _span = crate::trace::span("prefilter_sweep");
-    let positions = input_positions(netlist, support);
-    let w = sim.width();
-    let mut rng = ChaCha8Rng::seed_from_u64(SEED ^ 0x5EA9_C0DE);
-    let inputs: Vec<u64> = (0..netlist.num_inputs() * w).map(|_| rng.gen()).collect();
-    let keys: Vec<u64> = (0..netlist.num_key_inputs() * w)
-        .map(|_| rng.gen())
-        .collect();
-    sim.run(netlist, &inputs, &keys)
-        .expect("widths are consistent");
-    stats.sweeps += 1;
-    stats.patterns_simulated += (w as u64) * 64;
+/// The distance filter's stimulus and the node values it produced.
+struct DistanceSweep {
+    inputs: Vec<u64>,
+    sim: WideSim,
+}
 
-    let mut witnesses: Vec<u64> = Vec::new();
-    for lane in 0..w {
-        let mut satisfied = sim.node(candidate)[lane];
-        while satisfied != 0 {
-            let bit = satisfied.trailing_zeros();
-            satisfied &= satisfied - 1;
-            let mut pattern = 0u64;
-            for (slot, &position) in positions.iter().enumerate() {
-                pattern |= ((inputs[position * w + lane] >> bit) & 1) << slot;
-            }
-            for &earlier in &witnesses {
-                if (earlier ^ pattern).count_ones() as usize > max_distance {
-                    stats.candidates_refuted += 1;
-                    return false;
-                }
-            }
-            if witnesses.len() < 256 && !witnesses.contains(&pattern) {
-                witnesses.push(pattern);
-            }
+impl<'n> Prefilter<'n> {
+    /// An empty cache for `netlist` sweeping `width * 64` patterns at a
+    /// time.  Nothing is simulated until the first query.
+    pub(crate) fn new(netlist: &'n Netlist, width: usize) -> Prefilter<'n> {
+        let mut rng = ChaCha8Rng::seed_from_u64(SEED);
+        let base = (0..netlist.num_inputs() * width)
+            .map(|_| rng.gen())
+            .collect();
+        let keys = (0..netlist.num_key_inputs() * width)
+            .map(|_| rng.gen())
+            .collect();
+        Prefilter {
+            netlist,
+            sim: WideSim::new(netlist, width),
+            base,
+            keys,
+            cofactor0: Vec::new(),
+            refuted: vec![Vec::new(); netlist.num_inputs()],
+            distance: None,
+            stats: PrefilterStats::default(),
         }
     }
-    true
+
+    /// The counters accumulated by every query so far.
+    pub(crate) fn stats(&self) -> PrefilterStats {
+        self.stats
+    }
+
+    /// For every support input of `candidate`, tests both unateness
+    /// polarities on random patterns and reports which are still possible:
+    /// `(may_be_positive, may_be_negative)`.
+    ///
+    /// `false` entries are backed by an explicit monotonicity-violation
+    /// witness, so the corresponding SAT query is guaranteed to come back
+    /// satisfiable and can be skipped.  `(false, false)` for any variable
+    /// proves the candidate is not unate at all.
+    ///
+    /// A support input whose position was queried before costs nothing;
+    /// otherwise its two cofactor sweeps run once for the whole session.
+    pub(crate) fn unateness_polarities(
+        &mut self,
+        candidate: NodeId,
+        support: &[NodeId],
+    ) -> Vec<(bool, bool)> {
+        let (word, shift) = (candidate.index() / 32, 2 * (candidate.index() % 32));
+        let mut result = Vec::with_capacity(support.len());
+        for position in input_positions(self.netlist, support) {
+            let bits = self.cofactor_verdicts(position)[word] >> shift;
+            let (may_pos, may_neg) = (bits & 1 == 0, bits & 2 == 0);
+            self.stats.polarities_refuted += u64::from(!may_pos) + u64::from(!may_neg);
+            result.push((may_pos, may_neg));
+        }
+        if result.iter().any(|&(p, n)| !p && !n) {
+            self.stats.candidates_refuted += 1;
+        }
+        result
+    }
+
+    /// The refuted-polarity bits of every node for input position
+    /// `position`, sweeping both cofactors on first use.
+    fn cofactor_verdicts(&mut self, position: usize) -> &[u64] {
+        if self.refuted[position].is_empty() {
+            self.refuted[position] = self.sweep_cofactors(position);
+        }
+        &self.refuted[position]
+    }
+
+    fn sweep_cofactors(&mut self, position: usize) -> Vec<u64> {
+        // Cofactor x_p = 0 across every lane, then x_p = 1; all other pins
+        // keep the shared random block.
+        let w = self.sim.width();
+        let pin = position * w..(position + 1) * w;
+        let saved = self.base[pin.clone()].to_vec();
+        self.base[pin.clone()].fill(0);
+        sweep(
+            self.netlist,
+            &mut self.sim,
+            &self.base,
+            &self.keys,
+            &mut self.stats,
+        );
+        self.cofactor0.clear();
+        self.cofactor0.extend_from_slice(self.sim.values());
+        self.base[pin.clone()].fill(!0u64);
+        sweep(
+            self.netlist,
+            &mut self.sim,
+            &self.base,
+            &self.keys,
+            &mut self.stats,
+        );
+        self.base[pin].copy_from_slice(&saved);
+
+        // A pattern with f(x_p=0) > f(x_p=1) refutes positive unateness;
+        // the mirror image refutes negative unateness.
+        let mut refuted = vec![0u64; self.netlist.num_nodes().div_ceil(32)];
+        let lanes = self
+            .cofactor0
+            .chunks_exact(w)
+            .zip(self.sim.values().chunks_exact(w));
+        for (node, (f0, f1)) in lanes.enumerate() {
+            let (mut pos_witness, mut neg_witness) = (0u64, 0u64);
+            for (&lo, &hi) in f0.iter().zip(f1) {
+                pos_witness |= lo & !hi;
+                neg_witness |= !lo & hi;
+            }
+            let bits = u64::from(pos_witness != 0) | u64::from(neg_witness != 0) << 1;
+            refuted[node / 32] |= bits << (2 * (node % 32));
+        }
+        refuted
+    }
+
+    /// Tests whether random satisfying assignments of `candidate` stay
+    /// within Hamming distance `max_distance` of each other over the support
+    /// positions.
+    ///
+    /// A cube-stripping function `HD(X, cube) == h` is satisfied only on the
+    /// radius-`h` sphere around the cube, so any two satisfying assignments
+    /// are within distance `2h`.  Finding two satisfying patterns further
+    /// apart is a sound proof that the candidate is not the stripper for the
+    /// assumed `h`.
+    ///
+    /// The session's one distance sweep evaluates the whole probe block;
+    /// the candidate's satisfying lanes are harvested with trailing-zeros
+    /// scans, pairwise distances are plain `count_ones` on packed support
+    /// bits, and the first witness pair exits.
+    ///
+    /// Returns `false` only when such a witness pair was found.  Supports
+    /// wider than 64 bits skip the filter (returns `true`).
+    pub(crate) fn satisfying_within_distance(
+        &mut self,
+        candidate: NodeId,
+        support: &[NodeId],
+        max_distance: usize,
+    ) -> bool {
+        if support.len() > 64 || max_distance >= support.len() {
+            return true;
+        }
+        let positions = input_positions(self.netlist, support);
+        let (netlist, width, stats) = (self.netlist, self.sim.width(), &mut self.stats);
+        let DistanceSweep { inputs, sim } = self
+            .distance
+            .get_or_insert_with(|| DistanceSweep::run(netlist, width, stats));
+
+        let mut witnesses: Vec<u64> = Vec::new();
+        for (lane, &word) in sim.node(candidate).iter().enumerate() {
+            let mut satisfied = word;
+            while satisfied != 0 {
+                let bit = satisfied.trailing_zeros();
+                satisfied &= satisfied - 1;
+                let mut pattern = 0u64;
+                for (slot, &position) in positions.iter().enumerate() {
+                    pattern |= ((inputs[position * width + lane] >> bit) & 1) << slot;
+                }
+                for &earlier in &witnesses {
+                    if (earlier ^ pattern).count_ones() as usize > max_distance {
+                        self.stats.candidates_refuted += 1;
+                        return false;
+                    }
+                }
+                if witnesses.len() < 256 && !witnesses.contains(&pattern) {
+                    witnesses.push(pattern);
+                }
+            }
+        }
+        true
+    }
+}
+
+impl DistanceSweep {
+    fn run(netlist: &Netlist, width: usize, stats: &mut PrefilterStats) -> DistanceSweep {
+        let mut rng = ChaCha8Rng::seed_from_u64(SEED ^ 0x5EA9_C0DE);
+        let inputs: Vec<u64> = (0..netlist.num_inputs() * width)
+            .map(|_| rng.gen())
+            .collect();
+        let keys: Vec<u64> = (0..netlist.num_key_inputs() * width)
+            .map(|_| rng.gen())
+            .collect();
+        let mut sim = WideSim::new(netlist, width);
+        sweep(netlist, &mut sim, &inputs, &keys, stats);
+        DistanceSweep { inputs, sim }
+    }
+}
+
+/// One wide netlist sweep, traced as a `prefilter_sweep` span and counted.
+fn sweep(
+    netlist: &Netlist,
+    sim: &mut WideSim,
+    inputs: &[u64],
+    keys: &[u64],
+    stats: &mut PrefilterStats,
+) {
+    let _span = crate::trace::span("prefilter_sweep");
+    sim.run(netlist, inputs, keys)
+        .expect("widths are consistent");
+    stats.sweeps += 1;
+    stats.patterns_simulated += sim.patterns_per_sweep() as u64;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use locking::{LockingScheme, SfllHd, TtLock};
+    use netlist::analysis::support;
     use netlist::hamming::hamming_distance_equals_const;
+    use netlist::random::{generate, RandomCircuitSpec};
     use netlist::sim::pattern_to_bits;
     use netlist::{GateKind, DEFAULT_WIDE_WORDS};
 
-    fn filter_parts(nl: &Netlist) -> (WideSim, PrefilterStats) {
-        (
-            WideSim::new(nl, DEFAULT_WIDE_WORDS),
-            PrefilterStats::default(),
-        )
+    /// Reference for [`Prefilter::unateness_polarities`]: the per-call
+    /// algorithm, which regenerates the seeded block and sweeps both
+    /// cofactors of every support input on every call.
+    fn reference_unateness_polarities(
+        netlist: &Netlist,
+        candidate: NodeId,
+        support: &[NodeId],
+        sim: &mut WideSim,
+        stats: &mut PrefilterStats,
+    ) -> Vec<(bool, bool)> {
+        let positions = input_positions(netlist, support);
+        let w = sim.width();
+        let mut rng = ChaCha8Rng::seed_from_u64(SEED);
+        let mut result = vec![(true, true); support.len()];
+
+        let base: Vec<u64> = (0..netlist.num_inputs() * w).map(|_| rng.gen()).collect();
+        let keys: Vec<u64> = (0..netlist.num_key_inputs() * w)
+            .map(|_| rng.gen())
+            .collect();
+        let mut probe = base.clone();
+        let mut f0 = vec![0u64; w];
+        for (slot, &position) in positions.iter().enumerate() {
+            // Cofactor x_i = 0 across every lane, then x_i = 1; all other pins
+            // keep the shared random block.
+            probe[position * w..][..w].fill(0);
+            sim.run(netlist, &probe, &keys)
+                .expect("widths are consistent");
+            f0.copy_from_slice(sim.node(candidate));
+            probe[position * w..][..w].fill(!0u64);
+            sim.run(netlist, &probe, &keys)
+                .expect("widths are consistent");
+            let f1 = sim.node(candidate);
+            probe[position * w..][..w].copy_from_slice(&base[position * w..][..w]);
+            stats.sweeps += 2;
+            stats.patterns_simulated += 2 * (w as u64) * 64;
+
+            // A pattern with f(x_i=0) > f(x_i=1) refutes positive unateness;
+            // the mirror image refutes negative unateness.
+            let (mut may_pos, mut may_neg) = (true, true);
+            for (lane, &lo) in f0.iter().enumerate() {
+                let hi = f1[lane];
+                may_pos &= lo & !hi == 0;
+                may_neg &= !lo & hi == 0;
+                if !may_pos && !may_neg {
+                    break;
+                }
+            }
+            if !may_pos {
+                stats.polarities_refuted += 1;
+                result[slot].0 = false;
+            }
+            if !may_neg {
+                stats.polarities_refuted += 1;
+                result[slot].1 = false;
+            }
+        }
+        if result.iter().any(|&(p, n)| !p && !n) {
+            stats.candidates_refuted += 1;
+        }
+        result
+    }
+
+    /// Reference for [`Prefilter::satisfying_within_distance`]: the
+    /// per-call algorithm, which regenerates the seeded block and sweeps the
+    /// netlist on every call.
+    fn reference_satisfying_within_distance(
+        netlist: &Netlist,
+        candidate: NodeId,
+        support: &[NodeId],
+        max_distance: usize,
+        sim: &mut WideSim,
+        stats: &mut PrefilterStats,
+    ) -> bool {
+        if support.len() > 64 || max_distance >= support.len() {
+            return true;
+        }
+        let positions = input_positions(netlist, support);
+        let w = sim.width();
+        let mut rng = ChaCha8Rng::seed_from_u64(SEED ^ 0x5EA9_C0DE);
+        let inputs: Vec<u64> = (0..netlist.num_inputs() * w).map(|_| rng.gen()).collect();
+        let keys: Vec<u64> = (0..netlist.num_key_inputs() * w)
+            .map(|_| rng.gen())
+            .collect();
+        sim.run(netlist, &inputs, &keys)
+            .expect("widths are consistent");
+        stats.sweeps += 1;
+        stats.patterns_simulated += (w as u64) * 64;
+
+        let mut witnesses: Vec<u64> = Vec::new();
+        for lane in 0..w {
+            let mut satisfied = sim.node(candidate)[lane];
+            while satisfied != 0 {
+                let bit = satisfied.trailing_zeros();
+                satisfied &= satisfied - 1;
+                let mut pattern = 0u64;
+                for (slot, &position) in positions.iter().enumerate() {
+                    pattern |= ((inputs[position * w + lane] >> bit) & 1) << slot;
+                }
+                for &earlier in &witnesses {
+                    if (earlier ^ pattern).count_ones() as usize > max_distance {
+                        stats.candidates_refuted += 1;
+                        return false;
+                    }
+                }
+                if witnesses.len() < 256 && !witnesses.contains(&pattern) {
+                    witnesses.push(pattern);
+                }
+            }
+        }
+        true
+    }
+
+    fn prefilter(nl: &Netlist) -> Prefilter<'_> {
+        Prefilter::new(nl, DEFAULT_WIDE_WORDS)
     }
 
     #[test]
@@ -219,9 +443,10 @@ mod tests {
         let b = nl.add_input("b");
         let f = nl.add_gate("f", GateKind::Xor, &[a, b]);
         nl.add_output("f", f);
-        let (mut sim, mut stats) = filter_parts(&nl);
-        let polarities = unateness_polarities(&nl, f, &[a, b], &mut sim, &mut stats);
+        let mut filter = prefilter(&nl);
+        let polarities = filter.unateness_polarities(f, &[a, b]);
         assert_eq!(polarities, vec![(false, false); 2]);
+        let stats = filter.stats();
         assert_eq!(stats.polarities_refuted, 4);
         assert_eq!(stats.candidates_refuted, 1);
         assert_eq!(stats.sweeps, 4);
@@ -238,14 +463,14 @@ mod tests {
         let b = nl.add_input("b");
         let f = nl.add_gate("f", GateKind::And, &[a, b]);
         nl.add_output("f", f);
-        let (mut sim, mut stats) = filter_parts(&nl);
-        let polarities = unateness_polarities(&nl, f, &[a, b], &mut sim, &mut stats);
+        let mut filter = prefilter(&nl);
+        let polarities = filter.unateness_polarities(f, &[a, b]);
         for (may_pos, may_neg) in polarities {
             assert!(may_pos, "AND is positive unate in every input");
             assert!(!may_neg, "random patterns must witness the violation");
         }
-        assert_eq!(stats.polarities_refuted, 2);
-        assert_eq!(stats.candidates_refuted, 0, "AND is still unate");
+        assert_eq!(filter.stats().polarities_refuted, 2);
+        assert_eq!(filter.stats().candidates_refuted, 0, "AND is still unate");
     }
 
     #[test]
@@ -255,12 +480,10 @@ mod tests {
         let cube = pattern_to_bits(0b101100, 6);
         let out = hamming_distance_equals_const(&mut nl, &xs, &cube, 1);
         nl.add_output("strip", out);
-        let (mut sim, mut stats) = filter_parts(&nl);
-        assert!(satisfying_within_distance(
-            &nl, out, &xs, 2, &mut sim, &mut stats
-        ));
-        assert_eq!(stats.candidates_refuted, 0);
-        assert_eq!(stats.sweeps, 1);
+        let mut filter = prefilter(&nl);
+        assert!(filter.satisfying_within_distance(out, &xs, 2));
+        assert_eq!(filter.stats().candidates_refuted, 0);
+        assert_eq!(filter.stats().sweeps, 1);
     }
 
     #[test]
@@ -271,11 +494,9 @@ mod tests {
         let xs: Vec<NodeId> = (0..6).map(|i| nl.add_input(format!("x{i}"))).collect();
         let f = nl.add_gate("f", GateKind::Or, &xs);
         nl.add_output("f", f);
-        let (mut sim, mut stats) = filter_parts(&nl);
-        assert!(!satisfying_within_distance(
-            &nl, f, &xs, 2, &mut sim, &mut stats
-        ));
-        assert_eq!(stats.candidates_refuted, 1);
+        let mut filter = prefilter(&nl);
+        assert!(!filter.satisfying_within_distance(f, &xs, 2));
+        assert_eq!(filter.stats().candidates_refuted, 1);
     }
 
     #[test]
@@ -290,14 +511,130 @@ mod tests {
         nl.add_output("orf", orf);
         nl.add_output("xorf", xorf);
         for width in [1usize, 2, 4, 8] {
-            let mut sim = WideSim::new(&nl, width);
-            let mut stats = PrefilterStats::default();
+            let mut filter = Prefilter::new(&nl, width);
             assert!(
-                !satisfying_within_distance(&nl, orf, &xs, 2, &mut sim, &mut stats),
+                !filter.satisfying_within_distance(orf, &xs, 2),
                 "width {width}"
             );
-            let p = unateness_polarities(&nl, xorf, &xs, &mut sim, &mut stats);
+            let p = filter.unateness_polarities(xorf, &xs);
             assert_eq!(p, vec![(false, false); 5], "width {width}");
         }
+    }
+
+    /// Random netlists plus a TTLock- and an SFLL-HD-locked one (key inputs
+    /// included, so the key block matters too).
+    fn differential_netlists() -> Vec<Netlist> {
+        let mut netlists: Vec<Netlist> = (0..3u64)
+            .map(|seed| {
+                let spec = RandomCircuitSpec::new(format!("pf{seed}"), 8 + seed as usize, 3, 70)
+                    .with_seed(seed);
+                generate(&spec)
+            })
+            .collect();
+        let original = generate(&RandomCircuitSpec::new("pf_lock", 12, 3, 80));
+        let ttlock = TtLock::new(8).with_seed(5).lock(&original).expect("lock");
+        netlists.push(ttlock.optimized().locked);
+        let sfll = SfllHd::new(8, 2)
+            .with_seed(6)
+            .lock(&original)
+            .expect("lock");
+        netlists.push(sfll.optimized().locked);
+        netlists
+    }
+
+    #[test]
+    fn cached_verdicts_match_the_per_call_reference() {
+        for nl in &differential_netlists() {
+            let mut filter = prefilter(nl);
+            let mut sim = WideSim::new(nl, DEFAULT_WIDE_WORDS);
+            let mut reference = PrefilterStats::default();
+            // Every node x input position, one position at a time.
+            for (node, _) in nl.iter() {
+                for &input in nl.inputs() {
+                    assert_eq!(
+                        filter.unateness_polarities(node, &[input]),
+                        reference_unateness_polarities(
+                            nl,
+                            node,
+                            &[input],
+                            &mut sim,
+                            &mut reference
+                        ),
+                        "{} node {node:?} input {input:?}",
+                        nl.name()
+                    );
+                }
+            }
+            // Every node's whole primary support, at every distance.
+            for (node, _) in nl.iter() {
+                let inputs: Vec<NodeId> = support(nl, node).primary.into_iter().collect();
+                assert_eq!(
+                    filter.unateness_polarities(node, &inputs),
+                    reference_unateness_polarities(nl, node, &inputs, &mut sim, &mut reference),
+                    "{} node {node:?}",
+                    nl.name()
+                );
+                for distance in 0..=inputs.len() {
+                    assert_eq!(
+                        filter.satisfying_within_distance(node, &inputs, distance),
+                        reference_satisfying_within_distance(
+                            nl,
+                            node,
+                            &inputs,
+                            distance,
+                            &mut sim,
+                            &mut reference
+                        ),
+                        "{} node {node:?} distance {distance}",
+                        nl.name()
+                    );
+                }
+            }
+            let cached = filter.stats();
+            assert_eq!(cached.polarities_refuted, reference.polarities_refuted);
+            assert_eq!(cached.candidates_refuted, reference.candidates_refuted);
+            assert!(cached.polarities_refuted > 0, "{}", nl.name());
+            // Two sweeps per input position plus the one distance sweep.
+            assert_eq!(cached.sweeps, 2 * nl.num_inputs() as u64 + 1);
+            assert_eq!(
+                cached.patterns_simulated,
+                cached.sweeps * DEFAULT_WIDE_WORDS as u64 * 64
+            );
+            assert!(reference.sweeps > cached.sweeps);
+        }
+    }
+
+    #[test]
+    fn a_warm_prefilter_answers_without_sweeping() {
+        let nl = differential_netlists().pop().expect("a locked netlist");
+        let mut filter = prefilter(&nl);
+        let queries: Vec<(NodeId, Vec<NodeId>)> = nl
+            .iter()
+            .map(|(node, _)| (node, support(&nl, node).primary.into_iter().collect()))
+            .collect();
+        let ask = |filter: &mut Prefilter<'_>| {
+            queries
+                .iter()
+                .map(|(node, inputs)| {
+                    (
+                        filter.unateness_polarities(*node, inputs),
+                        filter.satisfying_within_distance(*node, inputs, 2),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        let cold = ask(&mut filter);
+        let warm_from = filter.stats();
+        assert!(warm_from.sweeps > 0);
+        assert_eq!(ask(&mut filter), cold);
+        let warm = filter.stats();
+        assert_eq!(warm.sweeps, warm_from.sweeps, "a warm query sweeps nothing");
+        assert_eq!(warm.patterns_simulated, warm_from.patterns_simulated);
+        // The decision counters still count every call.
+        assert_eq!(
+            warm.total_refuted(),
+            2 * warm_from.total_refuted(),
+            "{warm:?}"
+        );
     }
 }

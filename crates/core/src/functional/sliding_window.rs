@@ -11,7 +11,6 @@ use netlist::{Netlist, NodeId};
 use sat::SolveResult;
 
 use super::pair::{build_hd_query, HdPairQuery};
-use super::prefilter::satisfying_within_distance;
 use super::{Analysis, CubeAssignment};
 use crate::session::AttackSession;
 
@@ -46,12 +45,10 @@ pub fn sliding_window_in(
     let query = build_hd_query(session, candidate, 2 * h)?;
     // Word-parallel pre-filter: two satisfying assignments further than 2h
     // apart prove the candidate is not a radius-h sphere function.
-    let netlist = session.netlist();
-    let within = {
-        let (sim, stats) = session.wide_sim_parts();
-        satisfying_within_distance(netlist, candidate, &query.inputs, 2 * h, sim, stats)
-    };
-    if !within {
+    if !session
+        .prefilter()
+        .satisfying_within_distance(candidate, &query.inputs, 2 * h)
+    {
         return None;
     }
     let complete = Analysis::SlidingWindow.is_complete(h, query.inputs.len());

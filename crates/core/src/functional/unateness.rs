@@ -17,7 +17,6 @@ use netlist::analysis::{input_positions, support};
 use netlist::{Netlist, NodeId};
 use sat::{Lit, SolveResult};
 
-use super::prefilter::unateness_polarities;
 use super::{Analysis, CubeAssignment};
 use crate::session::AttackSession;
 
@@ -62,10 +61,7 @@ pub fn analyze_unateness_in(
     // Word-parallel pre-filter: polarities refuted by an explicit witness
     // need no SAT query; a candidate refuted in both polarities of any
     // variable is rejected outright.
-    let polarities = {
-        let (sim, stats) = session.wide_sim_parts();
-        unateness_polarities(netlist, candidate, &inputs, sim, stats)
-    };
+    let polarities = session.prefilter().unateness_polarities(candidate, &inputs);
     if polarities.iter().any(|&(p, n)| !p && !n) {
         return None;
     }

@@ -42,6 +42,10 @@
 //!   candidate whose cube one analysis already proved or refuted costs the
 //!   next analysis no solve at all.  Verdicts are facts about the netlist,
 //!   not about any frame, so they outlive every predicate generation.
+//! * **Prefilter cache** — the word-parallel prefilters' sweeps depend only
+//!   on the netlist and a fixed seed, never on the candidate, so the session
+//!   runs each of them once and every later candidate reads the result
+//!   (see `functional::prefilter`).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
@@ -50,13 +54,15 @@ use std::sync::Arc;
 use locking::Key;
 use netlist::cnf::{encode_any_difference, encode_key_cone, KeyCone, Signal};
 use netlist::cnf::{IncrementalEncoder, PinBinding};
-use netlist::{Netlist, NodeId, WideSim, DEFAULT_WIDE_WORDS};
+use netlist::{Netlist, NodeId, DEFAULT_WIDE_WORDS};
 use sat::{FrameId, Lit, SolveResult, Solver, SolverStats};
 
 use crate::encode::{
     assumptions_for, instantiate, instantiate_sharing_inputs, model_key, model_values, CircuitCopy,
 };
-use crate::functional::{and2_lit, popcount_lits, xor2_lit, CubeAssignment, PrefilterStats};
+use crate::functional::{
+    and2_lit, popcount_lits, xor2_lit, CubeAssignment, Prefilter, PrefilterStats,
+};
 
 /// The flight-recorder phase name of a solver maintenance checkpoint.
 fn checkpoint_phase(checkpoint: sat::Checkpoint) -> &'static str {
@@ -182,12 +188,9 @@ pub struct AttackSession<'n> {
     /// DIP formula and the dual cone input spaces count one each).
     full_encodings: u64,
     clauses_at_last_simplify: usize,
-    /// Reusable wide-simulation scratch for the analysis prefilters,
-    /// allocated on first use ([`AttackSession::wide_sim_parts`]).
-    wide: Option<WideSim>,
-    /// Prefilter decision counters accumulated by every analysis run through
-    /// this session.
-    prefilter_stats: PrefilterStats,
+    /// The analysis prefilters' sweep cache and counters, allocated on first
+    /// use ([`AttackSession::prefilter`]).
+    prefilter: Option<Prefilter<'n>>,
     /// Stripper verdicts keyed by `(candidate, h)`.
     verdicts: BTreeMap<(NodeId, usize), StripperVerdict>,
 }
@@ -215,8 +218,7 @@ impl<'n> AttackSession<'n> {
             phi_key_pool: None,
             full_encodings: 0,
             clauses_at_last_simplify: 0,
-            wide: None,
-            prefilter_stats: PrefilterStats::default(),
+            prefilter: None,
             verdicts: BTreeMap::new(),
         }
     }
@@ -266,22 +268,24 @@ impl<'n> AttackSession<'n> {
         self.solver.stats()
     }
 
-    /// The session's reusable wide-simulation scratch
-    /// ([`DEFAULT_WIDE_WORDS`] words, allocated on first use) together with
-    /// the prefilter counters — split-borrowed so an analysis can hold both
-    /// while reading the netlist through the independent `&'n` reference of
-    /// [`AttackSession::netlist`].
-    pub fn wide_sim_parts(&mut self) -> (&mut WideSim, &mut PrefilterStats) {
-        let wide = self
-            .wide
-            .get_or_insert_with(|| WideSim::new(self.netlist, DEFAULT_WIDE_WORDS));
-        (wide, &mut self.prefilter_stats)
+    /// The session's prefilter cache ([`DEFAULT_WIDE_WORDS`] words per
+    /// sweep, allocated on first use): every sweep it runs serves every
+    /// later candidate, because the netlist and the seeded stimuli are
+    /// fixed for the session's lifetime.
+    pub(crate) fn prefilter(&mut self) -> &mut Prefilter<'n> {
+        let netlist = self.netlist;
+        self.prefilter
+            .get_or_insert_with(|| Prefilter::new(netlist, DEFAULT_WIDE_WORDS))
     }
 
     /// Prefilter decision counters accumulated by every analysis that ran
-    /// through this session.
+    /// through this session; `sweeps` and `patterns_simulated` count the
+    /// sweeps the session actually ran.
     pub fn prefilter_stats(&self) -> PrefilterStats {
-        self.prefilter_stats
+        self.prefilter
+            .as_ref()
+            .map(Prefilter::stats)
+            .unwrap_or_default()
     }
 
     /// Number of solver variables this session has allocated.  Bounded across

@@ -529,6 +529,38 @@ mod tests {
     }
 
     #[test]
+    fn traced_fall_attack_records_one_span_per_prefilter_sweep() {
+        use crate::attack::{fall_attack, FallAttackConfig};
+        use locking::{LockingScheme, TtLock};
+        use netlist::random::{generate, RandomCircuitSpec};
+
+        let original = generate(&RandomCircuitSpec::new("trace_prefilter", 14, 3, 90));
+        let locked = TtLock::new(10)
+            .with_seed(4)
+            .lock(&original)
+            .expect("lock")
+            .optimized();
+        with_recorder(|| {
+            record_duration("prefilter_thread", Duration::ZERO);
+            let result = fall_attack(&locked.locked, None, &FallAttackConfig::for_h(0));
+            assert!(result.status.is_success(), "{result:?}");
+            let events = events();
+            let tid = events
+                .iter()
+                .find(|e| e.name == "prefilter_thread")
+                .expect("marker")
+                .tid;
+            // Cache hits open no span: one span per sweep the session ran.
+            let sweeps = events
+                .iter()
+                .filter(|e| e.name == "prefilter_sweep" && e.tid == tid)
+                .count() as u64;
+            assert!(sweeps > 0);
+            assert_eq!(sweeps, result.prefilter.sweeps, "{:?}", result.prefilter);
+        });
+    }
+
+    #[test]
     fn chrome_json_is_well_formed() {
         with_recorder(|| {
             {

@@ -12,6 +12,7 @@
 //! heartbeat or lease clock expires, which forces the EOF.
 
 use std::io::{Read, Write};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -170,7 +171,8 @@ pub struct Supervisor {
     shared: Arc<Shared>,
     readers: Vec<JoinHandle<()>>,
     monitor: Option<JoinHandle<()>>,
-    monitor_stop: Arc<std::sync::atomic::AtomicBool>,
+    /// Dropped by [`Supervisor::wait`] to wake and end the monitor.
+    monitor_stop: Option<Sender<()>>,
     regions: u64,
     workers: usize,
     started: Instant,
@@ -246,10 +248,9 @@ impl Supervisor {
             })
             .collect();
 
-        let monitor_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let (monitor_stop, stop) = mpsc::channel();
         let monitor = {
             let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&monitor_stop);
             let heartbeat_timeout = config.heartbeat_timeout;
             let lease_timeout = config.lease_timeout;
             let tick = (config.heartbeat / 2).max(Duration::from_millis(10));
@@ -262,7 +263,7 @@ impl Supervisor {
             shared,
             readers,
             monitor,
-            monitor_stop,
+            monitor_stop: Some(monitor_stop),
             regions,
             workers,
             started: now,
@@ -287,8 +288,7 @@ impl Supervisor {
         for handle in self.readers.drain(..) {
             let _ = handle.join();
         }
-        self.monitor_stop
-            .store(true, std::sync::atomic::Ordering::SeqCst);
+        self.monitor_stop = None;
         if let Some(monitor) = self.monitor.take() {
             let _ = monitor.join();
         }
@@ -582,13 +582,14 @@ fn reader_loop(
 
 fn monitor_loop(
     shared: &Shared,
-    stop: &std::sync::atomic::AtomicBool,
+    stop: &Receiver<()>,
     tick: Duration,
     heartbeat_timeout: Duration,
     lease_timeout: Duration,
 ) {
-    while !stop.load(std::sync::atomic::Ordering::SeqCst) {
-        thread::sleep(tick);
+    // Waiting on the stop channel instead of sleeping lets `wait` end the
+    // monitor at once rather than up to one tick later.
+    while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(tick) {
         let expired: Vec<usize> = {
             let state = shared.state.lock().expect("farm state poisoned");
             (0..shared.writers.len())

@@ -12,7 +12,7 @@
 
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
@@ -222,17 +222,15 @@ pub fn run_worker(
     };
 
     // Heartbeat ticker: liveness, independent of how long a SAT call runs.
-    let stop_heartbeat = Arc::new(AtomicBool::new(false));
+    // It waits on the stop channel rather than sleeping, so dropping the
+    // sender ends it at once instead of up to one interval later.
+    let (stop_heartbeat, stopped) = std::sync::mpsc::channel::<()>();
     let heartbeat = {
         let writer = Arc::clone(&writer);
-        let stop = Arc::clone(&stop_heartbeat);
         let interval = Duration::from_millis(heartbeat_ms.max(10));
         thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                thread::sleep(interval);
-                if stop.load(Ordering::SeqCst)
-                    || send_message(&writer, &WorkerMessage::Heartbeat).is_err()
-                {
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                if send_message(&writer, &WorkerMessage::Heartbeat).is_err() {
                     break;
                 }
             }
@@ -331,7 +329,7 @@ pub fn run_worker(
         }
     }
 
-    stop_heartbeat.store(true, Ordering::SeqCst);
+    drop(stop_heartbeat);
     let _ = heartbeat.join();
     drop(router); // detached: it unblocks when the supervisor closes the pipe
     Ok(())

@@ -274,3 +274,28 @@ fn worker_options_defaults_are_generous_enough_for_netlists() {
     assert!(options.stall_first_lease.is_none());
     assert!(!options.crash_on_first_lease);
 }
+
+/// Shutdown is event-driven: the worker heartbeat ticker and the supervisor
+/// monitor wait on channels, not sleeps, so a drain does not end up to one
+/// heartbeat late.  With a 5 s heartbeat a sleeping ticker alone would hold
+/// each worker's exit (and so `wait`) for up to 5 s.
+#[test]
+fn drain_returns_without_waiting_out_a_heartbeat() {
+    let (locked, original, _serial) = smoke_case();
+    let config = FarmConfig {
+        heartbeat: Duration::from_secs(5),
+        heartbeat_timeout: Duration::from_secs(30),
+        ..base_config(2)
+    };
+    let started = Instant::now();
+    let result = Farm::spawn(&locked.locked, &original, &config)
+        .expect("spawn farm")
+        .wait();
+    let elapsed = started.elapsed();
+    assert!(result.completed);
+    assert!(result.key.is_some());
+    assert!(
+        elapsed < Duration::from_millis(2500),
+        "drain took {elapsed:?} with a 5 s heartbeat"
+    );
+}

@@ -170,6 +170,13 @@ impl WideSim {
         &self.values[id.index() * self.width..][..self.width]
     }
 
+    /// Every node's lane block after the last [`WideSim::run`], in the
+    /// node-major layout described on [`WideSim`] (`num_nodes * width`
+    /// words).
+    pub fn values(&self) -> &[u64] {
+        &self.values
+    }
+
     /// Appends the lane blocks of every declared output (declaration order)
     /// to `out` — the gather step of the batched-oracle protocol.
     pub fn extend_with_outputs(&self, netlist: &Netlist, out: &mut Vec<u64>) {
