@@ -121,6 +121,20 @@ cargo test -q -p fall --lib stripper_verdicts
 echo "==> cargo test -q -p fall --lib prefilter"
 cargo test -q -p fall --lib prefilter
 
+# The metrics story: one MetricReport type (fall::metrics) serves every
+# metric surface (serve's metrics op, the fall-dist farm, the flight
+# recorder, the bench gate's baseline), with one Prometheus renderer and one
+# JSON codec (fall_serve::protocol::MetricJson).  Reports must round-trip
+# through both the Value and the text codec, names with quotes, backslashes,
+# newlines and non-ASCII characters included; \u escapes must decode;
+# malformed input must name the offending metric or field.  Also part of the
+# workspace run; re-run explicitly so a failure is attributed to the metrics
+# module or its codec.
+echo "==> cargo test -q -p fall --lib metrics"
+cargo test -q -p fall --lib metrics
+echo "==> cargo test -q -p fall-serve --lib metric_json"
+cargo test -q -p fall-serve --lib metric_json
+
 # The wide-simulation correctness story: the W-word blocked engine must match
 # the scalar reference bit for bit for W in {1,2,4,8}, the batched oracle
 # transport must leave the attack trajectory untouched, and the word-batched

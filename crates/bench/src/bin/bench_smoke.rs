@@ -1,8 +1,8 @@
 //! Fast benchmark smoke run for the CI regression gate.
 //!
 //! Runs trimmed versions of the parallel-engine workloads, writes the
-//! measured metrics as `BENCH_parallel.json` (via the report module's
-//! [`MetricReport`]) and compares them against a checked-in baseline:
+//! measured metrics as `BENCH_parallel.json` (a [`MetricReport`]) and
+//! compares them against a checked-in baseline:
 //!
 //! ```text
 //! bench_smoke [--baseline PATH] [--out PATH] [--write-baseline] [--tolerance F]
@@ -43,11 +43,13 @@ use fall::functional::PrefilterStats;
 use fall::key_confirmation::{
     key_confirmation, key_confirmation_in, partitioned_key_search, KeyConfirmationConfig,
 };
+use fall::metrics::MetricReport;
 use fall::oracle::{CountingOracle, SimOracle};
 use fall::parallel::parallel_partitioned_key_search;
 use fall::sat_attack::{sat_attack, SatAttackConfig};
 use fall::session::AttackSession;
-use fall_bench::{HdPolicy, LockCase, MetricReport, Scale, TABLE1_CIRCUITS};
+use fall_bench::{regressions_against, HdPolicy, LockCase, Scale, TABLE1_CIRCUITS};
+use fall_serve::protocol::MetricJson;
 use locking::{LockingScheme, SfllHd, TtLock, XorLock};
 use netlist::cnf::KeyCone;
 use netlist::random::{generate, RandomCircuitSpec};
@@ -482,7 +484,7 @@ fn measure() -> MetricReport {
     // complement — so the completion/key-found/busy counters are exact and
     // baseline-gated; the end-to-end p50/p99 latencies land in the baseline
     // under the wall-clock 3x band (`_s` suffix).  The final `/metrics`
-    // scrape is parsed with `MetricReport::from_json`, which pins the wire
+    // scrape is decoded with `MetricJson::from_value`, which pins the wire
     // format of the metrics surface to the report dialect.
     {
         const CLIENTS: usize = 8;
@@ -580,11 +582,10 @@ fn measure() -> MetricReport {
         control.send(&Value::object([("op", Value::from("metrics"))]));
         let scraped = control.recv();
         let server_report =
-            MetricReport::from_json(&scraped.get("metrics").expect("metrics member").to_string())
+            MetricReport::from_value(scraped.get("metrics").expect("metrics member"))
                 .expect("serve /metrics must be MetricReport-compatible JSON");
         let sample = |name: &str| {
             server_report
-                .metrics
                 .get(name)
                 .unwrap_or_else(|| panic!("serve /metrics misses {name}"))
                 .value
@@ -828,8 +829,12 @@ fn main() -> ExitCode {
         };
         target.metrics.insert(name.clone(), *metric);
     }
-    let mut regressions = report.regressions_against(&counters, options.tolerance);
-    regressions.extend(report.regressions_against(&timings, options.tolerance * 3.0));
+    let mut regressions = regressions_against(&report, &counters, options.tolerance);
+    regressions.extend(regressions_against(
+        &report,
+        &timings,
+        options.tolerance * 3.0,
+    ));
 
     if regressions.is_empty() {
         println!(

@@ -29,7 +29,7 @@ pub mod suite;
 
 pub use report::{
     cactus_series, fig6_rows, format_fig5, format_fig6, format_headline, format_table1, headline,
-    table1_rows, Headline, Metric, MetricReport, Regression, Table1Row,
+    regressions_against, table1_rows, Headline, Regression, Table1Row,
 };
 pub use runner::{AttackKind, AttackRecord, Runner, RunnerConfig};
 pub use suite::{

@@ -1,11 +1,11 @@
 //! Formatting of the paper's tables and figure data series, plus the
-//! machine-readable metric reports consumed by the benchmark-regression CI
-//! gate (`./ci.sh --bench-smoke`).
+//! regression policy of the benchmark CI gate (`./ci.sh --bench-smoke`) over
+//! [`MetricReport`]s.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::time::Duration;
 
+use fall::metrics::MetricReport;
 use netlist::strash::strash;
 
 use crate::runner::{AttackKind, AttackRecord};
@@ -180,27 +180,6 @@ pub fn format_fig6(rows: &[Fig6Row]) -> String {
     out
 }
 
-/// One tracked benchmark metric.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Metric {
-    /// The measured value.
-    pub value: f64,
-    /// Direction of goodness: `true` if larger values are better (speedups,
-    /// cache-hit counts), `false` if smaller values are better (times,
-    /// query counts).
-    pub higher_is_better: bool,
-}
-
-/// A named set of benchmark metrics, serialisable to/from a small JSON
-/// dialect (flat object of `name -> {value, higher_is_better}`) so baselines
-/// can be checked into the repository and compared in CI without external
-/// dependencies.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricReport {
-    /// Metrics by name (sorted, so serialisation is deterministic).
-    pub metrics: BTreeMap<String, Metric>,
-}
-
 /// One metric that got worse than the baseline allows.
 #[derive(Clone, Debug)]
 pub struct Regression {
@@ -214,244 +193,57 @@ pub struct Regression {
     pub factor: f64,
 }
 
-impl MetricReport {
-    /// Creates an empty report.
-    pub fn new() -> MetricReport {
-        MetricReport::default()
-    }
-
-    /// Records a metric (replacing any previous value of the same name).
-    pub fn record(&mut self, name: impl Into<String>, value: f64, higher_is_better: bool) {
-        self.metrics.insert(
-            name.into(),
-            Metric {
-                value,
-                higher_is_better,
-            },
-        );
-    }
-
-    /// Serialises the report as pretty-printed JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        for (i, (name, metric)) in self.metrics.iter().enumerate() {
-            let comma = if i + 1 < self.metrics.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "  \"{}\": {{\"value\": {}, \"higher_is_better\": {}}}{comma}",
-                escape_json(name),
-                metric.value,
-                metric.higher_is_better
-            );
-        }
-        out.push_str("}\n");
-        out
-    }
-
-    /// Parses a report serialised by [`MetricReport::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first syntax problem encountered.
-    pub fn from_json(text: &str) -> Result<MetricReport, String> {
-        let mut parser = JsonParser::new(text);
-        let mut report = MetricReport::new();
-        parser.expect('{')?;
-        if parser.peek_is('}') {
-            parser.expect('}')?;
-            return Ok(report);
-        }
-        loop {
-            let name = parser.string()?;
-            parser.expect(':')?;
-            parser.expect('{')?;
-            let mut value: Option<f64> = None;
-            let mut higher: Option<bool> = None;
-            loop {
-                let field = parser.string()?;
-                parser.expect(':')?;
-                match field.as_str() {
-                    "value" => value = Some(parser.number()?),
-                    "higher_is_better" => higher = Some(parser.boolean()?),
-                    other => return Err(format!("unknown metric field {other:?}")),
-                }
-                if !parser.comma_or('}')? {
-                    break;
-                }
-            }
-            let value = value.ok_or_else(|| format!("metric {name:?} lacks a value"))?;
-            report.record(name, value, higher.unwrap_or(false));
-            if !parser.comma_or('}')? {
-                break;
-            }
-        }
-        parser.end()?;
-        Ok(report)
-    }
-
-    /// Compares this (current) report against a baseline.
-    ///
-    /// A metric regresses when it moved in its *bad* direction by more than
-    /// `tolerance` (a fraction: `0.2` allows 20 % worsening), or when a
-    /// baseline metric is missing from the current report.  Metrics that only
-    /// exist in the current report are ignored, so new measurements can be
-    /// added before the baseline is regenerated.
-    pub fn regressions_against(&self, baseline: &MetricReport, tolerance: f64) -> Vec<Regression> {
-        let mut regressions = Vec::new();
-        for (name, base) in &baseline.metrics {
-            let Some(current) = self.metrics.get(name) else {
-                regressions.push(Regression {
-                    name: name.clone(),
-                    baseline: base.value,
-                    current: None,
-                    factor: f64::INFINITY,
-                });
-                continue;
-            };
-            // Normalise so `factor > 1` means "worse".
-            let factor = if base.higher_is_better {
-                if current.value <= 0.0 && base.value <= 0.0 {
-                    1.0
-                } else if current.value <= 0.0 {
-                    f64::INFINITY
-                } else {
-                    base.value / current.value
-                }
-            } else if base.value <= 0.0 {
-                if current.value <= 0.0 {
-                    1.0
-                } else {
-                    f64::INFINITY
-                }
+/// Compares a current report against a baseline.
+///
+/// A metric regresses when it moved in its *bad* direction by more than
+/// `tolerance` (a fraction: `0.2` allows 20 % worsening), or when a baseline
+/// metric is missing from the current report.  Metrics that only exist in
+/// the current report are ignored, so new measurements can be added before
+/// the baseline is regenerated.
+pub fn regressions_against(
+    current: &MetricReport,
+    baseline: &MetricReport,
+    tolerance: f64,
+) -> Vec<Regression> {
+    let mut regressions = Vec::new();
+    for (name, base) in &baseline.metrics {
+        let Some(current) = current.get(name) else {
+            regressions.push(Regression {
+                name: name.clone(),
+                baseline: base.value,
+                current: None,
+                factor: f64::INFINITY,
+            });
+            continue;
+        };
+        // Normalise so `factor > 1` means "worse".
+        let factor = if base.higher_is_better {
+            if current.value <= 0.0 && base.value <= 0.0 {
+                1.0
+            } else if current.value <= 0.0 {
+                f64::INFINITY
             } else {
-                current.value / base.value
-            };
-            if factor > 1.0 + tolerance {
-                regressions.push(Regression {
-                    name: name.clone(),
-                    baseline: base.value,
-                    current: Some(current.value),
-                    factor,
-                });
+                base.value / current.value
             }
-        }
-        regressions
-    }
-}
-
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// A tiny recursive-descent scanner for the report JSON dialect.
-struct JsonParser<'t> {
-    rest: &'t str,
-}
-
-impl<'t> JsonParser<'t> {
-    fn new(text: &'t str) -> JsonParser<'t> {
-        JsonParser { rest: text }
-    }
-
-    fn skip_ws(&mut self) {
-        self.rest = self.rest.trim_start();
-    }
-
-    fn peek_is(&mut self, c: char) -> bool {
-        self.skip_ws();
-        self.rest.starts_with(c)
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        self.skip_ws();
-        match self.rest.strip_prefix(c) {
-            Some(rest) => {
-                self.rest = rest;
-                Ok(())
+        } else if base.value <= 0.0 {
+            if current.value <= 0.0 {
+                1.0
+            } else {
+                f64::INFINITY
             }
-            None => Err(format!("expected {c:?} at {:?}", self.context())),
-        }
-    }
-
-    /// The next few characters, for error messages (char-boundary safe).
-    fn context(&self) -> String {
-        self.rest.chars().take(20).collect()
-    }
-
-    /// Consumes either a comma (returning `true`) or the closing character
-    /// (returning `false`).
-    fn comma_or(&mut self, close: char) -> Result<bool, String> {
-        self.skip_ws();
-        if self.rest.starts_with(',') {
-            self.rest = &self.rest[1..];
-            Ok(true)
         } else {
-            self.expect(close)?;
-            Ok(false)
+            current.value / base.value
+        };
+        if factor > 1.0 + tolerance {
+            regressions.push(Regression {
+                name: name.clone(),
+                baseline: base.value,
+                current: Some(current.value),
+                factor,
+            });
         }
     }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        let mut chars = self.rest.char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '"' => {
-                    self.rest = &self.rest[i + 1..];
-                    return Ok(out);
-                }
-                '\\' => match chars.next() {
-                    Some((_, escaped)) => out.push(escaped),
-                    None => break,
-                },
-                c => out.push(c),
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        let end = self
-            .rest
-            .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-            .unwrap_or(self.rest.len());
-        let (token, rest) = self.rest.split_at(end);
-        let value: f64 = token
-            .parse()
-            .map_err(|_| format!("invalid number {token:?}"))?;
-        self.rest = rest;
-        Ok(value)
-    }
-
-    fn boolean(&mut self) -> Result<bool, String> {
-        self.skip_ws();
-        if let Some(rest) = self.rest.strip_prefix("true") {
-            self.rest = rest;
-            Ok(true)
-        } else if let Some(rest) = self.rest.strip_prefix("false") {
-            self.rest = rest;
-            Ok(false)
-        } else {
-            Err(format!("expected boolean at {:?}", self.context()))
-        }
-    }
-
-    fn end(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.rest.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("trailing content {:?}", self.context()))
-        }
-    }
+    regressions
 }
 
 fn mean_std(values: &[f64]) -> (f64, f64) {
@@ -598,76 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn metric_report_round_trips_through_json() {
-        let mut report = MetricReport::new();
-        report.record("serial_elapsed_s", 1.25, false);
-        report.record("parallel_speedup_4w", 2.5, true);
-        report.record("oracle_queries", 132.0, false);
-        let json = report.to_json();
-        let parsed = MetricReport::from_json(&json).expect("round trip");
-        assert_eq!(parsed, report);
-        // An empty report round-trips too.
-        let empty = MetricReport::new();
-        assert_eq!(
-            MetricReport::from_json(&empty.to_json()).expect("empty"),
-            empty
-        );
-    }
-
-    #[test]
-    fn metric_report_rejects_malformed_json() {
-        for bad in [
-            "",
-            "{",
-            "{\"a\": 1}",
-            "{\"a\": {\"value\": x}}",
-            // Syntax errors next to multi-byte characters must produce an
-            // Err, not a char-boundary slice panic in the error formatter.
-            "{\"µ×µ×µ×µ×µ×µ×µ×\": {\"value\": µ}}",
-            "{\"a\": {\"value\": 1}} µ×trailing×µ garbage",
-        ] {
-            assert!(MetricReport::from_json(bad).is_err(), "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn metric_report_errors_name_the_offending_field() {
-        // A non-numeric value is rejected with the bad token in the message.
-        let error = MetricReport::from_json("{\"a\": {\"value\": true}}").unwrap_err();
-        assert!(error.contains("invalid number"), "{error}");
-        let error =
-            MetricReport::from_json("{\"a\": {\"value\": \"12\", \"higher_is_better\": false}}")
-                .unwrap_err();
-        assert!(error.contains("invalid number"), "{error}");
-
-        // A metric without a value names the metric.
-        let error = MetricReport::from_json("{\"oracle_queries\": {\"higher_is_better\": true}}")
-            .unwrap_err();
-        assert!(error.contains("oracle_queries"), "{error}");
-        assert!(error.contains("lacks a value"), "{error}");
-
-        // A non-boolean orientation is rejected too.
-        let error = MetricReport::from_json("{\"a\": {\"value\": 1, \"higher_is_better\": 7}}")
-            .unwrap_err();
-        assert!(error.contains("expected boolean"), "{error}");
-
-        // Unknown metric fields are rejected rather than silently dropped.
-        let error = MetricReport::from_json("{\"a\": {\"value\": 1, \"unit\": 2}}").unwrap_err();
-        assert!(error.contains("unit"), "{error}");
-    }
-
-    #[test]
-    fn missing_orientation_defaults_to_lower_is_better() {
-        // Orientation is optional on the wire: a bare value parses, and the
-        // conservative default is "smaller is better" (so a metric that
-        // grows can regress, never one that shrinks).
-        let report = MetricReport::from_json("{\"queries\": {\"value\": 42}}").expect("parse");
-        let metric = report.metrics.get("queries").expect("metric present");
-        assert_eq!(metric.value, 42.0);
-        assert!(!metric.higher_is_better);
-    }
-
-    #[test]
     fn regressions_respect_direction_and_tolerance() {
         let mut baseline = MetricReport::new();
         baseline.record("time_s", 1.0, false);
@@ -677,7 +399,7 @@ mod tests {
         let mut current = MetricReport::new();
         current.record("time_s", 1.1, false); // 10% worse: within 20%
         current.record("speedup", 2.4, true); // better
-        let ok = current.regressions_against(&baseline, 0.2);
+        let ok = regressions_against(&current, &baseline, 0.2);
         assert_eq!(ok.len(), 1, "{ok:?}");
         assert_eq!(ok[0].name, "gone");
         assert!(ok[0].current.is_none());
@@ -685,14 +407,14 @@ mod tests {
         current.record("gone", 5.0, false);
         current.record("time_s", 1.5, false); // 50% worse
         current.record("speedup", 1.0, true); // halved
-        let bad = current.regressions_against(&baseline, 0.2);
+        let bad = regressions_against(&current, &baseline, 0.2);
         let names: Vec<&str> = bad.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, ["speedup", "time_s"]);
         assert!(bad.iter().all(|r| r.factor > 1.2));
 
         // Metrics only present in the current report never regress.
         current.record("brand_new", 9.0, false);
-        assert_eq!(current.regressions_against(&baseline, 0.2).len(), 2);
+        assert_eq!(regressions_against(&current, &baseline, 0.2).len(), 2);
     }
 
     #[test]

@@ -42,9 +42,12 @@
 //! The [`trace`] module is the observability layer over all of the above: a
 //! dependency-free flight recorder whose spans instrument DIP iterations,
 //! solver calls, oracle queries, region drains and service jobs, with
-//! per-phase duration histograms, Chrome-trace JSON export (Perfetto) and
-//! Prometheus text exposition.  Tracing is off by default and costs one
-//! atomic load per instrumentation point while off.
+//! per-phase duration histograms and Chrome-trace JSON export (Perfetto).
+//! Tracing is off by default and costs one atomic load per instrumentation
+//! point while off.  Every numeric surface — the service's counters, the
+//! recorder's histograms, the `fall-dist` farm's counters and the benchmark
+//! gate — is a [`metrics::MetricReport`], with one Prometheus renderer
+//! here and one JSON codec in `fall-serve`'s wire protocol.
 //!
 //! # Example: break SFLL-HD without an oracle
 //!
@@ -72,6 +75,7 @@ pub mod equivalence;
 pub mod functional;
 pub mod heuristics;
 pub mod key_confirmation;
+pub mod metrics;
 pub mod oracle;
 pub mod parallel;
 pub mod sat_attack;

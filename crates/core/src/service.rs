@@ -32,9 +32,10 @@
 //! # Deadlines and cancellation
 //!
 //! Every job carries a [`CancelToken`] plus a cancellation-reason cell.  A
-//! reaper thread scans the active-job registry on a short interval and
-//! cancels tokens whose deadline has passed; client disconnects and service
-//! shutdown cancel through the same mechanism with their own reason codes.
+//! reaper thread sleeps until the earliest deadline in the active-job
+//! registry (a worker wakes it whenever a job starts) and cancels tokens
+//! whose deadline has passed; client disconnects and service shutdown
+//! cancel through the same mechanism with their own reason codes.
 //! The solver observes the token at its conflict/decision check points, so
 //! cancellation lands mid-solve, the worker maps the incomplete result to
 //! [`JobStatus::Timeout`] or [`JobStatus::Cancelled`], and — crucially — the
@@ -55,6 +56,7 @@ use sat::SolverStats;
 use crate::attack::{fall_attack, FallAttackConfig};
 use crate::functional::PrefilterStats;
 use crate::key_confirmation::{key_confirmation_in, KeyConfirmationConfig};
+use crate::metrics::MetricReport;
 use crate::oracle::Oracle;
 use crate::parallel::{CachingOracle, CancelToken};
 use crate::sat_attack::{sat_attack_in, SatAttackConfig, SatAttackStatus};
@@ -82,9 +84,6 @@ pub struct ServiceConfig {
     /// Upper bound on any requested deadline (a client cannot pin a worker
     /// for longer than this).
     pub max_timeout: Duration,
-    /// How often the reaper thread scans active jobs for expired deadlines;
-    /// effectively the cancellation latency granularity.
-    pub reaper_interval: Duration,
     /// Latency samples retained for the p50/p99 gauges.  Up to this many
     /// completed jobs the percentiles are exact; past it the samples are a
     /// uniform reservoir over the service lifetime (see
@@ -101,7 +100,6 @@ impl Default for ServiceConfig {
             max_targets: 8,
             default_timeout: Duration::from_secs(30),
             max_timeout: Duration::from_secs(300),
-            reaper_interval: Duration::from_millis(10),
             latency_reservoir: 4096,
         }
     }
@@ -339,20 +337,6 @@ pub struct TargetInfo {
     pub workers: usize,
 }
 
-/// One named point (counter or gauge) of the service's `/metrics` surface,
-/// in the dialect of `fall-bench`'s `MetricReport`: a flat name, a numeric
-/// value and an orientation flag.
-#[derive(Clone, Debug)]
-pub struct MetricSample {
-    /// Flat metric name (e.g. `serve_jobs_completed`).
-    pub name: String,
-    /// Current value.
-    pub value: f64,
-    /// Whether larger values are better (only true for cache hit rates
-    /// here; counts and latencies are informational or lower-is-better).
-    pub higher_is_better: bool,
-}
-
 /// Cancellation reasons, recorded in each job's reason cell before its token
 /// is cancelled so the worker can label the incomplete result.
 const REASON_NONE: u8 = 0;
@@ -462,6 +446,8 @@ struct Shared {
     /// Jobs currently running on workers, scanned by the reaper.
     active: Mutex<Vec<ActiveJob>>,
     reaper_stop: Mutex<bool>,
+    /// Wakes the reaper: a job became active (its deadline may be the new
+    /// earliest) or the service is shutting down.
     reaper_wake: Condvar,
     counters: Counters,
     /// Latest [`SolverStats`] snapshot per worker session, indexed by the
@@ -770,77 +756,26 @@ impl AttackService {
     /// end-to-end latency percentiles, oracle-cache effectiveness, the
     /// aggregated [`SolverStats`] of every pool session, and the
     /// word-parallel prefilter counters from FALL jobs.
-    pub fn metrics(&self) -> Vec<MetricSample> {
-        let mut samples = Vec::new();
-        let mut push = |name: &str, value: f64, higher_is_better: bool| {
-            samples.push(MetricSample {
-                name: name.to_string(),
-                value,
-                higher_is_better,
-            });
-        };
+    pub fn metrics(&self) -> MetricReport {
+        let mut report = MetricReport::new();
         let counters = &self.shared.counters;
-        push(
-            "serve_jobs_submitted",
-            counters.jobs_submitted.load(Ordering::Relaxed) as f64,
-            false,
-        );
-        push(
-            "serve_jobs_completed",
-            counters.jobs_completed.load(Ordering::Relaxed) as f64,
-            false,
-        );
-        push(
-            "serve_jobs_key_found",
-            counters.jobs_key_found.load(Ordering::Relaxed) as f64,
-            false,
-        );
-        push(
-            "serve_jobs_no_key",
-            counters.jobs_no_key.load(Ordering::Relaxed) as f64,
-            false,
-        );
-        push(
-            "serve_jobs_busy",
-            counters.jobs_busy.load(Ordering::Relaxed) as f64,
-            false,
-        );
-        push(
-            "serve_jobs_timeout",
-            counters.jobs_timeout.load(Ordering::Relaxed) as f64,
-            false,
-        );
-        push(
-            "serve_jobs_cancelled",
-            counters.jobs_cancelled.load(Ordering::Relaxed) as f64,
-            false,
-        );
-        push(
-            "serve_jobs_failed",
-            counters.jobs_failed.load(Ordering::Relaxed) as f64,
-            false,
-        );
-        push(
-            "serve_jobs_sat",
-            counters.jobs_sat.load(Ordering::Relaxed) as f64,
-            false,
-        );
-        push(
-            "serve_jobs_fall",
-            counters.jobs_fall.load(Ordering::Relaxed) as f64,
-            false,
-        );
-        push(
-            "serve_jobs_confirm",
-            counters.jobs_confirm.load(Ordering::Relaxed) as f64,
-            false,
-        );
-        push(
-            "serve_sessions_created",
-            counters.sessions_created.load(Ordering::Relaxed) as f64,
-            false,
-        );
-        push(
+        for (name, counter) in [
+            ("serve_jobs_submitted", &counters.jobs_submitted),
+            ("serve_jobs_completed", &counters.jobs_completed),
+            ("serve_jobs_key_found", &counters.jobs_key_found),
+            ("serve_jobs_no_key", &counters.jobs_no_key),
+            ("serve_jobs_busy", &counters.jobs_busy),
+            ("serve_jobs_timeout", &counters.jobs_timeout),
+            ("serve_jobs_cancelled", &counters.jobs_cancelled),
+            ("serve_jobs_failed", &counters.jobs_failed),
+            ("serve_jobs_sat", &counters.jobs_sat),
+            ("serve_jobs_fall", &counters.jobs_fall),
+            ("serve_jobs_confirm", &counters.jobs_confirm),
+            ("serve_sessions_created", &counters.sessions_created),
+        ] {
+            report.record(name, counter.load(Ordering::Relaxed) as f64, false);
+        }
+        report.record(
             "serve_uptime_s",
             self.shared.started.elapsed().as_secs_f64(),
             false,
@@ -853,13 +788,13 @@ impl AttackService {
             .values()
             .cloned()
             .collect();
-        push("serve_targets", targets.len() as f64, false);
+        report.record("serve_targets", targets.len() as f64, false);
         let queue_depth: usize = targets
             .iter()
             .map(|t| t.queue.lock().expect("queue lock").queued)
             .sum();
-        push("serve_queue_depth", queue_depth as f64, false);
-        push(
+        report.record("serve_queue_depth", queue_depth as f64, false);
+        report.record(
             "serve_active_jobs",
             self.shared.active.lock().expect("active lock").len() as f64,
             false,
@@ -869,47 +804,42 @@ impl AttackService {
             .iter()
             .map(|t| (t.oracle.hits(), t.oracle.unique_queries()))
             .fold((0, 0), |(h, u), (th, tu)| (h + th, u + tu));
-        push("oracle_cache_hits", hits as f64, false);
-        push("oracle_unique_queries", unique as f64, false);
+        report.record("oracle_cache_hits", hits as f64, false);
+        report.record("oracle_unique_queries", unique as f64, false);
         let rate = if hits + unique > 0 {
             hits as f64 / (hits + unique) as f64
         } else {
             0.0
         };
-        push("oracle_cache_hit_rate", rate, true);
+        report.record("oracle_cache_hit_rate", rate, true);
 
         let latencies = self.shared.latencies.lock().expect("latency lock");
         let (p50, p99) = percentiles(latencies.samples());
         let retained = latencies.samples().len();
         drop(latencies);
-        push("serve_latency_p50_s", p50, false);
-        push("serve_latency_p99_s", p99, false);
-        push("serve_latency_samples", retained as f64, false);
+        report.record("serve_latency_p50_s", p50, false);
+        report.record("serve_latency_p99_s", p99, false);
+        report.record("serve_latency_samples", retained as f64, false);
 
         let mut pool = SolverStats::default();
         for stats in self.shared.worker_stats.lock().expect("stats lock").iter() {
             pool.absorb(stats);
         }
-        // Driven by the canonical field table, so a counter added to
-        // `SolverStats` shows up here (and in the drift-guard test) without
-        // touching this function.
-        for (field, value) in pool.fields() {
-            push(&solver_metric_name(field), value as f64, false);
-        }
+        report.record_solver_stats(&pool, solver_metric_name);
 
         let prefilter = self.shared.prefilter.lock().expect("prefilter lock");
-        push(
+        report.record(
             "prefilter_refuted",
             (prefilter.polarities_refuted + prefilter.candidates_refuted) as f64,
             false,
         );
-        push(
+        report.record(
             "prefilter_patterns_simulated",
             prefilter.patterns_simulated as f64,
             false,
         );
-        samples.extend(crate::trace::metric_samples());
-        samples
+        report.extend(crate::trace::metrics());
+        report
     }
 
     /// Shuts the pool down: rejects new work, reports every queued job as
@@ -1005,31 +935,50 @@ fn percentiles(micros: &[u64]) -> (f64, f64) {
     (at(0.50), at(0.99))
 }
 
-/// Scans active jobs on a fixed interval and cancels expired deadlines.
+/// Cancels expired deadlines, then sleeps until the earliest remaining one
+/// (or, with no job active, until woken).  The reaper holds `reaper_stop`
+/// from its scan until it waits, and [`activate`] takes that lock before
+/// notifying, so a job that starts mid-scan is never missed.
 fn reaper_loop(shared: &Shared) {
     let mut stop = shared.reaper_stop.lock().expect("reaper lock");
     while !*stop {
-        {
-            let now = Instant::now();
-            let active = shared.active.lock().expect("active lock");
-            for job in active.iter() {
-                if now >= job.deadline && !job.token.is_cancelled() {
-                    let _ = job.reason.compare_exchange(
-                        REASON_NONE,
-                        REASON_TIMEOUT,
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                    );
-                    job.token.cancel();
-                }
+        let now = Instant::now();
+        let mut next: Option<Instant> = None;
+        for job in shared.active.lock().expect("active lock").iter() {
+            if job.token.is_cancelled() {
+                continue;
+            }
+            if now >= job.deadline {
+                let _ = job.reason.compare_exchange(
+                    REASON_NONE,
+                    REASON_TIMEOUT,
+                    Ordering::SeqCst,
+                    Ordering::SeqCst,
+                );
+                job.token.cancel();
+            } else {
+                next = Some(next.map_or(job.deadline, |next| next.min(job.deadline)));
             }
         }
-        let (guard, _) = shared
-            .reaper_wake
-            .wait_timeout(stop, shared.config.reaper_interval)
-            .expect("reaper lock");
-        stop = guard;
+        stop = match next {
+            Some(deadline) => {
+                shared
+                    .reaper_wake
+                    .wait_timeout(stop, deadline - now)
+                    .expect("reaper lock")
+                    .0
+            }
+            None => shared.reaper_wake.wait(stop).expect("reaper lock"),
+        };
     }
+}
+
+/// Makes a running job visible to the reaper and wakes it, so the job's
+/// deadline is honoured even if it is earlier than every other.
+fn activate(shared: &Shared, job: ActiveJob) {
+    shared.active.lock().expect("active lock").push(job);
+    let _stop = shared.reaper_stop.lock().expect("reaper lock");
+    shared.reaper_wake.notify_one();
 }
 
 /// What a job execution produced, before status mapping.
@@ -1104,14 +1053,16 @@ fn run_job(
     }
 
     // Make the job visible to the reaper, then arm the session.
-    let deadline = Instant::now() + job.timeout;
-    shared.active.lock().expect("active lock").push(ActiveJob {
-        job_id: job.job_id,
-        client: job.client,
-        deadline,
-        token: job.token.clone(),
-        reason: Arc::clone(&job.reason),
-    });
+    activate(
+        shared,
+        ActiveJob {
+            job_id: job.job_id,
+            client: job.client,
+            deadline: Instant::now() + job.timeout,
+            token: job.token.clone(),
+            reason: Arc::clone(&job.reason),
+        },
+    );
     session.set_interrupt(Some(job.token.as_flag()));
 
     let kind_counter = match &job.kind {
@@ -1147,7 +1098,7 @@ fn run_job(
         match job.reason.load(Ordering::SeqCst) {
             REASON_DISCONNECT | REASON_SHUTDOWN => JobStatus::Cancelled,
             REASON_TIMEOUT => JobStatus::Timeout,
-            // The in-attack wall-clock budget can fire between reaper scans;
+            // The in-attack wall-clock budget can fire before the reaper;
             // past the deadline it is still a timeout, otherwise some other
             // budget (iteration cap) stopped the run.
             _ if elapsed >= job.timeout => JobStatus::Timeout,
@@ -1375,11 +1326,11 @@ mod tests {
         // `SolverStats::fields()`, this can only fail if the legacy-name
         // mapping loses a field or the metrics pipeline is rewritten.
         let service = AttackService::new(ServiceConfig::default());
-        let names: Vec<String> = service.metrics().into_iter().map(|s| s.name).collect();
+        let metrics = service.metrics();
         for (field, _) in SolverStats::default().fields() {
             let expected = solver_metric_name(field);
             assert!(
-                names.contains(&expected),
+                metrics.get(&expected).is_some(),
                 "SolverStats field {field:?} missing from /metrics (expected {expected:?})"
             );
         }
@@ -1390,16 +1341,52 @@ mod tests {
     fn metrics_report_uptime_and_per_kind_job_counters() {
         let service = AttackService::new(ServiceConfig::default());
         let metric = |name: &str| {
-            service
+            *service
                 .metrics()
-                .into_iter()
-                .find(|s| s.name == name)
+                .get(name)
                 .unwrap_or_else(|| panic!("metric {name} missing"))
         };
         assert!(metric("serve_uptime_s").value >= 0.0);
         assert_eq!(metric("serve_jobs_sat").value, 0.0);
         assert_eq!(metric("serve_jobs_fall").value, 0.0);
         assert_eq!(metric("serve_jobs_confirm").value, 0.0);
+        service.shutdown();
+    }
+
+    #[test]
+    fn reaper_wakes_for_a_deadline_earlier_than_every_active_one() {
+        let service = AttackService::new(ServiceConfig::default());
+        let job = |job_id, timeout| ActiveJob {
+            job_id,
+            client: 1,
+            deadline: Instant::now() + timeout,
+            token: CancelToken::new(),
+            reason: Arc::new(AtomicU8::new(REASON_NONE)),
+        };
+        let long = job(1, Duration::from_secs(60));
+        let long_token = long.token.clone();
+        activate(&service.shared, long);
+        // Let the reaper go to sleep towards the 60 s deadline.  The test
+        // holds for any interleaving; the pause makes this one the likely
+        // one.
+        std::thread::sleep(Duration::from_millis(20));
+
+        // `started` precedes the short job's deadline, so the reaper cannot
+        // cancel before `started + 150 ms`.
+        let started = Instant::now();
+        let short = job(2, Duration::from_millis(150));
+        let (token, reason) = (short.token.clone(), Arc::clone(&short.reason));
+        activate(&service.shared, short);
+        while !token.is_cancelled() {
+            assert!(
+                started.elapsed() < Duration::from_secs(2),
+                "the 150 ms deadline was not honoured"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(started.elapsed() >= Duration::from_millis(150));
+        assert_eq!(reason.load(Ordering::SeqCst), REASON_TIMEOUT);
+        assert!(!long_token.is_cancelled());
         service.shutdown();
     }
 

@@ -22,9 +22,8 @@
 //!   however long the process runs, like the service's latency reservoir.
 //! * [`chrome_trace_json`] renders the event rings as Chrome trace-event
 //!   JSON (load it at <https://ui.perfetto.dev> or `chrome://tracing`);
-//!   [`metric_samples`] renders the histograms as
-//!   [`MetricSample`]s; [`prometheus_text`] renders any sample vector in
-//!   Prometheus text exposition format.
+//!   [`metrics`] renders the histograms as a [`MetricReport`] (whose
+//!   [`MetricReport::prometheus_text`] is the Prometheus exposition).
 //!
 //! The recorder is process-global: one switch, one event store, one
 //! histogram table.  That is deliberate — a process is one attack farm
@@ -38,7 +37,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use crate::service::MetricSample;
+use crate::metrics::MetricReport;
 
 /// Events kept per thread; the flight recorder drops (and counts) the
 /// oldest beyond this.
@@ -317,34 +316,25 @@ pub fn phase_count(name: &str) -> u64 {
         .map_or(0, |histogram| histogram.count)
 }
 
-/// Renders the per-phase histograms as metric samples:
+/// Renders the per-phase histograms as lower-is-better metrics:
 /// `trace_<phase>_spans`, `trace_<phase>_total_us`, `trace_<phase>_p50_us`,
 /// `trace_<phase>_p99_us` and `trace_<phase>_max_us` per phase, plus
 /// `trace_events_dropped`.
-pub fn metric_samples() -> Vec<MetricSample> {
-    let mut samples = Vec::new();
-    let mut push = |name: String, value: f64| {
-        samples.push(MetricSample {
-            name,
-            value,
-            higher_is_better: false,
-        });
-    };
+pub fn metrics() -> MetricReport {
+    let mut report = MetricReport::new();
     for (name, histogram) in histograms() {
-        push(format!("trace_{name}_spans"), histogram.count as f64);
-        push(format!("trace_{name}_total_us"), histogram.total_us as f64);
-        push(
-            format!("trace_{name}_p50_us"),
-            histogram.quantile_upper_us(0.50) as f64,
-        );
-        push(
-            format!("trace_{name}_p99_us"),
-            histogram.quantile_upper_us(0.99) as f64,
-        );
-        push(format!("trace_{name}_max_us"), histogram.max_us as f64);
+        for (suffix, value) in [
+            ("spans", histogram.count),
+            ("total_us", histogram.total_us),
+            ("p50_us", histogram.quantile_upper_us(0.50)),
+            ("p99_us", histogram.quantile_upper_us(0.99)),
+            ("max_us", histogram.max_us),
+        ] {
+            report.record(format!("trace_{name}_{suffix}"), value as f64, false);
+        }
     }
-    push("trace_events_dropped".to_string(), events_dropped() as f64);
-    samples
+    report.record("trace_events_dropped", events_dropped() as f64, false);
+    report
 }
 
 /// Renders the recorded events as Chrome trace-event JSON ("X" complete
@@ -366,38 +356,6 @@ pub fn chrome_trace_json() -> String {
         );
     }
     out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
-}
-
-/// Renders metric samples in the Prometheus text exposition format (one
-/// `# TYPE` line plus one value line per sample).  Sample names are already
-/// `snake_case` identifiers; anything else is mangled to `_`.
-pub fn prometheus_text(samples: &[MetricSample]) -> String {
-    let mut out = String::new();
-    for sample in samples {
-        let name: String = sample
-            .name
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect();
-        let name = if name.starts_with(|c: char| c.is_ascii_digit()) {
-            format!("_{name}")
-        } else {
-            name
-        };
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        if sample.value == sample.value.trunc() && sample.value.abs() < 9.0e15 {
-            let _ = writeln!(out, "{name} {}", sample.value as i64);
-        } else {
-            let _ = writeln!(out, "{name} {}", sample.value);
-        }
-    }
     out
 }
 
@@ -572,25 +530,6 @@ mod tests {
             assert!(json.contains("\"ph\":\"X\""));
             assert!(json.ends_with("\"displayTimeUnit\":\"ms\"}"));
         });
-    }
-
-    #[test]
-    fn prometheus_rendering() {
-        let samples = vec![
-            MetricSample {
-                name: "serve_jobs_completed".to_string(),
-                value: 32.0,
-                higher_is_better: false,
-            },
-            MetricSample {
-                name: "oracle_cache_hit_rate".to_string(),
-                value: 0.41,
-                higher_is_better: true,
-            },
-        ];
-        let text = prometheus_text(&samples);
-        assert!(text.contains("# TYPE serve_jobs_completed gauge\nserve_jobs_completed 32\n"));
-        assert!(text.contains("oracle_cache_hit_rate 0.41\n"));
     }
 
     #[test]

@@ -226,7 +226,7 @@ fn main() {
         result.workers,
     );
     if let Some(path) = &metrics_out {
-        let text = fall::trace::prometheus_text(&result.metric_samples());
+        let text = result.metrics().prometheus_text();
         if let Err(error) = std::fs::write(path, text) {
             eprintln!("fall-dist: cannot write {path}: {error}");
             std::process::exit(1);

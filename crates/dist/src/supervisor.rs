@@ -18,7 +18,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use fall::dist::{Lease, PairStore, RegionBoard};
-use fall::service::MetricSample;
+use fall::metrics::MetricReport;
 use fall::KeyConfirmationConfig;
 use locking::Key;
 use netshim::{write_line, LineReader};
@@ -72,8 +72,9 @@ pub struct FarmResult {
     pub workers: usize,
     /// Workers that died owing work (crash, kill, or timeout mid-lease).
     pub workers_crashed: usize,
-    /// Farm-wide [`SolverStats`] aggregate: the field-wise sum of the latest
-    /// cumulative telemetry snapshot of every worker that reported one.
+    /// Farm-wide [`SolverStats`] aggregate: the latest cumulative telemetry
+    /// snapshot of every worker that reported one, combined by
+    /// [`SolverStats::absorb`] (sums, except the LBD EMAs, which are maxima).
     pub solver_stats: SolverStats,
     /// The latest telemetry snapshot per worker (`None` for a worker that
     /// never completed a region, e.g. one that crashed on its first lease or
@@ -86,39 +87,30 @@ pub struct FarmResult {
 }
 
 impl FarmResult {
-    /// Renders the end-of-run counters as the `dist_*` metric surface (the
-    /// same dialect as `AttackService::metrics`), including the farm-wide
-    /// aggregated worker [`SolverStats`] as `dist_sat_<field>` — ready for
-    /// [`fall::trace::prometheus_text`] or a `MetricReport`.
-    pub fn metric_samples(&self) -> Vec<MetricSample> {
-        let mut samples = Vec::new();
-        let mut push = |name: String, value: f64| {
-            samples.push(MetricSample {
-                name,
-                value,
-                higher_is_better: false,
-            });
-        };
-        push("dist_workers".into(), self.workers as f64);
-        push("dist_workers_crashed".into(), self.workers_crashed as f64);
-        push("dist_regions_total".into(), self.regions as f64);
-        push(
-            "dist_regions_completed".into(),
-            self.regions_completed as f64,
-        );
-        push("dist_regions_requeued".into(), self.regions_requeued as f64);
-        push("dist_regions_stolen".into(), self.regions_stolen as f64);
-        push("dist_iterations".into(), self.iterations as f64);
-        push(
-            "dist_unique_oracle_queries".into(),
-            self.unique_oracle_queries as f64,
-        );
-        push("dist_stats_reports".into(), self.stats_reports as f64);
-        push("dist_elapsed_s".into(), self.elapsed.as_secs_f64());
-        for (field, value) in self.solver_stats.fields() {
-            push(format!("dist_sat_{field}"), value as f64);
+    /// Renders the end-of-run counters as the `dist_*` metric surface,
+    /// including the farm-wide aggregated worker [`SolverStats`] as
+    /// `dist_sat_<field>`.
+    pub fn metrics(&self) -> MetricReport {
+        let mut report = MetricReport::new();
+        for (name, value) in [
+            ("dist_workers", self.workers as f64),
+            ("dist_workers_crashed", self.workers_crashed as f64),
+            ("dist_regions_total", self.regions as f64),
+            ("dist_regions_completed", self.regions_completed as f64),
+            ("dist_regions_requeued", self.regions_requeued as f64),
+            ("dist_regions_stolen", self.regions_stolen as f64),
+            ("dist_iterations", self.iterations as f64),
+            (
+                "dist_unique_oracle_queries",
+                self.unique_oracle_queries as f64,
+            ),
+            ("dist_stats_reports", self.stats_reports as f64),
+            ("dist_elapsed_s", self.elapsed.as_secs_f64()),
+        ] {
+            report.record(name, value, false);
         }
-        samples
+        report.record_solver_stats(&self.solver_stats, |field| format!("dist_sat_{field}"));
+        report
     }
 }
 
@@ -293,6 +285,42 @@ impl Supervisor {
             let _ = monitor.join();
         }
         let state = self.shared.state.lock().expect("farm state poisoned");
+        self.snapshot(&state)
+    }
+
+    /// Snapshots the farm's live metric surface — usable mid-run, the
+    /// supervisor-side analogue of `AttackService::metrics`.
+    ///
+    /// The [`FarmResult::metrics`] of the run so far, plus the live-only
+    /// gauges: `dist_workers_live`, `dist_workers_parked` and per-worker
+    /// lease/liveness/telemetry gauges (`dist_worker<i>_*`).
+    pub fn status(&self) -> MetricReport {
+        let state = self.shared.state.lock().expect("farm state poisoned");
+        let mut report = self.snapshot(&state).metrics();
+        let count = |flags: &[bool]| flags.iter().filter(|&&flag| flag).count() as f64;
+        report.record("dist_workers_live", count(&state.live), false);
+        report.record("dist_workers_parked", count(&state.parked), false);
+        for (worker, telemetry) in state.telemetry.iter().enumerate() {
+            let mut gauge = |name: &str, value: f64| {
+                report.record(format!("dist_worker{worker}_{name}"), value, false);
+            };
+            gauge("live", f64::from(u8::from(state.live[worker])));
+            gauge(
+                "leased",
+                f64::from(u8::from(state.board.leased(worker).is_some())),
+            );
+            if let Some(telemetry) = telemetry {
+                gauge("conflicts", telemetry.solver.conflicts as f64);
+                gauge("solves", telemetry.solver.solves as f64);
+                gauge("oracle_unique", telemetry.oracle_unique as f64);
+                gauge("oracle_hits", telemetry.oracle_hits as f64);
+            }
+        }
+        report
+    }
+
+    /// The run's result as of now, from the locked state.
+    fn snapshot(&self, state: &State) -> FarmResult {
         let completed = state.winner.is_some()
             || (!state.exhausted && state.cancelled_regions == 0 && state.board.done());
         FarmResult {
@@ -312,88 +340,10 @@ impl Supervisor {
             elapsed: self.started.elapsed(),
         }
     }
-
-    /// Snapshots the farm's live metric surface — usable mid-run, the
-    /// supervisor-side analogue of `AttackService::metrics`.
-    ///
-    /// Farm-wide gauges (`dist_*`), the aggregated worker [`SolverStats`]
-    /// (`dist_sat_<field>`, summed over the latest cumulative snapshot of
-    /// each reporting worker), and per-worker lease/liveness/telemetry
-    /// gauges (`dist_worker<i>_*`).
-    pub fn status(&self) -> Vec<MetricSample> {
-        let state = self.shared.state.lock().expect("farm state poisoned");
-        let mut samples = Vec::new();
-        let mut push = |name: String, value: f64| {
-            samples.push(MetricSample {
-                name,
-                value,
-                higher_is_better: false,
-            });
-        };
-        push("dist_workers".into(), self.workers as f64);
-        push(
-            "dist_workers_live".into(),
-            state.live.iter().filter(|&&l| l).count() as f64,
-        );
-        push("dist_workers_crashed".into(), state.workers_crashed as f64);
-        push(
-            "dist_workers_parked".into(),
-            state.parked.iter().filter(|&&p| p).count() as f64,
-        );
-        push("dist_regions_total".into(), self.regions as f64);
-        push(
-            "dist_regions_completed".into(),
-            state.board.completed() as f64,
-        );
-        push(
-            "dist_regions_requeued".into(),
-            state.board.requeued() as f64,
-        );
-        push("dist_regions_stolen".into(), state.board.stolen() as f64);
-        push("dist_iterations".into(), state.iterations as f64);
-        push(
-            "dist_unique_oracle_queries".into(),
-            state.pairs.unique() as f64,
-        );
-        push("dist_stats_reports".into(), state.stats_reports as f64);
-        push("dist_uptime_s".into(), self.started.elapsed().as_secs_f64());
-        for (field, value) in aggregate_stats(&state.telemetry).fields() {
-            push(format!("dist_sat_{field}"), value as f64);
-        }
-        for (worker, telemetry) in state.telemetry.iter().enumerate() {
-            push(
-                format!("dist_worker{worker}_live"),
-                f64::from(u8::from(state.live[worker])),
-            );
-            push(
-                format!("dist_worker{worker}_leased"),
-                f64::from(u8::from(state.board.leased(worker).is_some())),
-            );
-            if let Some(telemetry) = telemetry {
-                push(
-                    format!("dist_worker{worker}_conflicts"),
-                    telemetry.solver.conflicts as f64,
-                );
-                push(
-                    format!("dist_worker{worker}_solves"),
-                    telemetry.solver.solves as f64,
-                );
-                push(
-                    format!("dist_worker{worker}_oracle_unique"),
-                    telemetry.oracle_unique as f64,
-                );
-                push(
-                    format!("dist_worker{worker}_oracle_hits"),
-                    telemetry.oracle_hits as f64,
-                );
-            }
-        }
-        samples
-    }
 }
 
-/// The farm-wide aggregate: field-wise sum of the latest cumulative snapshot
-/// of every worker that reported telemetry.
+/// The farm-wide aggregate: the latest cumulative snapshot of every worker
+/// that reported telemetry, combined by [`SolverStats::absorb`].
 fn aggregate_stats(telemetry: &[Option<WorkerTelemetry>]) -> SolverStats {
     let mut aggregate = SolverStats::default();
     for snapshot in telemetry.iter().flatten() {
@@ -606,6 +556,41 @@ fn monitor_loop(
             // observe EOF, which requeues its lease — the same path a crash
             // takes, so timeouts and crashes are handled identically.
             kill_worker(shared, worker);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn farm_metrics_cover_every_solver_stats_field() {
+        // Drift guard: a counter added to `SolverStats` must surface in the
+        // farm's metrics, as `dist_sat_<field>`.
+        let result = FarmResult {
+            key: None,
+            completed: true,
+            iterations: 0,
+            unique_oracle_queries: 0,
+            regions: 4,
+            regions_completed: 4,
+            regions_requeued: 0,
+            regions_stolen: 0,
+            workers: 2,
+            workers_crashed: 0,
+            solver_stats: SolverStats::default(),
+            worker_telemetry: vec![None, None],
+            stats_reports: 0,
+            elapsed: Duration::ZERO,
+        };
+        let metrics = result.metrics();
+        for (field, _) in SolverStats::default().fields() {
+            let expected = format!("dist_sat_{field}");
+            assert!(
+                metrics.get(&expected).is_some(),
+                "SolverStats field {field:?} missing from the farm metrics (expected {expected:?})"
+            );
         }
     }
 }

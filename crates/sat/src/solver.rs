@@ -72,9 +72,11 @@ pub struct SolverStats {
     /// Adaptive strategy switches performed (0 or 1 per solver: the
     /// classification after the warm-up budget is one-shot).
     pub strategy_switches: u64,
-    /// Fast (recent-window) learnt-LBD EMA ×1000 at the last snapshot.
+    /// Fast (recent-window) learnt-LBD EMA ×1000 at the last snapshot.  An
+    /// average, not an amount: [`SolverStats::absorb`] keeps the maximum.
     pub ema_lbd_fast_milli: u64,
-    /// Slow (long-run) learnt-LBD EMA ×1000 at the last snapshot.
+    /// Slow (long-run) learnt-LBD EMA ×1000 at the last snapshot.  An
+    /// average, not an amount: [`SolverStats::absorb`] keeps the maximum.
     pub ema_lbd_slow_milli: u64,
     /// Number of `solve`/`solve_with` invocations.
     pub solves: u64,
@@ -96,8 +98,11 @@ impl SolverStats {
     ///
     /// This is how a pool of long-lived solver instances (one per worker
     /// session) is reported as a single aggregate: monotone counters sum
-    /// into pool totals, and the point-in-time gauges (`learnt_clauses`,
+    /// into pool totals, and the footprint gauges (clause and tier counts,
     /// `arena_bytes`, `wasted_bytes`) sum into the pool's current footprint.
+    /// The LBD EMAs (`ema_lbd_fast_milli`, `ema_lbd_slow_milli`) are
+    /// averages, whose sum means nothing, so the aggregate keeps the
+    /// largest: the pool's worst recent clause quality.
     pub fn absorb(&mut self, other: &SolverStats) {
         self.conflicts += other.conflicts;
         self.decisions += other.decisions;
@@ -114,8 +119,8 @@ impl SolverStats {
         self.vars_eliminated += other.vars_eliminated;
         self.vars_resurrected += other.vars_resurrected;
         self.strategy_switches += other.strategy_switches;
-        self.ema_lbd_fast_milli += other.ema_lbd_fast_milli;
-        self.ema_lbd_slow_milli += other.ema_lbd_slow_milli;
+        self.ema_lbd_fast_milli = self.ema_lbd_fast_milli.max(other.ema_lbd_fast_milli);
+        self.ema_lbd_slow_milli = self.ema_lbd_slow_milli.max(other.ema_lbd_slow_milli);
         self.solves += other.solves;
         self.arena_bytes += other.arena_bytes;
         self.wasted_bytes += other.wasted_bytes;
@@ -2000,6 +2005,30 @@ mod tests {
             assert_eq!(*value, (i + 1) as u64, "{name}");
         }
         assert!(!stats.set_field("no_such_field", 1));
+    }
+
+    /// Absorbing sums counters and footprint gauges but keeps the larger
+    /// LBD EMA: a sum of two averages is not an average.
+    #[test]
+    fn absorb_takes_the_max_of_the_emas() {
+        let mut pool = SolverStats {
+            conflicts: 10,
+            arena_bytes: 100,
+            ema_lbd_fast_milli: 2000,
+            ema_lbd_slow_milli: 3000,
+            ..SolverStats::default()
+        };
+        pool.absorb(&SolverStats {
+            conflicts: 5,
+            arena_bytes: 50,
+            ema_lbd_fast_milli: 3000,
+            ema_lbd_slow_milli: 2000,
+            ..SolverStats::default()
+        });
+        assert_eq!(pool.ema_lbd_fast_milli, 3000);
+        assert_eq!(pool.ema_lbd_slow_milli, 3000);
+        assert_eq!(pool.conflicts, 15);
+        assert_eq!(pool.arena_bytes, 150);
     }
 
     /// The checkpoint hook observes GC and reduction phases without changing

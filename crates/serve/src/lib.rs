@@ -4,9 +4,9 @@
 //! primed attack sessions keyed by registered target — with a line-delimited
 //! JSON protocol over TCP (specified in `docs/PROTOCOL.md`).  Clients
 //! register `(netlist, scheme)` targets, submit SAT / FALL / confirmation
-//! jobs against them, and scrape a `/metrics`-style counter surface whose
-//! JSON dialect is the `MetricReport` format used by `fall-bench`, so the
-//! same offline tooling parses both.
+//! jobs against them, and scrape a `/metrics`-style counter surface: a
+//! [`fall::metrics::MetricReport`] in its JSON dialect (or Prometheus text),
+//! the same format as the benchmark gate's baseline file.
 //!
 //! The transport is deliberately plain `std::net`: blocking sockets, one
 //! reader and one writer thread per connection (see

@@ -5,7 +5,10 @@
 //! between [`netshim::Value`] documents and the typed requests/responses the
 //! server core works with; it performs no I/O.
 
-use fall::service::{JobReport, MetricSample, TargetInfo};
+use std::fmt::Write as _;
+
+use fall::metrics::MetricReport;
+use fall::service::{JobReport, TargetInfo};
 use locking::Key;
 use netshim::Value;
 
@@ -226,34 +229,124 @@ pub fn job_event_frame(id: RequestId, report: &JobReport) -> String {
     frame(fields)
 }
 
-/// The `metrics` response.  The `metrics` member is exactly the JSON dialect
-/// of `fall-bench`'s `MetricReport`, so offline tooling can parse it
-/// directly.
-pub fn metrics_frame(id: RequestId, samples: &[MetricSample]) -> String {
-    let mut fields = base(true, id);
-    fields.push((
-        "metrics".to_string(),
-        Value::object(samples.iter().map(|sample| {
+/// The JSON dialect of a [`MetricReport`]: a flat object of
+/// `name -> {"value": f64, "higher_is_better": bool}`.  This is the one
+/// codec of that dialect — the `metrics` frame embeds
+/// [`MetricJson::to_value`] and the benchmark gate's baseline file is
+/// [`MetricJson::to_json`] text.  It lives beside the frame because `fall`,
+/// which owns the type, has no JSON dependency.
+pub trait MetricJson: Sized {
+    /// The report as a JSON object of `name -> {"value", "higher_is_better"}`.
+    fn to_value(&self) -> Value;
+
+    /// Decodes a [`MetricJson::to_value`] object.  `higher_is_better` is
+    /// optional and defaults to `false`, the conservative orientation (a
+    /// metric that grows can regress, never one that shrinks).
+    ///
+    /// # Errors
+    ///
+    /// Names the offending metric or field: a non-object entry, a
+    /// non-numeric `value` ("invalid number"), a missing value ("lacks a
+    /// value"), a non-boolean orientation ("expected boolean") or an unknown
+    /// field.
+    fn from_value(value: &Value) -> Result<Self, String>;
+
+    /// The report as JSON text, one metric per line (the layout of the
+    /// checked-in benchmark baseline, so its diffs stay readable).
+    fn to_json(&self) -> String;
+
+    /// Parses JSON text in the [`MetricJson::to_value`] dialect (any
+    /// layout, including [`MetricJson::to_json`]'s).
+    ///
+    /// # Errors
+    ///
+    /// Returns the JSON syntax error or the [`MetricJson::from_value`]
+    /// error.
+    fn from_json(text: &str) -> Result<Self, String> {
+        Self::from_value(&Value::parse(text)?)
+    }
+}
+
+impl MetricJson for MetricReport {
+    fn to_value(&self) -> Value {
+        Value::object(self.metrics.iter().map(|(name, metric)| {
             (
-                sample.name.clone(),
+                name.clone(),
                 Value::object([
-                    ("value", Value::from(sample.value)),
-                    ("higher_is_better", Value::from(sample.higher_is_better)),
+                    ("value", Value::from(metric.value)),
+                    ("higher_is_better", Value::from(metric.higher_is_better)),
                 ]),
             )
-        })),
-    ));
+        }))
+    }
+
+    fn from_value(value: &Value) -> Result<MetricReport, String> {
+        let entries = value
+            .as_object()
+            .ok_or_else(|| format!("expected a metrics object, found {value}"))?;
+        let mut report = MetricReport::new();
+        for (name, entry) in entries {
+            let fields = entry
+                .as_object()
+                .ok_or_else(|| format!("metric {name:?} is not an object: {entry}"))?;
+            let mut value = None;
+            let mut higher_is_better = false;
+            for (field, member) in fields {
+                match field.as_str() {
+                    "value" => {
+                        value = Some(
+                            member
+                                .as_f64()
+                                .ok_or_else(|| format!("invalid number {member}"))?,
+                        );
+                    }
+                    "higher_is_better" => {
+                        higher_is_better = member
+                            .as_bool()
+                            .ok_or_else(|| format!("expected boolean, found {member}"))?;
+                    }
+                    other => return Err(format!("unknown metric field {other:?}")),
+                }
+            }
+            let value = value.ok_or_else(|| format!("metric {name:?} lacks a value"))?;
+            report.record(name.clone(), value, higher_is_better);
+        }
+        Ok(report)
+    }
+
+    fn to_json(&self) -> String {
+        let mut out = String::from("{\n");
+        for (i, (name, metric)) in self.metrics.iter().enumerate() {
+            let comma = if i + 1 < self.metrics.len() { "," } else { "" };
+            let _ = writeln!(
+                out,
+                "  {}: {{\"value\": {}, \"higher_is_better\": {}}}{comma}",
+                Value::from(name.as_str()),
+                Value::from(metric.value),
+                metric.higher_is_better
+            );
+        }
+        out.push_str("}\n");
+        out
+    }
+}
+
+/// The `metrics` response.  The `metrics` member is
+/// [`MetricJson::to_value`], so [`MetricJson::from_value`] decodes it.
+pub fn metrics_frame(id: RequestId, report: &MetricReport) -> String {
+    let mut fields = base(true, id);
+    fields.push(("metrics".to_string(), report.to_value()));
     frame(fields)
 }
 
 /// The `metrics` response in Prometheus text exposition: the rendered text
 /// travels as one JSON string member, so the framing stays line-delimited.
-pub fn prometheus_frame(id: RequestId, samples: &[MetricSample]) -> String {
+pub fn prometheus_frame(id: RequestId, report: &MetricReport) -> String {
     let mut fields = base(true, id);
     fields.push(("format".to_string(), Value::from("prometheus")));
     fields.push((
         "metrics_text".to_string(),
-        Value::from(fall::trace::prometheus_text(samples)),
+        Value::from(report.prometheus_text()),
     ));
     frame(fields)
 }
@@ -331,5 +424,109 @@ mod tests {
             value.get("error").and_then(Value::as_str),
             Some("unknown_target")
         );
+    }
+
+    /// The [`MetricJson`] codec of [`MetricReport`].
+    mod metric_json {
+        use super::*;
+
+        #[test]
+        fn metric_report_round_trips_through_json() {
+            let mut report = MetricReport::new();
+            report.record("serial_elapsed_s", 1.25, false);
+            report.record("parallel_speedup_4w", 2.5, true);
+            report.record("oracle_queries", 132.0, false);
+            let json = report.to_json();
+            let parsed = MetricReport::from_json(&json).expect("round trip");
+            assert_eq!(parsed, report);
+            // An empty report round-trips too.
+            let empty = MetricReport::new();
+            assert_eq!(
+                MetricReport::from_json(&empty.to_json()).expect("empty"),
+                empty
+            );
+        }
+
+        #[test]
+        fn metric_report_rejects_malformed_json() {
+            for bad in [
+                "",
+                "{",
+                "{\"a\": 1}",
+                "{\"a\": {\"value\": x}}",
+                // Syntax errors next to multi-byte characters must produce an
+                // Err, not a char-boundary slice panic in the error formatter.
+                "{\"µ×µ×µ×µ×µ×µ×µ×\": {\"value\": µ}}",
+                "{\"a\": {\"value\": 1}} µ×trailing×µ garbage",
+            ] {
+                assert!(MetricReport::from_json(bad).is_err(), "{bad:?}");
+            }
+        }
+
+        #[test]
+        fn metric_report_errors_name_the_offending_field() {
+            // A non-numeric value is rejected with the bad token in the message.
+            let error = MetricReport::from_json("{\"a\": {\"value\": true}}").unwrap_err();
+            assert!(error.contains("invalid number"), "{error}");
+            let error = MetricReport::from_json(
+                "{\"a\": {\"value\": \"12\", \"higher_is_better\": false}}",
+            )
+            .unwrap_err();
+            assert!(error.contains("invalid number"), "{error}");
+
+            // A metric without a value names the metric.
+            let error =
+                MetricReport::from_json("{\"oracle_queries\": {\"higher_is_better\": true}}")
+                    .unwrap_err();
+            assert!(error.contains("oracle_queries"), "{error}");
+            assert!(error.contains("lacks a value"), "{error}");
+
+            // A non-boolean orientation is rejected too.
+            let error = MetricReport::from_json("{\"a\": {\"value\": 1, \"higher_is_better\": 7}}")
+                .unwrap_err();
+            assert!(error.contains("expected boolean"), "{error}");
+
+            // Unknown metric fields are rejected rather than silently dropped.
+            let error =
+                MetricReport::from_json("{\"a\": {\"value\": 1, \"unit\": 2}}").unwrap_err();
+            assert!(error.contains("unit"), "{error}");
+        }
+
+        #[test]
+        fn missing_orientation_defaults_to_lower_is_better() {
+            // Orientation is optional on the wire: a bare value parses, and the
+            // conservative default is "smaller is better" (so a metric that
+            // grows can regress, never one that shrinks).
+            let report = MetricReport::from_json("{\"queries\": {\"value\": 42}}").expect("parse");
+            let metric = report.metrics.get("queries").expect("metric present");
+            assert_eq!(metric.value, 42.0);
+            assert!(!metric.higher_is_better);
+        }
+
+        #[test]
+        fn names_with_escapes_round_trip_through_both_codecs() {
+            let name = "q\"uote\\slash\nline µs";
+            let mut report = MetricReport::new();
+            report.record(name, 0.5, true);
+            report.record("plain", 3.0, false);
+
+            let json = report.to_json();
+            let parsed = Value::parse(&json).expect("to_json text is valid JSON");
+            assert_eq!(MetricReport::from_value(&parsed).expect("decode"), report);
+            assert_eq!(MetricReport::from_json(&json).expect("parse"), report);
+            assert_eq!(json.lines().count(), 4, "one line per metric: {json}");
+
+            let value = report.to_value();
+            assert_eq!(MetricReport::from_value(&value).expect("decode"), report);
+            let reparsed = Value::parse(&value.to_string()).expect("wire text");
+            assert_eq!(MetricReport::from_value(&reparsed).expect("decode"), report);
+        }
+
+        #[test]
+        fn unicode_escapes_decode_to_the_character() {
+            let report = MetricReport::from_json("{\"a\\u00b5\": {\"value\": 1}}").expect("parse");
+            let names: Vec<&str> = report.metrics.keys().map(String::as_str).collect();
+            assert_eq!(names, ["aµ"]);
+        }
     }
 }

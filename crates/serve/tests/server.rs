@@ -581,7 +581,7 @@ fn timeouts_cancel_mid_job_and_the_session_serves_the_next_job() {
         Some("timeout"),
         "{event}"
     );
-    // Cancellation must land promptly (reaper interval + one solver check
+    // Cancellation must land promptly (the deadline plus one solver check
     // point), not after the attack would have finished naturally.
     assert!(
         started.elapsed() < Duration::from_secs(30),

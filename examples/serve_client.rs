@@ -168,8 +168,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- 4. Scrape /metrics. ---------------------------------------------
-    // The metrics frame uses the same JSON dialect as the bench harness's
-    // MetricReport: name -> {"value": f64, "higher_is_better": bool}.
+    // The metrics member is a `fall::metrics::MetricReport` in its JSON
+    // dialect, name -> {"value": f64, "higher_is_better": bool}; a client
+    // linking `fall-serve` can decode it with
+    // `fall_serve::protocol::MetricJson::from_value`.
     client.send(&Value::object([
         ("op", Value::from("metrics")),
         ("id", Value::from(4u64)),
