@@ -121,6 +121,19 @@ cargo test -q -p fall --lib stripper_verdicts
 echo "==> cargo test -q -p fall --lib prefilter"
 cargo test -q -p fall --lib prefilter
 
+# The warm-session story: fall_attack_in on one long-lived session must
+# match a fresh fall_attack per call (TTLock and SFLL-HD h = 1..3, the
+# lock's h and a wrong one, with and without an oracle) in status,
+# shortlist, analyses_used and confirmed key, and a repeated call must make
+# no cone solve; a confirmation on a pooled session must run the same
+# iterations and oracle queries whether or not FALL jobs ran before it; and
+# the bitset support table must match per-node support() on random, TTLock-
+# and SFLL-locked netlists, with the structural stages' outputs unchanged.
+# Also part of the workspace run; re-run explicitly so a failure is
+# attributed to the warm FALL path.
+echo "==> cargo test -q -p fall --lib warm_session"
+cargo test -q -p fall --lib warm_session
+
 # The metrics story: one MetricReport type (fall::metrics) serves every
 # metric surface (serve's metrics op, the fall-dist farm, the flight
 # recorder, the bench gate's baseline), with one Prometheus renderer and one

@@ -17,7 +17,7 @@ use crate::functional::{
 use crate::key_confirmation::{key_confirmation_in, KeyConfirmationConfig};
 use crate::oracle::Oracle;
 use crate::session::AttackSession;
-use crate::structural::{find_candidates, find_comparators, CandidateNodes};
+use crate::structural::CandidateNodes;
 
 /// Configuration of the FALL attack.
 #[derive(Clone, Debug)]
@@ -130,10 +130,11 @@ pub struct FallAttackResult {
     pub key_width: usize,
     /// Which analyses produced at least one surviving key.
     pub analyses_used: Vec<Analysis>,
-    /// Word-parallel prefilter counters of the analysis session (refuted
-    /// polarities/candidates and simulated-pattern volume).
+    /// Word-parallel prefilter counters of this attack (refuted
+    /// polarities/candidates and simulated-pattern volume); on a warm
+    /// session ([`fall_attack_in`]) only this call's share.
     pub prefilter: PrefilterStats,
-    /// Per-stage wall-clock timings.
+    /// Per-stage wall-clock timings of this call.
     pub timings: StageTimings,
 }
 
@@ -150,7 +151,8 @@ impl FallAttackResult {
     }
 }
 
-/// Runs the full FALL attack on a locked netlist.
+/// Runs the full FALL attack on a locked netlist, on a fresh
+/// [`AttackSession`] (see [`fall_attack_in`]).
 ///
 /// `oracle` is only used when more than one key is shortlisted; pass `None`
 /// for a purely oracle-less attack.
@@ -159,23 +161,47 @@ pub fn fall_attack(
     oracle: Option<&dyn Oracle>,
     config: &FallAttackConfig,
 ) -> FallAttackResult {
+    fall_attack_in(&mut AttackSession::new(locked), oracle, config)
+}
+
+/// Runs the full FALL attack on the session's netlist through a shared
+/// attack session.
+///
+/// One session serves every stage: the structural stages' comparators,
+/// candidates and support table, the cone encodings, the prefilter sweeps,
+/// the stripper verdicts and the analyses' decided answers are derived from
+/// the netlist alone, so the session keeps them and a later call on the
+/// same session reuses them — a repeated attack makes no cone solve.  The analyses run on the session's
+/// cone solver and key confirmation on its DIP solver, so a warm session's
+/// confirmation history never meets a cone clause.  The result's
+/// `prefilter` counters and `timings` cover this call only.
+///
+/// `config.interrupt`, when set, is installed on the session and stays
+/// installed; when unset, the session's own interrupt flag stays in force.
+pub fn fall_attack_in(
+    session: &mut AttackSession<'_>,
+    oracle: Option<&dyn Oracle>,
+    config: &FallAttackConfig,
+) -> FallAttackResult {
+    let locked = session.netlist();
+    let prefilter_before = session.prefilter_stats();
     let mut timings = StageTimings::default();
 
     // Stage 1: comparator identification.
     let t = Instant::now();
-    let comparators = find_comparators(locked);
+    let num_comparators = session.comparators().len();
     timings.comparators = t.elapsed();
 
     // Stage 2: support-set matching.
     let t = Instant::now();
-    let candidates = find_candidates(locked, &comparators);
+    let candidates = session.candidates().clone();
     timings.support_matching = t.elapsed();
 
     let base = |status: FallStatus, timings: StageTimings| FallAttackResult {
         status,
         shortlisted_keys: Vec::new(),
         confirmed_key: None,
-        num_comparators: comparators.len(),
+        num_comparators,
         num_candidates: candidates.candidates.len(),
         key_width: candidates.key_width(),
         analyses_used: Vec::new(),
@@ -190,13 +216,12 @@ pub fn fall_attack(
         return base(FallStatus::NoCandidates, timings);
     }
 
-    // Stage 3 + 4: functional analyses and equivalence checking.  One
-    // persistent attack session serves every candidate, every analysis, the
-    // equivalence checks and (below) the key-confirmation stage: cone
-    // encodings, the input-difference vector and the popcount network are all
-    // built once and shared.
-    let mut session = AttackSession::new(locked);
-    session.set_interrupt(config.interrupt.clone());
+    // Stage 3 + 4: functional analyses and equivalence checking, every
+    // candidate and analysis sharing the session's cone encodings,
+    // input-difference vector and popcount network.
+    if config.interrupt.is_some() {
+        session.set_interrupt(config.interrupt.clone());
+    }
     let analyses = config
         .analyses
         .clone()
@@ -209,13 +234,12 @@ pub fn fall_attack(
                 break 'sweep;
             }
             let t = Instant::now();
-            let cube = run_analysis(&mut session, candidate, analysis, config.h);
+            let cube = run_analysis(session, candidate, analysis, config.h);
             timings.functional += t.elapsed();
             let Some(cube) = cube else { continue };
             if config.equivalence_check {
                 let t = Instant::now();
-                let equivalent =
-                    candidate_equals_strip_in(&mut session, candidate, &cube, config.h);
+                let equivalent = candidate_equals_strip_in(session, candidate, &cube, config.h);
                 timings.equivalence += t.elapsed();
                 if !equivalent {
                     continue;
@@ -236,7 +260,7 @@ pub fn fall_attack(
     let mut result = base(FallStatus::NoKeysFound, timings);
     result.analyses_used = analyses_used;
     result.shortlisted_keys = shortlisted;
-    result.prefilter = session.prefilter_stats();
+    result.prefilter = session.prefilter_stats().since(&prefilter_before);
 
     match result.shortlisted_keys.len() {
         0 => result,
@@ -252,7 +276,7 @@ pub fn fall_attack(
             Some(oracle) => {
                 let t = Instant::now();
                 let confirmation = key_confirmation_in(
-                    &mut session,
+                    session,
                     oracle,
                     &result.shortlisted_keys,
                     &config.confirmation,
@@ -470,6 +494,7 @@ mod stripper_verdicts {
     use crate::equivalence::candidate_equals_strip;
     use crate::functional::{distance_2h, sliding_window};
     use crate::session::StripperVerdict;
+    use crate::structural::{find_candidates, find_comparators};
     use locking::{LockingScheme, SfllHd, TtLock};
     use netlist::hamming::hamming_distance_equals_const;
     use netlist::random::{generate, RandomCircuitSpec};
@@ -733,5 +758,253 @@ mod stripper_verdicts {
             session.stripper_verdict(out, h),
             Some(&StripperVerdict::Stripper(expected))
         );
+    }
+}
+
+/// `fall_attack_in` on one long-lived session must answer every call like a
+/// fresh [`fall_attack`], leave the DIP solver to key confirmation, and turn
+/// a repeated call into lookups.
+#[cfg(test)]
+mod warm_session {
+    use super::*;
+    use crate::key_confirmation::KeyConfirmationConfig;
+    use crate::oracle::SimOracle;
+    use crate::structural::{find_candidates, find_comparators, Comparator};
+    use locking::{LockedCircuit, LockingScheme, SfllHd, TtLock};
+    use netlist::analysis::{support, SupportTable};
+    use netlist::random::{generate, RandomCircuitSpec};
+
+    /// A TTLock and SFLL-HD h = 1..3 locks (m = 10) of one random circuit,
+    /// with the `h` each was locked at.
+    fn lockings() -> Vec<(LockedCircuit, usize)> {
+        let original = generate(&RandomCircuitSpec::new("warm", 14, 3, 90));
+        let mut lockings = vec![(
+            TtLock::new(10)
+                .with_seed(5)
+                .lock(&original)
+                .expect("lock")
+                .optimized(),
+            0,
+        )];
+        for h in 1..=3 {
+            let locked = SfllHd::new(10, h)
+                .with_seed(20 + h as u64)
+                .lock(&original)
+                .expect("lock")
+                .optimized();
+            lockings.push((locked, h));
+        }
+        lockings
+    }
+
+    /// What the lockstep compares.
+    type Outcome = (
+        FallStatus,
+        Vec<Key>,
+        Vec<Analysis>,
+        Option<Key>,
+        usize,
+        usize,
+    );
+
+    fn outcome(result: &FallAttackResult) -> Outcome {
+        (
+            result.status,
+            result.shortlisted_keys.clone(),
+            result.analyses_used.clone(),
+            result.confirmed_key.clone(),
+            result.num_comparators,
+            result.num_candidates,
+        )
+    }
+
+    #[test]
+    fn fall_on_a_shared_session_matches_fresh_attacks() {
+        for (locked, lock_h) in &lockings() {
+            let oracle = SimOracle::new(locked.original.clone());
+            let mut session = AttackSession::new(&locked.locked);
+            let other_h = (lock_h + 2) % 4;
+            // The lock's own h and a wrong one, interleaved, with and
+            // without an oracle.
+            let calls = [
+                (*lock_h, false),
+                (other_h, true),
+                (*lock_h, true),
+                (other_h, false),
+                (*lock_h, false),
+            ];
+            let mut seen = Vec::new();
+            for (call, (h, with_oracle)) in calls.into_iter().enumerate() {
+                let oracle = with_oracle.then_some(&oracle as &dyn Oracle);
+                let config = FallAttackConfig::for_h(h);
+                let solves = session.stats().solves;
+                let warm = fall_attack_in(&mut session, oracle, &config);
+                let fresh = fall_attack(&locked.locked, oracle, &config);
+                let label = format!("{} call {call} h={h}", locked.locked.name());
+                assert_eq!(outcome(&warm), outcome(&fresh), "{label}");
+                // Each call reports its own prefilter counters: the same
+                // decisions as a fresh attack, and only the sweeps it ran.
+                let (w, f) = (warm.prefilter, fresh.prefilter);
+                assert_eq!(
+                    (w.polarities_refuted, w.candidates_refuted),
+                    (f.polarities_refuted, f.candidates_refuted),
+                    "{label}"
+                );
+                if call == 0 {
+                    assert_eq!(w, f, "{label}");
+                }
+                if h == *lock_h {
+                    assert_eq!(warm.best_key(), Some(&locked.key), "{label}");
+                }
+                let confirmed = matches!(
+                    warm.status,
+                    FallStatus::ConfirmedKey | FallStatus::ConfirmationFailed
+                );
+                if seen.contains(&h) && !confirmed {
+                    assert_eq!(session.stats().solves, solves, "{label}: no cone solve");
+                    assert_eq!(w.sweeps, 0, "{label}: no sweep");
+                    assert_eq!(w.patterns_simulated, 0, "{label}");
+                }
+                seen.push(h);
+            }
+            assert_eq!(session.cone_encodings_built(), 1);
+        }
+    }
+
+    #[test]
+    fn confirmation_on_a_pooled_session_ignores_earlier_fall_jobs() {
+        for (locked, h) in &lockings() {
+            let oracle = SimOracle::new(locked.original.clone());
+            let shortlist = [
+                locked.key.complement(),
+                locked.key.clone(),
+                Key::new(vec![true; locked.key.len()]),
+            ];
+            let confirm = |session: &mut AttackSession<'_>| {
+                let result = key_confirmation_in(
+                    session,
+                    &oracle,
+                    &shortlist,
+                    &KeyConfirmationConfig::default(),
+                );
+                (result.key, result.iterations, result.oracle_queries)
+            };
+            let mut plain = AttackSession::new(&locked.locked);
+            plain.prime();
+            let mut pooled = AttackSession::new(&locked.locked);
+            pooled.prime();
+            let dip_vars = pooled.num_vars();
+            for h in [*h, (h + 1) % 4, *h] {
+                let result =
+                    fall_attack_in(&mut pooled, Some(&oracle), &FallAttackConfig::for_h(h));
+                assert!(
+                    result.timings.confirmation.is_zero(),
+                    "{}: a unique-key FALL job leaves the DIP solver alone",
+                    locked.locked.name()
+                );
+            }
+            assert_eq!(
+                pooled.num_vars(),
+                dip_vars,
+                "no cone variable in the DIP solver"
+            );
+            let want = confirm(&mut plain);
+            assert_eq!(want.0.as_ref(), Some(&locked.key));
+            assert_eq!(confirm(&mut pooled), want, "{}", locked.locked.name());
+            assert_eq!(confirm(&mut pooled), confirm(&mut plain));
+        }
+    }
+
+    /// The comparators and candidates of § III computed from per-node
+    /// [`support`] calls, the definition the support table must reproduce.
+    fn reference_structure(netlist: &Netlist) -> (Vec<Comparator>, CandidateNodes) {
+        let mut comparators = Vec::new();
+        for node in netlist.gate_ids() {
+            let s = support(netlist, node);
+            let (Some(&input), Some(&key)) = (s.primary.first(), s.keys.first()) else {
+                continue;
+            };
+            if s.len() != 2 {
+                continue;
+            }
+            let truth: Vec<bool> = [(false, false), (true, false), (false, true), (true, true)]
+                .iter()
+                .map(|&(iv, kv)| netlist.evaluate_node(node, &[(input, iv), (key, kv)]))
+                .collect();
+            let xnor = match truth.as_slice() {
+                [false, true, true, false] => false,
+                [true, false, false, true] => true,
+                _ => continue,
+            };
+            comparators.push(Comparator {
+                node,
+                input,
+                key,
+                xnor,
+            });
+        }
+        let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
+        for c in &comparators {
+            if !pairs.iter().any(|&(input, _)| input == c.input) {
+                pairs.push((c.input, c.key));
+            }
+        }
+        pairs.sort_by_key(|&(input, _)| input);
+        let protected: Vec<NodeId> = pairs.iter().map(|&(input, _)| input).collect();
+        let candidates = netlist
+            .gate_ids()
+            .filter(|&node| {
+                let s = support(netlist, node);
+                !protected.is_empty()
+                    && s.keys.is_empty()
+                    && s.primary.iter().copied().eq(protected.iter().copied())
+            })
+            .collect();
+        let structure = CandidateNodes {
+            protected_inputs: protected,
+            paired_keys: pairs.iter().map(|&(_, key)| key).collect(),
+            candidates,
+        };
+        (comparators, structure)
+    }
+
+    #[test]
+    fn support_table_and_structural_stages_match_per_node_support() {
+        let mut netlists: Vec<Netlist> = (0..2u64)
+            .map(|seed| {
+                let spec = RandomCircuitSpec::new(format!("st{seed}"), 9 + seed as usize, 3, 70)
+                    .with_seed(seed);
+                generate(&spec)
+            })
+            .collect();
+        netlists.extend(lockings().into_iter().map(|(locked, _)| locked.locked));
+        for nl in &netlists {
+            let table = SupportTable::new(nl);
+            for (id, _) in nl.iter() {
+                let s = support(nl, id);
+                let primary: Vec<NodeId> = table
+                    .primary_positions(id)
+                    .map(|p| nl.inputs()[p])
+                    .collect();
+                let keys: Vec<NodeId> = table
+                    .key_positions(id)
+                    .map(|q| nl.key_inputs()[q])
+                    .collect();
+                assert!(s.primary.iter().copied().eq(primary), "{id:?}");
+                assert!(s.keys.iter().copied().eq(keys), "{id:?}");
+            }
+            let (comparators, candidates) = reference_structure(nl);
+            assert_eq!(find_comparators(nl), comparators, "{}", nl.name());
+            assert_eq!(
+                find_candidates(nl, &comparators),
+                candidates,
+                "{}",
+                nl.name()
+            );
+            let mut session = AttackSession::new(nl);
+            assert_eq!(session.comparators(), comparators.as_slice());
+            assert_eq!(session.candidates(), &candidates);
+            assert_eq!(session.supports(), &table);
+        }
     }
 }

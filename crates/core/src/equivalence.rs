@@ -5,7 +5,6 @@
 //! function `strip_h(Kc)`.  This module builds the reference function over
 //! the same inputs and proves (un)equivalence with a miter and one SAT call.
 
-use netlist::analysis::{input_positions, support};
 use netlist::{Netlist, NodeId};
 use sat::{Lit, SolveResult};
 
@@ -53,12 +52,11 @@ pub fn candidate_equals_strip_in(
     cube: &CubeAssignment,
     h: usize,
 ) -> bool {
-    let netlist = session.netlist();
-    let sup = support(netlist, candidate);
-    if !sup.keys.is_empty() || sup.primary.is_empty() {
+    let Some(positions) = session.primary_support(candidate) else {
         return false;
-    }
-    let inputs: Vec<NodeId> = sup.primary.iter().copied().collect();
+    };
+    let netlist = session.netlist();
+    let inputs: Vec<NodeId> = positions.iter().map(|&p| netlist.inputs()[p]).collect();
     // The cube must assign every support input (order-insensitive lookup);
     // normalised to the support, sorted by node id.
     let cube_value = |id: NodeId| cube.iter().find(|&&(cid, _)| cid == id).map(|&(_, v)| v);
@@ -75,7 +73,6 @@ pub fn candidate_equals_strip_in(
     if let Some(equivalent) = session.known_equivalence(candidate, h, &cube) {
         return equivalent;
     }
-    let positions = input_positions(netlist, &inputs);
     let mut slot_of: Vec<Option<usize>> = vec![None; netlist.num_inputs()];
     for (slot, &position) in positions.iter().enumerate() {
         slot_of[position] = Some(slot);

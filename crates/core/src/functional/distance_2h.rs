@@ -47,12 +47,12 @@ pub fn distance_2h_in(
     let query = build_hd_query(session, candidate, 2 * h)?;
     if !session
         .prefilter()
-        .satisfying_within_distance(candidate, &query.inputs, 2 * h)
+        .satisfying_within_distance(candidate, &query.positions, 2 * h)
     {
         return None;
     }
-    let complete = Analysis::Distance2H.is_complete(h, query.inputs.len());
-    session.settle_cube(candidate, h, complete, |session| {
+    let m = query.inputs.len();
+    session.settle_cube(candidate, h, Analysis::Distance2H, m, |session| {
         extract_cube(session, &query)
     })
 }

@@ -30,7 +30,7 @@ pub type CubeAssignment = Vec<(NodeId, bool)>;
 
 /// Which functional analysis produced a result (used in reports and the
 /// Figure 5 harness).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Analysis {
     /// [`analyze_unateness`] (Algorithm 1) — TTLock / SFLL-HD0.
     Unateness,

@@ -11,7 +11,6 @@
 //! support), so building a query for a new candidate adds no clauses once
 //! the shared structure exists.
 
-use netlist::analysis::{input_positions, support};
 use netlist::NodeId;
 use sat::Lit;
 
@@ -21,6 +20,8 @@ use crate::session::AttackSession;
 pub(crate) struct HdPairQuery {
     /// The support inputs of the candidate, sorted by node id.
     pub inputs: Vec<NodeId>,
+    /// Their primary-input positions, ascending.
+    pub positions: Vec<usize>,
     /// Base assumptions encoding the formula `F` of Algorithms 2 and 3.
     pub base: Vec<Lit>,
     /// Literals of the support inputs in the first copy.
@@ -40,16 +41,12 @@ pub(crate) fn build_hd_query(
     candidate: NodeId,
     distance: usize,
 ) -> Option<HdPairQuery> {
+    let positions = session.primary_support(candidate)?;
+    if distance > positions.len() {
+        return None;
+    }
     let netlist = session.netlist();
-    let sup = support(netlist, candidate);
-    if !sup.keys.is_empty() || sup.primary.is_empty() {
-        return None;
-    }
-    let inputs: Vec<NodeId> = sup.primary.iter().copied().collect();
-    if distance > inputs.len() {
-        return None;
-    }
-    let positions = input_positions(netlist, &inputs);
+    let inputs: Vec<NodeId> = positions.iter().map(|&p| netlist.inputs()[p]).collect();
 
     let (root1, root2) = session.cone_pair(candidate);
     let hd = session.hd_equals(distance);
@@ -79,6 +76,7 @@ pub(crate) fn build_hd_query(
 
     Some(HdPairQuery {
         inputs,
+        positions,
         base,
         x1,
         x2,

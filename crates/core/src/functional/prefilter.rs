@@ -19,7 +19,6 @@
 //! words scanned with bitwise masks and `count_ones`).  Every decision is
 //! tallied in [`PrefilterStats`], which the attack surfaces on its result.
 
-use netlist::analysis::input_positions;
 use netlist::{Netlist, NodeId, WideSim};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -56,6 +55,17 @@ impl PrefilterStats {
         self.candidates_refuted += other.candidates_refuted;
         self.patterns_simulated += other.patterns_simulated;
         self.sweeps += other.sweeps;
+    }
+
+    /// The counters accumulated since `earlier`, a snapshot of the same
+    /// session's counters.
+    pub(crate) fn since(&self, earlier: &PrefilterStats) -> PrefilterStats {
+        PrefilterStats {
+            polarities_refuted: self.polarities_refuted - earlier.polarities_refuted,
+            candidates_refuted: self.candidates_refuted - earlier.candidates_refuted,
+            patterns_simulated: self.patterns_simulated - earlier.patterns_simulated,
+            sweeps: self.sweeps - earlier.sweeps,
+        }
     }
 
     /// Total prefilter refutations (polarity- plus candidate-level), the
@@ -139,7 +149,8 @@ impl<'n> Prefilter<'n> {
         self.stats
     }
 
-    /// For every support input of `candidate`, tests both unateness
+    /// For every support input of `candidate` (given by its primary-input
+    /// positions), tests both unateness
     /// polarities on random patterns and reports which are still possible:
     /// `(may_be_positive, may_be_negative)`.
     ///
@@ -153,11 +164,11 @@ impl<'n> Prefilter<'n> {
     pub(crate) fn unateness_polarities(
         &mut self,
         candidate: NodeId,
-        support: &[NodeId],
+        positions: &[usize],
     ) -> Vec<(bool, bool)> {
         let (word, shift) = (candidate.index() / 32, 2 * (candidate.index() % 32));
-        let mut result = Vec::with_capacity(support.len());
-        for position in input_positions(self.netlist, support) {
+        let mut result = Vec::with_capacity(positions.len());
+        for &position in positions {
             let bits = self.cofactor_verdicts(position)[word] >> shift;
             let (may_pos, may_neg) = (bits & 1 == 0, bits & 2 == 0);
             self.stats.polarities_refuted += u64::from(!may_pos) + u64::from(!may_neg);
@@ -225,7 +236,7 @@ impl<'n> Prefilter<'n> {
 
     /// Tests whether random satisfying assignments of `candidate` stay
     /// within Hamming distance `max_distance` of each other over the support
-    /// positions.
+    /// (given by its primary-input positions).
     ///
     /// A cube-stripping function `HD(X, cube) == h` is satisfied only on the
     /// radius-`h` sphere around the cube, so any two satisfying assignments
@@ -243,13 +254,12 @@ impl<'n> Prefilter<'n> {
     pub(crate) fn satisfying_within_distance(
         &mut self,
         candidate: NodeId,
-        support: &[NodeId],
+        positions: &[usize],
         max_distance: usize,
     ) -> bool {
-        if support.len() > 64 || max_distance >= support.len() {
+        if positions.len() > 64 || max_distance >= positions.len() {
             return true;
         }
-        let positions = input_positions(self.netlist, support);
         let (netlist, width, stats) = (self.netlist, self.sim.width(), &mut self.stats);
         let DistanceSweep { inputs, sim } = self
             .distance
@@ -314,7 +324,7 @@ fn sweep(
 mod tests {
     use super::*;
     use locking::{LockingScheme, SfllHd, TtLock};
-    use netlist::analysis::support;
+    use netlist::analysis::SupportTable;
     use netlist::hamming::hamming_distance_equals_const;
     use netlist::random::{generate, RandomCircuitSpec};
     use netlist::sim::pattern_to_bits;
@@ -326,14 +336,13 @@ mod tests {
     fn reference_unateness_polarities(
         netlist: &Netlist,
         candidate: NodeId,
-        support: &[NodeId],
+        positions: &[usize],
         sim: &mut WideSim,
         stats: &mut PrefilterStats,
     ) -> Vec<(bool, bool)> {
-        let positions = input_positions(netlist, support);
         let w = sim.width();
         let mut rng = ChaCha8Rng::seed_from_u64(SEED);
-        let mut result = vec![(true, true); support.len()];
+        let mut result = vec![(true, true); positions.len()];
 
         let base: Vec<u64> = (0..netlist.num_inputs() * w).map(|_| rng.gen()).collect();
         let keys: Vec<u64> = (0..netlist.num_key_inputs() * w)
@@ -388,15 +397,14 @@ mod tests {
     fn reference_satisfying_within_distance(
         netlist: &Netlist,
         candidate: NodeId,
-        support: &[NodeId],
+        positions: &[usize],
         max_distance: usize,
         sim: &mut WideSim,
         stats: &mut PrefilterStats,
     ) -> bool {
-        if support.len() > 64 || max_distance >= support.len() {
+        if positions.len() > 64 || max_distance >= positions.len() {
             return true;
         }
-        let positions = input_positions(netlist, support);
         let w = sim.width();
         let mut rng = ChaCha8Rng::seed_from_u64(SEED ^ 0x5EA9_C0DE);
         let inputs: Vec<u64> = (0..netlist.num_inputs() * w).map(|_| rng.gen()).collect();
@@ -444,7 +452,7 @@ mod tests {
         let f = nl.add_gate("f", GateKind::Xor, &[a, b]);
         nl.add_output("f", f);
         let mut filter = prefilter(&nl);
-        let polarities = filter.unateness_polarities(f, &[a, b]);
+        let polarities = filter.unateness_polarities(f, &[0, 1]);
         assert_eq!(polarities, vec![(false, false); 2]);
         let stats = filter.stats();
         assert_eq!(stats.polarities_refuted, 4);
@@ -464,7 +472,7 @@ mod tests {
         let f = nl.add_gate("f", GateKind::And, &[a, b]);
         nl.add_output("f", f);
         let mut filter = prefilter(&nl);
-        let polarities = filter.unateness_polarities(f, &[a, b]);
+        let polarities = filter.unateness_polarities(f, &[0, 1]);
         for (may_pos, may_neg) in polarities {
             assert!(may_pos, "AND is positive unate in every input");
             assert!(!may_neg, "random patterns must witness the violation");
@@ -481,7 +489,7 @@ mod tests {
         let out = hamming_distance_equals_const(&mut nl, &xs, &cube, 1);
         nl.add_output("strip", out);
         let mut filter = prefilter(&nl);
-        assert!(filter.satisfying_within_distance(out, &xs, 2));
+        assert!(filter.satisfying_within_distance(out, &[0, 1, 2, 3, 4, 5], 2));
         assert_eq!(filter.stats().candidates_refuted, 0);
         assert_eq!(filter.stats().sweeps, 1);
     }
@@ -495,7 +503,7 @@ mod tests {
         let f = nl.add_gate("f", GateKind::Or, &xs);
         nl.add_output("f", f);
         let mut filter = prefilter(&nl);
-        assert!(!filter.satisfying_within_distance(f, &xs, 2));
+        assert!(!filter.satisfying_within_distance(f, &[0, 1, 2, 3, 4, 5], 2));
         assert_eq!(filter.stats().candidates_refuted, 1);
     }
 
@@ -510,13 +518,14 @@ mod tests {
         let xorf = nl.add_gate("xorf", GateKind::Xor, &xs);
         nl.add_output("orf", orf);
         nl.add_output("xorf", xorf);
+        let all = [0, 1, 2, 3, 4];
         for width in [1usize, 2, 4, 8] {
             let mut filter = Prefilter::new(&nl, width);
             assert!(
-                !filter.satisfying_within_distance(orf, &xs, 2),
+                !filter.satisfying_within_distance(orf, &all, 2),
                 "width {width}"
             );
-            let p = filter.unateness_polarities(xorf, &xs);
+            let p = filter.unateness_polarities(xorf, &all);
             assert_eq!(p, vec![(false, false); 5], "width {width}");
         }
     }
@@ -550,24 +559,25 @@ mod tests {
             let mut reference = PrefilterStats::default();
             // Every node x input position, one position at a time.
             for (node, _) in nl.iter() {
-                for &input in nl.inputs() {
+                for position in 0..nl.num_inputs() {
                     assert_eq!(
-                        filter.unateness_polarities(node, &[input]),
+                        filter.unateness_polarities(node, &[position]),
                         reference_unateness_polarities(
                             nl,
                             node,
-                            &[input],
+                            &[position],
                             &mut sim,
                             &mut reference
                         ),
-                        "{} node {node:?} input {input:?}",
+                        "{} node {node:?} position {position}",
                         nl.name()
                     );
                 }
             }
             // Every node's whole primary support, at every distance.
+            let supports = SupportTable::new(nl);
             for (node, _) in nl.iter() {
-                let inputs: Vec<NodeId> = support(nl, node).primary.into_iter().collect();
+                let inputs: Vec<usize> = supports.primary_positions(node).collect();
                 assert_eq!(
                     filter.unateness_polarities(node, &inputs),
                     reference_unateness_polarities(nl, node, &inputs, &mut sim, &mut reference),
@@ -608,9 +618,10 @@ mod tests {
     fn a_warm_prefilter_answers_without_sweeping() {
         let nl = differential_netlists().pop().expect("a locked netlist");
         let mut filter = prefilter(&nl);
-        let queries: Vec<(NodeId, Vec<NodeId>)> = nl
+        let supports = SupportTable::new(&nl);
+        let queries: Vec<(NodeId, Vec<usize>)> = nl
             .iter()
-            .map(|(node, _)| (node, support(&nl, node).primary.into_iter().collect()))
+            .map(|(node, _)| (node, supports.primary_positions(node).collect()))
             .collect();
         let ask = |filter: &mut Prefilter<'_>| {
             queries

@@ -47,12 +47,12 @@ pub fn sliding_window_in(
     // apart prove the candidate is not a radius-h sphere function.
     if !session
         .prefilter()
-        .satisfying_within_distance(candidate, &query.inputs, 2 * h)
+        .satisfying_within_distance(candidate, &query.positions, 2 * h)
     {
         return None;
     }
-    let complete = Analysis::SlidingWindow.is_complete(h, query.inputs.len());
-    session.settle_cube(candidate, h, complete, |session| {
+    let m = query.inputs.len();
+    session.settle_cube(candidate, h, Analysis::SlidingWindow, m, |session| {
         extract_cube(session, &query)
     })
 }

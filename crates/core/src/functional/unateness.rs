@@ -13,7 +13,6 @@
 //! whole candidate) whenever a concrete monotonicity violation exists, which
 //! skips the corresponding SAT queries without changing any result.
 
-use netlist::analysis::{input_positions, support};
 use netlist::{Netlist, NodeId};
 use sat::{Lit, SolveResult};
 
@@ -50,25 +49,23 @@ pub fn analyze_unateness_in(
     session: &mut AttackSession<'_>,
     candidate: NodeId,
 ) -> Option<CubeAssignment> {
+    let positions = session.primary_support(candidate)?;
     let netlist = session.netlist();
-    let sup = support(netlist, candidate);
-    if !sup.keys.is_empty() || sup.primary.is_empty() {
-        return None;
-    }
-    let inputs: Vec<NodeId> = sup.primary.iter().copied().collect();
-    let positions = input_positions(netlist, &inputs);
+    let inputs: Vec<NodeId> = positions.iter().map(|&p| netlist.inputs()[p]).collect();
 
     // Word-parallel pre-filter: polarities refuted by an explicit witness
     // need no SAT query; a candidate refuted in both polarities of any
     // variable is rejected outright.
-    let polarities = session.prefilter().unateness_polarities(candidate, &inputs);
+    let polarities = session
+        .prefilter()
+        .unateness_polarities(candidate, &positions);
     if polarities.iter().any(|&(p, n)| !p && !n) {
         return None;
     }
 
     // The cube itself is `strip_0`, so the verdicts at h = 0 apply.
-    let complete = Analysis::Unateness.is_complete(0, inputs.len());
-    session.settle_cube(candidate, 0, complete, |session| {
+    let m = inputs.len();
+    session.settle_cube(candidate, 0, Analysis::Unateness, m, |session| {
         extract_cube(session, candidate, &inputs, &positions, &polarities)
     })
 }

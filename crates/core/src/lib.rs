@@ -85,7 +85,7 @@ pub mod structural;
 pub mod trace;
 pub mod unlock;
 
-pub use attack::{fall_attack, FallAttackConfig, FallAttackResult, FallStatus};
+pub use attack::{fall_attack, fall_attack_in, FallAttackConfig, FallAttackResult, FallStatus};
 pub use key_confirmation::{key_confirmation, KeyConfirmationConfig, KeyConfirmationResult};
 pub use oracle::{CountingOracle, Oracle, SimOracle};
 pub use parallel::{

@@ -53,7 +53,7 @@ use locking::Key;
 use netlist::Netlist;
 use sat::SolverStats;
 
-use crate::attack::{fall_attack, FallAttackConfig};
+use crate::attack::{fall_attack_in, FallAttackConfig};
 use crate::functional::PrefilterStats;
 use crate::key_confirmation::{key_confirmation_in, KeyConfirmationConfig};
 use crate::metrics::MetricReport;
@@ -172,7 +172,8 @@ impl LatencyReservoir {
 pub enum JobKind {
     /// The baseline oracle-guided SAT attack ([`mod@crate::sat_attack`]).
     SatAttack,
-    /// The full FALL pipeline ([`crate::attack::fall_attack`]).
+    /// The full FALL pipeline ([`crate::attack::fall_attack_in`]), on the
+    /// worker's session.
     Fall {
         /// The Hamming-distance parameter the adversary assumes; `None`
         /// takes the `h` the target was registered with.
@@ -1182,14 +1183,18 @@ fn execute(
             }
         }
         JobKind::Fall { h } => {
-            // FALL builds its own session internally (its pipeline owns the
-            // candidate bookkeeping); the pool session still serves SAT and
-            // confirmation jobs between FALL runs.  The job token is threaded
+            // FALL runs on the pool session like every other job: its
+            // analyses go to the session's cone solver, so the DIP solver
+            // serving SAT and confirmation jobs never sees a cone clause,
+            // and everything FALL derives from the netlist (structural
+            // stages, cone encodings, prefilter sweeps, stripper verdicts)
+            // stays warm for the next FALL job.  The result's prefilter
+            // counters are this job's share.  The job token is threaded
             // through the config so the deadline interrupts every stage.
             let mut config = FallAttackConfig::for_h(h.unwrap_or(target.h));
             config.interrupt = Some(job.token.as_flag());
             config.confirmation.time_limit = Some(job.timeout);
-            let result = fall_attack(&target.netlist, Some(oracle), &config);
+            let result = fall_attack_in(session, Some(oracle), &config);
             shared
                 .prefilter
                 .lock()
@@ -1387,6 +1392,58 @@ mod tests {
         assert!(started.elapsed() >= Duration::from_millis(150));
         assert_eq!(reason.load(Ordering::SeqCst), REASON_TIMEOUT);
         assert!(!long_token.is_cancelled());
+        service.shutdown();
+    }
+
+    #[test]
+    fn repeated_fall_jobs_count_the_prefilter_sweeps_once() {
+        use crate::attack::fall_attack;
+        use crate::oracle::SimOracle;
+        use locking::{LockingScheme, SfllHd};
+        use netlist::random::{generate, RandomCircuitSpec};
+
+        let original = generate(&RandomCircuitSpec::new("svc_fall", 14, 3, 90));
+        let locked = SfllHd::new(10, 1)
+            .with_seed(8)
+            .lock(&original)
+            .expect("lock")
+            .optimized();
+        let cold = fall_attack(&locked.locked, None, &FallAttackConfig::for_h(1)).prefilter;
+        assert!(cold.patterns_simulated > 0 && cold.total_refuted() > 0);
+
+        let service = AttackService::new(ServiceConfig {
+            workers_per_target: 1,
+            ..ServiceConfig::default()
+        });
+        let oracle = Arc::new(SimOracle::new(locked.original.clone()));
+        service
+            .register_target("t", "sfll-hd", 1, locked.locked.clone(), oracle)
+            .expect("register");
+        let client = service.next_client();
+        for _ in 0..2 {
+            let (reply, report) = mpsc::channel();
+            let spec = JobSpec {
+                kind: JobKind::Fall { h: None },
+                timeout: None,
+                tag: 0,
+            };
+            service.submit("t", client, spec, reply).expect("submit");
+            let report = report.recv().expect("report");
+            assert_eq!(report.status, JobStatus::KeyFound);
+            assert_eq!(report.key.as_ref(), Some(&locked.key));
+        }
+        let metric = |name: &str| service.metrics().get(name).expect("metric").value;
+        // The second job sweeps nothing: the pool counts one attack's
+        // sweeps.  Both jobs made (and count) the same refutations.
+        assert_eq!(
+            metric("prefilter_patterns_simulated"),
+            cold.patterns_simulated as f64
+        );
+        assert_eq!(
+            metric("prefilter_refuted"),
+            2.0 * cold.total_refuted() as f64
+        );
+        assert_eq!(metric("serve_sessions_created"), 1.0);
         service.shutdown();
     }
 

@@ -1,11 +1,17 @@
-//! The incremental attack session: one persistent solver plus cached circuit
+//! The incremental attack session: two persistent solvers plus cached circuit
 //! encodings shared by every attack stage.
 //!
 //! Every attack in this crate used to allocate a fresh [`sat::Solver`] and
 //! re-encode the locked netlist for each query.  Modern CDCL solvers win
 //! precisely by keeping learnt clauses, variable activities and saved phases
 //! alive across related queries, so [`AttackSession`] centralises all SAT
-//! interaction behind one persistent solver per attack run:
+//! interaction behind two persistent solvers per attack run: the *DIP
+//! solver* holds the DIP machinery and predicate generations, and the *cone
+//! solver*, created on the first cone query with the DIP solver's
+//! configuration, holds the cone machinery.  They are kept apart because a
+//! SAT answer assigns every variable of its solver: in one solver, every
+//! confirmation solve of a long-lived session would also decide the cone
+//! variables, and every analysis solve the DIP variables.
 //!
 //! * **DIP machinery** — the two shared-input circuit copies of the SAT
 //!   attack are encoded **once**; the "outputs differ" constraint lives in an
@@ -42,16 +48,25 @@
 //!   candidate whose cube one analysis already proved or refuted costs the
 //!   next analysis no solve at all.  Verdicts are facts about the netlist,
 //!   not about any frame, so they outlive every predicate generation.
+//!   The decided SAT-stage answer of each analysis on each candidate at
+//!   each `h` is kept too, so a second attack pass on the session solves
+//!   nothing.
 //! * **Prefilter cache** — the word-parallel prefilters' sweeps depend only
 //!   on the netlist and a fixed seed, never on the candidate, so the session
 //!   runs each of them once and every later candidate reads the result
 //!   (see `functional::prefilter`).
+//! * **Structural cache** — every node's support (one
+//!   [`netlist::analysis::SupportTable`] sweep), the comparators and the
+//!   candidate nodes are facts about the netlist alone, computed on first
+//!   use; the analyses and the equivalence check read supports from the
+//!   table instead of walking fanin cones.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use locking::Key;
+use netlist::analysis::SupportTable;
 use netlist::cnf::{encode_any_difference, encode_key_cone, KeyCone, Signal};
 use netlist::cnf::{IncrementalEncoder, PinBinding};
 use netlist::{Netlist, NodeId, DEFAULT_WIDE_WORDS};
@@ -61,8 +76,9 @@ use crate::encode::{
     assumptions_for, instantiate, instantiate_sharing_inputs, model_key, model_values, CircuitCopy,
 };
 use crate::functional::{
-    and2_lit, popcount_lits, xor2_lit, CubeAssignment, Prefilter, PrefilterStats,
+    and2_lit, popcount_lits, xor2_lit, Analysis, CubeAssignment, Prefilter, PrefilterStats,
 };
+use crate::structural::{candidates_over, comparators_over, CandidateNodes, Comparator};
 
 /// The flight-recorder phase name of a solver maintenance checkpoint.
 fn checkpoint_phase(checkpoint: sat::Checkpoint) -> &'static str {
@@ -72,6 +88,26 @@ fn checkpoint_phase(checkpoint: sat::Checkpoint) -> &'static str {
         sat::Checkpoint::Simplify => "sat_simplify",
         sat::Checkpoint::Eliminate => "sat_eliminate",
         sat::Checkpoint::Restart => "sat_restart",
+    }
+}
+
+/// Forwards a solver's maintenance checkpoints (GC, reduction,
+/// simplification, elimination, restarts) into the flight recorder.
+/// `record_duration` is a no-op while tracing is disabled, and the solver
+/// never reads a clock for search decisions, so the hook is
+/// trajectory-neutral either way.
+fn checkpoint_hook() -> Box<dyn FnMut(sat::Checkpoint, std::time::Duration) + Send> {
+    Box::new(|checkpoint, duration| {
+        crate::trace::record_duration(checkpoint_phase(checkpoint), duration);
+    })
+}
+
+/// Marks literals as solver interface: the session references them across
+/// [`Solver::simplify`] checkpoints (models, assumptions, new clauses), so
+/// bounded variable elimination must never resolve them out.
+fn freeze_all(solver: &mut Solver, lits: &[Lit]) {
+    for lit in lits {
+        solver.set_frozen(lit.var(), true);
     }
 }
 
@@ -147,8 +183,12 @@ struct PredicateGeneration {
     io_a_frame: FrameId,
 }
 
-/// Dual cone-analysis input spaces with shared difference/popcount networks.
+/// Dual cone-analysis input spaces with shared difference/popcount networks,
+/// and the solver that holds them.
 struct ConeParts {
+    /// The cone solver (see the [module documentation](self) for why it is
+    /// not the DIP solver).
+    solver: Solver,
     enc1: IncrementalEncoder,
     enc2: IncrementalEncoder,
     /// `diff[i] = X1_i XOR X2_i`, built lazily per input position.
@@ -163,7 +203,8 @@ struct ConeParts {
     const_false: Option<Lit>,
 }
 
-/// One persistent solver and its cached encodings for a whole attack run.
+/// The DIP and cone solvers and their cached encodings for a whole attack
+/// run, or for the life of a service worker.
 ///
 /// See the [module documentation](self) for the design; see
 /// [`crate::sat_attack::sat_attack`], [`mod@crate::key_confirmation`],
@@ -171,9 +212,16 @@ struct ConeParts {
 /// through it.
 pub struct AttackSession<'n> {
     netlist: &'n Netlist,
+    /// The DIP solver: SAT attack, key confirmation and predicate
+    /// generations.
     solver: Solver,
     dip: Option<DipParts>,
+    /// The cone machinery and its own solver, created on first use.
     cones: Option<ConeParts>,
+    /// The interrupt flag and conflict budget installed on the session, for
+    /// a cone solver created after they were set.
+    interrupt: Option<Arc<AtomicBool>>,
+    conflict_budget: Option<u64>,
     /// Key-dependent node set, computed once on the first I/O constraint and
     /// reused by every later [`AttackSession::constrain_key_with_io`] /
     /// [`AttackSession::force_dip`] call.
@@ -193,6 +241,16 @@ pub struct AttackSession<'n> {
     prefilter: Option<Prefilter<'n>>,
     /// Stripper verdicts keyed by `(candidate, h)`.
     verdicts: BTreeMap<(NodeId, usize), StripperVerdict>,
+    /// Decided SAT-stage answers of the analyses, keyed by
+    /// `(candidate, h, analysis)` ([`AttackSession::settle_cube`]).
+    answers: BTreeMap<(NodeId, usize, Analysis), Option<CubeAssignment>>,
+    /// Cone queries that came back [`SolveResult::Unknown`] so far.
+    cone_unknowns: u64,
+    /// What the structural stages derive from the netlist alone, built on
+    /// first use: every node's support, the comparators, the candidates.
+    supports: Option<SupportTable>,
+    comparators: Option<Vec<Comparator>>,
+    candidates: Option<CandidateNodes>,
 }
 
 impl<'n> AttackSession<'n> {
@@ -200,19 +258,14 @@ impl<'n> AttackSession<'n> {
     /// until the first query arrives.
     pub fn new(netlist: &'n Netlist) -> AttackSession<'n> {
         let mut solver = Solver::new();
-        // Forward the solver's maintenance checkpoints (GC, reduction,
-        // simplification, elimination, restarts) into the flight recorder.
-        // `record_duration` is a no-op while tracing is disabled, and the
-        // solver never reads a clock for search decisions, so the hook is
-        // trajectory-neutral either way.
-        solver.set_checkpoint_hook(Some(Box::new(|checkpoint, duration| {
-            crate::trace::record_duration(checkpoint_phase(checkpoint), duration);
-        })));
+        solver.set_checkpoint_hook(Some(checkpoint_hook()));
         AttackSession {
             netlist,
             solver,
             dip: None,
             cones: None,
+            interrupt: None,
+            conflict_budget: None,
             key_cone: None,
             generation: None,
             phi_key_pool: None,
@@ -220,6 +273,11 @@ impl<'n> AttackSession<'n> {
             clauses_at_last_simplify: 0,
             prefilter: None,
             verdicts: BTreeMap::new(),
+            answers: BTreeMap::new(),
+            cone_unknowns: 0,
+            supports: None,
+            comparators: None,
+            candidates: None,
         }
     }
 
@@ -245,7 +303,7 @@ impl<'n> AttackSession<'n> {
         self.full_encodings
     }
 
-    /// Installs (or clears) a shared interrupt flag on the underlying solver.
+    /// Installs (or clears) a shared interrupt flag on both solvers.
     ///
     /// While the flag reads `true`, every SAT query returns
     /// [`SolveResult::Unknown`] at its next check point, which the attack
@@ -253,7 +311,11 @@ impl<'n> AttackSession<'n> {
     /// parallel engine uses this to stop all workers the moment one confirms
     /// a key.
     pub fn set_interrupt(&mut self, flag: Option<Arc<AtomicBool>>) {
-        self.solver.set_interrupt(flag);
+        if let Some(cones) = &mut self.cones {
+            cones.solver.set_interrupt(flag.clone());
+        }
+        self.solver.set_interrupt(flag.clone());
+        self.interrupt = flag;
     }
 
     /// The netlist this session attacks.
@@ -261,11 +323,16 @@ impl<'n> AttackSession<'n> {
         self.netlist
     }
 
-    /// Work counters of the underlying solver, including the clause-arena
-    /// footprint (`arena_bytes`/`wasted_bytes`/`gc_runs`) and the number of
-    /// per-generation Tseitin variables reclaimed so far (`recycled_vars`).
+    /// Work counters of both solvers ([`SolverStats::absorb`]), including
+    /// the clause-arena footprint (`arena_bytes`/`wasted_bytes`/`gc_runs`)
+    /// and the number of per-generation Tseitin variables reclaimed so far
+    /// (`recycled_vars`).
     pub fn stats(&self) -> SolverStats {
-        self.solver.stats()
+        let mut stats = self.solver.stats();
+        if let Some(cones) = &self.cones {
+            stats.absorb(&cones.solver.stats());
+        }
+        stats
     }
 
     /// The session's prefilter cache ([`DEFAULT_WIDE_WORDS`] words per
@@ -288,7 +355,47 @@ impl<'n> AttackSession<'n> {
             .unwrap_or_default()
     }
 
-    /// Number of solver variables this session has allocated.  Bounded across
+    /// The support of every node, computed in one sweep on first use.
+    pub(crate) fn supports(&mut self) -> &SupportTable {
+        let netlist = self.netlist;
+        self.supports
+            .get_or_insert_with(|| SupportTable::new(netlist))
+    }
+
+    /// The primary-input positions (ascending) of `node`'s support, or
+    /// `None` when the node depends on a key input or on no input at all —
+    /// no cube stripper does either.
+    pub(crate) fn primary_support(&mut self, node: NodeId) -> Option<Vec<usize>> {
+        let supports = self.supports();
+        if supports.has_keys(node) {
+            return None;
+        }
+        let positions: Vec<usize> = supports.primary_positions(node).collect();
+        (!positions.is_empty()).then_some(positions)
+    }
+
+    /// The comparators of the netlist (§ III-A), found on first use.
+    pub(crate) fn comparators(&mut self) -> &[Comparator] {
+        if self.comparators.is_none() {
+            let netlist = self.netlist;
+            self.comparators = Some(comparators_over(netlist, self.supports()));
+        }
+        self.comparators.as_deref().expect("just built")
+    }
+
+    /// The candidate cube-stripper nodes of the netlist (§ III-B), matched
+    /// on first use.
+    pub(crate) fn candidates(&mut self) -> &CandidateNodes {
+        if self.candidates.is_none() {
+            self.comparators();
+            let supports = self.supports.as_ref().expect("built with the comparators");
+            let comparators = self.comparators.as_deref().expect("just built");
+            self.candidates = Some(candidates_over(self.netlist, supports, comparators));
+        }
+        self.candidates.as_ref().expect("just built")
+    }
+
+    /// Number of DIP-solver variables this session has allocated.  Bounded across
     /// predicate generations: retirement releases a generation's Tseitin
     /// variables back to the solver's free list, so generation `n + 1` reuses
     /// the variables of generation `n` instead of growing the space.
@@ -296,14 +403,20 @@ impl<'n> AttackSession<'n> {
         self.solver.num_vars()
     }
 
-    /// Forwards to [`Solver::set_conflict_budget`].
+    /// Forwards to [`Solver::set_conflict_budget`] on both solvers.
     pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
+        if let Some(cones) = &mut self.cones {
+            cones.solver.set_conflict_budget(budget);
+        }
         self.solver.set_conflict_budget(budget);
+        self.conflict_budget = budget;
     }
 
-    /// Direct access to the underlying solver, for callers that add their own
+    /// Direct access to the DIP solver, for callers that add their own
     /// **permanent** clauses.  Clauses must only be added between queries (at
-    /// decision level 0).
+    /// decision level 0).  Replacing it before the first cone query also
+    /// configures the cone solver, which copies its configuration when it is
+    /// created.
     ///
     /// Do *not* add a key-confirmation predicate ϕ this way: clauses added
     /// through the raw solver bypass the generation's frame routing, survive
@@ -314,23 +427,16 @@ impl<'n> AttackSession<'n> {
         &mut self.solver
     }
 
-    /// Model value of a literal after a successful query.
+    /// Model value of a cone-solver literal after a successful
+    /// [`AttackSession::check_cone_property`] query.  DIP models are read
+    /// through [`AttackSession::dip_inputs`] and the key extractors.
     pub fn value(&self, lit: Lit) -> Option<bool> {
-        self.solver.value(lit)
+        self.cones.as_ref()?.solver.value(lit)
     }
 
     // ------------------------------------------------------------------
     // DIP machinery (SAT attack and key confirmation).
     // ------------------------------------------------------------------
-
-    /// Marks literals as solver interface: the session references them across
-    /// [`Solver::simplify`] checkpoints (models, assumptions, new clauses),
-    /// so bounded variable elimination must never resolve them out.
-    fn freeze_all(&mut self, lits: &[Lit]) {
-        for lit in lits {
-            self.solver.set_frozen(lit.var(), true);
-        }
-    }
 
     fn ensure_dip(&mut self) {
         if self.dip.is_some() {
@@ -343,10 +449,10 @@ impl<'n> AttackSession<'n> {
         // The session's permanent interface: inputs and both key copies are
         // read from models and constrained by every later I/O pair, and the
         // difference literal is re-armed after each extract_key.
-        self.freeze_all(&copy_a.inputs);
-        self.freeze_all(&copy_a.keys);
-        self.freeze_all(&copy_b.keys);
-        self.freeze_all(&[diff]);
+        freeze_all(&mut self.solver, &copy_a.inputs);
+        freeze_all(&mut self.solver, &copy_a.keys);
+        freeze_all(&mut self.solver, &copy_b.keys);
+        freeze_all(&mut self.solver, &[diff]);
         let diff_frame = self.solver.push_frame();
         self.solver.add_clause_in(diff_frame, [diff]);
         let io_a_frame = self.solver.push_frame();
@@ -411,7 +517,7 @@ impl<'n> AttackSession<'n> {
                 .map(|_| Lit::positive(self.solver.new_var()))
                 .collect();
             // The pool outlives every generation; keep it out of elimination.
-            self.freeze_all(&keys);
+            freeze_all(&mut self.solver, &keys);
             self.phi_key_pool = Some(keys);
         }
         let phi_frame = self.solver.push_frame();
@@ -703,82 +809,88 @@ impl<'n> AttackSession<'n> {
     // Cone machinery (functional analyses and equivalence checking).
     // ------------------------------------------------------------------
 
-    fn ensure_cones(&mut self) {
-        if self.cones.is_some() {
-            return;
+    /// The cone machinery, creating it and its solver on first use.  The
+    /// cone solver copies the DIP solver's configuration and takes the same
+    /// checkpoint hook, interrupt flag and conflict budget.
+    fn cones(&mut self) -> &mut ConeParts {
+        if self.cones.is_none() {
+            self.full_encodings += 1;
+            let mut solver = Solver::with_config(self.solver.config().clone());
+            solver.set_checkpoint_hook(Some(checkpoint_hook()));
+            solver.set_interrupt(self.interrupt.clone());
+            solver.set_conflict_budget(self.conflict_budget);
+            let enc1 = IncrementalEncoder::new(self.netlist, &mut solver, &PinBinding::default());
+            // The second input space is fresh; the key space is shared with
+            // the first copy (analysis candidates never depend on key inputs,
+            // but a shared binding keeps cone pairs aligned if they ever do).
+            let enc2 = IncrementalEncoder::new(
+                self.netlist,
+                &mut solver,
+                &PinBinding {
+                    inputs: None,
+                    keys: Some(enc1.keys().to_vec()),
+                },
+            );
+            // Input and key pins of both spaces are referenced by every later
+            // analysis query; the internal cone-node literals are *not*
+            // frozen — elimination may chew through them, and a later
+            // re-reference pays a transparent resurrection instead.
+            freeze_all(&mut solver, enc1.inputs());
+            freeze_all(&mut solver, enc2.inputs());
+            freeze_all(&mut solver, enc1.keys());
+            self.cones = Some(ConeParts {
+                solver,
+                enc1,
+                enc2,
+                diff: vec![None; self.netlist.num_inputs()],
+                popcount: None,
+                hd_equals: BTreeMap::new(),
+                miters: BTreeMap::new(),
+                const_false: None,
+            });
         }
-        self.full_encodings += 1;
-        let enc1 = IncrementalEncoder::new(self.netlist, &mut self.solver, &PinBinding::default());
-        // The second input space is fresh; the key space is shared with the
-        // first copy (analysis candidates never depend on key inputs, but a
-        // shared binding keeps cone pairs aligned if they ever do).
-        let enc2 = IncrementalEncoder::new(
-            self.netlist,
-            &mut self.solver,
-            &PinBinding {
-                inputs: None,
-                keys: Some(enc1.keys().to_vec()),
-            },
-        );
-        // Input and key pins of both spaces are referenced by every later
-        // analysis query; the internal cone-node literals are *not* frozen —
-        // elimination may chew through them, and a later re-reference pays a
-        // transparent resurrection instead.
-        self.freeze_all(enc1.inputs());
-        self.freeze_all(enc2.inputs());
-        self.freeze_all(enc1.keys());
-        self.cones = Some(ConeParts {
-            enc1,
-            enc2,
-            diff: vec![None; self.netlist.num_inputs()],
-            popcount: None,
-            hd_equals: BTreeMap::new(),
-            miters: BTreeMap::new(),
-            const_false: None,
-        });
+        self.cones.as_mut().expect("just built")
     }
 
     /// Encodes (memoized) the candidate cone in the first input space and
     /// returns its root literal.
     pub fn cone_lit(&mut self, root: NodeId) -> Lit {
-        self.ensure_cones();
-        let cones = self.cones.as_mut().expect("just ensured");
-        let lit = cones.enc1.encode_cone(self.netlist, &mut self.solver, root);
+        let netlist = self.netlist;
+        let cones = self.cones();
+        let lit = cones.enc1.encode_cone(netlist, &mut cones.solver, root);
         // Root literals escape to callers (assumptions, miters); freeze them.
-        self.solver.set_frozen(lit.var(), true);
+        cones.solver.set_frozen(lit.var(), true);
         lit
     }
 
     /// Encodes (memoized) the candidate cone in both input spaces and
     /// returns the two root literals.
     pub fn cone_pair(&mut self, root: NodeId) -> (Lit, Lit) {
-        self.ensure_cones();
-        let cones = self.cones.as_mut().expect("just ensured");
-        let l1 = cones.enc1.encode_cone(self.netlist, &mut self.solver, root);
-        let l2 = cones.enc2.encode_cone(self.netlist, &mut self.solver, root);
-        self.solver.set_frozen(l1.var(), true);
-        self.solver.set_frozen(l2.var(), true);
+        let netlist = self.netlist;
+        let cones = self.cones();
+        let l1 = cones.enc1.encode_cone(netlist, &mut cones.solver, root);
+        let l2 = cones.enc2.encode_cone(netlist, &mut cones.solver, root);
+        cones.solver.set_frozen(l1.var(), true);
+        cones.solver.set_frozen(l2.var(), true);
         (l1, l2)
     }
 
     /// The literals of primary input `position` in the two input spaces.
     pub fn input_pair(&mut self, position: usize) -> (Lit, Lit) {
-        self.ensure_cones();
-        let cones = self.cones.as_ref().expect("just ensured");
+        let cones = self.cones();
         (cones.enc1.inputs()[position], cones.enc2.inputs()[position])
     }
 
     /// A literal equivalent to `X1[position] XOR X2[position]` (memoized).
     pub fn input_diff(&mut self, position: usize) -> Lit {
-        self.ensure_cones();
-        let cones = self.cones.as_mut().expect("just ensured");
+        let cones = self.cones();
         if let Some(lit) = cones.diff[position] {
             return lit;
         }
         let a = cones.enc1.inputs()[position];
         let b = cones.enc2.inputs()[position];
-        let lit = xor2_lit(&mut self.solver, a, b);
-        self.solver.set_frozen(lit.var(), true);
+        let lit = xor2_lit(&mut cones.solver, a, b);
+        cones.solver.set_frozen(lit.var(), true);
         cones.diff[position] = Some(lit);
         lit
     }
@@ -795,29 +907,23 @@ impl<'n> AttackSession<'n> {
     /// Callers restrict the distance to a support set by assuming
     /// [`AttackSession::input_eq`] for every position outside it.
     pub fn hd_equals(&mut self, k: usize) -> Lit {
-        self.ensure_cones();
         if k > self.netlist.num_inputs() {
             return self.cone_const_false();
         }
-        if let Some(&lit) = self.cones.as_ref().expect("just ensured").hd_equals.get(&k) {
+        if let Some(&lit) = self.cones().hd_equals.get(&k) {
             return lit;
         }
-        if self
-            .cones
-            .as_ref()
-            .expect("just ensured")
-            .popcount
-            .is_none()
-        {
+        if self.cones().popcount.is_none() {
             let diffs: Vec<Lit> = (0..self.netlist.num_inputs())
                 .map(|i| self.input_diff(i))
                 .collect();
-            let sum = popcount_lits(&mut self.solver, &diffs);
+            let cones = self.cones();
+            let sum = popcount_lits(&mut cones.solver, &diffs);
             // The counter bits feed every later `HD == k` literal.
-            self.freeze_all(&sum);
-            self.cones.as_mut().expect("just ensured").popcount = Some(sum);
+            freeze_all(&mut cones.solver, &sum);
+            cones.popcount = Some(sum);
         }
-        let cones = self.cones.as_mut().expect("just ensured");
+        let cones = self.cones();
         let sum = cones.popcount.clone().expect("just built");
         // AND over per-bit agreement of the counter with the constant k.
         let mut acc: Option<Lit> = None;
@@ -825,42 +931,40 @@ impl<'n> AttackSession<'n> {
             let term = if (k >> i) & 1 == 1 { s } else { !s };
             acc = Some(match acc {
                 None => term,
-                Some(prev) => and2_lit(&mut self.solver, prev, term),
+                Some(prev) => and2_lit(&mut cones.solver, prev, term),
             });
         }
         let lit = acc.expect("popcount has at least one bit");
-        self.solver.set_frozen(lit.var(), true);
-        self.cones
-            .as_mut()
-            .expect("just ensured")
-            .hd_equals
-            .insert(k, lit);
+        cones.solver.set_frozen(lit.var(), true);
+        cones.hd_equals.insert(k, lit);
         lit
     }
 
     /// A literal equivalent to `a XOR b` (memoized miter).
     pub fn miter(&mut self, a: Lit, b: Lit) -> Lit {
-        self.ensure_cones();
+        let cones = self.cones();
         let key = if a.code() <= b.code() { (a, b) } else { (b, a) };
-        if let Some(&lit) = self.cones.as_ref().expect("just ensured").miters.get(&key) {
+        if let Some(&lit) = cones.miters.get(&key) {
             return lit;
         }
-        let lit = xor2_lit(&mut self.solver, a, b);
-        self.solver.set_frozen(lit.var(), true);
-        self.cones
-            .as_mut()
-            .expect("just ensured")
-            .miters
-            .insert(key, lit);
+        let lit = xor2_lit(&mut cones.solver, a, b);
+        cones.solver.set_frozen(lit.var(), true);
+        cones.miters.insert(key, lit);
         lit
     }
 
     /// Decides a cone property under assumptions — the generic analysis
-    /// query.  All shared structure (cones, difference vector, popcount) is
-    /// reused; the query itself adds no clauses.
+    /// query, answered by the cone solver.  All shared structure (cones,
+    /// difference vector, popcount) is reused; the query itself adds no
+    /// clauses.
     pub fn check_cone_property(&mut self, assumptions: &[Lit]) -> SolveResult {
-        let _span = crate::trace::span("solve");
-        self.solver.solve_with(assumptions)
+        let cones = self.cones();
+        let result = {
+            let _span = crate::trace::span("solve");
+            cones.solver.solve_with(assumptions)
+        };
+        self.cone_unknowns += u64::from(result == SolveResult::Unknown);
+        result
     }
 
     /// The verdict recorded for `candidate` at `h`, if any.
@@ -868,34 +972,50 @@ impl<'n> AttackSession<'n> {
         self.verdicts.get(&(candidate, h))
     }
 
-    /// Runs the SAT stage of a functional analysis of `candidate` at `h`
-    /// through the session's stripper verdicts.
+    /// Runs the SAT stage `extract` of `analysis` on `candidate` at `h`
+    /// (`m` = the candidate's support size) through the session's stripper
+    /// verdicts and answers.
     ///
-    /// For a `complete` analysis a settled candidate needs no solve: on a
+    /// For a complete analysis a settled candidate needs no solve: on a
     /// proven [`StripperVerdict::Stripper`] the answer is its cube, exactly
     /// what the analysis computes on `strip_h` of that cube, and on
     /// [`StripperVerdict::NotStripper`] it is ⊥, because any cube the
-    /// analysis found would fail the equivalence check.  Otherwise `extract`
-    /// runs, and a cube a complete analysis returns is recorded as the
-    /// [`StripperVerdict::Suspect`].  `extract` must return ⊥ whenever one
-    /// of its solves came back [`SolveResult::Unknown`].
+    /// analysis found would fail the equivalence check.  Otherwise the
+    /// answer this analysis gave the candidate at `h` before is returned, or
+    /// `extract` runs; its answer is kept unless one of its solves came back
+    /// [`SolveResult::Unknown`], and a cube a complete analysis returns is
+    /// recorded as the [`StripperVerdict::Suspect`].  `extract` must return
+    /// ⊥ whenever one of its solves came back [`SolveResult::Unknown`].
+    ///
+    /// One attack pass asks each (candidate, `h`, analysis) once, so the
+    /// kept answers only serve later passes on the same session.
     pub(crate) fn settle_cube(
         &mut self,
         candidate: NodeId,
         h: usize,
-        complete: bool,
+        analysis: Analysis,
+        m: usize,
         extract: impl FnOnce(&mut Self) -> Option<CubeAssignment>,
     ) -> Option<CubeAssignment> {
-        if !complete {
-            return extract(self);
+        let complete = analysis.is_complete(h, m);
+        if complete {
+            match self.stripper_verdict(candidate, h) {
+                Some(StripperVerdict::Stripper(cube)) => return Some(cube.clone()),
+                Some(StripperVerdict::NotStripper) => return None,
+                Some(StripperVerdict::Suspect(_)) | None => {}
+            }
         }
-        match self.stripper_verdict(candidate, h) {
-            Some(StripperVerdict::Stripper(cube)) => return Some(cube.clone()),
-            Some(StripperVerdict::NotStripper) => return None,
-            Some(StripperVerdict::Suspect(_)) | None => {}
+        let key = (candidate, h, analysis);
+        if let Some(answer) = self.answers.get(&key) {
+            return answer.clone();
         }
-        let cube = extract(self)?;
-        if 2 * h != cube.len() {
+        let unknowns = self.cone_unknowns;
+        let answer = extract(self);
+        if self.cone_unknowns == unknowns {
+            self.answers.insert(key, answer.clone());
+        }
+        let cube = answer?;
+        if complete && 2 * h != cube.len() {
             self.verdicts
                 .entry((candidate, h))
                 .or_insert_with(|| StripperVerdict::Suspect(cube.clone()));
@@ -950,13 +1070,13 @@ impl<'n> AttackSession<'n> {
     }
 
     fn cone_const_false(&mut self) -> Lit {
-        let cones = self.cones.as_mut().expect("ensured by caller");
+        let cones = self.cones();
         if let Some(lit) = cones.const_false {
             return lit;
         }
-        let lit = Lit::positive(self.solver.new_var());
-        self.solver.set_frozen(lit.var(), true);
-        self.solver.add_clause([!lit]);
+        let lit = Lit::positive(cones.solver.new_var());
+        cones.solver.set_frozen(lit.var(), true);
+        cones.solver.add_clause([!lit]);
         cones.const_false = Some(lit);
         lit
     }

@@ -6,7 +6,7 @@
 //! function is XOR or XNOR of the two.  Finding them gives the attacker the
 //! pairing between key bits and protected circuit inputs.
 
-use netlist::analysis::support_signature;
+use netlist::analysis::SupportTable;
 use netlist::cnf::{encode_cones, PinBinding};
 use netlist::{Netlist, NodeId};
 use sat::{SolveResult, Solver};
@@ -34,7 +34,13 @@ pub struct Comparator {
 /// check with SAT queries, matching the paper's implementation, and is used
 /// for the ablation benchmark.
 pub fn find_comparators(netlist: &Netlist) -> Vec<Comparator> {
-    candidate_pairs(netlist)
+    comparators_over(netlist, &SupportTable::new(netlist))
+}
+
+/// [`find_comparators`] over a precomputed support table (the cached one
+/// of an [`crate::session::AttackSession`]).
+pub(crate) fn comparators_over(netlist: &Netlist, supports: &SupportTable) -> Vec<Comparator> {
+    candidate_pairs(netlist, supports)
         .into_iter()
         .filter_map(|(node, input, key)| {
             classify_by_simulation(netlist, node, input, key).map(|xnor| Comparator {
@@ -50,7 +56,7 @@ pub fn find_comparators(netlist: &Netlist) -> Vec<Comparator> {
 /// Finds all comparator gates, using SAT-based functional equivalence checks
 /// (the method described in the paper).
 pub fn find_comparators_sat(netlist: &Netlist) -> Vec<Comparator> {
-    candidate_pairs(netlist)
+    candidate_pairs(netlist, &SupportTable::new(netlist))
         .into_iter()
         .filter_map(|(node, input, key)| {
             classify_by_sat(netlist, node, input, key).map(|xnor| Comparator {
@@ -64,25 +70,16 @@ pub fn find_comparators_sat(netlist: &Netlist) -> Vec<Comparator> {
 }
 
 /// Gates whose support is exactly {one primary input, one key input}.
-fn candidate_pairs(netlist: &Netlist) -> Vec<(NodeId, NodeId, NodeId)> {
-    let supports = support_signature(netlist);
+fn candidate_pairs(netlist: &Netlist, supports: &SupportTable) -> Vec<(NodeId, NodeId, NodeId)> {
     let mut result = Vec::new();
     for node in netlist.gate_ids() {
-        let support = &supports[node.index()];
-        if support.len() != 2 {
+        if supports.len(node) != 2 {
             continue;
         }
-        let mut primary = None;
-        let mut key = None;
-        for &id in support {
-            if netlist.is_key_input(id) {
-                key = Some(id);
-            } else {
-                primary = Some(id);
-            }
-        }
-        if let (Some(input), Some(key)) = (primary, key) {
-            result.push((node, input, key));
+        let mut primary = supports.primary_positions(node);
+        let mut keys = supports.key_positions(node);
+        if let (Some(input), Some(key)) = (primary.next(), keys.next()) {
+            result.push((node, netlist.inputs()[input], netlist.key_inputs()[key]));
         }
     }
     result

@@ -5,9 +5,7 @@
 //! set (and contains no key inputs) is a candidate for the output of the cube
 //! stripping unit.
 
-use std::collections::BTreeSet;
-
-use netlist::analysis::support_signature;
+use netlist::analysis::{input_positions, SupportTable};
 use netlist::{Netlist, NodeId};
 
 use super::Comparator;
@@ -38,6 +36,16 @@ impl CandidateNodes {
 /// Comparator gates themselves (and anything depending on key inputs) are
 /// never candidates because their support contains key inputs.
 pub fn find_candidates(netlist: &Netlist, comparators: &[Comparator]) -> CandidateNodes {
+    candidates_over(netlist, &SupportTable::new(netlist), comparators)
+}
+
+/// [`find_candidates`] over a precomputed support table (the cached one of
+/// an [`crate::session::AttackSession`]).
+pub(crate) fn candidates_over(
+    netlist: &Netlist,
+    supports: &SupportTable,
+    comparators: &[Comparator],
+) -> CandidateNodes {
     // Deduplicate the (input, key) pairing; keep the first key seen per input.
     let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
     for cmp in comparators {
@@ -48,16 +56,16 @@ pub fn find_candidates(netlist: &Netlist, comparators: &[Comparator]) -> Candida
     pairs.sort_by_key(|&(input, _)| input);
     let protected_inputs: Vec<NodeId> = pairs.iter().map(|&(i, _)| i).collect();
     let paired_keys: Vec<NodeId> = pairs.iter().map(|&(_, k)| k).collect();
-    let target: BTreeSet<NodeId> = protected_inputs.iter().copied().collect();
 
     let mut candidates = Vec::new();
-    if !target.is_empty() {
-        let supports = support_signature(netlist);
-        for node in netlist.gate_ids() {
-            if supports[node.index()] == target {
-                candidates.push(node);
-            }
-        }
+    if !protected_inputs.is_empty() {
+        let positions = input_positions(netlist, &protected_inputs);
+        let target = supports.row_of_primaries(&positions);
+        candidates.extend(
+            netlist
+                .gate_ids()
+                .filter(|&node| supports.row(node) == target.as_slice()),
+        );
     }
 
     CandidateNodes {

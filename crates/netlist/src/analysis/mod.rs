@@ -5,4 +5,4 @@ mod levels;
 mod support;
 
 pub use levels::{logic_levels, max_level, NetlistStats};
-pub use support::{input_positions, support, support_signature, transitive_fanin, SupportSet};
+pub use support::{input_positions, support, transitive_fanin, SupportSet, SupportTable};

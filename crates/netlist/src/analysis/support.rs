@@ -81,25 +81,113 @@ pub fn input_positions(netlist: &Netlist, ids: &[NodeId]) -> Vec<usize> {
         .collect()
 }
 
-/// Computes the supports of *all* nodes in one topological sweep and returns,
-/// for each node, a compact signature: the sorted list of input node ids.
+/// The supports of *all* nodes of a netlist, computed in one topological
+/// sweep and stored as one bitset row per node.
+///
+/// Bit `p` of a row is primary input position `p` (declaration order, see
+/// [`Netlist::inputs`]); bit `num_inputs + q` is key input position `q`.
+/// Primary inputs are numbered in node-id order, so ascending positions list
+/// the support inputs sorted by node id, like [`SupportSet`].
 ///
 /// This is much faster than calling [`support`] per node when scanning a
-/// whole netlist (as comparator identification and support-set matching do).
-pub fn support_signature(netlist: &Netlist) -> Vec<BTreeSet<NodeId>> {
-    let mut supports: Vec<BTreeSet<NodeId>> = vec![BTreeSet::new(); netlist.num_nodes()];
-    for (id, node) in netlist.iter() {
-        if node.is_input() {
-            supports[id.index()].insert(id);
-        } else {
-            let mut s = BTreeSet::new();
-            for &fanin in node.fanins() {
-                s.extend(supports[fanin.index()].iter().copied());
+/// whole netlist (as comparator identification and support-set matching do),
+/// and a row lookup replaces the per-query fanin traversal of the
+/// functional analyses.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SupportTable {
+    num_inputs: usize,
+    words: usize,
+    rows: Vec<u64>,
+}
+
+impl SupportTable {
+    /// Sweeps the netlist once, OR-ing each gate's fanin rows.
+    pub fn new(netlist: &Netlist) -> SupportTable {
+        let num_inputs = netlist.num_inputs();
+        let words = (num_inputs + netlist.num_key_inputs()).div_ceil(64).max(1);
+        let mut rows = vec![0u64; netlist.num_nodes() * words];
+        for (id, node) in netlist.iter() {
+            let slot = if node.is_key_input() {
+                netlist.key_input_position(id).map(|q| num_inputs + q)
+            } else if node.is_input() {
+                netlist.input_position(id)
+            } else {
+                None
+            };
+            let (done, row) = rows.split_at_mut(id.index() * words);
+            let row = &mut row[..words];
+            match slot {
+                Some(bit) => row[bit / 64] |= 1 << (bit % 64),
+                None => {
+                    for fanin in node.fanins() {
+                        let fanin = &done[fanin.index() * words..][..words];
+                        for (word, &bits) in row.iter_mut().zip(fanin) {
+                            *word |= bits;
+                        }
+                    }
+                }
             }
-            supports[id.index()] = s;
+        }
+        SupportTable {
+            num_inputs,
+            words,
+            rows,
         }
     }
-    supports
+
+    /// The bitset row of `node`.
+    pub fn row(&self, node: NodeId) -> &[u64] {
+        &self.rows[node.index() * self.words..][..self.words]
+    }
+
+    /// The row of a support made of exactly the given primary input
+    /// positions, for comparison with [`SupportTable::row`].
+    pub fn row_of_primaries(&self, positions: &[usize]) -> Vec<u64> {
+        let mut row = vec![0u64; self.words];
+        for &p in positions {
+            assert!(p < self.num_inputs, "position {p} is not a primary input");
+            row[p / 64] |= 1 << (p % 64);
+        }
+        row
+    }
+
+    /// Primary input positions in the support of `node`, ascending.
+    pub fn primary_positions(&self, node: NodeId) -> impl Iterator<Item = usize> + '_ {
+        let limit = self.num_inputs;
+        set_bits(self.row(node)).take_while(move |&bit| bit < limit)
+    }
+
+    /// Key input positions in the support of `node`, ascending.
+    pub fn key_positions(&self, node: NodeId) -> impl Iterator<Item = usize> + '_ {
+        let offset = self.num_inputs;
+        set_bits(self.row(node))
+            .skip_while(move |&bit| bit < offset)
+            .map(move |bit| bit - offset)
+    }
+
+    /// Number of inputs (primary and key) in the support of `node`.
+    pub fn len(&self, node: NodeId) -> usize {
+        self.row(node).iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Returns `true` if some key input is in the support of `node`.
+    pub fn has_keys(&self, node: NodeId) -> bool {
+        self.key_positions(node).next().is_some()
+    }
+}
+
+/// The indices of the set bits of a bitset, ascending.
+fn set_bits(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    row.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + bit
+            })
+        })
+    })
 }
 
 #[cfg(test)]
@@ -150,14 +238,37 @@ mod tests {
     }
 
     #[test]
-    fn bulk_signatures_match_per_node_support() {
-        let (nl, _, _, _, _) = sample();
-        let sigs = support_signature(&nl);
-        for (id, _) in nl.iter() {
-            let s = support(&nl, id);
-            let expected: BTreeSet<NodeId> =
-                s.primary.iter().chain(s.keys.iter()).copied().collect();
-            assert_eq!(sigs[id.index()], expected, "node {id:?}");
+    fn support_table_matches_per_node_support() {
+        // 70 primary plus 3 key inputs: rows span two words, and the key
+        // bits sit in the second one.
+        let spec = crate::random::RandomCircuitSpec::new("wide", 70, 3, 200);
+        let mut wide = crate::random::generate(&spec);
+        let mut driver = wide.outputs()[0].1;
+        for i in 0..3 {
+            let key = wide.add_key_input(format!("k{i}"));
+            driver = wide.add_gate(format!("kx{i}"), GateKind::Xor, &[driver, key]);
+        }
+        wide.add_output("keyed", driver);
+        for nl in [sample().0, wide] {
+            let table = SupportTable::new(&nl);
+            for (id, _) in nl.iter() {
+                let s = support(&nl, id);
+                let primary: Vec<NodeId> = table
+                    .primary_positions(id)
+                    .map(|p| nl.inputs()[p])
+                    .collect();
+                let keys: Vec<NodeId> = table
+                    .key_positions(id)
+                    .map(|q| nl.key_inputs()[q])
+                    .collect();
+                assert!(
+                    primary.iter().copied().eq(s.primary.iter().copied()),
+                    "{id:?}"
+                );
+                assert!(keys.iter().copied().eq(s.keys.iter().copied()), "{id:?}");
+                assert_eq!(table.len(id), s.len(), "{id:?}");
+                assert_eq!(table.has_keys(id), !s.keys.is_empty(), "{id:?}");
+            }
         }
     }
 }

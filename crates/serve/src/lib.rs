@@ -198,6 +198,11 @@ fn accept_loop(listener: &TcpListener, service: &Arc<AttackService>, state: &Arc
         if state.stopping.load(Ordering::SeqCst) {
             break;
         }
+        // Replies are small line frames written as soon as a job ends;
+        // Nagle's algorithm would hold each one back until the client's
+        // delayed ACK of the previous frame.  Best effort: a socket that
+        // refuses the option still works, only slower.
+        let _ = stream.set_nodelay(true);
         if let Ok(clone) = stream.try_clone() {
             state.conns.lock().expect("conns lock").push(clone);
         }

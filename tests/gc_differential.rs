@@ -45,10 +45,11 @@ fn disabled_gc() -> SolverConfig {
     }
 }
 
-/// A fresh session for `netlist` whose solver runs under `config`.  The
-/// solver is swapped in before anything is encoded, so apart from the
-/// flight-recorder checkpoint hook (which this suite never reads) the session
-/// is exactly what [`AttackSession::new`] builds.
+/// A fresh session for `netlist` whose solvers run under `config`.  The DIP
+/// solver is swapped in before anything is encoded, and the cone solver
+/// copies its configuration when the first cone query creates it, so apart
+/// from the DIP solver's flight-recorder checkpoint hook (which this suite
+/// never reads) the session is exactly what [`AttackSession::new`] builds.
 fn session_with(netlist: &Netlist, config: SolverConfig) -> AttackSession<'_> {
     let mut session = AttackSession::new(netlist);
     *session.solver_mut() = Solver::with_config(config);
