@@ -4,9 +4,11 @@
 # Usage: ./ci.sh [--quick|--bench-smoke]
 #   --quick        skip the release build (format/lint/test only)
 #   --bench-smoke  run ONLY the benchmark smoke suite: build the bench
-#                  harness in release mode, run the trimmed parallel-engine
-#                  workloads plus a pipes-mode fall-dist farm smoke (clean
-#                  2-worker run and a crash-requeue run, gating the
+#                  harness in release mode, run the trimmed partitioned key
+#                  search (one session draining 4 and then 8 regions,
+#                  gating the parallel_1w_* counters and
+#                  cone_encodings_built) plus a pipes-mode fall-dist farm
+#                  smoke (clean 2-worker run and a crash-requeue run, gating the
 #                  dist_* counters and the dist_worker_stats_reports
 #                  telemetry count) and a flight-recorder-armed SAT attack
 #                  (gating the trace_* span counts and exporting the Chrome
@@ -79,9 +81,11 @@ echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
 # The frame-scoped-predicate correctness story: the differential + property
-# suites proving a recycled per-worker session is observationally equivalent
-# to a fresh session per region.  Part of the workspace run above; re-run
-# explicitly so a failure is attributed to the session-reuse machinery.
+# suites proving a recycled session is observationally equivalent to a fresh
+# session per region, and that the one-session partitioned key search finds
+# an equivalent key with no more unique oracle queries than a fresh session
+# per region (plus one).  Part of the workspace run above; re-run explicitly
+# so a failure is attributed to the session-reuse machinery.
 echo "==> cargo test -q --test session_reuse --test parallel_engine"
 cargo test -q --test session_reuse --test parallel_engine
 

@@ -1,8 +1,9 @@
 //! Fast benchmark smoke run for the CI regression gate.
 //!
-//! Runs trimmed versions of the parallel-engine workloads, writes the
-//! measured metrics as `BENCH_parallel.json` (a [`MetricReport`]) and
-//! compares them against a checked-in baseline:
+//! Runs trimmed versions of the partitioned-key-search, farm, serve and
+//! simulation workloads, writes the measured metrics as
+//! `BENCH_parallel.json` (a [`MetricReport`]) and compares them against a
+//! checked-in baseline:
 //!
 //! ```text
 //! bench_smoke [--baseline PATH] [--out PATH] [--write-baseline] [--tolerance F]
@@ -19,11 +20,11 @@
 //! Two classes of metric are reported:
 //!
 //! * deterministic counters (oracle queries, iterations, cone sizes, the
-//!   per-worker `sessions_created`/`cone_encodings_built` counters of the
-//!   frame-scoped-predicate engine, and the clause-arena memory counters —
-//!   `*_arena_bytes`/`*_gc_runs`/`*_recycled_vars` from the single-threaded
-//!   workloads (the 1-worker drain reads them from
-//!   `ParallelSearchResult::solver_stats`), including the 100-generation
+//!   `cone_encodings_built` counter of the frame-scoped-predicate search,
+//!   and the clause-arena memory counters — `*_arena_bytes`/`*_gc_runs`/
+//!   `*_recycled_vars` from the single-session workloads (the
+//!   `parallel_1w_*` partitioned search reads them from
+//!   `PartitionedSearchResult::solver_stats`), including the 100-generation
 //!   long-lived-session run, the flight-recorder span counts `trace_*` from
 //!   the traced single SAT attack, and the farm telemetry-report count
 //!   `dist_worker_stats_reports`) — gated at the tolerance (default 20 %);
@@ -32,20 +33,17 @@
 //! * `info_*` metrics (absolute seconds, single-shot speedup ratios,
 //!   scheduler-dependent counts) — reported for humans and uploaded as a CI
 //!   artifact, but excluded from the baseline: neither absolute timings nor
-//!   one-shot ratios are comparable across machines or runs.  Use the
-//!   `parallel_speedup` criterion bench for real scaling measurements.
+//!   one-shot ratios are comparable across machines or runs.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use fall::attack::{fall_attack, FallAttackConfig};
 use fall::functional::PrefilterStats;
-use fall::key_confirmation::{
-    key_confirmation, key_confirmation_in, partitioned_key_search, KeyConfirmationConfig,
-};
+use fall::key_confirmation::{key_confirmation, key_confirmation_in, KeyConfirmationConfig};
 use fall::metrics::MetricReport;
 use fall::oracle::{CountingOracle, SimOracle};
-use fall::parallel::parallel_partitioned_key_search;
+use fall::parallel::partitioned_key_search;
 use fall::sat_attack::{sat_attack, SatAttackConfig};
 use fall::session::AttackSession;
 use fall_bench::{regressions_against, HdPolicy, LockCase, Scale, TABLE1_CIRCUITS};
@@ -56,15 +54,12 @@ use netlist::random::{generate, RandomCircuitSpec};
 use netlist::WideSim;
 use netshim::Value;
 
-// Two partition bits put ex1010's winning region into the first worker wave,
-// so 4-worker cancellation speedups show up even on low-core CI machines,
-// and the whole smoke stays fast.
+// Two partition bits keep the whole smoke fast.
 const PARTITION_BITS: usize = 2;
-// The frame-scoped-predicate acceptance workload: 8 regions on 4 workers,
-// where per-worker session reuse (exactly 4 sessions / 4 full encodings, not
-// 8 of each) is measured by deterministic counters.
+// The frame-scoped-predicate acceptance workload: 8 regions on one session,
+// whose reuse (exactly one full encoding, not 8) is measured by a
+// deterministic counter.
 const WIDE_PARTITION_BITS: usize = 3;
-const WIDE_WORKERS: usize = 4;
 
 struct Options {
     baseline: String,
@@ -119,114 +114,54 @@ fn measure() -> MetricReport {
     report.record("key_cone_gates", cone.num_gates() as f64, false);
 
     let t = Instant::now();
-    let serial = partitioned_key_search(locked, &oracle, PARTITION_BITS, &config);
-    let serial_elapsed = t.elapsed().as_secs_f64();
-    assert!(serial.completed && serial.key.is_some(), "serial search");
-    report.record("info_partitioned_serial_s", serial_elapsed, false);
+    let search = partitioned_key_search(locked, &oracle, PARTITION_BITS, &config);
     report.record(
-        "partitioned_serial_oracle_queries",
-        serial.oracle_queries as f64,
+        "info_partitioned_search_s",
+        t.elapsed().as_secs_f64(),
         false,
     );
+    assert!(
+        search.completed && search.key.is_some(),
+        "partitioned search"
+    );
+    // One session drains the regions in order, so every counter is
+    // deterministic.  The `parallel_1w_` names are kept so the checked-in
+    // baseline values stay comparable across the rename of the engine.
     report.record(
-        "partitioned_serial_iterations",
-        serial.iterations as f64,
+        "parallel_1w_unique_oracle_queries",
+        search.oracle_queries as f64,
         false,
     );
+    // The solver's memory counters: the arena footprint after draining every
+    // region, and how much the GC + variable recycling reclaimed.
+    let sat = &search.solver_stats;
+    report.record("parallel_1w_arena_bytes", sat.arena_bytes as f64, false);
+    report.record("parallel_1w_gc_runs", sat.gc_runs as f64, false);
+    report.record("parallel_1w_recycled_vars", sat.recycled_vars as f64, false);
+    // Search-effort counters of the modern CDCL core (tiered reduction, EMA
+    // restarts, bounded variable elimination): how many conflicts and
+    // propagated literals the whole region sweep costs, and how often the
+    // tiered learnt-database reduction ran.  Baseline-gated so a heuristic
+    // regression that silently blows up search effort fails the smoke even
+    // when wall-clock noise would hide it.
+    report.record("parallel_1w_conflicts", sat.conflicts as f64, false);
+    report.record("parallel_1w_propagations", sat.propagations as f64, false);
+    report.record("parallel_1w_reductions", sat.reductions as f64, false);
 
-    for workers in [1usize, 2, 4] {
-        let t = Instant::now();
-        let parallel =
-            parallel_partitioned_key_search(locked, &oracle, PARTITION_BITS, workers, &config);
-        let elapsed = t.elapsed().as_secs_f64();
-        assert!(
-            parallel.completed && parallel.key.is_some(),
-            "parallel search with {workers} workers"
-        );
-        report.record(
-            format!("info_partitioned_parallel_{workers}w_s"),
-            elapsed,
-            false,
-        );
-        if workers == 1 {
-            // One worker drains the region queue in the serial order on one
-            // long-lived session, so this counter is deterministic (and
-            // smaller than the serial count: the shared cache deduplicates
-            // across regions and carried-over learnt clauses prune the
-            // distinguishing-input search).
-            report.record(
-                "parallel_1w_unique_oracle_queries",
-                parallel.oracle_queries as f64,
-                false,
-            );
-            // Single-threaded, so the solver's memory counters are
-            // deterministic too: the arena footprint after draining every
-            // region, and how much the GC + variable recycling reclaimed.
-            let sat = &parallel.solver_stats;
-            report.record("parallel_1w_arena_bytes", sat.arena_bytes as f64, false);
-            report.record("parallel_1w_gc_runs", sat.gc_runs as f64, false);
-            report.record("parallel_1w_recycled_vars", sat.recycled_vars as f64, false);
-            // Search-effort counters of the modern CDCL core (tiered
-            // reduction, EMA restarts, bounded variable elimination), from
-            // the same deterministic single-worker drain: how many conflicts
-            // and propagated literals the whole serial region sweep costs,
-            // and how often the tiered learnt-database reduction ran.
-            // Baseline-gated so a heuristic regression that silently blows
-            // up search effort fails the smoke even when wall-clock noise
-            // would hide it.
-            report.record("parallel_1w_conflicts", sat.conflicts as f64, false);
-            report.record("parallel_1w_propagations", sat.propagations as f64, false);
-            report.record("parallel_1w_reductions", sat.reductions as f64, false);
-        } else {
-            // Single-shot wall-clock ratio: scheduler jitter and per-machine
-            // core counts make this unsuitable for a required gate, so it is
-            // informational; the gated metrics are the deterministic
-            // counters.
-            report.record(
-                format!("info_parallel_speedup_{workers}w"),
-                serial_elapsed / elapsed,
-                true,
-            );
-        }
-        if workers == 4 {
-            // How many queries in-flight regions issue before cancellation
-            // depends on the core count, so this is informational only; the
-            // deterministic dedup canary is the 1-worker counter above.
-            report.record(
-                "info_parallel_4w_unique_oracle_queries",
-                parallel.oracle_queries as f64,
-                false,
-            );
-        }
-    }
-
-    // ---- Frame-scoped predicate reuse: 8 regions on 4 workers -------------
-    // Each worker keeps one long-lived session and rebinds ϕ per region, so
-    // sessions and full circuit encodings are counted per *worker*.  Both
-    // counters are deterministic by construction (workers create and prime
-    // their session at thread start, before touching the region queue).
+    // ---- Frame-scoped predicate reuse: 8 regions on one session -----------
+    // The session rebinds ϕ per region, so the circuit is encoded once
+    // (deterministic: the session is primed before the first region).
     let t = Instant::now();
-    let wide = parallel_partitioned_key_search(
-        locked,
-        &oracle,
-        WIDE_PARTITION_BITS,
-        WIDE_WORKERS,
-        &config,
-    );
+    let wide = partitioned_key_search(locked, &oracle, WIDE_PARTITION_BITS, &config);
     report.record(
-        format!("info_partitioned_parallel_{WIDE_WORKERS}w_8regions_s"),
+        "info_partitioned_8regions_s",
         t.elapsed().as_secs_f64(),
         false,
     );
     assert!(
         wide.completed && wide.key.is_some(),
-        "8-region parallel search"
+        "8-region partitioned search"
     );
-    assert_eq!(
-        wide.sessions_created, WIDE_WORKERS,
-        "one session per worker"
-    );
-    report.record("sessions_created", wide.sessions_created as f64, false);
     report.record(
         "cone_encodings_built",
         wide.cone_encodings_built as f64,

@@ -10,10 +10,8 @@
 //! * **§ VI-B headline numbers** — circuits defeated and unique-key rate
 //!   (`--bin summary`).
 //!
-//! Criterion benchmarks live in `benches/`; `incremental_vs_fresh` measures
-//! the persistent [`fall::session::AttackSession`] (one solver per attack,
-//! cached encodings) against the fresh-solver-per-query ablation baselines
-//! on the Figure 5 / Figure 6 workloads.
+//! Criterion benchmarks live in `benches/` (attack stages, analyses, locking
+//! schemes, netlist operations and the SAT solver).
 //!
 //! The ISCAS'85/MCNC netlists used by the paper are not redistributable, so
 //! the suite substitutes seeded random circuits with the same interface sizes

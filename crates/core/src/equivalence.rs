@@ -102,22 +102,6 @@ pub fn candidate_equals_strip_in(
     result == SolveResult::Unsat
 }
 
-/// Filters a list of `(candidate, suspected cube)` pairs down to those whose
-/// candidate is provably the strip function for that cube, sharing one
-/// session across all checks.
-pub fn filter_by_equivalence(
-    netlist: &Netlist,
-    suspects: &[(NodeId, CubeAssignment)],
-    h: usize,
-) -> Vec<(NodeId, CubeAssignment)> {
-    let mut session = AttackSession::new(netlist);
-    suspects
-        .iter()
-        .filter(|(candidate, cube)| candidate_equals_strip_in(&mut session, *candidate, cube, h))
-        .cloned()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,7 +192,13 @@ mod tests {
         let (nl, out, xs) = stripper(5, 0b11001, 1);
         let good = (out, assignment(&xs, 0b11001));
         let bad = (out, assignment(&xs, 0b00110));
-        let kept = filter_by_equivalence(&nl, &[good.clone(), bad], 1);
+        let mut session = AttackSession::new(&nl);
+        let kept: Vec<_> = [good.clone(), bad]
+            .into_iter()
+            .filter(|(candidate, cube)| {
+                candidate_equals_strip_in(&mut session, *candidate, cube, 1)
+            })
+            .collect();
         assert_eq!(kept, vec![good]);
     }
 }

@@ -106,20 +106,6 @@ fn extract_cube(session: &mut AttackSession<'_>, query: &HdPairQuery) -> Option<
     Some(keys.into_iter().collect())
 }
 
-/// Convenience wrapper running [`distance_2h`] on several candidates through
-/// one shared session.
-pub fn distance_2h_all(
-    netlist: &Netlist,
-    candidates: &[NodeId],
-    h: usize,
-) -> Vec<(NodeId, Option<CubeAssignment>)> {
-    let mut session = AttackSession::new(netlist);
-    candidates
-        .iter()
-        .map(|&c| (c, distance_2h_in(&mut session, c, h)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,7 +181,11 @@ mod tests {
     #[test]
     fn batch_helper_reports_per_candidate() {
         let (nl, out, _) = stripper(8, 0b00101100, 1);
-        let results = distance_2h_all(&nl, &[out], 1);
+        let mut session = AttackSession::new(&nl);
+        let results: Vec<_> = [out]
+            .iter()
+            .map(|&c| (c, distance_2h_in(&mut session, c, 1)))
+            .collect();
         assert_eq!(results.len(), 1);
         assert!(results[0].1.is_some());
     }

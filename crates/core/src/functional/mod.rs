@@ -16,10 +16,10 @@ mod unateness;
 pub use constraints::{
     and2_lit, equal_lit, popcount_equals_lit, popcount_lits, require_popcount_equals, xor2_lit,
 };
-pub use distance_2h::{distance_2h, distance_2h_all, distance_2h_in};
+pub use distance_2h::{distance_2h, distance_2h_in};
 pub(crate) use prefilter::Prefilter;
 pub use prefilter::PrefilterStats;
-pub use sliding_window::{sliding_window, sliding_window_all, sliding_window_in};
+pub use sliding_window::{sliding_window, sliding_window_in};
 pub use unateness::{analyze_unateness, analyze_unateness_in};
 
 use netlist::NodeId;

@@ -99,20 +99,6 @@ fn extract_cube(session: &mut AttackSession<'_>, query: &HdPairQuery) -> Option<
     Some(assignment)
 }
 
-/// Convenience wrapper running [`sliding_window`] on several candidates
-/// through one shared session and returning the per-candidate results.
-pub fn sliding_window_all(
-    netlist: &Netlist,
-    candidates: &[NodeId],
-    h: usize,
-) -> Vec<(NodeId, Option<CubeAssignment>)> {
-    let mut session = AttackSession::new(netlist);
-    candidates
-        .iter()
-        .map(|&c| (c, sliding_window_in(&mut session, c, h)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,7 +182,11 @@ mod tests {
     #[test]
     fn batch_helper_reports_per_candidate() {
         let (nl, out, _) = stripper(5, 0b00111, 1);
-        let results = sliding_window_all(&nl, &[out], 1);
+        let mut session = AttackSession::new(&nl);
+        let results: Vec<_> = [out]
+            .iter()
+            .map(|&c| (c, sliding_window_in(&mut session, c, 1)))
+            .collect();
         assert_eq!(results.len(), 1);
         assert!(results[0].1.is_some());
     }

@@ -10,16 +10,11 @@
 use std::time::{Duration, Instant};
 
 use locking::Key;
-use netlist::cnf::encode_any_difference;
 use netlist::{Netlist, WideSim};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sat::{Lit, SolveResult, Solver};
 
-use crate::encode::{
-    assumptions_for, constrain_equal_const, instantiate, instantiate_sharing_inputs,
-    instantiate_sharing_keys, model_key, model_values,
-};
 use crate::oracle::Oracle;
 use crate::session::{AttackSession, KeyVector};
 
@@ -72,7 +67,7 @@ pub struct KeyConfirmationResult {
 ///
 /// This is the common case in the FALL flow: ϕ is the disjunction of the key
 /// values produced by the functional analyses.  See
-/// [`key_confirmation_with_predicate`] for the general form.
+/// [`key_confirmation_with_predicate_in`] for the general form.
 ///
 /// # Panics
 ///
@@ -193,25 +188,11 @@ fn add_shortlist_phi(solver: &mut Solver, key_lits: &[Lit], suspected_keys: &[Ke
     solver.add_clause(selectors);
 }
 
-/// Runs key confirmation with an arbitrary key predicate ϕ.
+/// Session-based key confirmation with an arbitrary key predicate ϕ.
 ///
 /// `add_phi` receives the key-candidate solver and the literals of `K1` and
 /// must add clauses constraining them; passing a no-op closure makes the
 /// algorithm equivalent to the plain SAT attack (ϕ = true).
-pub fn key_confirmation_with_predicate<F>(
-    locked: &Netlist,
-    oracle: &dyn Oracle,
-    config: &KeyConfirmationConfig,
-    add_phi: F,
-) -> KeyConfirmationResult
-where
-    F: FnOnce(&mut Solver, &[Lit]),
-{
-    let mut session = AttackSession::new(locked);
-    key_confirmation_with_predicate_in(&mut session, oracle, config, add_phi)
-}
-
-/// Session-based key confirmation with an arbitrary predicate ϕ.
 ///
 /// The whole algorithm runs inside one persistent solver: the two-copy
 /// distinguishing formula `Q` is encoded once with its difference constraint
@@ -224,10 +205,10 @@ where
 ///
 /// ϕ and the I/O pairs observed during this run live in a *predicate
 /// generation* ([`AttackSession::begin_predicate`]) that is retired before
-/// returning, so the same session can run any number of confirmations — the
-/// parallel engine's workers confirm one key-space region after another on
-/// one long-lived session this way, keeping their circuit encodings and
-/// frame-independent learnt clauses throughout.
+/// returning, so the same session can run any number of confirmations —
+/// [`crate::parallel::drain_regions`] confirms one key-space region after
+/// another on one long-lived session this way, keeping its circuit encodings
+/// and frame-independent learnt clauses throughout.
 ///
 /// # Panics
 ///
@@ -335,184 +316,119 @@ fn confirmation_loop(
     }
 }
 
-/// The pre-session key confirmation: two dedicated solvers and full
-/// re-encoding per query.
-///
-/// Kept as the ablation baseline for the `incremental_vs_fresh` benchmark
-/// and as a differential-testing reference; new code should use
-/// [`key_confirmation`].
-pub fn key_confirmation_fresh(
-    locked: &Netlist,
-    oracle: &dyn Oracle,
-    suspected_keys: &[Key],
-    config: &KeyConfirmationConfig,
-) -> KeyConfirmationResult {
-    assert!(!suspected_keys.is_empty(), "shortlist must not be empty");
-    assert_eq!(
-        oracle.num_inputs(),
-        locked.num_inputs(),
-        "oracle width does not match the locked circuit"
-    );
-    let start = Instant::now();
-
-    // P: produces candidate keys consistent with ϕ and the observed I/O pairs.
-    let mut p_solver = Solver::new();
-    p_solver.set_conflict_budget(config.conflict_budget);
-    let p_keys: Vec<Lit> = (0..locked.num_key_inputs())
-        .map(|_| Lit::positive(p_solver.new_var()))
-        .collect();
-    add_shortlist_phi(&mut p_solver, &p_keys, suspected_keys);
-
-    // Q: produces distinguishing inputs between K1 (assumed equal to the
-    // candidate) and any other key K2 consistent with the observed I/O pairs.
-    let mut q_solver = Solver::new();
-    q_solver.set_conflict_budget(config.conflict_budget);
-    let q_copy1 = instantiate(locked, &mut q_solver);
-    let q_copy2 = instantiate_sharing_inputs(locked, &mut q_solver, &q_copy1.inputs);
-    let diff = encode_any_difference(&mut q_solver, &q_copy1.outputs, &q_copy2.outputs);
-    q_solver.add_clause([diff]);
-
-    let mut iterations = 0usize;
-    let mut oracle_queries = 0usize;
-    let unfinished =
-        |key: Option<Key>, iterations, oracle_queries, elapsed| KeyConfirmationResult {
-            key,
-            completed: false,
-            iterations,
-            oracle_queries,
-            elapsed,
-        };
-
-    loop {
-        if iterations >= config.max_iterations
-            || config
-                .time_limit
-                .is_some_and(|limit| start.elapsed() >= limit)
-        {
-            return unfinished(None, iterations, oracle_queries, start.elapsed());
-        }
-
-        let candidate = match p_solver.solve() {
-            SolveResult::Unsat => {
-                return KeyConfirmationResult {
-                    key: None,
-                    completed: true,
-                    iterations,
-                    oracle_queries,
-                    elapsed: start.elapsed(),
-                };
-            }
-            SolveResult::Unknown => {
-                return unfinished(None, iterations, oracle_queries, start.elapsed())
-            }
-            SolveResult::Sat => model_key(&p_solver, &p_keys),
-        };
-
-        let assumptions = assumptions_for(&q_copy1.keys, candidate.bits());
-        match q_solver.solve_with(&assumptions) {
-            SolveResult::Unsat => {
-                return KeyConfirmationResult {
-                    key: Some(candidate),
-                    completed: true,
-                    iterations,
-                    oracle_queries,
-                    elapsed: start.elapsed(),
-                };
-            }
-            SolveResult::Unknown => {
-                return unfinished(None, iterations, oracle_queries, start.elapsed())
-            }
-            SolveResult::Sat => {}
-        }
-        iterations += 1;
-        let distinguishing_input = model_values(&q_solver, &q_copy1.inputs);
-        let observed_output = oracle.query(&distinguishing_input);
-        oracle_queries += 1;
-
-        let p_constrained = instantiate_sharing_keys(locked, &mut p_solver, &p_keys);
-        constrain_equal_const(&mut p_solver, &p_constrained.inputs, &distinguishing_input);
-        constrain_equal_const(&mut p_solver, &p_constrained.outputs, &observed_output);
-
-        let q_constrained = instantiate_sharing_keys(locked, &mut q_solver, &q_copy2.keys);
-        constrain_equal_const(&mut q_solver, &q_constrained.inputs, &distinguishing_input);
-        constrain_equal_const(&mut q_solver, &q_constrained.outputs, &observed_output);
-    }
-}
-
-/// Future-work extension from § VI-D: partitions the key space into
-/// `2^partition_bits` regions by fixing the first key bits and runs key
-/// confirmation on each region in turn, returning the first confirmed key.
-///
-/// This demonstrates how ϕ can be used to parallelise the SAT attack; the
-/// regions are independent and [`crate::parallel::parallel_partitioned_key_search`]
-/// dispatches them to worker threads.
-///
-/// `partition_bits` is clamped to the key width.  Requesting 64 or more
-/// effective partition bits would mean enumerating ≥ 2⁶⁴ regions (and
-/// overflows the region counter), so such calls return immediately with
-/// `completed: false` instead of panicking or silently wrapping.
-pub fn partitioned_key_search(
-    locked: &Netlist,
-    oracle: &dyn Oracle,
-    partition_bits: usize,
-    config: &KeyConfirmationConfig,
-) -> KeyConfirmationResult {
-    let width = locked.num_key_inputs();
-    let partition_bits = partition_bits.min(width);
-    let start = Instant::now();
-    if partition_bits >= u64::BITS as usize {
-        return KeyConfirmationResult {
-            key: None,
-            completed: false,
-            iterations: 0,
-            oracle_queries: 0,
-            elapsed: start.elapsed(),
-        };
-    }
-    let mut total_iterations = 0usize;
-    let mut total_queries = 0usize;
-    for region in 0..(1u64 << partition_bits) {
-        let result = key_confirmation_with_predicate(locked, oracle, config, |solver, keys| {
-            for (bit, &lit) in keys.iter().enumerate().take(partition_bits) {
-                let value = (region >> bit) & 1 == 1;
-                solver.add_clause([if value { lit } else { !lit }]);
-            }
-        });
-        total_iterations += result.iterations;
-        total_queries += result.oracle_queries;
-        if result.key.is_some() {
-            return KeyConfirmationResult {
-                iterations: total_iterations,
-                oracle_queries: total_queries,
-                elapsed: start.elapsed(),
-                ..result
-            };
-        }
-        if !result.completed {
-            return KeyConfirmationResult {
-                key: None,
-                completed: false,
-                iterations: total_iterations,
-                oracle_queries: total_queries,
-                elapsed: start.elapsed(),
-            };
-        }
-    }
-    KeyConfirmationResult {
-        key: None,
-        completed: true,
-        iterations: total_iterations,
-        oracle_queries: total_queries,
-        elapsed: start.elapsed(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encode::{
+        assumptions_for, constrain_equal_const, instantiate, instantiate_sharing_inputs,
+        instantiate_sharing_keys, model_key, model_values,
+    };
     use crate::oracle::SimOracle;
     use locking::{LockingScheme, SfllHd, TtLock, XorLock};
+    use netlist::cnf::encode_any_difference;
     use netlist::random::{generate, RandomCircuitSpec};
+
+    /// The pre-session key confirmation: two dedicated solvers and full
+    /// re-encoding per query.
+    ///
+    /// Kept as the differential-testing reference for [`key_confirmation`].
+    fn key_confirmation_fresh(
+        locked: &Netlist,
+        oracle: &dyn Oracle,
+        suspected_keys: &[Key],
+        config: &KeyConfirmationConfig,
+    ) -> KeyConfirmationResult {
+        assert!(!suspected_keys.is_empty(), "shortlist must not be empty");
+        assert_eq!(
+            oracle.num_inputs(),
+            locked.num_inputs(),
+            "oracle width does not match the locked circuit"
+        );
+        let start = Instant::now();
+
+        // P: produces candidate keys consistent with ϕ and the observed I/O pairs.
+        let mut p_solver = Solver::new();
+        p_solver.set_conflict_budget(config.conflict_budget);
+        let p_keys: Vec<Lit> = (0..locked.num_key_inputs())
+            .map(|_| Lit::positive(p_solver.new_var()))
+            .collect();
+        add_shortlist_phi(&mut p_solver, &p_keys, suspected_keys);
+
+        // Q: produces distinguishing inputs between K1 (assumed equal to the
+        // candidate) and any other key K2 consistent with the observed I/O pairs.
+        let mut q_solver = Solver::new();
+        q_solver.set_conflict_budget(config.conflict_budget);
+        let q_copy1 = instantiate(locked, &mut q_solver);
+        let q_copy2 = instantiate_sharing_inputs(locked, &mut q_solver, &q_copy1.inputs);
+        let diff = encode_any_difference(&mut q_solver, &q_copy1.outputs, &q_copy2.outputs);
+        q_solver.add_clause([diff]);
+
+        let mut iterations = 0usize;
+        let mut oracle_queries = 0usize;
+        let unfinished =
+            |key: Option<Key>, iterations, oracle_queries, elapsed| KeyConfirmationResult {
+                key,
+                completed: false,
+                iterations,
+                oracle_queries,
+                elapsed,
+            };
+
+        loop {
+            if iterations >= config.max_iterations
+                || config
+                    .time_limit
+                    .is_some_and(|limit| start.elapsed() >= limit)
+            {
+                return unfinished(None, iterations, oracle_queries, start.elapsed());
+            }
+
+            let candidate = match p_solver.solve() {
+                SolveResult::Unsat => {
+                    return KeyConfirmationResult {
+                        key: None,
+                        completed: true,
+                        iterations,
+                        oracle_queries,
+                        elapsed: start.elapsed(),
+                    };
+                }
+                SolveResult::Unknown => {
+                    return unfinished(None, iterations, oracle_queries, start.elapsed())
+                }
+                SolveResult::Sat => model_key(&p_solver, &p_keys),
+            };
+
+            let assumptions = assumptions_for(&q_copy1.keys, candidate.bits());
+            match q_solver.solve_with(&assumptions) {
+                SolveResult::Unsat => {
+                    return KeyConfirmationResult {
+                        key: Some(candidate),
+                        completed: true,
+                        iterations,
+                        oracle_queries,
+                        elapsed: start.elapsed(),
+                    };
+                }
+                SolveResult::Unknown => {
+                    return unfinished(None, iterations, oracle_queries, start.elapsed())
+                }
+                SolveResult::Sat => {}
+            }
+            iterations += 1;
+            let distinguishing_input = model_values(&q_solver, &q_copy1.inputs);
+            let observed_output = oracle.query(&distinguishing_input);
+            oracle_queries += 1;
+
+            let p_constrained = instantiate_sharing_keys(locked, &mut p_solver, &p_keys);
+            constrain_equal_const(&mut p_solver, &p_constrained.inputs, &distinguishing_input);
+            constrain_equal_const(&mut p_solver, &p_constrained.outputs, &observed_output);
+
+            let q_constrained = instantiate_sharing_keys(locked, &mut q_solver, &q_copy2.keys);
+            constrain_equal_const(&mut q_solver, &q_constrained.inputs, &distinguishing_input);
+            constrain_equal_const(&mut q_solver, &q_constrained.outputs, &observed_output);
+        }
+    }
 
     fn locked_sfll(h: usize) -> (netlist::Netlist, locking::LockedCircuit) {
         let original = generate(&RandomCircuitSpec::new("kc", 12, 3, 80));
@@ -589,8 +505,9 @@ mod tests {
             .lock(&original)
             .expect("lock");
         let oracle = SimOracle::new(original.clone());
-        let result = key_confirmation_with_predicate(
-            &locked.locked,
+        let mut session = AttackSession::new(&locked.locked);
+        let result = key_confirmation_with_predicate_in(
+            &mut session,
             &oracle,
             &KeyConfirmationConfig::default(),
             |_, _| {},
@@ -680,85 +597,5 @@ mod tests {
         assert_eq!(result.key, None);
         assert_eq!(result.iterations, 0);
         assert_eq!(result.oracle_queries, 0);
-    }
-
-    #[test]
-    fn partitioned_search_with_zero_bits_is_plain_confirmation() {
-        let original = generate(&RandomCircuitSpec::new("kc_part0", 8, 2, 50));
-        let locked = SfllHd::new(4, 0)
-            .with_seed(6)
-            .lock(&original)
-            .expect("lock");
-        let oracle = SimOracle::new(original);
-        let result = partitioned_key_search(
-            &locked.locked,
-            &oracle,
-            0,
-            &KeyConfirmationConfig::default(),
-        );
-        assert!(result.completed);
-        let key = result
-            .key
-            .expect("single region covers the whole key space");
-        assert!(locked.key_is_functionally_correct(&key, 200, 4));
-    }
-
-    #[test]
-    fn partitioned_search_with_full_width_enumerates_single_keys() {
-        // partition_bits == key width: every region pins the entire key, so
-        // the search degenerates to trying each key value in turn.
-        let original = generate(&RandomCircuitSpec::new("kc_partw", 8, 2, 50));
-        let locked = SfllHd::new(3, 0)
-            .with_seed(4)
-            .lock(&original)
-            .expect("lock");
-        let oracle = SimOracle::new(original);
-        for requested in [3usize, 10] {
-            // Requests beyond the width are clamped to it.
-            let result = partitioned_key_search(
-                &locked.locked,
-                &oracle,
-                requested,
-                &KeyConfirmationConfig::default(),
-            );
-            assert!(result.completed, "requested {requested}");
-            let key = result.key.expect("key recovered");
-            assert!(locked.key_is_functionally_correct(&key, 200, 4));
-        }
-    }
-
-    #[test]
-    fn partitioned_search_refuses_unenumerable_partitions() {
-        // 64 effective partition bits would overflow `1u64 << bits`; the
-        // search must return a clean unfinished result instead.
-        let (locked, original) = crate::test_fixtures::wide_key_circuit_and_original();
-        let oracle = SimOracle::new(original);
-        for bits in [64usize, 65, usize::MAX] {
-            let result =
-                partitioned_key_search(&locked, &oracle, bits, &KeyConfirmationConfig::default());
-            assert!(!result.completed, "bits {bits}");
-            assert_eq!(result.key, None);
-            assert_eq!(result.iterations, 0);
-            assert_eq!(result.oracle_queries, 0);
-        }
-    }
-
-    #[test]
-    fn partitioned_search_finds_the_key() {
-        let original = generate(&RandomCircuitSpec::new("kc_part", 8, 2, 50));
-        let locked = SfllHd::new(5, 0)
-            .with_seed(2)
-            .lock(&original)
-            .expect("lock");
-        let oracle = SimOracle::new(original);
-        let result = partitioned_key_search(
-            &locked.locked,
-            &oracle,
-            2,
-            &KeyConfirmationConfig::default(),
-        );
-        assert!(result.completed);
-        let key = result.key.expect("key recovered");
-        assert!(locked.key_is_functionally_correct(&key, 200, 4));
     }
 }

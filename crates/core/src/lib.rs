@@ -27,11 +27,12 @@
 //! frames, so learnt clauses accumulate across the entire attack instead of
 //! being discarded per query.
 //!
-//! The [`parallel`] module scales key confirmation across threads: § VI-D
-//! key-space partitioning on a worker pool
-//! ([`parallel::parallel_partitioned_key_search`], one session per worker,
-//! shared deduplicating oracle cache, first-winner cancellation).  Every
-//! other attack runs serially on its one session.
+//! The [`parallel`] module holds the § VI-D partitioned key search
+//! ([`parallel::partitioned_key_search`]: one primed session drains the
+//! `2^p` key-space regions behind a deduplicating oracle cache) and the
+//! region loop, oracle cache and cancellation token that the concurrent
+//! shells build on; parallel region search runs in the `fall-dist` farm,
+//! one process per worker.
 //! The [`service`] module packages long-lived sessions as a multi-tenant
 //! pool ([`service::AttackService`]): registered targets own worker threads
 //! with primed sessions that persist across jobs and clients, behind bounded
@@ -89,32 +90,8 @@ pub use attack::{fall_attack, fall_attack_in, FallAttackConfig, FallAttackResult
 pub use key_confirmation::{key_confirmation, KeyConfirmationConfig, KeyConfirmationResult};
 pub use oracle::{CountingOracle, Oracle, SimOracle};
 pub use parallel::{
-    drain_regions, parallel_partitioned_key_search, AtomicRegionSource, CachingOracle, CancelToken,
-    ParallelSearchResult, RegionDrain, RegionDrainOutcome, RegionSource,
+    drain_regions, partitioned_key_search, AtomicRegionSource, CachingOracle, CancelToken,
+    PartitionedSearchResult, RegionDrain, RegionDrainOutcome, RegionSource,
 };
 pub use sat_attack::{sat_attack, SatAttackConfig, SatAttackResult, SatAttackStatus};
 pub use session::{AttackSession, KeyVector};
-
-#[cfg(test)]
-pub(crate) mod test_fixtures {
-    use netlist::{GateKind, Netlist};
-
-    /// A locked netlist with 64 key inputs (XOR chain) plus a trivial
-    /// keyless original for its oracle — shared by the partition-overflow
-    /// guard tests of `key_confirmation` and `parallel`.
-    pub(crate) fn wide_key_circuit_and_original() -> (Netlist, Netlist) {
-        let mut locked = Netlist::new("wide");
-        let a = locked.add_input("a");
-        let mut acc = a;
-        for i in 0..64 {
-            let k = locked.add_key_input(format!("k{i}"));
-            acc = locked.add_gate(format!("x{i}"), GateKind::Xor, &[acc, k]);
-        }
-        locked.add_output("y", acc);
-
-        let mut original = Netlist::new("wide_orig");
-        let oa = original.add_input("a");
-        original.add_output("y", oa);
-        (locked, original)
-    }
-}

@@ -1,36 +1,37 @@
-//! The parallel attack engine: partitioned key search on a worker pool.
+//! Partitioned key search and the region/oracle machinery it shares with
+//! `fall-serve` and `fall-dist`.
 //!
 //! § VI-D of the paper observes that the key-confirmation predicate ϕ makes
 //! the key space trivially partitionable: fixing the first `p` key bits
 //! yields `2^p` *independent* regions, each a self-contained confirmation
-//! problem.  This module dispatches those regions to a fixed pool of worker
-//! threads; every **worker** owns one long-lived [`sat::Solver`]-backed
-//! [`AttackSession`] for its whole lifetime — each region binds ϕ in a
+//! problem.  [`partitioned_key_search`] drains those regions on **one**
+//! long-lived, primed [`AttackSession`]: each region binds ϕ in a
 //! retireable predicate generation ([`AttackSession::begin_predicate`]) that
-//! is retired when the region concludes, so the circuit encodings and the
+//! is retired when the region concludes, so the circuit encoding and the
 //! frame-independent learnt clauses carry over from region to region instead
-//! of being rebuilt `2^p` times:
+//! of being rebuilt `2^p` times.
 //!
-//! * **Work queue, not static chunking** — regions are pulled from a shared
-//!   atomic counter, so a worker that drew an easy (quickly-UNSAT) region
-//!   immediately moves on while a skewed region keeps exactly one worker
-//!   busy.
-//! * **Shared oracle cache** — all workers query the activated chip through
-//!   one [`CachingOracle`]: a sharded map that deduplicates concurrent
-//!   queries, so the parallel attack issues (almost) no more real oracle
-//!   queries than the serial one.  Real oracle access is the expensive,
-//!   physically-limited resource in the threat model, so this matters more
-//!   than raw CPU scaling.
-//! * **Cancellation token** — the moment one worker confirms a key, every
-//!   other solver observes the shared [`CancelToken`] at its next check
-//!   point (mid-search, not just between queries) and backs out.
+//! The pieces it is built from serve the concurrent shells too:
+//!
+//! * [`drain_regions`] over a [`RegionSource`] is the one region loop — the
+//!   in-process search feeds it an [`AtomicRegionSource`], the `fall-dist`
+//!   farm workers (where parallel region search lives, one process per
+//!   worker) a wire-backed source.
+//! * [`CachingOracle`] is a sharded, deduplicating oracle cache, so
+//!   `oracle_queries` counts distinct patterns; `fall-serve` keeps one per
+//!   target, shared by all of that target's worker threads.  Real oracle
+//!   access is the expensive, physically-limited resource in the threat
+//!   model.
+//! * [`CancelToken`] is the sticky cancellation flag a solver observes at its
+//!   next check point (mid-search, not just between queries): `fall-serve`
+//!   cancels jobs with it and `fall-dist` workers bridge the supervisor's
+//!   `cancel` frame into it.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread;
 use std::time::{Duration, Instant};
 
 use locking::Key;
@@ -79,8 +80,8 @@ const ORACLE_SHARDS: usize = 16;
 
 /// How a [`CachingOracle`] holds the oracle it deduplicates.
 enum OracleRef<'o> {
-    /// Borrowed for the duration of one attack run (the worker-pool case:
-    /// the oracle outlives the scoped threads).
+    /// Borrowed for the duration of one attack run (the partitioned-search
+    /// case: the oracle outlives the search).
     Borrowed(&'o (dyn Oracle + Sync)),
     /// Shared ownership, for long-lived holders like the session server's
     /// target pool where no enclosing scope outlives the cache.
@@ -211,7 +212,7 @@ impl Oracle for CachingOracle<'_> {
 ///
 /// [`drain_regions`] pulls region indices from one of these until it is
 /// exhausted, a key is found, or the run is cancelled.  The in-process
-/// engine uses [`AtomicRegionSource`] (a shared atomic counter); the
+/// search uses [`AtomicRegionSource`] (an atomic counter); the
 /// multi-process farm in [`crate::dist`] implements the same trait over a
 /// wire protocol, so the region-draining worker loop is written exactly once.
 pub trait RegionSource: Sync {
@@ -223,14 +224,15 @@ pub trait RegionSource: Sync {
     /// Acknowledges that `region` completed without a key.  A distributed
     /// source reports this to its supervisor so the lease can be retired;
     /// the in-process source needs no acknowledgement (regions are retired
-    /// the moment they are handed out, because a thread cannot crash
+    /// the moment they are handed out, because the search cannot crash
     /// independently of the process).
     ///
     /// `stats` is the worker session's cumulative [`SolverStats`] snapshot at
     /// completion time.  A distributed source piggybacks it on the
     /// acknowledgement so the supervisor can maintain a farm-wide aggregate
-    /// without an extra round trip; the in-process source ignores it (the
-    /// pool absorbs each session's stats once, at thread exit).
+    /// without an extra round trip; the in-process source ignores it
+    /// ([`partitioned_key_search`] reads the session's stats once, at the
+    /// end).
     fn complete_region(&self, _region: u64, _iterations: usize, _stats: &SolverStats) {}
 }
 
@@ -273,8 +275,7 @@ pub enum RegionDrainOutcome {
         key: Key,
     },
     /// A region hit its iteration/time/conflict budget without concluding;
-    /// mirroring the serial search, the whole run should abort as
-    /// incomplete.
+    /// the whole run should abort as incomplete.
     Exhausted {
         /// The region whose search ran out of budget.
         region: u64,
@@ -295,18 +296,17 @@ pub struct RegionDrain {
     pub regions_searched: usize,
 }
 
-/// The region-draining worker loop, shared by the in-process pool and the
-/// multi-process farm: pull regions from `source` and run key confirmation
-/// for each on the worker's long-lived `session`, binding the region's
-/// key-bit constraints in a retireable predicate generation.
+/// The region-draining worker loop, shared by [`partitioned_key_search`] and
+/// the multi-process farm: pull regions from `source` and run key
+/// confirmation for each on the worker's long-lived `session`, binding the
+/// region's key-bit constraints in a retireable predicate generation.
 ///
 /// Region `r` constrains key bit `b < partition_bits` to `(r >> b) & 1` —
-/// the §VI-D partition, identical to
-/// [`crate::key_confirmation::partitioned_key_search`].  Completed keyless
-/// regions are acknowledged via [`RegionSource::complete_region`]; a winner
-/// or a budget exhaustion ends the drain immediately (the *caller* decides
-/// whether to cancel the rest of the pool).  The session must already be
-/// primed and must not have a predicate generation in flight.
+/// the §VI-D partition.  `partition_bits` must be below 64.  Completed
+/// keyless regions are acknowledged via [`RegionSource::complete_region`]; a
+/// winner or a budget exhaustion ends the drain immediately (the *caller*
+/// decides whether to cancel the rest of a farm).  The session must already
+/// be primed and must not have a predicate generation in flight.
 pub fn drain_regions(
     session: &mut AttackSession,
     oracle: &dyn Oracle,
@@ -356,156 +356,99 @@ pub fn drain_regions(
     }
 }
 
-/// The outcome of a [`parallel_partitioned_key_search`] run.
+/// The outcome of a [`partitioned_key_search`] run.
 #[derive(Clone, Debug)]
-pub struct ParallelSearchResult {
+pub struct PartitionedSearchResult {
     /// The confirmed key, or `None` if no region contained one.
     pub key: Option<Key>,
     /// `true` if the search finished: either a key was confirmed or every
     /// region completed (proving no key exists).  `false` when a region hit
     /// its budgets or the partition was unenumerable.
     pub completed: bool,
-    /// Distinguishing-input iterations summed across all workers.
+    /// Distinguishing-input iterations summed across all regions.
     pub iterations: usize,
     /// Distinct patterns that reached the real oracle (cache misses).
     pub oracle_queries: usize,
-    /// Oracle queries answered from the shared cache.
+    /// Oracle queries answered from the cache.
     pub cache_hits: usize,
     /// Regions fully or partially searched before the run ended.
     pub regions_searched: usize,
-    /// Worker threads used.
-    pub workers: usize,
-    /// [`AttackSession`]s created over the whole run: one per worker (not one
-    /// per region — regions reuse their worker's session via predicate
-    /// generations).
-    pub sessions_created: usize,
-    /// Full circuit encodings built across all sessions: one per worker
-    /// (each worker primes its session once at thread start), however many
-    /// regions it went on to search.
+    /// Full circuit encodings built: one (the session is primed once),
+    /// however many regions it went on to search.
     pub cone_encodings_built: usize,
-    /// End-of-run [`SolverStats`] absorbed across every worker session:
-    /// conflicts/propagations, restarts by kind, reduction rounds, tier
-    /// sizes, eliminated/resurrected variables, arena footprint, GC runs and
-    /// recycled variables, EMA snapshots — the full counter surface, for
-    /// metric export and bench gating.
+    /// End-of-run [`SolverStats`] of the session: conflicts/propagations,
+    /// restarts by kind, reduction rounds, tier sizes, eliminated/resurrected
+    /// variables, arena footprint, GC runs and recycled variables, EMA
+    /// snapshots — the full counter surface, for metric export and bench
+    /// gating.
     pub solver_stats: SolverStats,
     /// Wall-clock time of the whole run.
     pub elapsed: Duration,
 }
 
-/// Parallel version of [`crate::key_confirmation::partitioned_key_search`]:
-/// the `2^partition_bits` key-space regions are pulled from a shared work
-/// queue by `workers` threads, each running key confirmation on **one
-/// long-lived [`AttackSession`] per worker** (ϕ is bound and retired per
-/// region via predicate generations), with a shared deduplicating oracle
-/// cache and first-winner cancellation.
+/// § VI-D partitioned key search: splits the key space into
+/// `2^partition_bits` regions by fixing the first key bits and runs key
+/// confirmation on each region in turn, returning the first confirmed key.
 ///
-/// Each worker primes its session (full circuit encoding, key-cone sweep) at
-/// thread start, so the run performs exactly `workers` session creations and
-/// full encodings — deterministically, whatever the scheduler does — instead
-/// of one per region.  A region whose constraints turn out contradictory
-/// poisons only its own generation; the worker retires it and takes the next
-/// region.
+/// All regions run on **one** primed [`AttackSession`] through
+/// [`drain_regions`] (ϕ is bound and retired per region via predicate
+/// generations), behind a [`CachingOracle`], so `oracle_queries` counts the
+/// distinct patterns the real oracle saw.  A region whose constraints turn
+/// out contradictory poisons only its own generation; the next region
+/// starts clean.  Parallel region search is the `fall-dist` farm's job: it
+/// runs this same drain loop in one process per worker.
 ///
-/// `partition_bits` is clamped to the key width; ≥ 64 effective bits returns
-/// `completed: false` immediately (see the serial version for why).  One
-/// worker drains the queue in the serial region order on a single session.
-pub fn parallel_partitioned_key_search(
+/// `partition_bits` is clamped to the key width.  Requesting 64 or more
+/// effective partition bits would mean enumerating ≥ 2⁶⁴ regions (and
+/// overflows the region counter), so such calls return immediately with
+/// `completed: false` and no work done.
+pub fn partitioned_key_search(
     locked: &Netlist,
     oracle: &(dyn Oracle + Sync),
     partition_bits: usize,
-    workers: usize,
     config: &KeyConfirmationConfig,
-) -> ParallelSearchResult {
+) -> PartitionedSearchResult {
     let start = Instant::now();
-    let workers = workers.max(1);
     let partition_bits = partition_bits.min(locked.num_key_inputs());
-    let empty = |completed| ParallelSearchResult {
-        key: None,
-        completed,
-        iterations: 0,
-        oracle_queries: 0,
-        cache_hits: 0,
-        regions_searched: 0,
-        workers,
-        sessions_created: 0,
-        cone_encodings_built: 0,
-        solver_stats: SolverStats::default(),
-        elapsed: start.elapsed(),
-    };
     if partition_bits >= u64::BITS as usize {
-        return empty(false);
+        return PartitionedSearchResult {
+            key: None,
+            completed: false,
+            iterations: 0,
+            oracle_queries: 0,
+            cache_hits: 0,
+            regions_searched: 0,
+            cone_encodings_built: 0,
+            solver_stats: SolverStats::default(),
+            elapsed: start.elapsed(),
+        };
     }
-    let num_regions = 1u64 << partition_bits;
 
     let cache = CachingOracle::new(oracle);
-    let cancel = CancelToken::new();
-    let source = AtomicRegionSource::new(num_regions);
-    let winner: Mutex<Option<Key>> = Mutex::new(None);
-    let exhausted_budget = AtomicBool::new(false);
-    let iterations = AtomicUsize::new(0);
-    let regions_searched = AtomicUsize::new(0);
-    let sessions_created = AtomicUsize::new(0);
-    let cone_encodings_built = AtomicUsize::new(0);
-    let pool_stats: Mutex<SolverStats> = Mutex::new(SolverStats::default());
-
-    thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                // One session for this worker's whole lifetime, primed before
-                // the first region so the encoding counters are deterministic.
-                sessions_created.fetch_add(1, Ordering::Relaxed);
-                let mut session = AttackSession::new(locked);
-                session.set_interrupt(Some(cancel.as_flag()));
-                session.prime();
-                let drain = drain_regions(
-                    &mut session,
-                    &cache,
-                    &source,
-                    partition_bits,
-                    config,
-                    &cancel,
-                );
-                iterations.fetch_add(drain.iterations, Ordering::Relaxed);
-                regions_searched.fetch_add(drain.regions_searched, Ordering::Relaxed);
-                match drain.outcome {
-                    RegionDrainOutcome::Winner { key, .. } => {
-                        *winner.lock().expect("winner lock poisoned") = Some(key);
-                        cancel.cancel();
-                    }
-                    RegionDrainOutcome::Exhausted { .. } => {
-                        // Mirroring the serial search, a budget exhaustion
-                        // anywhere aborts the whole run as incomplete.
-                        exhausted_budget.store(true, Ordering::SeqCst);
-                        cancel.cancel();
-                    }
-                    RegionDrainOutcome::Drained | RegionDrainOutcome::Cancelled => {}
-                }
-                cone_encodings_built
-                    .fetch_add(session.cone_encodings_built() as usize, Ordering::Relaxed);
-                pool_stats
-                    .lock()
-                    .expect("pool stats lock poisoned")
-                    .absorb(&session.stats());
-            });
-        }
-    });
-
-    let key = winner.into_inner().expect("winner lock poisoned");
-    let searched = regions_searched.load(Ordering::Relaxed);
-    let completed = key.is_some()
-        || (!exhausted_budget.load(Ordering::SeqCst) && searched as u64 == num_regions);
-    ParallelSearchResult {
-        completed,
+    let mut session = AttackSession::new(locked);
+    session.prime();
+    let drain = drain_regions(
+        &mut session,
+        &cache,
+        &AtomicRegionSource::new(1u64 << partition_bits),
+        partition_bits,
+        config,
+        &CancelToken::new(),
+    );
+    let (key, completed) = match drain.outcome {
+        RegionDrainOutcome::Winner { key, .. } => (Some(key), true),
+        RegionDrainOutcome::Drained => (None, true),
+        RegionDrainOutcome::Exhausted { .. } | RegionDrainOutcome::Cancelled => (None, false),
+    };
+    PartitionedSearchResult {
         key,
-        iterations: iterations.load(Ordering::Relaxed),
+        completed,
+        iterations: drain.iterations,
         oracle_queries: cache.unique_queries(),
         cache_hits: cache.hits(),
-        regions_searched: searched,
-        workers,
-        sessions_created: sessions_created.load(Ordering::Relaxed),
-        cone_encodings_built: cone_encodings_built.load(Ordering::Relaxed),
-        solver_stats: pool_stats.into_inner().expect("pool stats lock poisoned"),
+        regions_searched: drain.regions_searched,
+        cone_encodings_built: session.cone_encodings_built() as usize,
+        solver_stats: session.stats(),
         elapsed: start.elapsed(),
     }
 }
@@ -513,10 +456,11 @@ pub fn parallel_partitioned_key_search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key_confirmation::{partitioned_key_search, KeyConfirmationConfig};
     use crate::oracle::SimOracle;
     use locking::{LockingScheme, SfllHd, XorLock};
     use netlist::random::{generate, RandomCircuitSpec};
+    use netlist::GateKind;
+    use std::thread;
 
     #[test]
     fn cancel_token_is_sticky_and_shared() {
@@ -608,57 +552,37 @@ mod tests {
     }
 
     #[test]
-    fn parallel_search_agrees_with_serial_across_worker_counts() {
-        let original = generate(&RandomCircuitSpec::new("par_kc", 8, 2, 50));
+    fn keys_unlock_the_original_at_every_partition_width() {
+        // 5-bit key: p = 0 is plain confirmation, p = 5 pins the whole key
+        // per region, and a request beyond the width is clamped to it.
+        let original = generate(&RandomCircuitSpec::new("part_kc", 8, 2, 50));
         let locked = SfllHd::new(5, 0)
             .with_seed(2)
             .lock(&original)
             .expect("lock");
         let oracle = SimOracle::new(original);
         let config = KeyConfirmationConfig::default();
-        let serial = partitioned_key_search(&locked.locked, &oracle, 2, &config);
-        assert!(serial.completed);
-        for workers in 1..=4 {
-            let parallel =
-                parallel_partitioned_key_search(&locked.locked, &oracle, 2, workers, &config);
-            assert!(parallel.completed, "{workers} workers");
-            let key = parallel.key.as_ref().expect("key recovered");
+        for requested in [0usize, 2, 3, 5, 10] {
+            let result = partitioned_key_search(&locked.locked, &oracle, requested, &config);
+            assert!(result.completed, "p = {requested}");
+            let key = result.key.as_ref().expect("key recovered");
             assert!(
                 locked.key_is_functionally_correct(key, 200, 4),
-                "{workers} workers"
+                "p = {requested}"
             );
-            assert_eq!(parallel.workers, workers);
-            assert!(parallel.regions_searched as u64 <= 4);
-            assert_eq!(
-                parallel.sessions_created, workers,
-                "one session per worker, not per region"
-            );
-            assert_eq!(
-                parallel.cone_encodings_built, workers,
-                "each worker encodes the circuit exactly once"
-            );
-            assert!(
-                parallel.solver_stats.arena_bytes > 0,
-                "{workers} workers: arena footprint is reported"
-            );
-            assert!(
-                parallel.solver_stats.recycled_vars > 0,
-                "{workers} workers: retired generations recycle their variables"
-            );
+            assert!(result.regions_searched as u64 <= 1 << requested.min(5));
         }
     }
 
     #[test]
-    fn parallel_search_reports_exhausted_key_space() {
-        // An oracle for an unrelated circuit: no key in any region works.
+    fn an_unrelated_oracle_exhausts_every_region_without_a_key() {
         let original = generate(&RandomCircuitSpec::new("par_none", 8, 2, 50));
         let unrelated = generate(&RandomCircuitSpec::new("par_none2", 8, 2, 50).with_seed(7));
         let locked = XorLock::new(4).with_seed(3).lock(&original).expect("lock");
         let oracle = SimOracle::new(unrelated);
-        let result = parallel_partitioned_key_search(
+        let result = partitioned_key_search(
             &locked.locked,
             &oracle,
-            2,
             2,
             &KeyConfirmationConfig::default(),
         );
@@ -667,19 +591,77 @@ mod tests {
         assert_eq!(result.regions_searched, 4);
     }
 
+    /// A locked netlist with 64 key inputs (XOR chain) plus a trivial
+    /// keyless original for its oracle.
+    fn wide_key_circuit_and_original() -> (Netlist, Netlist) {
+        let mut locked = Netlist::new("wide");
+        let a = locked.add_input("a");
+        let mut acc = a;
+        for i in 0..64 {
+            let k = locked.add_key_input(format!("k{i}"));
+            acc = locked.add_gate(format!("x{i}"), GateKind::Xor, &[acc, k]);
+        }
+        locked.add_output("y", acc);
+
+        let mut original = Netlist::new("wide_orig");
+        let oa = original.add_input("a");
+        original.add_output("y", oa);
+        (locked, original)
+    }
+
     #[test]
-    fn parallel_search_guards_unenumerable_partitions() {
-        let (locked, original) = crate::test_fixtures::wide_key_circuit_and_original();
+    fn unenumerable_partitions_return_unfinished_without_work() {
+        // 64 effective partition bits would overflow `1u64 << bits`; the
+        // search must return a clean unfinished result instead.
+        let (locked, original) = wide_key_circuit_and_original();
         let oracle = SimOracle::new(original);
-        let result = parallel_partitioned_key_search(
-            &locked,
+        for bits in [64usize, 65, usize::MAX] {
+            let result =
+                partitioned_key_search(&locked, &oracle, bits, &KeyConfirmationConfig::default());
+            assert!(!result.completed, "bits {bits}");
+            assert_eq!(result.key, None);
+            assert_eq!(result.iterations, 0);
+            assert_eq!(result.oracle_queries, 0);
+            assert_eq!(result.regions_searched, 0);
+        }
+    }
+
+    #[test]
+    fn one_session_encodes_the_circuit_once_across_eight_regions() {
+        // The key sits in the last of 8 regions, so every region is searched
+        // on the one session.
+        let original = generate(&RandomCircuitSpec::new("pe_frames", 9, 2, 60));
+        let locked = (0..64u64)
+            .map(|seed| {
+                SfllHd::new(6, 0)
+                    .with_seed(seed)
+                    .lock(&original)
+                    .expect("lock")
+            })
+            .find(|locked| locked.key.bits()[..3].iter().all(|&bit| bit))
+            .expect("some seed puts the key in the last region");
+        let oracle = SimOracle::new(original);
+        let result = partitioned_key_search(
+            &locked.locked,
             &oracle,
-            usize::MAX,
-            4,
+            3,
             &KeyConfirmationConfig::default(),
         );
-        assert!(!result.completed);
-        assert_eq!(result.key, None);
-        assert_eq!(result.regions_searched, 0);
+        assert!(result.completed);
+        let key = result.key.as_ref().expect("key recovered");
+        assert!(locked.key_is_functionally_correct(key, 200, 4));
+        assert_eq!(result.regions_searched, 8);
+        assert_eq!(
+            result.cone_encodings_built, 1,
+            "one session encodes the circuit once for all its regions"
+        );
+        assert!(
+            result.solver_stats.arena_bytes > 0,
+            "arena footprint is reported"
+        );
+        assert!(
+            result.solver_stats.recycled_vars > 0,
+            "retired generations recycle their variables"
+        );
     }
 }

@@ -1,7 +1,9 @@
 //! Distributed key-search farm for the FALL attacks.
 //!
-//! `fall-dist` splits [`fall::parallel`]'s §VI-D partitioned key search
-//! across OS processes: a **supervisor** owns the global region queue
+//! `fall-dist` is where parallel region search lives: it splits the §VI-D
+//! partitioned key search, which [`fall::parallel::partitioned_key_search`]
+//! drains on one session in-process, across OS processes.  A
+//! **supervisor** owns the global region queue
 //! ([`fall::dist::RegionBoard`]) and the merged cross-process oracle cache
 //! ([`fall::dist::PairStore`]), and N **workers** each run one long-lived
 //! primed [`fall::AttackSession`], pulling key-space regions over a
@@ -105,7 +107,7 @@ impl Default for FarmConfig {
     }
 }
 
-/// Clamps the partition to the key width, mirroring the in-process engine.
+/// Clamps the partition to the key width, mirroring the in-process search.
 fn effective_partition_bits(locked: &Netlist, requested: usize) -> usize {
     requested.min(locked.num_key_inputs())
 }
@@ -130,8 +132,8 @@ impl Farm {
     /// # Panics
     ///
     /// Panics if the clamped partition width reaches 64 bits (an
-    /// unenumerable region space — the serial and in-process engines reject
-    /// it the same way).
+    /// unenumerable region space — the in-process search and the workers
+    /// reject it too).
     ///
     /// # Errors
     ///

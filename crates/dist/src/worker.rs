@@ -4,7 +4,7 @@
 //! process's stdin/stdout, the TCP mode a connected socket — and is the
 //! *only* worker implementation: the actual region loop is
 //! [`fall::parallel::drain_regions`], the exact function the in-process
-//! engine runs, driven by a [`fall::parallel::RegionSource`] whose
+//! partitioned search runs, driven by a [`fall::parallel::RegionSource`] whose
 //! `next_region` is a wire round-trip.  Three auxiliary threads surround
 //! the drain: a router that demultiplexes supervisor messages (bridging
 //! `cancel` into the session's interrupt flag mid-search), a heartbeat
@@ -171,6 +171,11 @@ pub fn run_worker(
     else {
         return Err("expected a setup frame first".into());
     };
+    // The supervisor only sends clamped partitions below 64 bits; a larger
+    // value would shift a region index by 64 or more in the drain loop.
+    if partition_bits >= u64::BITS as usize {
+        return Err(format!("unenumerable partition: {partition_bits} bits"));
+    }
 
     let locked =
         bench_format::parse(&locked).map_err(|error| format!("bad locked netlist: {error:?}"))?;
@@ -238,7 +243,7 @@ pub fn run_worker(
     };
 
     // One long-lived session for the whole worker lifetime, primed before
-    // the first lease — the same discipline as the in-process engine.
+    // the first lease — the same discipline as the in-process search.
     let mut session = AttackSession::new(&locked);
     session.set_interrupt(Some(cancel.as_flag()));
     session.prime();
@@ -333,4 +338,53 @@ pub fn run_worker(
     let _ = heartbeat.join();
     drop(router); // detached: it unblocks when the supervisor closes the pipe
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::SupervisorMessage;
+    use netlist::{GateKind, Netlist};
+    use std::io::Cursor;
+
+    #[test]
+    fn a_setup_frame_with_an_unenumerable_partition_is_rejected() {
+        // 65 key bits, so clamping to the key width leaves 65 partition bits.
+        let mut locked = Netlist::new("wide");
+        let mut acc = locked.add_input("a");
+        for i in 0..65 {
+            let k = locked.add_key_input(format!("keyinput{i}"));
+            acc = locked.add_gate(format!("x{i}"), GateKind::Xor, &[acc, k]);
+        }
+        locked.add_output("y", acc);
+        let mut oracle = Netlist::new("wide_orig");
+        let a = oracle.add_input("a");
+        oracle.add_output("y", a);
+
+        for partition_bits in [65usize, 64] {
+            let setup = SupervisorMessage::Setup {
+                worker: 0,
+                locked: bench_format::write(&locked),
+                oracle: bench_format::write(&oracle),
+                partition_bits,
+                max_iterations: 100,
+                time_limit_ms: 0,
+                conflict_budget: None,
+                heartbeat_ms: 1000,
+            };
+            let region = SupervisorMessage::Region {
+                region: 0,
+                stolen: false,
+                pairs: Vec::new(),
+            };
+            let frames = format!("{}\n{}\n", setup.to_frame(), region.to_frame());
+            let result = run_worker(
+                Cursor::new(frames.into_bytes()),
+                std::io::sink(),
+                WorkerOptions::default(),
+            );
+            let error = result.expect_err("hostile setup must be rejected");
+            assert!(error.contains("partition"), "{partition_bits}: {error}");
+        }
+    }
 }

@@ -1,5 +1,5 @@
 //! End-to-end farm tests: pipes and TCP transports, crash requeue, and the
-//! differential invariants the in-process engine gates
+//! differential invariants the in-process search gates
 //! (`tests/parallel_engine.rs`) carried over to the multi-process farm.
 //!
 //! Worker processes are the `fall-dist` binary itself (Cargo exposes its
@@ -10,8 +10,8 @@ use std::path::PathBuf;
 use std::process::Command;
 use std::time::{Duration, Instant};
 
-use fall::key_confirmation::partitioned_key_search;
-use fall::{KeyConfirmationConfig, SimOracle};
+use fall::key_confirmation::{key_confirmation_with_predicate_in, KeyConfirmationResult};
+use fall::{AttackSession, KeyConfirmationConfig, Oracle, SimOracle};
 use fall_dist::{farm_over_tcp, Farm, FarmConfig, WorkerOptions, WORKER_SENTINEL};
 use locking::{LockedCircuit, LockingScheme, SfllHd};
 use netlist::random::{generate, RandomCircuitSpec};
@@ -23,21 +23,50 @@ fn worker_exe() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_fall-dist"))
 }
 
+/// The per-region reference: a fresh session per region, in region order,
+/// stopping at the first confirmed key; `oracle_queries` is the sum over the
+/// regions searched (no cache, no shared learnt clauses).
+fn per_region_reference(locked: &Netlist, oracle: &dyn Oracle) -> KeyConfirmationResult {
+    let mut total = KeyConfirmationResult {
+        key: None,
+        completed: true,
+        iterations: 0,
+        oracle_queries: 0,
+        elapsed: Duration::ZERO,
+    };
+    for region in 0..1u64 << PARTITION_BITS {
+        let mut session = AttackSession::new(locked);
+        let result = key_confirmation_with_predicate_in(
+            &mut session,
+            oracle,
+            &KeyConfirmationConfig::default(),
+            |solver, keys| {
+                for (bit, &lit) in keys.iter().enumerate().take(PARTITION_BITS) {
+                    solver.add_clause([if (region >> bit) & 1 == 1 { lit } else { !lit }]);
+                }
+            },
+        );
+        total.iterations += result.iterations;
+        total.oracle_queries += result.oracle_queries;
+        total.elapsed += result.elapsed;
+        if result.key.is_some() || !result.completed {
+            total.key = result.key;
+            total.completed = result.completed;
+            break;
+        }
+    }
+    total
+}
+
 /// The differential workload: a lockable circuit, its activated (key-free)
 /// oracle netlist, and the serial reference result.
-fn smoke_case() -> (LockedCircuit, Netlist, fall::KeyConfirmationResult) {
+fn smoke_case() -> (LockedCircuit, Netlist, KeyConfirmationResult) {
     let original = generate(&RandomCircuitSpec::new("dist_farm", 8, 2, 50));
     let locked = SfllHd::new(5, 0)
         .with_seed(2)
         .lock(&original)
         .expect("lock");
-    let oracle = SimOracle::new(original.clone());
-    let serial = partitioned_key_search(
-        &locked.locked,
-        &oracle,
-        PARTITION_BITS,
-        &KeyConfirmationConfig::default(),
-    );
+    let serial = per_region_reference(&locked.locked, &SimOracle::new(original.clone()));
     assert!(serial.completed, "serial reference must conclude");
     assert!(serial.key.is_some(), "serial reference must find the key");
     (locked, original, serial)
@@ -67,7 +96,7 @@ fn pipes_farm_recovers_the_serial_key_with_bounded_oracle_traffic() {
         locked.key_is_functionally_correct(key, 200, 4),
         "farm key unlocks the circuit"
     );
-    // The invariant the in-process engine gates: cross-process dedup keeps
+    // The invariant the in-process search gates: cross-process dedup keeps
     // unique oracle traffic within a worker's-worth of the serial count.
     assert!(
         result.unique_oracle_queries <= serial.oracle_queries + result.workers,

@@ -1,20 +1,77 @@
-//! Cross-crate differential tests for the parallel attack engine:
-//! `fall::parallel` versus the serial reference implementations.
+//! Cross-crate differential tests for the partitioned key search
+//! (`fall::parallel::partitioned_key_search`: one primed session draining
+//! every region) against a fresh-session-per-region reference.
 
-use fall::key_confirmation::{partitioned_key_search, KeyConfirmationConfig};
-use fall::oracle::{CountingOracle, SimOracle};
-use fall::parallel::{parallel_partitioned_key_search, CachingOracle};
+use fall::key_confirmation::{
+    key_confirmation_with_predicate_in, KeyConfirmationConfig, KeyConfirmationResult,
+};
+use fall::oracle::{CountingOracle, Oracle, SimOracle};
+use fall::parallel::{partitioned_key_search, CachingOracle};
+use fall::session::AttackSession;
 use fall::unlock::{apply_key, equivalent_to};
-use locking::{LockingScheme, SfllHd};
+use locking::{LockedCircuit, LockingScheme, SfllHd};
 use netlist::random::{generate, RandomCircuitSpec};
+use netlist::Netlist;
 
 const PARTITION_BITS: usize = 2;
 
-/// The parallel search must return a key functionally equivalent to the
-/// serial search's for every worker count, verified with the existing
-/// equivalence checker on the unlocked netlists.
+/// The per-region reference: a fresh session per region, in region order,
+/// stopping at the first confirmed key; `oracle_queries` is the sum over the
+/// regions searched (no cache, no shared learnt clauses).
+fn per_region_reference(
+    locked: &Netlist,
+    oracle: &dyn Oracle,
+    partition_bits: usize,
+) -> KeyConfirmationResult {
+    let config = KeyConfirmationConfig::default();
+    let mut total = KeyConfirmationResult {
+        key: None,
+        completed: true,
+        iterations: 0,
+        oracle_queries: 0,
+        elapsed: std::time::Duration::ZERO,
+    };
+    for region in 0..1u64 << partition_bits {
+        let mut session = AttackSession::new(locked);
+        let result =
+            key_confirmation_with_predicate_in(&mut session, oracle, &config, |solver, keys| {
+                for (bit, &lit) in keys.iter().enumerate().take(partition_bits) {
+                    solver.add_clause([if (region >> bit) & 1 == 1 { lit } else { !lit }]);
+                }
+            });
+        total.iterations += result.iterations;
+        total.oracle_queries += result.oracle_queries;
+        total.elapsed += result.elapsed;
+        if result.key.is_some() || !result.completed {
+            total.key = result.key;
+            total.completed = result.completed;
+            break;
+        }
+    }
+    total
+}
+
+/// An SFLL-HD0 lock of `original` whose correct key sits in the last region
+/// of a `partition_bits` split (low key bits all ones), so both the engine
+/// and the reference search every region.
+fn locked_in_last_region(original: &Netlist, partition_bits: usize) -> LockedCircuit {
+    (0..64u64)
+        .map(|seed| {
+            SfllHd::new(6, 0)
+                .with_seed(seed)
+                .lock(original)
+                .expect("lock")
+                .optimized()
+        })
+        .find(|locked| locked.key.bits()[..partition_bits].iter().all(|&bit| bit))
+        .expect("some seed puts the key in the last region")
+}
+
+/// The engine's key must unlock to the same function as the per-region
+/// reference's, verified with the equivalence checker on the unlocked
+/// netlists.
 #[test]
-fn parallel_search_key_is_equivalent_to_serial_for_1_to_4_workers() {
+fn partitioned_search_key_is_equivalent_to_the_per_region_reference() {
     let original = generate(&RandomCircuitSpec::new("pe_diff", 9, 3, 60));
     let locked = SfllHd::new(6, 0)
         .with_seed(11)
@@ -22,82 +79,58 @@ fn parallel_search_key_is_equivalent_to_serial_for_1_to_4_workers() {
         .expect("lock")
         .optimized();
     let oracle = SimOracle::new(original.clone());
-    let config = KeyConfirmationConfig::default();
 
-    let serial = partitioned_key_search(&locked.locked, &oracle, PARTITION_BITS, &config);
-    assert!(serial.completed, "serial search must finish");
-    let serial_key = serial.key.expect("serial search recovers a key");
-    let serial_unlocked = apply_key(&locked.locked, &serial_key);
-    assert!(equivalent_to(&serial_unlocked, &original, 512, 3));
+    let reference = per_region_reference(&locked.locked, &oracle, PARTITION_BITS);
+    assert!(reference.completed, "reference must finish");
+    let reference_key = reference.key.expect("reference recovers a key");
+    let reference_unlocked = apply_key(&locked.locked, &reference_key);
+    assert!(equivalent_to(&reference_unlocked, &original, 512, 3));
 
-    for workers in 1..=4 {
-        let parallel = parallel_partitioned_key_search(
-            &locked.locked,
-            &oracle,
-            PARTITION_BITS,
-            workers,
-            &config,
-        );
-        assert!(parallel.completed, "{workers} workers must finish");
-        let key = parallel.key.expect("parallel search recovers a key");
-        let unlocked = apply_key(&locked.locked, &key);
-        assert!(
-            equivalent_to(&unlocked, &serial_unlocked, 512, 3),
-            "{workers}-worker key must unlock to the same function as serial"
-        );
-        assert!(
-            equivalent_to(&unlocked, &original, 512, 3),
-            "{workers}-worker key must unlock to the original"
-        );
-    }
+    let result = partitioned_key_search(
+        &locked.locked,
+        &oracle,
+        PARTITION_BITS,
+        &KeyConfirmationConfig::default(),
+    );
+    assert!(result.completed, "search must finish");
+    let key = result.key.expect("search recovers a key");
+    let unlocked = apply_key(&locked.locked, &key);
+    assert!(equivalent_to(&unlocked, &reference_unlocked, 512, 3));
+    assert!(equivalent_to(&unlocked, &original, 512, 3));
 }
 
-/// Oracle-access discipline: on a search that visits every region (the
-/// correct key sits in the last region of the serial order), the parallel
-/// engine's *unique* oracle queries must never exceed the serial count plus
-/// one in-flight region's worth of slack per worker — in practice the shared
-/// cache keeps it strictly below the serial count.
+/// Oracle-access discipline: on a search that visits every region, the
+/// engine's *unique* oracle queries must not exceed the per-region
+/// reference's count plus one.
 #[test]
-fn parallel_search_does_not_exceed_serial_oracle_queries() {
-    // Find a seed whose correct key lies in the last region (low bits all
-    // ones), so the serial search visits every region and its query count is
-    // the worst case the parallel run can be compared against.
+fn partitioned_search_does_not_exceed_per_region_oracle_queries() {
     let original = generate(&RandomCircuitSpec::new("pe_queries", 9, 2, 60));
-    let locked = (0..64u64)
-        .map(|seed| {
-            SfllHd::new(6, 0)
-                .with_seed(seed)
-                .lock(&original)
-                .expect("lock")
-                .optimized()
-        })
-        .find(|locked| locked.key.bits()[..PARTITION_BITS].iter().all(|&bit| bit))
-        .expect("some seed puts the key in the last region");
+    let locked = locked_in_last_region(&original, PARTITION_BITS);
     let sim = SimOracle::new(original);
-    let config = KeyConfirmationConfig::default();
 
     let counting = CountingOracle::new(sim.clone());
-    let serial = partitioned_key_search(&locked.locked, &counting, PARTITION_BITS, &config);
-    assert!(serial.completed && serial.key.is_some());
-    let serial_queries = counting.queries();
-    assert_eq!(serial_queries, serial.oracle_queries);
+    let reference = per_region_reference(&locked.locked, &counting, PARTITION_BITS);
+    assert!(reference.completed && reference.key.is_some());
+    let reference_queries = counting.queries();
+    assert_eq!(reference_queries, reference.oracle_queries);
 
-    for workers in 1..=4 {
-        let parallel =
-            parallel_partitioned_key_search(&locked.locked, &sim, PARTITION_BITS, workers, &config);
-        assert!(parallel.completed && parallel.key.is_some());
-        assert!(
-            parallel.oracle_queries <= serial_queries + workers,
-            "{workers} workers: {} unique queries > serial {} + {}",
-            parallel.oracle_queries,
-            serial_queries,
-            workers
-        );
-    }
+    let result = partitioned_key_search(
+        &locked.locked,
+        &sim,
+        PARTITION_BITS,
+        &KeyConfirmationConfig::default(),
+    );
+    assert!(result.completed && result.key.is_some());
+    assert!(
+        result.oracle_queries <= reference_queries + 1,
+        "{} unique queries > per-region reference {} + 1",
+        result.oracle_queries,
+        reference_queries
+    );
 }
 
-/// The shared cache answers repeated queries without touching the real
-/// oracle, across threads.
+/// Stacking a caller's cache on top of the engine's own cache must still
+/// keep real traffic equal to the outer cache's unique count.
 #[test]
 fn caching_oracle_bounds_real_oracle_traffic() {
     let original = generate(&RandomCircuitSpec::new("pe_cache", 8, 2, 50));
@@ -108,87 +141,55 @@ fn caching_oracle_bounds_real_oracle_traffic() {
         .optimized();
     let counting = CountingOracle::new(SimOracle::new(original));
     let cache = CachingOracle::new(&counting);
-    let parallel = parallel_partitioned_key_search(
+    let result = partitioned_key_search(
         &locked.locked,
         &cache,
         PARTITION_BITS,
-        3,
         &KeyConfirmationConfig::default(),
     );
-    assert!(parallel.completed && parallel.key.is_some());
-    // The engine wraps the oracle in its own cache; stacking another cache on
-    // top must still keep real traffic equal to the inner unique count.
+    assert!(result.completed && result.key.is_some());
     assert_eq!(counting.queries(), cache.unique_queries());
 }
 
-/// Frame-scoped predicates end to end: workers keep one long-lived session
-/// across regions, and the result must match the per-region-session baseline
-/// (the serial search builds a fresh session per region) — identical keys
-/// for 1..=4 workers, the oracle-access discipline intact, and exactly one
-/// session plus one full circuit encoding per *worker*, not per region.
+/// Frame-scoped predicates end to end: one long-lived session drains 8
+/// regions and must match the per-region-session reference — an equivalent
+/// key, the oracle-access discipline intact, and exactly one full circuit
+/// encoding for all the regions.
 #[test]
 fn long_lived_worker_sessions_match_per_region_baseline() {
-    // 3 partition bits → 8 regions, so every worker count stays below the
-    // region count and the sessions-per-worker claim is meaningful.  The
-    // seed is chosen so the correct key sits in the *last* region: every
-    // region is searched, which makes the serial query count the worst case
-    // the oracle-access discipline is measured against (same construction as
-    // `parallel_search_does_not_exceed_serial_oracle_queries`).
     let partition_bits = 3;
-    let num_regions = 1usize << partition_bits;
     let original = generate(&RandomCircuitSpec::new("pe_frames", 9, 2, 60));
-    let locked = (0..64u64)
-        .map(|seed| {
-            SfllHd::new(6, 0)
-                .with_seed(seed)
-                .lock(&original)
-                .expect("lock")
-                .optimized()
-        })
-        .find(|locked| locked.key.bits()[..partition_bits].iter().all(|&bit| bit))
-        .expect("some seed puts the key in the last region");
+    let locked = locked_in_last_region(&original, partition_bits);
     let oracle = SimOracle::new(original.clone());
-    let config = KeyConfirmationConfig::default();
 
-    let serial = partitioned_key_search(&locked.locked, &oracle, partition_bits, &config);
-    assert!(serial.completed, "per-region baseline must finish");
-    let serial_key = serial.key.expect("baseline recovers a key");
-    let serial_unlocked = apply_key(&locked.locked, &serial_key);
-    assert!(equivalent_to(&serial_unlocked, &original, 512, 7));
+    let reference = per_region_reference(&locked.locked, &oracle, partition_bits);
+    assert!(reference.completed, "per-region reference must finish");
+    let reference_key = reference.key.expect("reference recovers a key");
+    let reference_unlocked = apply_key(&locked.locked, &reference_key);
+    assert!(equivalent_to(&reference_unlocked, &original, 512, 7));
 
-    for workers in 1..=4 {
-        let parallel = parallel_partitioned_key_search(
-            &locked.locked,
-            &oracle,
-            partition_bits,
-            workers,
-            &config,
-        );
-        assert!(parallel.completed, "{workers} workers must finish");
-        let key = parallel.key.expect("long-lived sessions recover a key");
-        let unlocked = apply_key(&locked.locked, &key);
-        assert!(
-            equivalent_to(&unlocked, &serial_unlocked, 512, 7),
-            "{workers}-worker key must unlock to the same function as the \
-             per-region baseline"
-        );
-        assert!(
-            parallel.oracle_queries <= serial.oracle_queries + workers,
-            "{workers} workers: {} unique queries > per-region baseline {} + {workers}",
-            parallel.oracle_queries,
-            serial.oracle_queries,
-        );
-        assert_eq!(
-            parallel.sessions_created, workers,
-            "sessions are per worker, not per region"
-        );
-        assert!(
-            parallel.sessions_created < num_regions,
-            "{workers} workers must not build one session per region"
-        );
-        assert_eq!(
-            parallel.cone_encodings_built, workers,
-            "each worker encodes the circuit exactly once for all its regions"
-        );
-    }
+    let result = partitioned_key_search(
+        &locked.locked,
+        &oracle,
+        partition_bits,
+        &KeyConfirmationConfig::default(),
+    );
+    assert!(result.completed, "search must finish");
+    let key = result.key.expect("long-lived session recovers a key");
+    let unlocked = apply_key(&locked.locked, &key);
+    assert!(
+        equivalent_to(&unlocked, &reference_unlocked, 512, 7),
+        "key must unlock to the same function as the per-region reference"
+    );
+    assert!(
+        result.oracle_queries <= reference.oracle_queries + 1,
+        "{} unique queries > per-region reference {} + 1",
+        result.oracle_queries,
+        reference.oracle_queries,
+    );
+    assert_eq!(result.regions_searched, 1 << partition_bits);
+    assert_eq!(
+        result.cone_encodings_built, 1,
+        "one session encodes the circuit once for all its regions"
+    );
 }
