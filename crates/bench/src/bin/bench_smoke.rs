@@ -229,6 +229,36 @@ fn measure() -> MetricReport {
         false,
     );
 
+    // ---- Warm confirmation: a settled shortlist asks the oracle nothing ----
+    // A session keeps every oracle answer it was shown, so confirming the
+    // same shortlist again is decided by the first run's observations
+    // alone: the repeat must make zero oracle queries (gated at 0).
+    {
+        let counting = CountingOracle::new(oracle.clone());
+        let shortlist = [case.locked.key.complement(), case.locked.key.clone()];
+        let mut session = AttackSession::new(locked);
+        let cold = key_confirmation_in(&mut session, &counting, &shortlist, &config);
+        let warm = key_confirmation_in(&mut session, &counting, &shortlist, &config);
+        assert!(
+            cold.key == Some(case.locked.key.clone()) && warm.key == cold.key,
+            "warm confirmation"
+        );
+        assert_eq!(
+            counting.queries(),
+            cold.oracle_queries + warm.oracle_queries
+        );
+        report.record(
+            "info_warm_confirm_first_oracle_queries",
+            cold.oracle_queries as f64,
+            false,
+        );
+        report.record(
+            "warm_confirm_repeat_oracle_queries",
+            warm.oracle_queries as f64,
+            false,
+        );
+    }
+
     // ---- Wide bit-parallel simulation throughput --------------------------
     // The 8-word blocked engine versus the 64-way per-call-allocating
     // baseline (`node_words_fresh`) over an identical 32768-pattern budget.

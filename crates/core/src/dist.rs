@@ -9,7 +9,7 @@
 //! without I/O lives here, unit-testable in isolation:
 //!
 //! * [`RegionBoard`] — the supervisor's region scheduler: round-robin dealt
-//!   per-worker shares, a requeue lane for the leases of crashed workers
+//!   per-worker shares, re-dealt to the survivors when a worker crashes
 //!   (a region is only retired on a `complete` acknowledgement), and
 //!   work-stealing when a worker drains its own share.
 //! * [`PairStore`] — the supervisor's merged (input → output) oracle map:
@@ -93,7 +93,7 @@ impl PairStore {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Lease {
     /// A region to search.  `stolen` is `true` when it came out of another
-    /// worker's share rather than the requester's own (or the requeue lane).
+    /// worker's share rather than the requester's own.
     Grant {
         /// The region index.
         region: u64,
@@ -111,15 +111,15 @@ pub enum Lease {
 /// The supervisor's region scheduler.
 ///
 /// Regions `0..regions` are dealt round-robin into per-worker shares
-/// (region `r` belongs to worker `r % workers`), so with stealing and
-/// cancellation disabled every worker's region sequence is a deterministic
-/// function of the partition alone — the property the bench-smoke gate
-/// relies on.  Leases are granted in priority order:
-///
-/// 1. the **requeue lane** (leases and shares returned by
-///    [`RegionBoard::fail_worker`] when a worker crashed or timed out),
-/// 2. the requester's own share, front first,
-/// 3. when stealing is enabled, the *back* of the longest other live share.
+/// (region `r` belongs to worker `r % workers`), and a dead worker's lease
+/// and share are dealt on to the survivors the same way
+/// ([`RegionBoard::fail_worker`]).  So with stealing and cancellation
+/// disabled every worker's region sequence is a deterministic function of
+/// the partition and of which workers die, whenever they die — the
+/// property the bench-smoke gate and the crash tests rely on.  Leases are
+/// granted from the requester's own share, front first, and, when stealing
+/// is enabled and that share is empty, from the *back* of the longest other
+/// live share.
 ///
 /// A worker holds at most one lease at a time, and a region is only retired
 /// by [`RegionBoard::complete`] — never by the act of granting — so a killed
@@ -127,7 +127,6 @@ pub enum Lease {
 #[derive(Debug)]
 pub struct RegionBoard {
     shares: Vec<VecDeque<u64>>,
-    requeue: VecDeque<u64>,
     leased: Vec<Option<u64>>,
     dead: Vec<bool>,
     steal: bool,
@@ -150,7 +149,6 @@ impl RegionBoard {
         }
         RegionBoard {
             shares,
-            requeue: VecDeque::new(),
             leased: vec![None; workers],
             dead: vec![false; workers],
             steal,
@@ -173,13 +171,6 @@ impl RegionBoard {
         );
         if self.dead[worker] {
             return Lease::Drained;
-        }
-        if let Some(region) = self.requeue.pop_front() {
-            self.leased[worker] = Some(region);
-            return Lease::Grant {
-                region,
-                stolen: false,
-            };
         }
         if let Some(region) = self.shares[worker].pop_front() {
             self.leased[worker] = Some(region);
@@ -224,49 +215,54 @@ impl RegionBoard {
         self.completed += 1;
     }
 
-    /// Marks `worker` dead (crashed, hung, or disconnected): its outstanding
-    /// lease — the region it may have been mid-search on — returns to the
-    /// front of the requeue lane and is counted as requeued; the un-leased
-    /// remainder of its share moves to the requeue lane un-counted (those
-    /// regions were never at risk, merely re-homed).  Returns `true` when
-    /// any region was reclaimed — i.e. the worker died with work it still
-    /// owed the run.
+    /// Marks `worker` dead (crashed, hung, or disconnected) and deals what
+    /// it still owed the run — its outstanding lease, the region it may have
+    /// been mid-search on, then the un-leased remainder of its share —
+    /// round-robin onto the backs of the live workers' shares, in worker
+    /// order.  Only the lease counts as requeued (the share's regions were
+    /// never at risk, merely re-homed).  Where a region lands depends only
+    /// on which workers are alive, never on how far they got, so a crash
+    /// keeps every survivor's region sequence deterministic.  With no
+    /// survivor the regions stay in the dead worker's share.  Returns `true`
+    /// when any region was reclaimed — i.e. the worker died with work it
+    /// still owed the run.
     pub fn fail_worker(&mut self, worker: usize) -> bool {
         if self.dead[worker] {
             return false;
         }
         self.dead[worker] = true;
-        let mut reclaimed = false;
-        if let Some(region) = self.leased[worker].take() {
-            self.requeue.push_front(region);
-            self.requeued += 1;
-            reclaimed = true;
-        }
-        while let Some(region) = self.shares[worker].pop_front() {
-            self.requeue.push_back(region);
-            reclaimed = true;
+        let lease = self.leased[worker].take();
+        self.requeued += usize::from(lease.is_some());
+        let owed: Vec<u64> = lease
+            .into_iter()
+            .chain(self.shares[worker].drain(..))
+            .collect();
+        let survivors: Vec<usize> = (0..self.dead.len()).filter(|&w| !self.dead[w]).collect();
+        let reclaimed = !owed.is_empty();
+        if survivors.is_empty() {
+            self.shares[worker].extend(owed);
+        } else {
+            for (region, &heir) in owed.into_iter().zip(survivors.iter().cycle()) {
+                self.shares[heir].push_back(region);
+            }
         }
         reclaimed
     }
 
-    /// `true` once every region is retired: all shares and the requeue lane
-    /// are empty and no lease is outstanding.
+    /// `true` once every region is retired: all shares are empty and no
+    /// lease is outstanding.
     pub fn done(&self) -> bool {
-        self.requeue.is_empty()
-            && self.shares.iter().all(VecDeque::is_empty)
-            && self.leased.iter().all(Option::is_none)
+        self.shares.iter().all(VecDeque::is_empty) && self.leased.iter().all(Option::is_none)
     }
 
     /// `true` when a lease request could be granted immediately — used to
     /// wake parked workers after a `complete` or `fail_worker` changes the
     /// queue.
     pub fn grantable(&self) -> bool {
-        !self.requeue.is_empty()
-            || self
-                .shares
-                .iter()
-                .enumerate()
-                .any(|(w, share)| !share.is_empty() && (self.steal || !self.dead[w]))
+        self.shares
+            .iter()
+            .enumerate()
+            .any(|(w, share)| !share.is_empty() && (self.steal || !self.dead[w]))
     }
 
     /// The region `worker` currently holds, if any.
@@ -465,7 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn board_requeues_a_dead_workers_lease_and_share() {
+    fn board_deals_a_dead_workers_lease_and_share_to_the_survivors() {
         let mut board = RegionBoard::new(4, 2, false);
         assert!(matches!(board.lease(0), Lease::Grant { region: 0, .. }));
         assert!(matches!(board.lease(1), Lease::Grant { region: 1, .. }));
@@ -475,25 +471,60 @@ mod tests {
         assert_eq!(board.requeued(), 1);
         assert!(board.grantable());
         board.complete(1, 1);
-        // The crashed lease is served first, then the re-homed share, then
-        // the survivor's own share.
-        assert!(matches!(
-            board.lease(1),
-            Lease::Grant {
-                region: 0,
-                stolen: false
-            }
-        ));
-        board.complete(1, 0);
-        assert!(matches!(board.lease(1), Lease::Grant { region: 2, .. }));
-        board.complete(1, 2);
-        assert!(matches!(board.lease(1), Lease::Grant { region: 3, .. }));
-        board.complete(1, 3);
+        // The survivor's own share comes first, then the crashed lease, then
+        // the re-homed share.
+        for region in [3, 0, 2] {
+            assert_eq!(
+                board.lease(1),
+                Lease::Grant {
+                    region,
+                    stolen: false
+                }
+            );
+            board.complete(1, region);
+        }
         assert_eq!(board.lease(1), Lease::Drained);
         assert!(board.done());
         // fail_worker is idempotent.
         board.fail_worker(0);
         assert_eq!(board.requeued(), 1);
+    }
+
+    #[test]
+    fn a_dead_workers_regions_land_the_same_however_far_survivors_got() {
+        // Worker 0 dies holding region 0 with region 3 still in its share;
+        // its regions go to workers 1 and 2 in that order, whether or not
+        // they have leased their own first region yet.
+        let sequences = |survivors_leased_first: bool| {
+            let mut board = RegionBoard::new(4, 3, false);
+            assert!(matches!(board.lease(0), Lease::Grant { region: 0, .. }));
+            let mut held = [None, None, None];
+            if survivors_leased_first {
+                for worker in [1, 2] {
+                    if let Lease::Grant { region, .. } = board.lease(worker) {
+                        held[worker] = Some(region);
+                    }
+                }
+            }
+            board.fail_worker(0);
+            let mut sequences = vec![Vec::new(); 3];
+            for worker in [1, 2] {
+                loop {
+                    let region = match held[worker].take() {
+                        Some(region) => region,
+                        None => match board.lease(worker) {
+                            Lease::Grant { region, .. } => region,
+                            _ => break,
+                        },
+                    };
+                    sequences[worker].push(region);
+                    board.complete(worker, region);
+                }
+            }
+            sequences
+        };
+        assert_eq!(sequences(false), vec![vec![], vec![1, 0], vec![2, 3]]);
+        assert_eq!(sequences(true), sequences(false));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use rand_chacha::ChaCha8Rng;
 use sat::{Lit, SolveResult, Solver};
 
 use crate::oracle::Oracle;
-use crate::session::{AttackSession, KeyVector};
+use crate::session::AttackSession;
 
 /// Configuration for key confirmation.
 #[derive(Clone, Debug)]
@@ -171,9 +171,6 @@ fn screen_shortlist(locked: &Netlist, oracle: &dyn Oracle, keys: &[Key], words: 
 
 /// Encodes ϕ(K) = OR over shortlisted keys of (K == key_j), with one
 /// selector variable per shortlisted key.
-///
-/// Shared by the session path and the fresh baseline so the two stay
-/// provably identical for differential testing.
 fn add_shortlist_phi(solver: &mut Solver, key_lits: &[Lit], suspected_keys: &[Key]) {
     let selectors: Vec<Lit> = suspected_keys
         .iter()
@@ -194,21 +191,20 @@ fn add_shortlist_phi(solver: &mut Solver, key_lits: &[Lit], suspected_keys: &[Ke
 /// must add clauses constraining them; passing a no-op closure makes the
 /// algorithm equivalent to the plain SAT attack (ϕ = true).
 ///
-/// The whole algorithm runs inside one persistent solver: the two-copy
-/// distinguishing formula `Q` is encoded once with its difference constraint
-/// scoped to an activation frame, the predicate vector `Kϕ` carries ϕ plus
-/// the accumulated I/O pairs, and the `P`/`Q` queries of Algorithm 4
-/// alternate on the same solver — `P` with the difference constraint dormant,
-/// `Q` with it activated and `K1` assumed equal to the candidate.  Learnt
-/// clauses from either query speed up the other; per-iteration I/O pairs are
-/// constant-folded so only the key cone is encoded.
+/// The algorithm runs on the session's persistent solvers: `P` is the key
+/// solver's `Kϕ` under ϕ and the observed I/O pairs, and `Q` is the DIP
+/// solver's two-copy distinguishing formula, encoded once, with `K1` assumed
+/// equal to the candidate.  Each observed pair constrains only the key cone
+/// (key-free logic is simulated, not encoded).
 ///
-/// ϕ and the I/O pairs observed during this run live in a *predicate
-/// generation* ([`AttackSession::begin_predicate`]) that is retired before
-/// returning, so the same session can run any number of confirmations —
-/// [`crate::parallel::drain_regions`] confirms one key-space region after
-/// another on one long-lived session this way, keeping its circuit encodings
-/// and frame-independent learnt clauses throughout.
+/// ϕ lives in a *predicate generation* ([`AttackSession::begin_predicate`])
+/// that is retired before returning, so the same session can run any
+/// number of confirmations — [`crate::parallel::drain_regions`] confirms one
+/// key-space region after another on one long-lived session this way.  The
+/// I/O pairs outlive the generation ([`AttackSession::observe`]): each later
+/// run on the session starts from every oracle answer the session has
+/// seen, and a run whose verdict those answers already settle asks the
+/// oracle nothing.
 ///
 /// # Panics
 ///
@@ -228,7 +224,7 @@ where
         "oracle width does not match the locked circuit"
     );
     // The clock covers the whole run — including the circuit encoding a
-    // fresh session performs in begin_predicate and the ϕ encoding — so the
+    // fresh session performs in its first query and the ϕ encoding — so the
     // time limit and the reported elapsed keep their pre-generation meaning.
     let start = Instant::now();
     session.set_conflict_budget(config.conflict_budget);
@@ -306,129 +302,18 @@ fn confirmation_loop(
         let observed_output = oracle.query(&distinguishing_input);
         oracle_queries += 1;
 
-        // Lines 15–16: add the observed I/O pair to both formulas.
-        session.constrain_key_with_io(
-            KeyVector::Predicate,
-            &distinguishing_input,
-            &observed_output,
-        );
-        session.constrain_key_with_io(KeyVector::B, &distinguishing_input, &observed_output);
+        // Lines 15–16: add the observed I/O pair to both formulas, for the
+        // session's life.
+        session.observe(&distinguishing_input, &observed_output);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encode::{
-        assumptions_for, constrain_equal_const, instantiate, instantiate_sharing_inputs,
-        instantiate_sharing_keys, model_key, model_values,
-    };
     use crate::oracle::SimOracle;
     use locking::{LockingScheme, SfllHd, TtLock, XorLock};
-    use netlist::cnf::encode_any_difference;
     use netlist::random::{generate, RandomCircuitSpec};
-
-    /// The pre-session key confirmation: two dedicated solvers and full
-    /// re-encoding per query.
-    ///
-    /// Kept as the differential-testing reference for [`key_confirmation`].
-    fn key_confirmation_fresh(
-        locked: &Netlist,
-        oracle: &dyn Oracle,
-        suspected_keys: &[Key],
-        config: &KeyConfirmationConfig,
-    ) -> KeyConfirmationResult {
-        assert!(!suspected_keys.is_empty(), "shortlist must not be empty");
-        assert_eq!(
-            oracle.num_inputs(),
-            locked.num_inputs(),
-            "oracle width does not match the locked circuit"
-        );
-        let start = Instant::now();
-
-        // P: produces candidate keys consistent with ϕ and the observed I/O pairs.
-        let mut p_solver = Solver::new();
-        p_solver.set_conflict_budget(config.conflict_budget);
-        let p_keys: Vec<Lit> = (0..locked.num_key_inputs())
-            .map(|_| Lit::positive(p_solver.new_var()))
-            .collect();
-        add_shortlist_phi(&mut p_solver, &p_keys, suspected_keys);
-
-        // Q: produces distinguishing inputs between K1 (assumed equal to the
-        // candidate) and any other key K2 consistent with the observed I/O pairs.
-        let mut q_solver = Solver::new();
-        q_solver.set_conflict_budget(config.conflict_budget);
-        let q_copy1 = instantiate(locked, &mut q_solver);
-        let q_copy2 = instantiate_sharing_inputs(locked, &mut q_solver, &q_copy1.inputs);
-        let diff = encode_any_difference(&mut q_solver, &q_copy1.outputs, &q_copy2.outputs);
-        q_solver.add_clause([diff]);
-
-        let mut iterations = 0usize;
-        let mut oracle_queries = 0usize;
-        let unfinished =
-            |key: Option<Key>, iterations, oracle_queries, elapsed| KeyConfirmationResult {
-                key,
-                completed: false,
-                iterations,
-                oracle_queries,
-                elapsed,
-            };
-
-        loop {
-            if iterations >= config.max_iterations
-                || config
-                    .time_limit
-                    .is_some_and(|limit| start.elapsed() >= limit)
-            {
-                return unfinished(None, iterations, oracle_queries, start.elapsed());
-            }
-
-            let candidate = match p_solver.solve() {
-                SolveResult::Unsat => {
-                    return KeyConfirmationResult {
-                        key: None,
-                        completed: true,
-                        iterations,
-                        oracle_queries,
-                        elapsed: start.elapsed(),
-                    };
-                }
-                SolveResult::Unknown => {
-                    return unfinished(None, iterations, oracle_queries, start.elapsed())
-                }
-                SolveResult::Sat => model_key(&p_solver, &p_keys),
-            };
-
-            let assumptions = assumptions_for(&q_copy1.keys, candidate.bits());
-            match q_solver.solve_with(&assumptions) {
-                SolveResult::Unsat => {
-                    return KeyConfirmationResult {
-                        key: Some(candidate),
-                        completed: true,
-                        iterations,
-                        oracle_queries,
-                        elapsed: start.elapsed(),
-                    };
-                }
-                SolveResult::Unknown => {
-                    return unfinished(None, iterations, oracle_queries, start.elapsed())
-                }
-                SolveResult::Sat => {}
-            }
-            iterations += 1;
-            let distinguishing_input = model_values(&q_solver, &q_copy1.inputs);
-            let observed_output = oracle.query(&distinguishing_input);
-            oracle_queries += 1;
-
-            let p_constrained = instantiate_sharing_keys(locked, &mut p_solver, &p_keys);
-            constrain_equal_const(&mut p_solver, &p_constrained.inputs, &distinguishing_input);
-            constrain_equal_const(&mut p_solver, &p_constrained.outputs, &observed_output);
-
-            let q_constrained = instantiate_sharing_keys(locked, &mut q_solver, &q_copy2.keys);
-            constrain_equal_const(&mut q_solver, &q_constrained.inputs, &distinguishing_input);
-            constrain_equal_const(&mut q_solver, &q_constrained.outputs, &observed_output);
-        }
-    }
 
     fn locked_sfll(h: usize) -> (netlist::Netlist, locking::LockedCircuit) {
         let original = generate(&RandomCircuitSpec::new("kc", 12, 3, 80));
@@ -515,39 +400,6 @@ mod tests {
         assert!(result.completed);
         let key = result.key.expect("key recovered");
         assert!(locked.key_is_functionally_correct(&key, 200, 3));
-    }
-
-    #[test]
-    fn incremental_and_fresh_confirmation_agree() {
-        let (original, locked) = locked_sfll(1);
-        let oracle = SimOracle::new(original);
-        for shortlist in [
-            vec![locked.key.clone(), locked.key.complement()],
-            vec![locked.key.complement(), Key::zeros(10)],
-            vec![
-                Key::zeros(10),
-                locked.key.clone(),
-                Key::from_pattern(0x155, 10),
-            ],
-        ] {
-            let incremental = key_confirmation(
-                &locked.locked,
-                &oracle,
-                &shortlist,
-                &KeyConfirmationConfig::default(),
-            );
-            let fresh = key_confirmation_fresh(
-                &locked.locked,
-                &oracle,
-                &shortlist,
-                &KeyConfirmationConfig::default(),
-            );
-            assert!(incremental.completed && fresh.completed);
-            assert_eq!(
-                incremental.key, fresh.key,
-                "shortlist {shortlist:?} must confirm the same key"
-            );
-        }
     }
 
     #[test]

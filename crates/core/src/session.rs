@@ -1,26 +1,36 @@
-//! The incremental attack session: two persistent solvers plus cached circuit
-//! encodings shared by every attack stage.
+//! The incremental attack session: three persistent solvers plus cached
+//! circuit encodings shared by every attack stage.
 //!
 //! Every attack in this crate used to allocate a fresh [`sat::Solver`] and
 //! re-encode the locked netlist for each query.  Modern CDCL solvers win
 //! precisely by keeping learnt clauses, variable activities and saved phases
 //! alive across related queries, so [`AttackSession`] centralises all SAT
-//! interaction behind two persistent solvers per attack run: the *DIP
-//! solver* holds the DIP machinery and predicate generations, and the *cone
-//! solver*, created on the first cone query with the DIP solver's
-//! configuration, holds the cone machinery.  They are kept apart because a
-//! SAT answer assigns every variable of its solver: in one solver, every
-//! confirmation solve of a long-lived session would also decide the cone
-//! variables, and every analysis solve the DIP variables.
+//! interaction behind persistent solvers: the *DIP solver* holds the
+//! two-copy DIP machinery, the *key solver* holds the key-confirmation
+//! candidate formula (`Kϕ`, ϕ and `Kϕ`'s I/O constraints), and the *cone
+//! solver* holds the cone machinery.  The key and cone solvers are created
+//! on first use with the DIP solver's configuration.  They are kept apart
+//! because a SAT answer assigns every variable of its solver: in one solver,
+//! every candidate-key query would also decide both circuit copies, every
+//! confirmation solve of a long-lived session the cone variables, and every
+//! analysis solve the DIP variables.
 //!
 //! * **DIP machinery** — the two shared-input circuit copies of the SAT
 //!   attack are encoded **once**; the "outputs differ" constraint lives in an
-//!   activation frame so it can be switched off (for key extraction and the
-//!   key-confirmation candidate query) or retired without losing learnt
-//!   clauses.  Each observed I/O pair is added through
-//!   [`netlist::cnf::encode_with_fixed_inputs`], which constant-folds all
-//!   key-independent logic, so the distinguishing-input loop performs **zero
-//!   solver allocations** and encodes only the key cone per iteration.
+//!   activation frame so it can be switched off (for key extraction) or
+//!   retired without losing learnt clauses.  Each observed I/O pair is added
+//!   by encoding only the key cone over one simulation of the key-free
+//!   logic, so the distinguishing-input loop performs **zero solver
+//!   allocations**.
+//! * **Observation log** — a session serves **one oracle**: every oracle
+//!   pair it is shown ([`AttackSession::observe`], called by the SAT attack
+//!   and by key confirmation) is a fact about the target and is kept for the
+//!   session's life, as a permanent `K2` constraint in the DIP solver and a
+//!   permanent `Kϕ` constraint in the key solver (replayed into the key
+//!   solver when it is created).  A later confirmation on the session starts
+//!   from everything earlier runs learned about the oracle, so re-confirming
+//!   a settled shortlist makes no oracle query.  Showing one session two
+//!   different oracles makes every later answer meaningless.
 //! * **Cone machinery** — the functional analyses (unateness, sliding
 //!   window, distance-2h) and the equivalence check all operate on candidate
 //!   cones over two input spaces `X1`/`X2`.  The session memoizes cone
@@ -30,17 +40,18 @@
 //!   "count = k" literals serve every Hamming-distance query.  All analysis
 //!   queries are pure assumption queries: after the shared structure exists,
 //!   a cofactor or HD-pair check adds no clauses at all.
-//! * **Predicate generations** — a key-confirmation predicate ϕ and the I/O
-//!   constraints observed while it is live are scoped to a retireable
-//!   *generation* ([`AttackSession::begin_predicate`] /
-//!   [`AttackSession::retire_predicate`]).  Retiring a generation detaches ϕ
-//!   and its I/O pairs while the circuit encodings, the `Kϕ` literal pool and
-//!   every frame-independent learnt clause stay: one long-lived session can
-//!   confirm an unbounded sequence of predicates — this is what lets the
-//!   parallel engine keep **one session per worker** instead of one per
-//!   key-space region.  A contradictory generation (an I/O pair no key can
-//!   reproduce) poisons only its own frames, so a worker that draws an
-//!   impossible region survives to take the next one.
+//! * **Predicate generations** — a key-confirmation predicate ϕ lives in a
+//!   retireable *generation* ([`AttackSession::begin_predicate`] /
+//!   [`AttackSession::retire_predicate`]), a frame of the key solver, and so
+//!   do the I/O constraints added with
+//!   [`AttackSession::constrain_key_with_io`] while it is live.  Retiring a
+//!   generation detaches them while the circuit encodings, the observation
+//!   log and every frame-independent learnt clause stay: one long-lived
+//!   session can confirm an unbounded sequence of predicates — this is what
+//!   lets the region search keep **one session per worker** instead of one
+//!   per key-space region.  A contradictory generation (an I/O constraint no
+//!   key can reproduce) poisons only its own frames, so the session survives
+//!   to take the next one.
 //! * **Stripper verdicts** — what the functional analyses and the
 //!   equivalence check have settled about a candidate node at one `h`
 //!   (`StripperVerdict`).  A complete analysis consults the verdict before
@@ -61,7 +72,7 @@
 //!   use; the analyses and the equivalence check read supports from the
 //!   table instead of walking fanin cones.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
@@ -111,6 +122,44 @@ fn freeze_all(solver: &mut Solver, lits: &[Lit]) {
     }
 }
 
+/// Encodes the I/O pair `C(x, keys, outputs)` into `solver`'s current
+/// default frame: only the key-dependent `cone` is encoded, over the
+/// key-free `node_values` of one simulation of `x`.  An output that is
+/// key-independent and contradicts the observation adds the (frame-scoped)
+/// empty clause.
+fn encode_io(
+    netlist: &Netlist,
+    solver: &mut Solver,
+    cone: &KeyCone,
+    keys: &[Lit],
+    node_values: &[bool],
+    outputs: &[bool],
+) {
+    let signals = encode_key_cone(netlist, solver, cone, node_values, keys);
+    assert_eq!(signals.len(), outputs.len(), "output width mismatch");
+    for (signal, &want) in signals.iter().zip(outputs) {
+        match signal {
+            Signal::Const(have) if *have == want => {}
+            Signal::Const(_) => {
+                // No key can reproduce the observation.
+                solver.add_clause([]);
+                break;
+            }
+            Signal::Lit(l) => solver.add_clause([if want { *l } else { !*l }]),
+        }
+    }
+}
+
+/// Reclaims retired and root-satisfied clauses once the clause count has
+/// doubled since the last simplification (and passed 2 000).
+fn maybe_simplify(solver: &mut Solver, clauses_at_last_simplify: &mut usize) {
+    let n = solver.num_clauses();
+    if n > 2_000 && n > 2 * *clauses_at_last_simplify {
+        solver.simplify();
+        *clauses_at_last_simplify = solver.num_clauses();
+    }
+}
+
 /// What a session has settled about whether one candidate node computes
 /// the cube stripping function `strip_h(k)(X) = (HD(X, k) == h)` for some
 /// cube `k`, at one `h`.
@@ -142,8 +191,8 @@ pub enum KeyVector {
     A,
     /// The second key copy `K2` of the two-copy DIP formula.
     B,
-    /// The standalone predicate key vector used by key confirmation
-    /// (created by [`AttackSession::begin_predicate`]).
+    /// The key solver's key vector `Kϕ`, which key confirmation's candidate
+    /// query solves for (returned by [`AttackSession::begin_predicate`]).
     Predicate,
 }
 
@@ -165,22 +214,31 @@ struct DipParts {
     io_a_frame: FrameId,
 }
 
+/// The key solver: `Kϕ`, every observation as a permanent constraint on it,
+/// and the generations' ϕ frames.
+struct KeyParts {
+    solver: Solver,
+    keys: Vec<Lit>,
+    clauses_at_last_simplify: usize,
+}
+
 /// One predicate generation: the retireable scope of a confirmation run.
 ///
-/// Everything a key-confirmation run adds — ϕ itself and the I/O-pair
-/// constraints observed while the generation is live — lands in one of these
-/// two frames, so [`AttackSession::retire_predicate`] detaches the whole run
-/// in O(1) and [`sat::Solver::simplify`] reclaims the clauses, while the
-/// permanent machinery (circuit copies, `Kϕ` pool, cone encodings, popcount,
-/// miters) and every frame-independent learnt clause survive into the next
-/// generation.
+/// ϕ and the generation-scoped I/O constraints
+/// ([`AttackSession::constrain_key_with_io`]) land in these frames, so
+/// [`AttackSession::retire_predicate`] detaches them in O(1) and
+/// [`sat::Solver::simplify`] reclaims the clauses, while the permanent
+/// machinery (circuit copies, `Kϕ`, observations, cone encodings) and every
+/// frame-independent learnt clause survive into the next generation.
 struct PredicateGeneration {
-    /// Scope of ϕ plus the `K2`/`Kϕ` I/O constraints of this generation.
+    /// Key-solver scope of ϕ plus this generation's `Kϕ` I/O constraints.
     phi_frame: FrameId,
-    /// Scope of the `K1` I/O constraints of this generation (kept separate
-    /// from `phi_frame` for the same reason [`DipParts::io_a_frame`] exists:
-    /// the `Q` query must leave `K1`'s I/O history dormant).
-    io_a_frame: FrameId,
+    /// DIP-solver scopes of this generation's `K1` and `K2` I/O constraints,
+    /// created on first use (a confirmation run adds none).  `K1` has its own
+    /// for the same reason [`DipParts::io_a_frame`] exists: the `Q` query
+    /// must leave `K1`'s I/O history dormant.
+    io_a_frame: Option<FrameId>,
+    io_b_frame: Option<FrameId>,
 }
 
 /// Dual cone-analysis input spaces with shared difference/popcount networks,
@@ -203,8 +261,8 @@ struct ConeParts {
     const_false: Option<Lit>,
 }
 
-/// The DIP and cone solvers and their cached encodings for a whole attack
-/// run, or for the life of a service worker.
+/// The DIP, key and cone solvers and their cached encodings for a whole
+/// attack run, or for the life of a service worker.
 ///
 /// See the [module documentation](self) for the design; see
 /// [`crate::sat_attack::sat_attack`], [`mod@crate::key_confirmation`],
@@ -212,26 +270,26 @@ struct ConeParts {
 /// through it.
 pub struct AttackSession<'n> {
     netlist: &'n Netlist,
-    /// The DIP solver: SAT attack, key confirmation and predicate
-    /// generations.
+    /// The DIP solver: the SAT attack and key confirmation's `Q` query.
     solver: Solver,
     dip: Option<DipParts>,
+    /// The key solver (key confirmation's `P` query), created on first use.
+    keys: Option<KeyParts>,
+    /// Every oracle pair shown to the session, in arrival order, and the
+    /// position of each input pattern in it.
+    observations: Vec<(Vec<bool>, Vec<bool>)>,
+    observed: HashMap<Vec<bool>, usize>,
     /// The cone machinery and its own solver, created on first use.
     cones: Option<ConeParts>,
     /// The interrupt flag and conflict budget installed on the session, for
-    /// a cone solver created after they were set.
+    /// a key or cone solver created after they were set.
     interrupt: Option<Arc<AtomicBool>>,
     conflict_budget: Option<u64>,
     /// Key-dependent node set, computed once on the first I/O constraint and
-    /// reused by every later [`AttackSession::constrain_key_with_io`] /
-    /// [`AttackSession::force_dip`] call.
+    /// reused by every later one.
     key_cone: Option<KeyCone>,
     /// The active predicate generation, if any.
     generation: Option<PredicateGeneration>,
-    /// The `Kϕ` literal pool, allocated by the first generation and reused by
-    /// every later one (all constraints on it are generation-scoped, so the
-    /// variables are clean again after each retirement).
-    phi_key_pool: Option<Vec<Lit>>,
     /// Number of full circuit encodings this session has built (the two-copy
     /// DIP formula and the dual cone input spaces count one each).
     full_encodings: u64,
@@ -263,12 +321,14 @@ impl<'n> AttackSession<'n> {
             netlist,
             solver,
             dip: None,
+            keys: None,
+            observations: Vec::new(),
+            observed: HashMap::new(),
             cones: None,
             interrupt: None,
             conflict_budget: None,
             key_cone: None,
             generation: None,
-            phi_key_pool: None,
             full_encodings: 0,
             clauses_at_last_simplify: 0,
             prefilter: None,
@@ -303,7 +363,7 @@ impl<'n> AttackSession<'n> {
         self.full_encodings
     }
 
-    /// Installs (or clears) a shared interrupt flag on both solvers.
+    /// Installs (or clears) a shared interrupt flag on every solver.
     ///
     /// While the flag reads `true`, every SAT query returns
     /// [`SolveResult::Unknown`] at its next check point, which the attack
@@ -314,6 +374,9 @@ impl<'n> AttackSession<'n> {
         if let Some(cones) = &mut self.cones {
             cones.solver.set_interrupt(flag.clone());
         }
+        if let Some(keys) = &mut self.keys {
+            keys.solver.set_interrupt(flag.clone());
+        }
         self.solver.set_interrupt(flag.clone());
         self.interrupt = flag;
     }
@@ -323,12 +386,15 @@ impl<'n> AttackSession<'n> {
         self.netlist
     }
 
-    /// Work counters of both solvers ([`SolverStats::absorb`]), including
-    /// the clause-arena footprint (`arena_bytes`/`wasted_bytes`/`gc_runs`)
-    /// and the number of per-generation Tseitin variables reclaimed so far
-    /// (`recycled_vars`).
+    /// Work counters of all three solvers ([`SolverStats::absorb`]),
+    /// including the clause-arena footprint
+    /// (`arena_bytes`/`wasted_bytes`/`gc_runs`) and the number of
+    /// per-generation Tseitin variables reclaimed so far (`recycled_vars`).
     pub fn stats(&self) -> SolverStats {
         let mut stats = self.solver.stats();
+        if let Some(keys) = &self.keys {
+            stats.absorb(&keys.solver.stats());
+        }
         if let Some(cones) = &self.cones {
             stats.absorb(&cones.solver.stats());
         }
@@ -403,10 +469,13 @@ impl<'n> AttackSession<'n> {
         self.solver.num_vars()
     }
 
-    /// Forwards to [`Solver::set_conflict_budget`] on both solvers.
+    /// Forwards to [`Solver::set_conflict_budget`] on every solver.
     pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
         if let Some(cones) = &mut self.cones {
             cones.solver.set_conflict_budget(budget);
+        }
+        if let Some(keys) = &mut self.keys {
+            keys.solver.set_conflict_budget(budget);
         }
         self.solver.set_conflict_budget(budget);
         self.conflict_budget = budget;
@@ -414,15 +483,12 @@ impl<'n> AttackSession<'n> {
 
     /// Direct access to the DIP solver, for callers that add their own
     /// **permanent** clauses.  Clauses must only be added between queries (at
-    /// decision level 0).  Replacing it before the first cone query also
-    /// configures the cone solver, which copies its configuration when it is
-    /// created.
+    /// decision level 0).  Replacing it before the first key or cone query
+    /// also configures the key and cone solvers, which copy its
+    /// configuration when they are created.
     ///
-    /// Do *not* add a key-confirmation predicate ϕ this way: clauses added
-    /// through the raw solver bypass the generation's frame routing, survive
-    /// [`AttackSession::retire_predicate`], and would silently conjoin with
-    /// every later generation's ϕ.  Use
-    /// [`AttackSession::add_predicate_clauses`] for anything predicate-scoped.
+    /// A key-confirmation predicate ϕ does not go here: it constrains the
+    /// key solver's `Kϕ`, through [`AttackSession::add_predicate_clauses`].
     pub fn solver_mut(&mut self) -> &mut Solver {
         &mut self.solver
     }
@@ -486,17 +552,60 @@ impl<'n> AttackSession<'n> {
         self.dip.as_ref().expect("just ensured").key_a.clone()
     }
 
+    /// A solver with the DIP solver's configuration, checkpoint hook,
+    /// interrupt flag and conflict budget, for the key and cone solvers.
+    fn sibling_solver(&self) -> Solver {
+        let mut solver = Solver::with_config(self.solver.config().clone());
+        solver.set_checkpoint_hook(Some(checkpoint_hook()));
+        solver.set_interrupt(self.interrupt.clone());
+        solver.set_conflict_budget(self.conflict_budget);
+        solver
+    }
+
+    /// The key solver, creating it on first use with every observation so
+    /// far replayed as a permanent constraint on `Kϕ`.
+    fn key_parts(&mut self) -> &mut KeyParts {
+        if self.keys.is_none() {
+            let mut solver = self.sibling_solver();
+            let keys: Vec<Lit> = (0..self.netlist.num_key_inputs())
+                .map(|_| Lit::positive(solver.new_var()))
+                .collect();
+            // Every observation and generation constrains them.
+            freeze_all(&mut solver, &keys);
+            let observations = std::mem::take(&mut self.observations);
+            for (inputs, outputs) in &observations {
+                let node_values = self.simulate_key_free(inputs);
+                let cone = self.key_cone.as_ref().expect("built by the simulation");
+                encode_io(
+                    self.netlist,
+                    &mut solver,
+                    cone,
+                    &keys,
+                    &node_values,
+                    outputs,
+                );
+            }
+            self.observations = observations;
+            self.keys = Some(KeyParts {
+                clauses_at_last_simplify: solver.num_clauses(),
+                solver,
+                keys,
+            });
+        }
+        self.keys.as_mut().expect("just built")
+    }
+
     /// Opens a predicate generation and returns the `Kϕ` key vector it
     /// constrains.
     ///
-    /// Key confirmation constrains `Kϕ` with ϕ and the observed I/O pairs;
-    /// it is not tied to either DIP circuit copy.  Everything the generation
-    /// adds — ϕ clauses ([`AttackSession::add_predicate_clauses`]) and I/O
-    /// constraints ([`AttackSession::constrain_key_with_io`], on *any* key
-    /// vector) — is scoped to the generation's frames and detached by
-    /// [`AttackSession::retire_predicate`], after which the session is clean
-    /// for the next predicate.  The `Kϕ` literals themselves are allocated
-    /// once and reused by every generation.
+    /// `Kϕ` lives in the key solver, where every observation
+    /// ([`AttackSession::observe`]) already constrains it.  The generation
+    /// adds ϕ ([`AttackSession::add_predicate_clauses`]) and any
+    /// generation-scoped I/O constraints
+    /// ([`AttackSession::constrain_key_with_io`], on *any* key vector); all
+    /// of it is detached by [`AttackSession::retire_predicate`], after which
+    /// the session is clean for the next predicate.  Every generation gets
+    /// the same `Kϕ` literals.
     ///
     /// A session supports one predicate *at a time*: two live predicates
     /// would silently conjoin and could reject a shortlist containing the
@@ -506,27 +615,20 @@ impl<'n> AttackSession<'n> {
     ///
     /// Panics if a generation is already active (retire it first).
     pub fn begin_predicate(&mut self) -> Vec<Lit> {
-        self.ensure_dip();
         assert!(
             self.generation.is_none(),
             "a session supports one active key-confirmation predicate; \
              call retire_predicate() before beginning the next one"
         );
-        if self.phi_key_pool.is_none() {
-            let keys: Vec<Lit> = (0..self.netlist.num_key_inputs())
-                .map(|_| Lit::positive(self.solver.new_var()))
-                .collect();
-            // The pool outlives every generation; keep it out of elimination.
-            freeze_all(&mut self.solver, &keys);
-            self.phi_key_pool = Some(keys);
-        }
-        let phi_frame = self.solver.push_frame();
-        let io_a_frame = self.solver.push_frame();
+        let keys = self.key_parts();
+        let phi_frame = keys.solver.push_frame();
+        let lits = keys.keys.clone();
         self.generation = Some(PredicateGeneration {
             phi_frame,
-            io_a_frame,
+            io_a_frame: None,
+            io_b_frame: None,
         });
-        self.phi_key_pool.clone().expect("just ensured")
+        lits
     }
 
     /// Concludes the active predicate generation: retires its frames,
@@ -534,19 +636,28 @@ impl<'n> AttackSession<'n> {
     /// arena tombstones and a garbage collection compacts them away once
     /// enough bytes are wasted — recycles the generation's Tseitin variables
     /// (every variable allocated while a generation frame was the default
-    /// clause frame returns to the solver's free list), and leaves the
+    /// clause frame returns to its solver's free list), and leaves the
     /// session ready for the next [`AttackSession::begin_predicate`].
     ///
-    /// This also recovers from a *poisoned* generation (one whose I/O pairs
-    /// no key can reproduce): the contradiction lives in the retired frames,
-    /// so the session stays satisfiable — a parallel worker that drew a
-    /// contradictory region survives to take the next one.
+    /// This also recovers from a *poisoned* generation (one whose I/O
+    /// constraints no key can reproduce): the contradiction lives in the
+    /// retired frames, so the session stays satisfiable — a worker that drew
+    /// a contradictory region survives to take the next one.
     ///
     /// A no-op when no generation is active.
     pub fn retire_predicate(&mut self) {
-        if let Some(generation) = self.generation.take() {
-            self.solver.retire_frame(generation.phi_frame);
-            self.solver.retire_frame(generation.io_a_frame);
+        let Some(generation) = self.generation.take() else {
+            return;
+        };
+        let keys = self.keys.as_mut().expect("created by begin_predicate");
+        keys.solver.retire_frame(generation.phi_frame);
+        keys.solver.simplify();
+        keys.clauses_at_last_simplify = keys.solver.num_clauses();
+        let dip_frames = [generation.io_a_frame, generation.io_b_frame];
+        if dip_frames.iter().any(Option::is_some) {
+            for frame in dip_frames.into_iter().flatten() {
+                self.solver.retire_frame(frame);
+            }
             self.solver.simplify();
             self.clauses_at_last_simplify = self.solver.num_clauses();
         }
@@ -559,7 +670,7 @@ impl<'n> AttackSession<'n> {
 
     /// Adds ϕ clauses scoped to the active generation.
     ///
-    /// The closure receives the solver with the generation's ϕ frame
+    /// The closure receives the key solver with the generation's ϕ frame
     /// installed as the default clause frame, plus the `Kϕ` literals — so
     /// predicate builders written against the plain [`Solver::add_clause`]
     /// API (shortlist encodings, region pinnings) are scoped without knowing
@@ -576,37 +687,43 @@ impl<'n> AttackSession<'n> {
     where
         F: FnOnce(&mut Solver, &[Lit]),
     {
-        let frame = self
-            .generation
-            .as_ref()
-            .expect("begin_predicate() must be called first")
-            .phi_frame;
-        let keys = self.phi_key_pool.clone().expect("pool exists");
-        self.solver.set_default_frame(Some(frame));
-        add_phi(&mut self.solver, &keys);
-        self.solver.set_default_frame(None);
+        let frame = self.phi_frame();
+        let keys = self.keys.as_mut().expect("created by begin_predicate");
+        keys.solver.set_default_frame(Some(frame));
+        add_phi(&mut keys.solver, &keys.keys);
+        keys.solver.set_default_frame(None);
     }
 
-    fn phi_keys(&self) -> Vec<Lit> {
-        assert!(
-            self.generation.is_some(),
-            "begin_predicate() must be called first"
-        );
-        self.phi_key_pool.clone().expect("pool exists")
+    /// The key-solver frame of the active generation's ϕ.
+    fn phi_frame(&self) -> FrameId {
+        self.generation
+            .as_ref()
+            .expect("begin_predicate() must be called first")
+            .phi_frame
+    }
+
+    /// The DIP-solver frames of the active generation's `K1` and `K2` I/O
+    /// constraints that exist.
+    fn generation_io_frames(&self) -> impl Iterator<Item = FrameId> {
+        self.generation
+            .as_ref()
+            .map(|g| [g.io_a_frame, g.io_b_frame])
+            .into_iter()
+            .flatten()
+            .flatten()
     }
 
     /// Searches for a distinguishing input: shared inputs `X`, two free key
     /// copies, outputs forced to differ.  An active predicate generation's
-    /// constraints (ϕ and its I/O pairs) participate in the search.
+    /// `K1`/`K2` I/O constraints participate in the search.
     pub fn find_dip(&mut self) -> SolveResult {
         self.ensure_dip();
         let diff = self.diff_frame();
         let io_a = self.dip.as_ref().expect("just ensured").io_a_frame;
-        let mut frames = vec![diff, io_a];
-        if let Some(generation) = &self.generation {
-            frames.push(generation.io_a_frame);
-            frames.push(generation.phi_frame);
-        }
+        let frames: Vec<FrameId> = [diff, io_a]
+            .into_iter()
+            .chain(self.generation_io_frames())
+            .collect();
         let _span = crate::trace::span("solve");
         self.solver.solve_in(&frames, &[])
     }
@@ -619,7 +736,9 @@ impl<'n> AttackSession<'n> {
     /// candidate must be judged purely against the other key copy's
     /// consistency with the observed pairs, otherwise a candidate
     /// contradicting `K1`'s old observations would be spuriously "confirmed".
-    /// The generation's `K2`/`Kϕ` constraints *are* active.
+    /// Every observation and the generation's `K2` constraints *are* active,
+    /// so Unsat means every key consistent with the oracle's answers so far
+    /// — the correct key among them — agrees with the candidate everywhere.
     ///
     /// # Panics
     ///
@@ -627,12 +746,19 @@ impl<'n> AttackSession<'n> {
     pub fn find_dip_against(&mut self, candidate: &Key) -> SolveResult {
         self.ensure_dip();
         let diff = self.diff_frame();
-        let key_a = self.dip.as_ref().expect("just ensured").key_a.clone();
-        let assumptions = assumptions_for(&key_a, candidate.bits());
-        let mut frames = vec![diff];
-        if let Some(generation) = &self.generation {
-            frames.push(generation.phi_frame);
+        let dip = self.dip.as_ref().expect("just ensured");
+        let assumptions = assumptions_for(&dip.key_a, candidate.bits());
+        // The search for a rival `K2` starts at the candidate itself, so each
+        // distinguishing input pits the candidate against a nearby key that
+        // is still consistent with the observations.  Only the model found
+        // depends on it, never the answer; on SFLL-HD and TTLock locks it
+        // took several times fewer iterations per verdict than phases left
+        // over from the previous distinguishing input.
+        for &lit in &assumptions_for(&dip.key_b, candidate.bits()) {
+            self.solver.set_phase(lit);
         }
+        let io_b = self.generation.as_ref().and_then(|g| g.io_b_frame);
+        let frames: Vec<FrameId> = [diff].into_iter().chain(io_b).collect();
         let _span = crate::trace::span("solve");
         self.solver.solve_in(&frames, &assumptions)
     }
@@ -661,16 +787,73 @@ impl<'n> AttackSession<'n> {
             .expect("input width mismatch")
     }
 
-    /// Adds the observed I/O pair `C(x̂, K, ŷ)` as a constraint on one key
-    /// vector.
+    /// Records the oracle pair `(inputs, outputs)` for the session's life:
+    /// a permanent constraint `C(inputs, K, outputs)` on `K2` in the DIP
+    /// solver and on `Kϕ` in the key solver (replayed when the key solver is
+    /// created).  A pattern already observed adds nothing.
+    ///
+    /// This is the session's oracle contract: every pair observed on one
+    /// session must come from one oracle.  An observation no key can
+    /// reproduce makes both formulas unsatisfiable for good — the SAT attack
+    /// then reports the oracle inconsistent, and every later confirmation
+    /// answers ⊥.
+    pub fn observe(&mut self, inputs: &[bool], outputs: &[bool]) {
+        let node_values = self.simulate_key_free(inputs);
+        self.observe_presimulated(inputs, &node_values, outputs);
+    }
+
+    /// [`AttackSession::observe`] over an existing simulation pass.
+    fn observe_presimulated(&mut self, inputs: &[bool], node_values: &[bool], outputs: &[bool]) {
+        if let Some(&index) = self.observed.get(inputs) {
+            debug_assert_eq!(
+                self.observations[index].1, outputs,
+                "one session observes one oracle"
+            );
+            return;
+        }
+        self.observed
+            .insert(inputs.to_vec(), self.observations.len());
+        self.observations.push((inputs.to_vec(), outputs.to_vec()));
+        self.ensure_dip();
+        let key_b = self.dip.as_ref().expect("just ensured").key_b.clone();
+        let cone = self.key_cone.as_ref().expect("built by the simulation");
+        encode_io(
+            self.netlist,
+            &mut self.solver,
+            cone,
+            &key_b,
+            node_values,
+            outputs,
+        );
+        if let Some(keys) = &mut self.keys {
+            encode_io(
+                self.netlist,
+                &mut keys.solver,
+                cone,
+                &keys.keys,
+                node_values,
+                outputs,
+            );
+            maybe_simplify(&mut keys.solver, &mut keys.clauses_at_last_simplify);
+        }
+        maybe_simplify(&mut self.solver, &mut self.clauses_at_last_simplify);
+    }
+
+    /// Number of distinct oracle pairs the session has observed.
+    pub fn num_observations(&self) -> usize {
+        self.observations.len()
+    }
+
+    /// Adds the I/O pair `C(x̂, K, ŷ)` as a constraint on one key vector.
     ///
     /// Scoping: while a predicate generation is active, the constraint —
-    /// including its cone encoding — lands in the generation's frames
-    /// (`K1` in the generation's I/O frame, `K2`/`Kϕ` in the ϕ frame) and is
+    /// including its cone encoding — lands in the generation's frames and is
     /// detached by [`AttackSession::retire_predicate`].  Outside a
     /// generation, `K1` constraints are scoped to the session's `K1` I/O
     /// frame (see [`AttackSession::find_dip_against`] for why) and `K2`
-    /// constraints are permanent; `Kϕ` requires an active generation.
+    /// constraints are permanent; `Kϕ` requires an active generation.  To
+    /// record an oracle answer for the session's life, use
+    /// [`AttackSession::observe`].
     ///
     /// Only the session's precomputed key-dependent cone is encoded
     /// ([`netlist::cnf::encode_key_cone`]); every key-free wire is read from
@@ -682,90 +865,90 @@ impl<'n> AttackSession<'n> {
     /// confined to the generation's frame.
     pub fn constrain_key_with_io(&mut self, which: KeyVector, inputs: &[bool], outputs: &[bool]) {
         let node_values = self.simulate_key_free(inputs);
-        self.constrain_key_with_io_presimulated(which, &node_values, outputs);
-        self.maybe_simplify();
-    }
-
-    /// Inner constraint step over an existing simulation pass, so
-    /// [`AttackSession::force_dip`] folds the key cone twice but simulates
-    /// only once.
-    fn constrain_key_with_io_presimulated(
-        &mut self,
-        which: KeyVector,
-        node_values: &[bool],
-        outputs: &[bool],
-    ) {
-        self.ensure_dip();
-        let dip = self.dip.as_ref().expect("just ensured");
-        let (keys, frame) = match which {
-            KeyVector::A => (
-                dip.key_a.clone(),
-                Some(match &self.generation {
-                    Some(generation) => generation.io_a_frame,
-                    None => dip.io_a_frame,
-                }),
-            ),
-            KeyVector::B => (
-                dip.key_b.clone(),
-                self.generation.as_ref().map(|g| g.phi_frame),
-            ),
-            KeyVector::Predicate => (self.phi_keys(), {
-                let generation = self
-                    .generation
-                    .as_ref()
-                    .expect("begin_predicate() must be called first");
-                Some(generation.phi_frame)
-            }),
-        };
-        let cone = self.key_cone.as_ref().expect("ensured by caller");
-        // Route the whole encoding — Tseitin definitions and forcing units —
-        // into the chosen frame, so retirement reclaims all of it.  An
-        // impossible observation becomes the frame-scoped empty clause,
-        // poisoning the frame instead of the solver.
-        self.solver.set_default_frame(frame);
-        let signals = encode_key_cone(self.netlist, &mut self.solver, cone, node_values, &keys);
-        assert_eq!(signals.len(), outputs.len(), "output width mismatch");
-        for (signal, &want) in signals.iter().zip(outputs) {
-            match signal {
-                Signal::Const(have) if *have == want => {}
-                Signal::Const(_) => {
-                    // No key can reproduce the observation.
-                    self.solver.add_clause([]);
-                    break;
-                }
-                Signal::Lit(l) => self.solver.add_clause([if want { *l } else { !*l }]),
+        match which {
+            KeyVector::Predicate => {
+                let frame = self.phi_frame();
+                let netlist = self.netlist;
+                let cone = self.key_cone.as_ref().expect("built by the simulation");
+                let keys = self.keys.as_mut().expect("created by begin_predicate");
+                keys.solver.set_default_frame(Some(frame));
+                encode_io(
+                    netlist,
+                    &mut keys.solver,
+                    cone,
+                    &keys.keys,
+                    &node_values,
+                    outputs,
+                );
+                keys.solver.set_default_frame(None);
+                maybe_simplify(&mut keys.solver, &mut keys.clauses_at_last_simplify);
+            }
+            KeyVector::A | KeyVector::B => {
+                self.constrain_dip_key(which, &node_values, outputs);
+                maybe_simplify(&mut self.solver, &mut self.clauses_at_last_simplify);
             }
         }
+    }
+
+    /// Constrains `K1` (`which == KeyVector::A`) or `K2` of the DIP solver
+    /// with an I/O pair over an existing simulation pass, in the frame
+    /// [`AttackSession::constrain_key_with_io`] documents.
+    fn constrain_dip_key(&mut self, which: KeyVector, node_values: &[bool], outputs: &[bool]) {
+        debug_assert_ne!(which, KeyVector::Predicate, "Kϕ lives in the key solver");
+        self.ensure_dip();
+        let dip = self.dip.as_ref().expect("just ensured");
+        let k1 = which == KeyVector::A;
+        let (keys, session_frame) = if k1 {
+            (dip.key_a.clone(), Some(dip.io_a_frame))
+        } else {
+            (dip.key_b.clone(), None)
+        };
+        let frame = match &mut self.generation {
+            Some(generation) => {
+                let slot = if k1 {
+                    &mut generation.io_a_frame
+                } else {
+                    &mut generation.io_b_frame
+                };
+                Some(*slot.get_or_insert_with(|| self.solver.push_frame()))
+            }
+            None => session_frame,
+        };
+        let cone = self.key_cone.as_ref().expect("built by the simulation");
+        self.solver.set_default_frame(frame);
+        encode_io(
+            self.netlist,
+            &mut self.solver,
+            cone,
+            &keys,
+            node_values,
+            outputs,
+        );
         self.solver.set_default_frame(None);
     }
 
-    /// Classic SAT-attack bookkeeping: constrains both DIP key copies with
-    /// the observed I/O pair.  The key-free logic is simulated once and
-    /// shared by both constraint passes.
+    /// Classic SAT-attack bookkeeping: constrains `K1` with the observed I/O
+    /// pair (in the `K1` I/O frame) and records it with
+    /// [`AttackSession::observe`].  The key-free logic is simulated once and
+    /// shared by every constraint pass.
     pub fn force_dip(&mut self, inputs: &[bool], outputs: &[bool]) {
         let node_values = self.simulate_key_free(inputs);
-        self.constrain_key_with_io_presimulated(KeyVector::A, &node_values, outputs);
-        self.constrain_key_with_io_presimulated(KeyVector::B, &node_values, outputs);
-        self.maybe_simplify();
+        self.constrain_dip_key(KeyVector::A, &node_values, outputs);
+        self.observe_presimulated(inputs, &node_values, outputs);
     }
 
-    /// Solves the predicate formula (difference constraint and `K1` I/O
-    /// history dormant, generation's ϕ and I/O pairs active) and returns a
-    /// candidate key from the `Kϕ` model.
+    /// Solves the key solver (ϕ and every constraint on `Kϕ`) and returns a
+    /// candidate key from its model.  The DIP solver is not involved.
     ///
     /// # Panics
     ///
     /// Panics if no predicate generation is active.
     pub fn candidate_key(&mut self) -> (SolveResult, Option<Key>) {
-        let phi = self.phi_keys();
-        let phi_frame = self
-            .generation
-            .as_ref()
-            .expect("checked by phi_keys")
-            .phi_frame;
+        let phi_frame = self.phi_frame();
+        let keys = self.keys.as_mut().expect("created by begin_predicate");
         let _span = crate::trace::span("solve");
-        let result = self.solver.solve_in(&[phi_frame], &[]);
-        let key = (result == SolveResult::Sat).then(|| model_key(&self.solver, &phi));
+        let result = keys.solver.solve_in(&[phi_frame], &[]);
+        let key = (result == SolveResult::Sat).then(|| model_key(&keys.solver, &keys.keys));
         (result, key)
     }
 
@@ -786,23 +969,14 @@ impl<'n> AttackSession<'n> {
             self.solver.retire_frame(frame);
             self.solver.simplify();
         }
-        let mut frames = vec![io_a];
-        if let Some(generation) = &self.generation {
-            frames.push(generation.io_a_frame);
-            frames.push(generation.phi_frame);
-        }
+        let frames: Vec<FrameId> = [io_a]
+            .into_iter()
+            .chain(self.generation_io_frames())
+            .collect();
         let _span = crate::trace::span("solve");
         let result = self.solver.solve_in(&frames, &[]);
         let key = (result == SolveResult::Sat).then(|| model_key(&self.solver, &key_a));
         (result, key)
-    }
-
-    fn maybe_simplify(&mut self) {
-        let n = self.solver.num_clauses();
-        if n > 2_000 && n > 2 * self.clauses_at_last_simplify {
-            self.solver.simplify();
-            self.clauses_at_last_simplify = self.solver.num_clauses();
-        }
     }
 
     // ------------------------------------------------------------------
@@ -815,10 +989,7 @@ impl<'n> AttackSession<'n> {
     fn cones(&mut self) -> &mut ConeParts {
         if self.cones.is_none() {
             self.full_encodings += 1;
-            let mut solver = Solver::with_config(self.solver.config().clone());
-            solver.set_checkpoint_hook(Some(checkpoint_hook()));
-            solver.set_interrupt(self.interrupt.clone());
-            solver.set_conflict_budget(self.conflict_budget);
+            let mut solver = self.sibling_solver();
             let enc1 = IncrementalEncoder::new(self.netlist, &mut solver, &PinBinding::default());
             // The second input space is fresh; the key space is shared with
             // the first copy (analysis candidates never depend on key inputs,
@@ -1085,6 +1256,7 @@ impl<'n> AttackSession<'n> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::Oracle;
     use locking::{LockingScheme, XorLock};
     use netlist::random::{generate, RandomCircuitSpec};
     use netlist::sim::pattern_to_bits;
@@ -1179,6 +1351,85 @@ mod tests {
     }
 
     #[test]
+    fn candidate_queries_run_in_the_key_solver() {
+        let original = generate(&RandomCircuitSpec::new("sess_keys", 6, 2, 40));
+        let locked = XorLock::new(4).with_seed(7).lock(&original).expect("lock");
+        let oracle = crate::oracle::SimOracle::new(original.clone());
+        let mut session = AttackSession::new(&locked.locked);
+        session.prime();
+        let shortlist = [locked.key.complement(), locked.key.clone()];
+        let _keys = session.begin_predicate();
+        session.add_predicate_clauses(|solver, keys| {
+            let selectors: Vec<Lit> = shortlist
+                .iter()
+                .map(|key| {
+                    let selector = Lit::positive(solver.new_var());
+                    for (&lit, &bit) in keys.iter().zip(key.bits()) {
+                        solver.add_clause([!selector, if bit { lit } else { !lit }]);
+                    }
+                    selector
+                })
+                .collect();
+            solver.add_clause(selectors);
+        });
+        let mut candidates = 0;
+        loop {
+            let dip = session.solver.stats();
+            let total = session.stats().solves;
+            let (result, key) = session.candidate_key();
+            candidates += 1;
+            let after = session.solver.stats();
+            assert_eq!(after.solves, dip.solves, "P never solves the DIP solver");
+            assert_eq!(after.decisions, dip.decisions, "P decides no circuit copy");
+            assert_eq!(session.stats().solves, total + 1, "stats() counts P");
+            assert_eq!(result, SolveResult::Sat, "the true key is shortlisted");
+            let key = key.expect("sat carries a key");
+            if session.find_dip_against(&key) == SolveResult::Unsat {
+                assert_eq!(key, locked.key);
+                break;
+            }
+            let x = session.dip_inputs();
+            session.observe(&x, &oracle.query(&x));
+            assert!(candidates < 10, "a two-key shortlist settles quickly");
+        }
+        session.retire_predicate();
+    }
+
+    #[test]
+    fn observations_outlive_generations_and_reach_a_later_key_solver() {
+        let original = generate(&RandomCircuitSpec::new("sess_obs", 6, 2, 40));
+        let locked = XorLock::new(4).with_seed(7).lock(&original).expect("lock");
+        let oracle = crate::oracle::CountingOracle::new(crate::oracle::SimOracle::new(original));
+        let config = crate::key_confirmation::KeyConfirmationConfig::default();
+
+        // The SAT attack observes pairs before any key solver exists; the
+        // first confirmation's key solver must start from all of them, so a
+        // wrong-only shortlist is ⊥ without a single oracle query.
+        let mut session = AttackSession::new(&locked.locked);
+        let attack = crate::sat_attack::sat_attack_in(
+            &mut session,
+            &oracle,
+            &crate::sat_attack::SatAttackConfig::default(),
+        );
+        assert!(attack.is_success());
+        let observed = session.num_observations();
+        assert_eq!(observed, attack.oracle_queries);
+        let wrong = locked.key.complement();
+        assert!(!locked.key_is_functionally_correct(&wrong, 64, 1));
+        let queries = oracle.queries();
+        let rejection =
+            crate::key_confirmation::key_confirmation_in(&mut session, &oracle, &[wrong], &config);
+        assert!(rejection.completed);
+        assert_eq!(rejection.key, None);
+        assert_eq!((rejection.oracle_queries, oracle.queries()), (0, queries));
+
+        // Re-observing a known pattern adds nothing.
+        let (x, y) = session.observations[0].clone();
+        session.observe(&x, &y);
+        assert_eq!(session.num_observations(), observed);
+    }
+
+    #[test]
     #[should_panic(expected = "retire_predicate")]
     fn overlapping_predicate_generations_are_rejected() {
         let original = generate(&RandomCircuitSpec::new("sess_phi", 6, 2, 40));
@@ -1189,7 +1440,7 @@ mod tests {
     }
 
     #[test]
-    fn retired_generations_rebind_and_reuse_the_phi_pool() {
+    fn retired_generations_rebind_the_same_phi_keys() {
         let original = generate(&RandomCircuitSpec::new("sess_gen", 6, 2, 40));
         let locked = XorLock::new(4).with_seed(7).lock(&original).expect("lock");
         let mut session = AttackSession::new(&locked.locked);
@@ -1199,12 +1450,12 @@ mod tests {
         session.retire_predicate();
         assert!(!session.has_active_predicate());
         let second = session.begin_predicate();
-        assert_eq!(first, second, "the Kϕ literal pool is reused");
+        assert_eq!(first, second, "every generation constrains the same Kϕ");
         // Retiring twice is a no-op.
         session.retire_predicate();
         session.retire_predicate();
-        // Generations never re-encode the circuit.
-        assert_eq!(session.cone_encodings_built(), 1);
+        // ϕ lives in the key solver: generations encode no circuit copy.
+        assert_eq!(session.cone_encodings_built(), 0);
     }
 
     #[test]

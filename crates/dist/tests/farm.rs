@@ -6,13 +6,16 @@
 //! test-profile path as `CARGO_BIN_EXE_fall-dist`), so these tests exercise
 //! the exact re-exec path production farms use.
 
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use fall::key_confirmation::{key_confirmation_with_predicate_in, KeyConfirmationResult};
+use fall::parallel::{drain_regions, CachingOracle, CancelToken, RegionDrainOutcome, RegionSource};
 use fall::{AttackSession, KeyConfirmationConfig, Oracle, SimOracle};
-use fall_dist::{farm_over_tcp, Farm, FarmConfig, WorkerOptions, WORKER_SENTINEL};
+use fall_dist::{farm_over_tcp, Farm, FarmConfig, FarmResult, WorkerOptions, WORKER_SENTINEL};
 use locking::{LockedCircuit, LockingScheme, SfllHd};
 use netlist::random::{generate, RandomCircuitSpec};
 use netlist::Netlist;
@@ -176,18 +179,54 @@ fn drain_all_mode_retires_every_region_deterministically() {
     assert_eq!(second.key, first.key);
 }
 
-#[test]
-fn sigkill_mid_lease_requeues_the_region_and_recovers_the_key() {
-    let (locked, original, serial) = smoke_case();
-    let mut config = base_config(3);
-    // Worker 0 parks on its first lease long enough for the test to SIGKILL
-    // it provably mid-lease; the lease must requeue and a survivor must
-    // finish the search.
-    config.worker_args = vec![vec![
-        "--stall-first-lease-ms".to_string(),
-        "60000".to_string(),
-    ]];
-    let farm = Farm::spawn(&locked.locked, &original, &config).expect("spawn farm");
+/// A [`RegionSource`] that deals one fixed region sequence.
+struct Sequence(Mutex<VecDeque<u64>>);
+
+impl RegionSource for Sequence {
+    fn next_region(&self) -> Option<u64> {
+        self.0.lock().expect("sequence lock").pop_front()
+    }
+}
+
+/// Distinct oracle patterns asked by in-process workers draining
+/// `sequences` — one primed session per sequence, winners draining on, as a
+/// farm worker does — through one shared cache.  A session's trajectory
+/// does not depend on who answered a pattern first, so this is the merged
+/// count of a farm whose workers drain exactly these sequences.
+fn drained_unique_queries(locked: &Netlist, original: &Netlist, sequences: &[&[u64]]) -> usize {
+    let sim = SimOracle::new(original.clone());
+    let cache = CachingOracle::new(&sim);
+    for sequence in sequences {
+        let mut session = AttackSession::new(locked);
+        session.prime();
+        let source = Sequence(Mutex::new(sequence.iter().copied().collect()));
+        while let RegionDrainOutcome::Winner { .. } = drain_regions(
+            &mut session,
+            &cache,
+            &source,
+            PARTITION_BITS,
+            &KeyConfirmationConfig::default(),
+            &CancelToken::new(),
+        )
+        .outcome
+        {}
+    }
+    cache.unique_queries()
+}
+
+/// Runs a 3-worker drain-all farm whose worker 0 parks on its first lease
+/// until the test SIGKILLs it provably mid-lease.
+fn farm_with_worker_0_killed_mid_lease(locked: &LockedCircuit, original: &Netlist) -> FarmResult {
+    let config = FarmConfig {
+        steal: false,
+        cancel_on_winner: false,
+        worker_args: vec![vec![
+            "--stall-first-lease-ms".to_string(),
+            "60000".to_string(),
+        ]],
+        ..base_config(3)
+    };
+    let farm = Farm::spawn(&locked.locked, original, &config).expect("spawn farm");
 
     let deadline = Instant::now() + Duration::from_secs(120);
     let leased = loop {
@@ -197,29 +236,50 @@ fn sigkill_mid_lease_requeues_the_region_and_recovers_the_key() {
         assert!(Instant::now() < deadline, "worker 0 never received a lease");
         std::thread::sleep(Duration::from_millis(10));
     };
+    assert_eq!(leased, 0, "the front of worker 0's own share");
 
     let status = Command::new("kill")
         .args(["-9", &farm.worker_pid(0).to_string()])
         .status()
         .expect("spawn kill");
     assert!(status.success(), "SIGKILL delivered");
+    farm.wait()
+}
 
-    let result = farm.wait();
-    assert!(
-        result.regions_requeued >= 1,
-        "the killed worker's lease (region {leased}) must requeue"
+#[test]
+fn sigkill_mid_lease_requeues_the_region_and_recovers_the_key() {
+    let (locked, original, _serial) = smoke_case();
+    let result = farm_with_worker_0_killed_mid_lease(&locked, &original);
+    assert_eq!(
+        result.regions_requeued, 1,
+        "the killed worker's lease (region 0) must requeue"
     );
-    assert!(result.workers_crashed >= 1);
+    assert_eq!(result.workers_crashed, 1);
+    assert!(result.completed);
+    assert_eq!(result.regions_completed as u64, result.regions);
     let key = result.key.as_ref().expect("survivors recover the key");
     assert!(
         locked.key_is_functionally_correct(key, 200, 4),
         "recovered key equals the serial result functionally"
     );
-    assert!(
-        result.unique_oracle_queries <= serial.oracle_queries + result.workers,
-        "farm {} vs serial {}",
+
+    // Regions 0..4 are dealt 0,3 | 1 | 2.  Worker 0 dies holding 0 with 3
+    // still in its share, and fail_worker deals them on round-robin to the
+    // survivors' backs: worker 1 drains [1, 0] and worker 2 drains [2, 3],
+    // however far either got before the kill.  Without stealing or
+    // cancellation each survivor's session therefore asks exactly the
+    // patterns a local session draining the same sequence asks (the worker
+    // never turns the supervisor's shipped pairs into constraints), and
+    // worker 0 asked none: the merged count is that of two local sessions
+    // draining [1, 0] and [2, 3] through one cache, on every run.
+    let again = farm_with_worker_0_killed_mid_lease(&locked, &original);
+    assert_eq!(
+        again.unique_oracle_queries, result.unique_oracle_queries,
+        "a crash run's unique-query count is reproducible"
+    );
+    assert_eq!(
         result.unique_oracle_queries,
-        serial.oracle_queries
+        drained_unique_queries(&locked.locked, &original, &[&[1, 0], &[2, 3]]),
     );
 }
 
@@ -235,8 +295,8 @@ fn crash_on_first_lease_hook_exercises_the_requeue_path_deterministically() {
     let result = Farm::spawn(&locked.locked, &original, &config)
         .expect("spawn farm")
         .wait();
-    // Worker 0's first grant is deterministically region 0 (requeue lane
-    // empty, own share front); it dies holding exactly that lease.
+    // Worker 0's first grant is deterministically region 0 (the front of
+    // its own share); it dies holding exactly that lease.
     assert_eq!(result.regions_requeued, 1);
     assert_eq!(result.workers_crashed, 1);
     assert!(result.completed, "survivor retires the whole region space");

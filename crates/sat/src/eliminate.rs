@@ -25,7 +25,7 @@
 //! (the recycler owns them), assigned variables, and any variable sharing a
 //! clause with an excluded one (the resolvent set would be incomplete).
 
-use super::{LBool, Lit, Solver, Var};
+use super::{LBool, Lit, Recycling, Solver, Var};
 use crate::clause::ClauseRef;
 
 /// One entry of the elimination reconstruction stack: the variable and the
@@ -62,7 +62,7 @@ impl Solver {
             let lits = self.db.lits(cref);
             let ineligible = lits.iter().any(|l| {
                 let i = l.var().index();
-                self.frame_tagged[i] || self.released[i]
+                self.frame_tagged[i] || self.recycling[i] != Recycling::Live
             });
             for l in lits {
                 let i = l.var().index();
@@ -87,7 +87,7 @@ impl Solver {
                 || self.frozen[i]
                 || self.eliminated[i]
                 || self.elim_skip[i]
-                || self.released[i]
+                || self.recycling[i] != Recycling::Live
                 || self.frame_tagged[i]
                 || self.assigns[i] != LBool::Undef
             {

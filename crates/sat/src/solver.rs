@@ -446,6 +446,20 @@ impl std::fmt::Debug for HookSlot {
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub struct FrameId(u32);
 
+/// Where a variable stands in the recycling lifecycle
+/// ([`Solver::release_var`], [`Solver::simplify`], [`Solver::new_var`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Recycling {
+    /// In use.
+    #[default]
+    Live,
+    /// Released, but a live clause or the elimination stack may still
+    /// mention it.
+    Pending,
+    /// On the free list: no clause mentions it until `new_var` hands it out.
+    Free,
+}
+
 #[derive(Clone, Debug)]
 struct Frame {
     lit: Lit,
@@ -495,9 +509,9 @@ pub struct Solver {
     /// Variables released ([`Solver::release_var`]) but not yet proven
     /// unreferenced; the next [`Solver::simplify`] reclaims them.
     pending_release: Vec<Var>,
-    /// `released[v]` — is `v` in `free_vars` or `pending_release`?  Guards
-    /// against double releases.
-    released: Vec<bool>,
+    /// Where each variable stands in the recycling lifecycle; guards
+    /// against double releases and keeps free variables out of branching.
+    recycling: Vec<Recycling>,
     /// Restart pacing (Luby budgets or LBD EMAs), re-armed per solve call.
     restart: RestartState,
     /// Level-stamp scratch for allocation-free LBD computation: level `l`
@@ -660,7 +674,7 @@ impl Solver {
     pub fn new_var(&mut self) -> Var {
         let var = match self.free_vars.pop() {
             Some(var) => {
-                self.released[var.index()] = false;
+                self.recycling[var.index()] = Recycling::Live;
                 self.reset_var(var);
                 var
             }
@@ -685,7 +699,7 @@ impl Solver {
         self.level.push(0);
         self.activity.push(0.0);
         self.seen.push(false);
-        self.released.push(false);
+        self.recycling.push(Recycling::Live);
         self.frozen.push(false);
         self.eliminated.push(false);
         self.elim_skip.push(false);
@@ -734,11 +748,11 @@ impl Solver {
             self.free_vars.retain(|v| v.index() >= n);
             self.pending_release.retain(|v| v.index() >= n);
             for var in claimed {
-                self.released[var.index()] = false;
+                self.recycling[var.index()] = Recycling::Live;
                 self.reset_var(var);
             }
-            for i in 0..n.min(self.released.len()) {
-                self.released[i] = false;
+            for i in 0..n.min(self.recycling.len()) {
+                self.recycling[i] = Recycling::Live;
             }
         }
         while self.num_vars < n {
@@ -761,8 +775,8 @@ impl Solver {
     /// frame's clause reclamation.
     pub fn release_var(&mut self, var: Var) {
         debug_assert!(var.index() < self.num_vars, "unknown variable");
-        if !self.released[var.index()] {
-            self.released[var.index()] = true;
+        if self.recycling[var.index()] == Recycling::Live {
+            self.recycling[var.index()] = Recycling::Pending;
             self.pending_release.push(var);
         }
     }
@@ -816,6 +830,14 @@ impl Solver {
         if frozen && self.eliminated[var.index()] {
             self.resurrect_var(var);
         }
+    }
+
+    /// Makes the next decision on `lit`'s variable try `lit` first.  Phase
+    /// saving replaces the hint once the variable is assigned and
+    /// backtracked.  Phases steer which model a search finds, never whether
+    /// one exists.
+    pub fn set_phase(&mut self, lit: Lit) {
+        self.phase[lit.var().index()] = lit.polarity();
     }
 
     /// Whether [`Solver::set_frozen`] marked this variable.
@@ -1220,6 +1242,7 @@ impl Solver {
                 debug_assert_eq!(self.level[var.index()], 0);
                 unassign.push(var);
             }
+            self.recycling[var.index()] = Recycling::Free;
             self.free_vars.push(var);
             self.stats.recycled_vars += 1;
         }
@@ -1230,12 +1253,11 @@ impl Solver {
             }
             self.trail.retain(|l| !drop[l.var().index()]);
             self.qhead = self.trail.len();
+            // Free variables stay out of the branching heap until
+            // `reset_var` hands them out again.
             for var in unassign {
                 self.assigns[var.index()] = LBool::Undef;
                 self.reason[var.index()] = None;
-                if !self.order.contains(var) {
-                    self.order.insert(var, &self.activity);
-                }
             }
         }
     }
@@ -1809,9 +1831,17 @@ impl Solver {
         self.fire_checkpoint(Checkpoint::ReduceDb, started);
     }
 
+    /// The unassigned variable of highest activity.  Eliminated variables
+    /// are left to model reconstruction, and free-listed ones appear in no
+    /// clause, so a decision on either would be pure overhead.  A skipped
+    /// variable leaves the heap until resurrection or `reset_var` puts it
+    /// back.
     fn pick_branch_var(&mut self) -> Option<Var> {
         while let Some(var) = self.order.pop_max(&self.activity) {
-            if self.assigns[var.index()] == LBool::Undef && !self.eliminated[var.index()] {
+            if self.assigns[var.index()] == LBool::Undef
+                && !self.eliminated[var.index()]
+                && self.recycling[var.index()] != Recycling::Free
+            {
                 return Some(var);
             }
         }
@@ -2575,6 +2605,40 @@ mod tests {
         s.simplify();
         assert_eq!(s.free_var_count(), 1);
         assert_eq!(s.new_var(), b, "the recycled variable is handed out again");
+    }
+
+    #[test]
+    fn solves_never_branch_on_free_listed_variables() {
+        let mut s = Solver::new();
+        let x = Lit::positive(s.new_var());
+        let frame = s.push_frame();
+        s.set_default_frame(Some(frame));
+        let (y, z) = (Lit::positive(s.new_var()), Lit::positive(s.new_var()));
+        s.add_clause([y, z]);
+        s.add_clause([!y, !z, x]);
+        s.set_default_frame(None);
+        assert_eq!(s.solve_in(&[frame], &[]), SolveResult::Sat);
+        s.retire_frame(frame);
+        s.simplify();
+        assert_eq!(s.free_var_count(), 3, "y, z and the activation variable");
+
+        // Only `x` is left to decide; `y`, `z` and the activation variable
+        // appear in no clause and must not cost a decision each.
+        let before = s.stats().decisions;
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert_eq!(s.stats().decisions - before, 1);
+        assert_eq!(s.value(y), None, "a free variable has no model value");
+
+        // Handed out again, a recycled variable is branched on as usual.
+        let w = Lit::positive(s.new_var());
+        s.add_clause([w, !x]);
+        let before = s.stats().decisions;
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert!(s.stats().decisions - before <= 2);
+        assert!(s.value(w).is_some());
+        s.add_clause([x]);
+        s.add_clause([!w]);
+        assert_eq!(s.solve(), SolveResult::Unsat);
     }
 
     #[test]

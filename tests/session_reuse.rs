@@ -13,15 +13,28 @@
 //! are checked semantically instead (ϕ-membership, consistency with every
 //! observed I/O pair, functional correctness of confirmed keys).
 //!
+//! The session keeps every oracle observation for its life, so whole
+//! confirmation runs on one session are compared by verdict instead: each
+//! must reach the verdict of `key_confirmation_fresh`, the pre-session
+//! algorithm with two dedicated solvers per run.
+//!
 //! Failures print the case index, the generation, the scheme/seed label and
 //! the iteration, mirroring the deterministic case-runner convention of
 //! `tests/property_based.rs`.
 
-use fall::key_confirmation::{key_confirmation_in, KeyConfirmationConfig};
-use fall::oracle::{Oracle, SimOracle};
+use fall::encode::{
+    assumptions_for, constrain_equal_const, instantiate, instantiate_sharing_inputs,
+    instantiate_sharing_keys, model_key, model_values,
+};
+use fall::key_confirmation::{
+    key_confirmation_in, key_confirmation_with_predicate_in, KeyConfirmationConfig,
+};
+use fall::oracle::{CountingOracle, Oracle, SimOracle};
 use fall::session::{AttackSession, KeyVector};
 use locking::{Key, LockedCircuit, LockingScheme, SfllHd, TtLock, XorLock};
+use netlist::cnf::encode_any_difference;
 use netlist::random::{generate, RandomCircuitSpec};
+use netlist::Netlist;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sat::{Lit, SolveResult, Solver};
@@ -84,6 +97,9 @@ enum PhiMode {
     Shortlist(Vec<Key>),
     /// ϕ pins one key bit (a § VI-D key-space region).
     PinBit { bit: usize, value: bool },
+    /// ϕ pins the first `bits` key bits to those of `region` (the § VI-D
+    /// partition the region search uses).
+    Region { bits: usize, region: u64 },
     /// ϕ = true (key confirmation degenerates to the SAT attack).
     Free,
 }
@@ -125,6 +141,11 @@ fn apply_mode(solver: &mut Solver, key_lits: &[Lit], mode: &PhiMode) {
             let lit = key_lits[*bit];
             solver.add_clause([if *value { lit } else { !lit }]);
         }
+        PhiMode::Region { bits, region } => {
+            for (bit, &lit) in key_lits.iter().enumerate().take(*bits) {
+                solver.add_clause([if (region >> bit) & 1 == 1 { lit } else { !lit }]);
+            }
+        }
         PhiMode::Free => {}
     }
 }
@@ -133,6 +154,9 @@ fn key_satisfies_phi(mode: &PhiMode, key: &Key) -> bool {
     match mode {
         PhiMode::Shortlist(keys) => keys.contains(key),
         PhiMode::PinBit { bit, value } => key.bits()[*bit] == *value,
+        PhiMode::Region { bits, region } => {
+            (0..*bits).all(|bit| key.bits()[bit] == ((region >> bit) & 1 == 1))
+        }
         PhiMode::Free => true,
     }
 }
@@ -409,4 +433,163 @@ fn one_session_serves_many_confirmation_runs() {
         1,
         "eight confirmation runs share one circuit encoding"
     );
+}
+
+/// Whether two keys make the locked circuit compute the same function,
+/// over every input pattern.
+fn same_function(locked: &Netlist, a: &Key, b: &Key) -> bool {
+    (0..1u64 << locked.num_inputs()).all(|pattern| {
+        let x = netlist::sim::pattern_to_bits(pattern, locked.num_inputs());
+        locked.evaluate(&x, a.bits()) == locked.evaluate(&x, b.bits())
+    })
+}
+
+/// The pre-session key confirmation (Algorithm 4 with two dedicated
+/// solvers and a full circuit encoding per observed pair): the verdict
+/// reference for runs on a long-lived session.  Returns the confirmed key
+/// (`None` for ⊥).
+fn key_confirmation_fresh(locked: &Netlist, oracle: &dyn Oracle, mode: &PhiMode) -> Option<Key> {
+    // P: candidate keys consistent with ϕ and the observed I/O pairs.
+    let mut p_solver = Solver::new();
+    let p_keys: Vec<Lit> = (0..locked.num_key_inputs())
+        .map(|_| Lit::positive(p_solver.new_var()))
+        .collect();
+    apply_mode(&mut p_solver, &p_keys, mode);
+
+    // Q: distinguishing inputs between K1 (assumed equal to the candidate)
+    // and any other key K2 consistent with the observed I/O pairs.
+    let mut q_solver = Solver::new();
+    let q_copy1 = instantiate(locked, &mut q_solver);
+    let q_copy2 = instantiate_sharing_inputs(locked, &mut q_solver, &q_copy1.inputs);
+    let diff = encode_any_difference(&mut q_solver, &q_copy1.outputs, &q_copy2.outputs);
+    q_solver.add_clause([diff]);
+
+    for _ in 0..MAX_ITERATIONS {
+        let candidate = match p_solver.solve() {
+            SolveResult::Unsat => return None,
+            SolveResult::Unknown => panic!("no budget set"),
+            SolveResult::Sat => model_key(&p_solver, &p_keys),
+        };
+        let assumptions = assumptions_for(&q_copy1.keys, candidate.bits());
+        match q_solver.solve_with(&assumptions) {
+            SolveResult::Unsat => return Some(candidate),
+            SolveResult::Unknown => panic!("no budget set"),
+            SolveResult::Sat => {}
+        }
+        let x = model_values(&q_solver, &q_copy1.inputs);
+        let y = oracle.query(&x);
+        let p_pair = instantiate_sharing_keys(locked, &mut p_solver, &p_keys);
+        constrain_equal_const(&mut p_solver, &p_pair.inputs, &x);
+        constrain_equal_const(&mut p_solver, &p_pair.outputs, &y);
+        let q_pair = instantiate_sharing_keys(locked, &mut q_solver, &q_copy2.keys);
+        constrain_equal_const(&mut q_solver, &q_pair.inputs, &x);
+        constrain_equal_const(&mut q_solver, &q_pair.outputs, &y);
+    }
+    panic!("fresh confirmation did not converge within the iteration cap");
+}
+
+/// One long-lived session runs a mixed sequence of whole confirmations —
+/// shortlists holding the true key, decoy-only shortlists and region
+/// predicates — and keeps every oracle answer across them.  Every verdict
+/// must equal the fresh reference's, every confirmed key must unlock the
+/// circuit, and re-confirming a shortlist the session has settled must not
+/// ask the oracle anything.
+#[test]
+fn warm_confirmations_reach_the_fresh_verdicts() {
+    check(203, 8, |case_index, rng| {
+        let case = random_case(rng);
+        let locked = &case.locked;
+        let oracle = CountingOracle::new(SimOracle::new(locked.original.clone()));
+        let config = KeyConfirmationConfig::default();
+        let width = locked.key.len();
+        let decoy =
+            |rng: &mut ChaCha8Rng| Key::from_pattern(rng.gen_range(0..1u64 << width), width);
+        let true_region = (0..2).fold(0u64, |acc, bit| {
+            acc | (u64::from(locked.key.bits()[bit]) << bit)
+        });
+        let mut modes = vec![
+            PhiMode::Shortlist(vec![
+                decoy(rng),
+                locked.key.clone(),
+                locked.key.complement(),
+            ]),
+            PhiMode::Shortlist(vec![locked.key.complement(), decoy(rng)]),
+            PhiMode::Region {
+                bits: 2,
+                region: rng.gen_range(0..4),
+            },
+            PhiMode::Region {
+                bits: 2,
+                region: true_region,
+            },
+            PhiMode::Shortlist(vec![locked.key.clone(), decoy(rng)]),
+            PhiMode::Shortlist(vec![decoy(rng), decoy(rng)]),
+        ];
+        // The shortlists again, now settled by the session's observations.
+        let settled: Vec<PhiMode> = modes
+            .iter()
+            .filter(|mode| matches!(mode, PhiMode::Shortlist(_)))
+            .cloned()
+            .collect();
+        let first_pass = modes.len();
+        modes.extend(settled);
+
+        let mut session = AttackSession::new(&locked.locked);
+        for (run, mode) in modes.iter().enumerate() {
+            let ctx = format!("case {case_index} run {run} [{}] mode {mode:?}", case.label);
+            let fresh_oracle = SimOracle::new(locked.original.clone());
+            let want = key_confirmation_fresh(&locked.locked, &fresh_oracle, mode);
+            let queries_before = oracle.queries();
+            let result = match mode {
+                PhiMode::Shortlist(keys) => {
+                    key_confirmation_in(&mut session, &oracle, keys, &config)
+                }
+                _ => key_confirmation_with_predicate_in(
+                    &mut session,
+                    &oracle,
+                    &config,
+                    |solver, keys| apply_mode(solver, keys, mode),
+                ),
+            };
+            assert!(result.completed, "{ctx}: unfinished");
+            // The verdict is ⊥ or "this key is correct".  Where ϕ admits
+            // two keys that unlock the same function (an unobservable key
+            // bit), either one is that verdict.
+            match (&result.key, &want) {
+                (Some(key), Some(reference)) => assert!(
+                    same_function(&locked.locked, key, reference),
+                    "{ctx}: confirmed {key}, the fresh reference {reference}"
+                ),
+                (key, reference) => assert_eq!(
+                    key, reference,
+                    "{ctx}: verdict differs from the fresh reference"
+                ),
+            }
+            if let Some(key) = &result.key {
+                assert!(key_satisfies_phi(mode, key), "{ctx}: {key} violates ϕ");
+                assert!(
+                    locked.key_is_functionally_correct(key, 128, case_index as u64),
+                    "{ctx}: confirmed key {key} is not functionally correct"
+                );
+            }
+            assert_eq!(
+                result.oracle_queries,
+                oracle.queries() - queries_before,
+                "{ctx}"
+            );
+            if run >= first_pass {
+                assert_eq!(
+                    result.oracle_queries, 0,
+                    "{ctx}: a settled shortlist asked the oracle"
+                );
+                assert_eq!(result.iterations, 0, "{ctx}: a settled shortlist iterated");
+            }
+        }
+        assert_eq!(
+            session.num_observations(),
+            oracle.queries(),
+            "case {case_index}: one observation per query"
+        );
+        assert!(!session.has_active_predicate());
+    });
 }
