@@ -1006,6 +1006,19 @@ fn worker_loop(target: &Target, shared: &Shared, slot: usize) {
             let mut queue = target.queue.lock().expect("queue lock");
             loop {
                 if let Some(job) = queue.pop_fair() {
+                    // Activated before the queue lock drops, so a disconnect
+                    // (`cancel_client`) finds the job queued or active,
+                    // never in between.
+                    activate(
+                        shared,
+                        ActiveJob {
+                            job_id: job.job_id,
+                            client: job.client,
+                            deadline: Instant::now() + job.timeout,
+                            token: job.token.clone(),
+                            reason: Arc::clone(&job.reason),
+                        },
+                    );
                     break Some(job);
                 }
                 if queue.shutdown {
@@ -1021,7 +1034,17 @@ fn worker_loop(target: &Target, shared: &Shared, slot: usize) {
     }
 }
 
-/// Executes one job on the worker's session and delivers the report.
+/// Takes a finished job off the reaper's list.
+fn deactivate(shared: &Shared, job_id: u64) {
+    shared
+        .active
+        .lock()
+        .expect("active lock")
+        .retain(|active| active.job_id != job_id);
+}
+
+/// Executes one job (already [`activate`]d) on the worker's session and
+/// delivers the report.
 fn run_job(
     session: &mut AttackSession<'_>,
     target: &Target,
@@ -1034,6 +1057,7 @@ fn run_job(
     // A job cancelled while still queued (disconnect race, shutdown race)
     // must not consume solver time.
     if job.token.is_cancelled() {
+        deactivate(shared, job.job_id);
         let status = match job.reason.load(Ordering::SeqCst) {
             REASON_TIMEOUT => JobStatus::Timeout,
             _ => JobStatus::Cancelled,
@@ -1053,17 +1077,6 @@ fn run_job(
         return;
     }
 
-    // Make the job visible to the reaper, then arm the session.
-    activate(
-        shared,
-        ActiveJob {
-            job_id: job.job_id,
-            client: job.client,
-            deadline: Instant::now() + job.timeout,
-            token: job.token.clone(),
-            reason: Arc::clone(&job.reason),
-        },
-    );
     session.set_interrupt(Some(job.token.as_flag()));
 
     let kind_counter = match &job.kind {
@@ -1083,11 +1096,7 @@ fn run_job(
     // Disarm: the session survives the job, whatever happened to it.
     session.set_interrupt(None);
     session.set_conflict_budget(None);
-    shared
-        .active
-        .lock()
-        .expect("active lock")
-        .retain(|active| active.job_id != job.job_id);
+    deactivate(shared, job.job_id);
 
     let status = if outcome.completed {
         if outcome.key.is_some() {
