@@ -751,9 +751,12 @@ impl<'n> AttackSession<'n> {
         // The search for a rival `K2` starts at the candidate itself, so each
         // distinguishing input pits the candidate against a nearby key that
         // is still consistent with the observations.  Only the model found
-        // depends on it, never the answer; on SFLL-HD and TTLock locks it
-        // took several times fewer iterations per verdict than phases left
-        // over from the previous distinguishing input.
+        // depends on it, never the answer.  On shortlist confirmations over
+        // SFLL-HD and TTLock locks it took several times fewer iterations
+        // per verdict than phases left over from the previous distinguishing
+        // input, and on SFLL-HD region drains too; on TTLock region drains,
+        // where each distinguishing input refutes about one key, it took
+        // more (ARCHITECTURE.md, "One oracle per session").
         for &lit in &assumptions_for(&dip.key_b, candidate.bits()) {
             self.solver.set_phase(lit);
         }

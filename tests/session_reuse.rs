@@ -27,7 +27,8 @@ use fall::encode::{
     instantiate_sharing_keys, model_key, model_values,
 };
 use fall::key_confirmation::{
-    key_confirmation_in, key_confirmation_with_predicate_in, KeyConfirmationConfig,
+    key_confirmation, key_confirmation_in, key_confirmation_with_predicate_in,
+    KeyConfirmationConfig,
 };
 use fall::oracle::{CountingOracle, Oracle, SimOracle};
 use fall::session::{AttackSession, KeyVector};
@@ -486,6 +487,45 @@ fn key_confirmation_fresh(locked: &Netlist, oracle: &dyn Oracle, mode: &PhiMode)
         constrain_equal_const(&mut q_solver, &q_pair.outputs, &y);
     }
     panic!("fresh confirmation did not converge within the iteration cap");
+}
+
+/// On a cold session per shortlist, key confirmation confirms exactly the
+/// key the fresh reference confirms (or ⊥ where it does), for fixed SFLL-HD
+/// h=1 shortlists.
+#[test]
+fn incremental_and_fresh_confirmation_agree() {
+    let original = generate(&RandomCircuitSpec::new("kc", 12, 3, 80));
+    let locked = SfllHd::new(10, 1)
+        .with_seed(23)
+        .lock(&original)
+        .expect("lock");
+    let oracle = SimOracle::new(original);
+    for shortlist in [
+        vec![locked.key.clone(), locked.key.complement()],
+        vec![locked.key.complement(), Key::zeros(10)],
+        vec![
+            Key::zeros(10),
+            locked.key.clone(),
+            Key::from_pattern(0x155, 10),
+        ],
+    ] {
+        let incremental = key_confirmation(
+            &locked.locked,
+            &oracle,
+            &shortlist,
+            &KeyConfirmationConfig::default(),
+        );
+        let fresh = key_confirmation_fresh(
+            &locked.locked,
+            &oracle,
+            &PhiMode::Shortlist(shortlist.clone()),
+        );
+        assert!(incremental.completed);
+        assert_eq!(
+            incremental.key, fresh,
+            "shortlist {shortlist:?} must confirm the same key"
+        );
+    }
 }
 
 /// One long-lived session runs a mixed sequence of whole confirmations —
