@@ -93,17 +93,20 @@ cargo test -q --test session_reuse --test parallel_engine
 # conflict must be status-identical to GC disabled, bounded variable
 # elimination forced at every simplify checkpoint must be status-identical to
 # elimination disabled (with reconstructed models satisfying the original
-# clauses), and 100 retired predicate generations must hold variable count
-# and arena bytes flat.  Also part of the workspace run; re-run explicitly so
-# a failure is attributed to the arena/GC/eliminator machinery.
+# clauses, also after a post-solve simplify or resurrection changes the
+# elimination stack), and 100 retired predicate generations must hold
+# variable count and arena bytes flat.  Also part of the workspace run;
+# re-run explicitly so a failure is attributed to the arena/GC/eliminator
+# machinery.
 echo "==> cargo test -q --test gc_differential"
 cargo test -q --test gc_differential
 
 # The modern-CDCL-core unit story: LBD tier accounting, EMA restart
-# forcing/blocking, adaptive strategy classification and the eliminator's
-# freeze/resurrect/model-reconstruction invariants live in the sat crate's
-# unit tests; re-run them explicitly so a failure is attributed to the
-# solver core rather than an attack-level suite.
+# forcing/blocking, adaptive strategy classification, the eliminator's
+# freeze/resurrect invariants and its deferred model reconstruction (every
+# read against an eager reference walk, no walk for frozen-only reads) live
+# in the sat crate's unit tests; re-run them explicitly so a failure is
+# attributed to the solver core rather than an attack-level suite.
 echo "==> cargo test -q -p sat --lib"
 cargo test -q -p sat --lib
 

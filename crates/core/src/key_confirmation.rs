@@ -262,6 +262,11 @@ fn confirmation_loop(
             return unfinished(None, iterations, oracle_queries, start.elapsed());
         }
 
+        // A `confirm_iteration` span covers each round that queries the
+        // oracle, so the span count equals `iterations`; the final round's
+        // solves are traced only by their own `solve` spans.
+        let round = Instant::now();
+
         // Line 6: extract a candidate key consistent with ϕ and the I/O pairs.
         let candidate = match session.candidate_key() {
             (SolveResult::Unsat, _) => {
@@ -299,12 +304,16 @@ fn confirmation_loop(
         }
         iterations += 1;
         let distinguishing_input = session.dip_inputs();
-        let observed_output = oracle.query(&distinguishing_input);
+        let observed_output = {
+            let _span = crate::trace::span("oracle_query");
+            oracle.query(&distinguishing_input)
+        };
         oracle_queries += 1;
 
         // Lines 15–16: add the observed I/O pair to both formulas, for the
         // session's life.
         session.observe(&distinguishing_input, &observed_output);
+        crate::trace::record_duration("confirm_iteration", round.elapsed());
     }
 }
 

@@ -275,10 +275,10 @@ pub struct AttackSession<'n> {
     dip: Option<DipParts>,
     /// The key solver (key confirmation's `P` query), created on first use.
     keys: Option<KeyParts>,
-    /// Every oracle pair shown to the session, in arrival order, and the
-    /// position of each input pattern in it.
-    observations: Vec<(Vec<bool>, Vec<bool>)>,
-    observed: HashMap<Vec<bool>, usize>,
+    /// Every oracle pair shown to the session: each input pattern, once,
+    /// with its arrival position and output pattern.  A new key solver
+    /// replays them in arrival order.
+    observations: HashMap<Vec<bool>, (usize, Vec<bool>)>,
     /// The cone machinery and its own solver, created on first use.
     cones: Option<ConeParts>,
     /// The interrupt flag and conflict budget installed on the session, for
@@ -322,8 +322,7 @@ impl<'n> AttackSession<'n> {
             solver,
             dip: None,
             keys: None,
-            observations: Vec::new(),
-            observed: HashMap::new(),
+            observations: HashMap::new(),
             cones: None,
             interrupt: None,
             conflict_budget: None,
@@ -573,7 +572,9 @@ impl<'n> AttackSession<'n> {
             // Every observation and generation constrains them.
             freeze_all(&mut solver, &keys);
             let observations = std::mem::take(&mut self.observations);
-            for (inputs, outputs) in &observations {
+            let mut arrivals: Vec<_> = observations.iter().collect();
+            arrivals.sort_unstable_by_key(|(_, (position, _))| *position);
+            for (inputs, (_, outputs)) in arrivals {
                 let node_values = self.simulate_key_free(inputs);
                 let cone = self.key_cone.as_ref().expect("built by the simulation");
                 encode_io(
@@ -801,22 +802,20 @@ impl<'n> AttackSession<'n> {
     /// then reports the oracle inconsistent, and every later confirmation
     /// answers ⊥.
     pub fn observe(&mut self, inputs: &[bool], outputs: &[bool]) {
+        let _span = crate::trace::span("observe");
         let node_values = self.simulate_key_free(inputs);
         self.observe_presimulated(inputs, &node_values, outputs);
     }
 
     /// [`AttackSession::observe`] over an existing simulation pass.
     fn observe_presimulated(&mut self, inputs: &[bool], node_values: &[bool], outputs: &[bool]) {
-        if let Some(&index) = self.observed.get(inputs) {
-            debug_assert_eq!(
-                self.observations[index].1, outputs,
-                "one session observes one oracle"
-            );
+        if let Some((_, known)) = self.observations.get(inputs) {
+            debug_assert_eq!(known, outputs, "one session observes one oracle");
             return;
         }
-        self.observed
-            .insert(inputs.to_vec(), self.observations.len());
-        self.observations.push((inputs.to_vec(), outputs.to_vec()));
+        let position = self.observations.len();
+        self.observations
+            .insert(inputs.to_vec(), (position, outputs.to_vec()));
         self.ensure_dip();
         let key_b = self.dip.as_ref().expect("just ensured").key_b.clone();
         let cone = self.key_cone.as_ref().expect("built by the simulation");
@@ -1427,7 +1426,8 @@ mod tests {
         assert_eq!((rejection.oracle_queries, oracle.queries()), (0, queries));
 
         // Re-observing a known pattern adds nothing.
-        let (x, y) = session.observations[0].clone();
+        let (x, (_, y)) = session.observations.iter().next().expect("observed");
+        let (x, y) = (x.clone(), y.clone());
         session.observe(&x, &y);
         assert_eq!(session.num_observations(), observed);
     }

@@ -519,6 +519,45 @@ mod tests {
     }
 
     #[test]
+    fn traced_key_confirmation_records_one_span_per_iteration() {
+        use crate::key_confirmation::{key_confirmation, KeyConfirmationConfig};
+        use crate::oracle::SimOracle;
+        use locking::{Key, LockingScheme, TtLock};
+        use netlist::random::{generate, RandomCircuitSpec};
+
+        let original = generate(&RandomCircuitSpec::new("trace_confirm", 12, 3, 80));
+        let locked = TtLock::new(10).with_seed(3).lock(&original).expect("lock");
+        let oracle = SimOracle::new(original);
+        let shortlist = [locked.key.complement(), Key::zeros(10), locked.key.clone()];
+        with_recorder(|| {
+            record_duration("confirm_thread", Duration::ZERO);
+            let result = key_confirmation(
+                &locked.locked,
+                &oracle,
+                &shortlist,
+                &KeyConfirmationConfig::default(),
+            );
+            assert!(result.completed && result.iterations > 0, "{result:?}");
+            let events = events();
+            let tid = events
+                .iter()
+                .find(|e| e.name == "confirm_thread")
+                .expect("marker")
+                .tid;
+            let count = |name: &str| {
+                events
+                    .iter()
+                    .filter(|e| e.name == name && e.tid == tid)
+                    .count()
+            };
+            // Every round that queries the oracle observes its answer.
+            assert_eq!(count("confirm_iteration"), result.iterations);
+            assert_eq!(count("oracle_query"), result.oracle_queries);
+            assert_eq!(count("observe"), result.iterations);
+        });
+    }
+
+    #[test]
     fn chrome_json_is_well_formed() {
         with_recorder(|| {
             {

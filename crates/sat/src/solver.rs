@@ -1,5 +1,6 @@
 //! The CDCL solver.
 
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -491,7 +492,17 @@ pub struct Solver {
     order: VarOrderHeap,
     seen: Vec<bool>,
     ok: bool,
-    model: Vec<LBool>,
+    /// The last SAT answer's assignment.  Eliminated variables are filled in
+    /// on the first read of one (see `model_pending`), so the model sits
+    /// behind a `RefCell` that `&self` readers can complete.
+    model: RefCell<Vec<LBool>>,
+    /// The model's eliminated variables still await reconstruction: set at a
+    /// SAT answer while the elimination stack is non-empty, cleared by the
+    /// reconstruction walk ([`Solver::extend_model`]).
+    model_pending: Cell<bool>,
+    /// Reconstruction walks run so far, for the deferral tests.
+    #[cfg(test)]
+    reconstruction_walks: Cell<u64>,
     assumptions: Vec<Lit>,
     conflict_budget: Option<u64>,
     propagation_budget: Option<u64>,
@@ -1346,7 +1357,8 @@ impl Solver {
         self.budget_conflicts_start = self.stats.conflicts;
         self.budget_propagations_start = self.stats.propagations;
         self.max_learnts = (self.num_problem_clauses as f64 / 3.0).max(1000.0);
-        self.model.clear();
+        self.model.get_mut().clear();
+        self.model_pending.set(false);
         self.restart
             .reset_for_solve(self.config.restart_mode, self.config.restart_base);
 
@@ -1368,22 +1380,27 @@ impl Solver {
     /// Returns the model value of a literal after a successful solve.
     ///
     /// Returns `None` if the last solve was not [`SolveResult::Sat`] or the
-    /// variable did not exist at that time.
+    /// variable did not exist at that time.  See [`Solver::var_value`] for
+    /// eliminated variables.
     pub fn value(&self, lit: Lit) -> Option<bool> {
-        self.model
-            .get(lit.var().index())
-            .and_then(|v| v.to_bool())
-            .map(|v| v == lit.polarity())
+        self.var_value(lit.var()).map(|v| v == lit.polarity())
     }
 
     /// Returns the model value of a variable after a successful solve.
+    ///
+    /// An eliminated variable ([`Solver::is_eliminated`]) gets the value of
+    /// the model extended over the elimination stack.  The extension runs on
+    /// the first such read after a SAT answer and is kept, so a caller that
+    /// reads only frozen or otherwise uneliminated variables never pays for
+    /// it; every read returns what an extension at the SAT answer would have.
     pub fn var_value(&self, var: Var) -> Option<bool> {
-        self.model.get(var.index()).and_then(|v| v.to_bool())
-    }
-
-    /// Returns the complete model (indexed by variable) after a successful solve.
-    pub fn model(&self) -> &[LBool] {
-        &self.model
+        if self.model_pending.get() && self.eliminated.get(var.index()) == Some(&true) {
+            self.extend_model();
+        }
+        self.model
+            .borrow()
+            .get(var.index())
+            .and_then(|v| v.to_bool())
     }
 
     /// Returns `false` if the clause set is already known to be unsatisfiable
@@ -1987,9 +2004,12 @@ impl Solver {
                     None => {
                         // Every variable is assigned: we have a model.
                         // Eliminated variables were never branched on; the
-                        // reconstruction stack fills them in.
-                        self.model = self.assigns.clone();
-                        self.extend_model();
+                        // reconstruction stack fills them in when one is
+                        // first read.
+                        let model = self.model.get_mut();
+                        model.clear();
+                        model.extend_from_slice(&self.assigns);
+                        self.model_pending.set(!self.elim_stack.is_empty());
                         return Some(SolveResult::Sat);
                     }
                     Some(lit) => {

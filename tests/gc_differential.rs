@@ -411,7 +411,9 @@ fn forced_elimination_dip_loop_matches_disabled_elimination() {
 /// *reconstructed* model (eliminated variables re-derived by the reverse
 /// `extend_model` walk) satisfies every clause of the **original** formula —
 /// not merely the post-elimination one — on random CNF instances, with a
-/// random subset of variables frozen as an interface.
+/// random subset of variables frozen as an interface.  It still does, with
+/// the same values, after a post-solve `simplify` or resurrection changes
+/// the elimination stack.
 #[test]
 fn reconstructed_models_satisfy_the_original_clauses() {
     let mut total_eliminated = 0u64;
@@ -468,6 +470,27 @@ fn reconstructed_models_satisfy_the_original_clauses() {
                     "round {round}: frozen {var:?} was eliminated"
                 );
             }
+
+            // Reconstruction runs on the first read of an eliminated
+            // variable.  A change to the elimination stack before the next
+            // solve (a simplify that eliminates more, a resurrection) must
+            // leave the answer as read — on `elim`, already read above, and
+            // on a twin whose model is still unread when the stack changes.
+            let answer = model_values(&elim, num_vars);
+            let mut twin = build(forced_elim());
+            twin.simplify();
+            assert_eq!(twin.solve(), SolveResult::Sat, "round {round}");
+            for solver in [&mut elim, &mut twin] {
+                change_elimination_stack(solver, &frozen, round);
+                for clause in &clauses {
+                    assert!(
+                        clause.iter().any(|&lit| solver.value(lit) == Some(true)),
+                        "round {round}: the model violates original clause \
+                         {clause:?} after a post-solve stack change"
+                    );
+                }
+                assert_eq!(model_values(solver, num_vars), answer, "round {round}");
+            }
         }
         total_eliminated += elim.stats().vars_eliminated;
     });
@@ -475,6 +498,31 @@ fn reconstructed_models_satisfy_the_original_clauses() {
         total_eliminated > 0,
         "the property is vacuous unless elimination actually fired"
     );
+}
+
+fn model_values(solver: &Solver, num_vars: usize) -> Vec<Option<bool>> {
+    (0..num_vars)
+        .map(|i| solver.var_value(Var::from_index(i)))
+        .collect()
+}
+
+/// Changes `solver`'s elimination stack without solving: by round, thaws
+/// the interface and simplifies again (eliminating more), freezes an
+/// eliminated variable, or adds a tautology over one (both resurrect it).
+fn change_elimination_stack(solver: &mut Solver, frozen: &[Var], round: usize) {
+    let eliminated = (0..solver.num_vars())
+        .map(Var::from_index)
+        .find(|&var| solver.is_eliminated(var));
+    match (round % 3, eliminated) {
+        (1, Some(var)) => solver.set_frozen(var, true),
+        (2, Some(var)) => solver.add_clause([Lit::positive(var), Lit::negative(var)]),
+        _ => {
+            for &var in frozen {
+                solver.set_frozen(var, false);
+            }
+            solver.simplify();
+        }
+    }
 }
 
 /// A poisoned generation (an I/O pair no key can reproduce) must un-poison
