@@ -25,9 +25,11 @@
 //!   `*_recycled_vars` from the single-session workloads (the
 //!   `parallel_1w_*` partitioned search reads them from
 //!   `PartitionedSearchResult::solver_stats`), including the 100-generation
-//!   long-lived-session run, the flight-recorder span counts `trace_*` from
-//!   the traced single SAT attack, and the farm telemetry-report count
-//!   `dist_worker_stats_reports`) — gated at the tolerance (default 20 %);
+//!   long-lived-session run, the conflicts and arena bytes `fall_h0_*` of
+//!   the h = 0 FALL attack's session, the flight-recorder span counts
+//!   `trace_*` from the traced single SAT attack, and the farm
+//!   telemetry-report count `dist_worker_stats_reports`) — gated at the
+//!   tolerance (default 20 %);
 //!   any `*_s`/`*speedup*` metric that does land in a baseline gets a 3x
 //!   band;
 //! * `info_*` metrics (absolute seconds, single-shot speedup ratios,
@@ -38,7 +40,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use fall::attack::{fall_attack, FallAttackConfig};
+use fall::attack::{fall_attack, fall_attack_in, FallAttackConfig};
 use fall::functional::PrefilterStats;
 use fall::key_confirmation::{key_confirmation, key_confirmation_in, KeyConfirmationConfig};
 use fall::metrics::MetricReport;
@@ -353,11 +355,18 @@ fn measure() -> MetricReport {
         .expect("lock")
         .optimized();
     let t = Instant::now();
-    let tt_result = fall_attack(&wp_tt.locked, None, &FallAttackConfig::for_h(0));
+    let mut tt_session = AttackSession::new(&wp_tt.locked);
+    let tt_result = fall_attack_in(&mut tt_session, None, &FallAttackConfig::for_h(0));
     let hd_result = fall_attack(&wp_hd.locked, None, &FallAttackConfig::for_h(1));
     report.record("info_fall_attacks_s", t.elapsed().as_secs_f64(), false);
     assert!(tt_result.status.is_success(), "TTLock attack");
     assert!(hd_result.status.is_success(), "SFLL-HD1 attack");
+    // The h = 0 attack's SAT work and clause footprint: its distance-0
+    // references are ANDs over input equalities, so a popcount network
+    // over every input would show up in both.
+    let tt_stats = tt_session.stats();
+    report.record("fall_h0_sat_conflicts", tt_stats.conflicts as f64, false);
+    report.record("fall_h0_arena_bytes", tt_stats.arena_bytes as f64, false);
     let mut prefilter = PrefilterStats::default();
     prefilter.merge(&tt_result.prefilter);
     prefilter.merge(&hd_result.prefilter);

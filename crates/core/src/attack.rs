@@ -218,7 +218,7 @@ pub fn fall_attack_in(
 
     // Stage 3 + 4: functional analyses and equivalence checking, every
     // candidate and analysis sharing the session's cone encodings,
-    // input-difference vector and popcount network.
+    // input-difference vector and Hamming-distance references.
     if config.interrupt.is_some() {
         session.set_interrupt(config.interrupt.clone());
     }

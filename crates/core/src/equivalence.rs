@@ -42,9 +42,12 @@ pub fn candidate_equals_strip(
 ///
 /// The reference function `HD(X1, Kc) == h` is expressed through the
 /// session's shared machinery: the second input space `X2` carries the cube
-/// constants (by assumption), positions outside the candidate's support are
-/// forced pairwise equal, and the memoized session popcount provides the
-/// distance test — so repeated checks re-encode nothing but the (memoized)
+/// constants (by assumption), and the distance test is
+/// [`AttackSession::hd_equals_over`] the candidate's support, memoized per
+/// support set — for `h == 0` one AND over the support's equalities (Lemma
+/// 1: `strip_0(Kc)` is the cube itself), for `h > 0` a counter over the
+/// support's differences.  Inputs outside the support take no part in the
+/// query, and repeated checks re-encode nothing but the (memoized)
 /// candidate cone.
 pub fn candidate_equals_strip_in(
     session: &mut AttackSession<'_>,
@@ -73,26 +76,16 @@ pub fn candidate_equals_strip_in(
     if let Some(equivalent) = session.known_equivalence(candidate, h, &cube) {
         return equivalent;
     }
-    let mut slot_of: Vec<Option<usize>> = vec![None; netlist.num_inputs()];
-    for (slot, &position) in positions.iter().enumerate() {
-        slot_of[position] = Some(slot);
-    }
-
     let candidate_lit = session.cone_lit(candidate);
-    let reference_lit = session.hd_equals(h);
+    let reference_lit = session.hd_equals_over(&positions, h);
     let miter = session.miter(candidate_lit, reference_lit);
 
-    // Assumptions: X2 carries the cube over the support; everything outside
-    // the support contributes zero distance.
-    let mut assumptions: Vec<Lit> = Vec::with_capacity(netlist.num_inputs() + 1);
-    for (position, &slot) in slot_of.iter().enumerate() {
-        if let Some(slot) = slot {
-            let (_, x2) = session.input_pair(position);
-            let bit = cube[slot].1;
-            assumptions.push(if bit { x2 } else { !x2 });
-        } else {
-            assumptions.push(session.input_eq(position));
-        }
+    // Assumptions: X2 carries the cube over the support.  Both sides of the
+    // miter read only the support, so no other input needs a value.
+    let mut assumptions: Vec<Lit> = Vec::with_capacity(positions.len() + 1);
+    for (&position, &(_, bit)) in positions.iter().zip(&cube) {
+        let (_, x2) = session.input_pair(position);
+        assumptions.push(if bit { x2 } else { !x2 });
     }
     assumptions.push(miter);
     let result = session.check_cone_property(&assumptions);
@@ -105,10 +98,15 @@ pub fn candidate_equals_strip_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netlist::analysis::support;
     use netlist::hamming::hamming_distance_equals_const;
+    use netlist::random::{generate, RandomCircuitSpec};
     use netlist::sim::pattern_to_bits;
     use netlist::strash::strash;
     use netlist::GateKind;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn stripper(m: usize, cube: u64, h: usize) -> (Netlist, NodeId, Vec<NodeId>) {
         let mut nl = Netlist::new("strip");
@@ -200,5 +198,102 @@ mod tests {
             })
             .collect();
         assert_eq!(kept, vec![good]);
+    }
+
+    /// Whether `candidate` computes `HD(X, cube) == h` over `cube`'s inputs,
+    /// by its truth table over every primary input.
+    fn truth_table_equals_strip(
+        nl: &Netlist,
+        candidate: NodeId,
+        cube: &CubeAssignment,
+        h: usize,
+    ) -> bool {
+        let n = nl.num_inputs();
+        (0..1u64 << n).all(|pattern| {
+            let inputs = pattern_to_bits(pattern, n);
+            let values = nl.node_values(&inputs, &[]).expect("widths match");
+            let distance = cube
+                .iter()
+                .filter(|&&(id, bit)| {
+                    inputs[nl.input_position(id).expect("a primary input")] != bit
+                })
+                .count();
+            values[candidate.index()] == (distance == h)
+        })
+    }
+
+    /// The candidate's support cube with the bits of `pattern`.
+    fn cube_over(nl: &Netlist, candidate: NodeId, pattern: u64) -> CubeAssignment {
+        let mut inputs: Vec<NodeId> = support(nl, candidate).primary.into_iter().collect();
+        inputs.sort_unstable();
+        inputs
+            .into_iter()
+            .enumerate()
+            .map(|(i, id)| (id, (pattern >> i) & 1 == 1))
+            .collect()
+    }
+
+    #[test]
+    fn differential_against_truth_tables_on_partial_supports() {
+        const INPUTS: usize = 7;
+        let mut checks = 0;
+        let mut equivalent = 0;
+        for seed in 0..12u64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut nl = generate(&RandomCircuitSpec::new("diff", INPUTS, 2, 30).with_seed(seed));
+            // A stripper over a strict subset of the inputs.
+            let mut positions: Vec<usize> = (0..INPUTS).collect();
+            positions.shuffle(&mut rng);
+            positions.truncate(rng.gen_range(3..INPUTS));
+            positions.sort_unstable();
+            let xs: Vec<NodeId> = positions.iter().map(|&p| nl.inputs()[p]).collect();
+            let cube_bits: u64 = rng.gen_range(0..1 << xs.len());
+            let h_lock = seed as usize % 3;
+            let bits = pattern_to_bits(cube_bits, xs.len());
+            let strip = hamming_distance_equals_const(&mut nl, &xs, &bits, h_lock);
+            nl.add_output("strip", strip);
+            let nl = if seed % 2 == 0 { strash(&nl) } else { nl };
+            let strip = nl.outputs().last().expect("strip output").1;
+            // A gate of the random circuit whose support is a strict subset.
+            let others: Vec<NodeId> = nl
+                .gate_ids()
+                .filter(|&g| {
+                    let width = support(&nl, g).primary.len();
+                    (2..INPUTS).contains(&width)
+                })
+                .collect();
+            let other = *others.choose(&mut rng).expect("a partial-support gate");
+
+            let mut session = AttackSession::new(&nl);
+            let mut check = |candidate: NodeId, cube: &CubeAssignment, h: usize| {
+                let expected = truth_table_equals_strip(&nl, candidate, cube, h);
+                assert_eq!(
+                    candidate_equals_strip_in(&mut session, candidate, cube, h),
+                    expected,
+                    "seed {seed}: shared session, h = {h}, cube {cube:?}"
+                );
+                assert_eq!(
+                    candidate_equals_strip(&nl, candidate, cube, h),
+                    expected,
+                    "seed {seed}: fresh session, h = {h}, cube {cube:?}"
+                );
+                checks += 1;
+                equivalent += usize::from(expected);
+            };
+            for h in 0..=2 {
+                let true_cube = cube_over(&nl, strip, cube_bits);
+                check(strip, &true_cube, h);
+                let mut off_by_one = true_cube;
+                let flip = rng.gen_range(0..off_by_one.len());
+                off_by_one[flip].1 = !off_by_one[flip].1;
+                check(strip, &off_by_one, h);
+                check(other, &cube_over(&nl, other, rng.gen()), h);
+            }
+        }
+        assert_eq!(checks, 12 * 3 * 3);
+        assert_eq!(
+            equivalent, 12,
+            "each stripper matches its own cube at its own h"
+        );
     }
 }

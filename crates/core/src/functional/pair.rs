@@ -4,12 +4,14 @@
 //!
 //! The legacy implementation built a dedicated solver per candidate with the
 //! constraint set added as clauses.  The session version reuses the shared
-//! cone encodings and the **single** session-wide popcount network: the
-//! formula `F = c(X1) ∧ c(X2) ∧ HD(X1, X2) = d` is expressed purely as
-//! assumptions (`root1`, `root2`, the memoized `HD == d` literal, and
-//! pairwise-equality literals for every input outside the candidate's
-//! support), so building a query for a new candidate adds no clauses once
-//! the shared structure exists.
+//! cone encodings and the session's all-inputs distance literal
+//! [`AttackSession::hd_equals`] (an AND of input equalities for `d = 0`, one
+//! popcount network over every input difference for `d > 0`): the formula
+//! `F = c(X1) ∧ c(X2) ∧ HD(X1, X2) = d` is expressed purely as assumptions
+//! (`root1`, `root2`, the memoized `HD == d` literal, and pairwise-equality
+//! literals for every input outside the candidate's support), so building a
+//! query for a new candidate adds no clauses once the shared structure
+//! exists.
 
 use netlist::NodeId;
 use sat::Lit;

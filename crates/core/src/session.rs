@@ -36,8 +36,9 @@
 //!   cones over two input spaces `X1`/`X2`.  The session memoizes cone
 //!   encodings across queries (overlapping cones are encoded once, via
 //!   [`netlist::cnf::IncrementalEncoder`]), plus one global per-position
-//!   difference vector and **one** shared popcount network whose
-//!   "count = k" literals serve every Hamming-distance query.  All analysis
+//!   difference vector and memoized "distance = k" literals per set of
+//!   positions: an AND of equalities for k = 0, a popcount network over the
+//!   set's differences for k > 0.  All analysis
 //!   queries are pure assumption queries: after the shared structure exists,
 //!   a cofactor or HD-pair check adds no clauses at all.
 //! * **Predicate generations** — a key-confirmation predicate ϕ lives in a
@@ -241,8 +242,8 @@ struct PredicateGeneration {
     io_b_frame: Option<FrameId>,
 }
 
-/// Dual cone-analysis input spaces with shared difference/popcount networks,
-/// and the solver that holds them.
+/// Dual cone-analysis input spaces with the shared difference vector and
+/// Hamming-distance references, and the solver that holds them.
 struct ConeParts {
     /// The cone solver (see the [module documentation](self) for why it is
     /// not the DIP solver).
@@ -251,14 +252,24 @@ struct ConeParts {
     enc2: IncrementalEncoder,
     /// `diff[i] = X1_i XOR X2_i`, built lazily per input position.
     diff: Vec<Option<Lit>>,
-    /// Binary-counter sum over *all* input differences, built on first use.
-    popcount: Option<Vec<Lit>>,
-    /// Memoized `popcount == k` literals.
-    hd_equals: BTreeMap<usize, Lit>,
+    /// `HD == k` references, keyed by their ascending input positions: the
+    /// all-inputs set serves the pair analyses, a candidate's support its
+    /// equivalence check.
+    hd: HashMap<Vec<usize>, HdReference>,
     /// Memoized XOR miters keyed by normalised literal pair.
     miters: BTreeMap<(Lit, Lit), Lit>,
     /// A literal fixed to false, for degenerate constant queries.
     const_false: Option<Lit>,
+}
+
+/// The `HD(X1, X2) == k` literals over one set of input positions.
+#[derive(Default)]
+struct HdReference {
+    /// Binary-counter sum over the set's input differences, built on the
+    /// first `k > 0` query (`k == 0` needs no counter).
+    popcount: Option<Vec<Lit>>,
+    /// Memoized `HD == k` literals.
+    equals: BTreeMap<usize, Lit>,
 }
 
 /// The DIP, key and cone solvers and their cached encodings for a whole
@@ -1016,8 +1027,7 @@ impl<'n> AttackSession<'n> {
                 enc1,
                 enc2,
                 diff: vec![None; self.netlist.num_inputs()],
-                popcount: None,
-                hd_equals: BTreeMap::new(),
+                hd: HashMap::new(),
                 miters: BTreeMap::new(),
                 const_false: None,
             });
@@ -1074,42 +1084,74 @@ impl<'n> AttackSession<'n> {
     }
 
     /// A literal equivalent to `HD(X1, X2) == k` over **all** primary input
-    /// positions (memoized; the popcount network is built once per session
-    /// and shared by every Hamming-distance query).
+    /// positions: [`AttackSession::hd_equals_over`] of every position.
     ///
     /// Callers restrict the distance to a support set by assuming
     /// [`AttackSession::input_eq`] for every position outside it.
     pub fn hd_equals(&mut self, k: usize) -> Lit {
-        if k > self.netlist.num_inputs() {
+        let positions: Vec<usize> = (0..self.netlist.num_inputs()).collect();
+        self.hd_equals_over(&positions, k)
+    }
+
+    /// A literal equivalent to `HD(X1, X2) == k` counted over the input
+    /// `positions` only (ascending, distinct), memoized per (position set,
+    /// `k`).
+    ///
+    /// `k == 0` is one AND over the positions' [`AttackSession::input_eq`]
+    /// literals ("no position differs").  `k > 0` reads a binary counter
+    /// over the positions' differences, built once per position set and
+    /// shared by every `k` of that set.  Positions outside the set are not
+    /// constrained.
+    pub fn hd_equals_over(&mut self, positions: &[usize], k: usize) -> Lit {
+        debug_assert!(positions.windows(2).all(|w| w[0] < w[1]));
+        if k > positions.len() {
             return self.cone_const_false();
         }
-        if let Some(&lit) = self.cones().hd_equals.get(&k) {
+        if let Some(&lit) = self
+            .cones()
+            .hd
+            .get(positions)
+            .and_then(|reference| reference.equals.get(&k))
+        {
             return lit;
         }
-        if self.cones().popcount.is_none() {
-            let diffs: Vec<Lit> = (0..self.netlist.num_inputs())
-                .map(|i| self.input_diff(i))
-                .collect();
-            let cones = self.cones();
-            let sum = popcount_lits(&mut cones.solver, &diffs);
-            // The counter bits feed every later `HD == k` literal.
-            freeze_all(&mut cones.solver, &sum);
-            cones.popcount = Some(sum);
+        if positions.is_empty() {
+            // k == 0 here: no position can differ.
+            return !self.cone_const_false();
         }
+        let diffs: Vec<Lit> = positions.iter().map(|&p| self.input_diff(p)).collect();
         let cones = self.cones();
-        let sum = cones.popcount.clone().expect("just built");
-        // AND over per-bit agreement of the counter with the constant k.
-        let mut acc: Option<Lit> = None;
-        for (i, &s) in sum.iter().enumerate() {
-            let term = if (k >> i) & 1 == 1 { s } else { !s };
-            acc = Some(match acc {
-                None => term,
-                Some(prev) => and2_lit(&mut cones.solver, prev, term),
+        let solver = &mut cones.solver;
+        let reference = cones.hd.entry(positions.to_vec()).or_default();
+        let lit = if k == 0 {
+            // AND over the positions' equalities: lit -> !diff for each,
+            // and some diff when !lit.
+            let lit = Lit::positive(solver.new_var());
+            for &diff in &diffs {
+                solver.add_clause([!lit, !diff]);
+            }
+            solver.add_clause(diffs.iter().copied().chain([lit]));
+            lit
+        } else {
+            let sum = reference.popcount.get_or_insert_with(|| {
+                let sum = popcount_lits(solver, &diffs);
+                // The counter bits feed every later `HD == k` literal.
+                freeze_all(solver, &sum);
+                sum
             });
-        }
-        let lit = acc.expect("popcount has at least one bit");
-        cones.solver.set_frozen(lit.var(), true);
-        cones.hd_equals.insert(k, lit);
+            // AND over per-bit agreement of the counter with the constant k.
+            let mut acc: Option<Lit> = None;
+            for (i, &s) in sum.iter().enumerate() {
+                let term = if (k >> i) & 1 == 1 { s } else { !s };
+                acc = Some(match acc {
+                    None => term,
+                    Some(prev) => and2_lit(solver, prev, term),
+                });
+            }
+            acc.expect("popcount has at least one bit")
+        };
+        solver.set_frozen(lit.var(), true);
+        reference.equals.insert(k, lit);
         lit
     }
 
@@ -1128,7 +1170,7 @@ impl<'n> AttackSession<'n> {
 
     /// Decides a cone property under assumptions — the generic analysis
     /// query, answered by the cone solver.  All shared structure (cones,
-    /// difference vector, popcount) is reused; the query itself adds no
+    /// difference vector, distance references) is reused; the query itself adds no
     /// clauses.
     pub fn check_cone_property(&mut self, assumptions: &[Lit]) -> SolveResult {
         let cones = self.cones();
@@ -1549,13 +1591,19 @@ mod tests {
         );
     }
 
-    #[test]
-    fn hd_equals_restricted_by_eq_assumptions() {
-        let mut nl = netlist::Netlist::new("hd");
-        for i in 0..4 {
+    /// A netlist of `n` inputs, each driving an output of its own.
+    fn wires(n: usize) -> Netlist {
+        let mut nl = Netlist::new("wires");
+        for i in 0..n {
             let x = nl.add_input(format!("x{i}"));
             nl.add_output(format!("y{i}"), x);
         }
+        nl
+    }
+
+    #[test]
+    fn hd_equals_restricted_by_eq_assumptions() {
+        let nl = wires(4);
         let mut session = AttackSession::new(&nl);
         let hd1 = session.hd_equals(1);
         // Restrict to positions {0, 1} by forcing equality elsewhere.
@@ -1582,6 +1630,97 @@ mod tests {
         let w1 = session.value(x1_0).unwrap();
         let w2 = session.value(x2_0).unwrap();
         assert_eq!(w1, w2);
+    }
+
+    #[test]
+    fn hd_equals_over_zero_is_agreement_on_the_positions() {
+        const N: usize = 4;
+        let nl = wires(N);
+        let mut session = AttackSession::new(&nl);
+        let positions = [0, 2, 3];
+        let hd0 = session.hd_equals_over(&positions, 0);
+        let pins: Vec<(Lit, Lit)> = (0..N).map(|p| session.input_pair(p)).collect();
+        for pattern in 0u32..1 << (2 * N) {
+            let x1 = |p: usize| (pattern >> p) & 1 == 1;
+            let x2 = |p: usize| (pattern >> (N + p)) & 1 == 1;
+            let mut assumptions: Vec<Lit> = Vec::new();
+            for (p, &(a, b)) in pins.iter().enumerate() {
+                assumptions.push(if x1(p) { a } else { !a });
+                assumptions.push(if x2(p) { b } else { !b });
+            }
+            let agree = positions.iter().all(|&p| x1(p) == x2(p));
+            for (lit, holds) in [(hd0, agree), (!hd0, !agree)] {
+                assumptions.push(lit);
+                let expected = if holds {
+                    SolveResult::Sat
+                } else {
+                    SolveResult::Unsat
+                };
+                assert_eq!(
+                    session.check_cone_property(&assumptions),
+                    expected,
+                    "pattern {pattern:08b}"
+                );
+                assumptions.pop();
+            }
+        }
+        // No position can differ over the empty set.
+        let empty0 = session.hd_equals_over(&[], 0);
+        let empty1 = session.hd_equals_over(&[], 1);
+        assert_eq!(session.check_cone_property(&[!empty0]), SolveResult::Unsat);
+        assert_eq!(session.check_cone_property(&[empty1]), SolveResult::Unsat);
+    }
+
+    #[test]
+    fn hd_equals_over_a_subset_matches_all_inputs_when_the_rest_agree() {
+        let nl = wires(5);
+        let mut session = AttackSession::new(&nl);
+        let positions = [1, 2, 4];
+        let rest = [session.input_eq(0), session.input_eq(3)];
+        for k in 1..=positions.len() {
+            let over = session.hd_equals_over(&positions, k);
+            let all = session.hd_equals(k);
+            let differ = session.miter(over, all);
+            let mut assumptions = rest.to_vec();
+            assumptions.push(differ);
+            assert_eq!(
+                session.check_cone_property(&assumptions),
+                SolveResult::Unsat,
+                "k = {k}: equal off the subset"
+            );
+            assert_eq!(
+                session.check_cone_property(&[differ]),
+                SolveResult::Sat,
+                "k = {k}: a difference off the subset separates them"
+            );
+        }
+    }
+
+    #[test]
+    fn hd_equals_over_is_memoized_per_position_set_and_distance() {
+        let nl = wires(5);
+        let mut session = AttackSession::new(&nl);
+        let subset = [0, 3, 4];
+        let literals: Vec<Lit> = (0..=2)
+            .flat_map(|k| [session.hd_equals_over(&subset, k), session.hd_equals(k)])
+            .collect();
+        let arena = session.stats().arena_bytes;
+        let again: Vec<Lit> = (0..=2)
+            .flat_map(|k| [session.hd_equals_over(&subset, k), session.hd_equals(k)])
+            .collect();
+        assert_eq!(again, literals);
+        assert_eq!(
+            session.stats().arena_bytes,
+            arena,
+            "a repeated call adds no clause"
+        );
+        let all: Vec<usize> = (0..5).collect();
+        assert_eq!(session.hd_equals_over(&all, 2), session.hd_equals(2));
+        assert_ne!(
+            session.hd_equals_over(&subset, 1),
+            session.hd_equals_over(&[0, 3], 1),
+            "another set has its own literal"
+        );
     }
 
     #[test]
