@@ -156,11 +156,10 @@ echo "==> cargo test -q -p fall-serve --lib metric_json"
 cargo test -q -p fall-serve --lib metric_json
 
 # The wide-simulation correctness story: the W-word blocked engine must match
-# the scalar reference bit for bit for W in {1,2,4,8}, the batched oracle
-# transport must leave the attack trajectory untouched, and the word-batched
-# confirmation prescreen must confirm the same key as the plain run.  Also
-# part of the workspace run; re-run explicitly so a failure is attributed to
-# the wide-sim machinery.
+# the scalar reference bit for bit for W in {1,2,4,8}, and the one-word
+# engine must match the fresh-allocation baseline.  Also part of the
+# workspace run; re-run explicitly so a failure is attributed to the
+# wide-sim machinery.
 echo "==> cargo test -q --test wide_sim"
 cargo test -q --test wide_sim
 

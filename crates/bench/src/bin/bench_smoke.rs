@@ -42,7 +42,7 @@ use std::time::Instant;
 
 use fall::attack::{fall_attack, fall_attack_in, FallAttackConfig};
 use fall::functional::PrefilterStats;
-use fall::key_confirmation::{key_confirmation, key_confirmation_in, KeyConfirmationConfig};
+use fall::key_confirmation::{key_confirmation_in, KeyConfirmationConfig};
 use fall::metrics::MetricReport;
 use fall::oracle::{CountingOracle, SimOracle};
 use fall::parallel::partitioned_key_search;
@@ -379,32 +379,6 @@ fn measure() -> MetricReport {
         "prefilter_patterns_simulated",
         prefilter.patterns_simulated as f64,
         false,
-    );
-
-    // Word-batched oracle traffic: a screened key confirmation over a
-    // two-key shortlist ships its 256 probe patterns as one 4-word
-    // `query_words` batch, which the counting wrapper observes.  The screen
-    // is opt-in (`screen_words`), so `parallel_1w_unique_oracle_queries`
-    // above is untouched.
-    let wo_oracle = CountingOracle::new(SimOracle::new(wp_hd.original.clone()));
-    let wo_config = KeyConfirmationConfig {
-        screen_words: 4,
-        ..KeyConfirmationConfig::default()
-    };
-    let shortlist = vec![wp_hd.key.clone(), wp_hd.key.complement()];
-    let confirmation = key_confirmation(&wp_hd.locked, &wo_oracle, &shortlist, &wo_config);
-    assert!(
-        confirmation.completed && confirmation.key == Some(wp_hd.key.clone()),
-        "screened confirmation"
-    );
-    report.record(
-        "oracle_words_batched",
-        wo_oracle.batched_words() as f64,
-        false,
-    );
-    assert!(
-        wo_oracle.batched_words() >= 4,
-        "the screen must ship at least one 4-word batch"
     );
 
     // ---- Traced single SAT attack ------------------------------------------

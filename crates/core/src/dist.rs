@@ -294,11 +294,8 @@ impl RegionBoard {
 /// oracle, caches the pair, and records it for the next shipment to the
 /// supervisor ([`SyncingOracle::take_outbox`]).  Pairs learned *from* the
 /// supervisor enter via [`SyncingOracle::seed`] and never re-enter the
-/// outbox, so the same pair is never echoed back.
-///
-/// Batched [`Oracle::query_words`] queries resolve through the scalar cache
-/// pattern-by-pattern via the trait's default implementation, preserving
-/// exactly-once semantics across transports — the same property
+/// outbox, so the same pair is never echoed back.  Each distinct pattern
+/// reaches the real oracle at most once, the property
 /// [`crate::parallel::CachingOracle`] provides in-process.
 pub struct SyncingOracle<'o> {
     inner: &'o (dyn Oracle + Sync),

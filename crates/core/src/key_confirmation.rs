@@ -10,9 +10,7 @@
 use std::time::{Duration, Instant};
 
 use locking::Key;
-use netlist::{Netlist, WideSim};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use netlist::Netlist;
 use sat::{Lit, SolveResult, Solver};
 
 use crate::oracle::Oracle;
@@ -27,14 +25,6 @@ pub struct KeyConfirmationConfig {
     pub time_limit: Option<Duration>,
     /// Conflict budget per individual SAT call.
     pub conflict_budget: Option<u64>,
-    /// Words of random stimulus for the word-batched shortlist prescreen:
-    /// before the P/Q loop, `screen_words * 64` probe patterns are shipped to
-    /// the oracle in one [`Oracle::query_words`] call and every shortlisted
-    /// key whose simulated responses differ is eliminated (the mismatching
-    /// probe is a concrete counterexample, so this never discards a correct
-    /// key).  `0` (the default) disables the screen, leaving the query
-    /// trajectory of the P/Q loop untouched.
-    pub screen_words: usize,
 }
 
 impl Default for KeyConfirmationConfig {
@@ -43,7 +33,6 @@ impl Default for KeyConfirmationConfig {
             max_iterations: 100_000,
             time_limit: Some(Duration::from_secs(1000)),
             conflict_budget: None,
-            screen_words: 0,
         }
     }
 }
@@ -104,69 +93,9 @@ pub fn key_confirmation_in(
             "suspected key width does not match the circuit"
         );
     }
-    let start = Instant::now();
-    let screened: Vec<Key>;
-    let suspected_keys = if config.screen_words > 0 && suspected_keys.len() > 1 {
-        screened = screen_shortlist(
-            session.netlist(),
-            oracle,
-            suspected_keys,
-            config.screen_words,
-        );
-        if screened.is_empty() {
-            // Every shortlisted key was refuted by an explicit probe: ⊥,
-            // with the counterexamples standing in for the P/Q loop's proof.
-            return KeyConfirmationResult {
-                key: None,
-                completed: true,
-                iterations: 0,
-                oracle_queries: 0,
-                elapsed: start.elapsed(),
-            };
-        }
-        screened.as_slice()
-    } else {
-        suspected_keys
-    };
     key_confirmation_with_predicate_in(session, oracle, config, |solver, key_lits| {
         add_shortlist_phi(solver, key_lits, suspected_keys);
     })
-}
-
-/// Seed of the prescreen's probe block (fixed for reproducible trajectories).
-const SCREEN_SEED: u64 = 0xFA11_0BA7;
-
-/// Word-batched shortlist prescreen: ships `words * 64` random probe
-/// patterns to the oracle in one [`Oracle::query_words`] call, simulates the
-/// locked circuit under each shortlisted key over the same block, and keeps
-/// only the keys whose responses match everywhere.
-///
-/// Purely an *eliminator*: a mismatching probe is a concrete counterexample,
-/// so a correct key always survives, while survivors still need the P/Q loop
-/// for an actual proof of correctness.
-fn screen_shortlist(locked: &Netlist, oracle: &dyn Oracle, keys: &[Key], words: usize) -> Vec<Key> {
-    let mut rng = ChaCha8Rng::seed_from_u64(SCREEN_SEED);
-    let probes: Vec<u64> = (0..locked.num_inputs() * words)
-        .map(|_| rng.gen())
-        .collect();
-    let observed = oracle.query_words(&probes, words);
-    let mut sim = WideSim::new(locked, words);
-    let mut responses = Vec::with_capacity(locked.num_outputs() * words);
-    keys.iter()
-        .filter(|key| {
-            let key_words: Vec<u64> = key
-                .bits()
-                .iter()
-                .flat_map(|&b| std::iter::repeat_n(if b { !0u64 } else { 0 }, words))
-                .collect();
-            sim.run(locked, &probes, &key_words)
-                .expect("probe block matches the circuit width");
-            responses.clear();
-            sim.extend_with_outputs(locked, &mut responses);
-            responses == observed
-        })
-        .cloned()
-        .collect()
 }
 
 /// Encodes ϕ(K) = OR over shortlisted keys of (K == key_j), with one
@@ -187,9 +116,9 @@ fn add_shortlist_phi(solver: &mut Solver, key_lits: &[Lit], suspected_keys: &[Ke
 
 /// Session-based key confirmation with an arbitrary key predicate ϕ.
 ///
-/// `add_phi` receives the key-candidate solver and the literals of `K1` and
-/// must add clauses constraining them; passing a no-op closure makes the
-/// algorithm equivalent to the plain SAT attack (ϕ = true).
+/// `add_phi` receives the key solver and the literals of its key vector
+/// `Kϕ` and must add clauses constraining them; passing a no-op closure
+/// makes the algorithm equivalent to the plain SAT attack (ϕ = true).
 ///
 /// The algorithm runs on the session's persistent solvers: `P` is the key
 /// solver's `Kϕ` under ϕ and the observed I/O pairs, and `Q` is the DIP
@@ -321,7 +250,7 @@ fn confirmation_loop(
 mod tests {
     use super::*;
     use crate::oracle::SimOracle;
-    use locking::{LockingScheme, SfllHd, TtLock, XorLock};
+    use locking::{LockingScheme, SfllHd, TtLock};
     use netlist::random::{generate, RandomCircuitSpec};
 
     fn locked_sfll(h: usize) -> (netlist::Netlist, locking::LockedCircuit) {
@@ -409,54 +338,5 @@ mod tests {
         assert!(result.completed);
         let key = result.key.expect("key recovered");
         assert!(locked.key_is_functionally_correct(&key, 200, 3));
-    }
-
-    #[test]
-    fn screened_confirmation_agrees_with_unscreened() {
-        let (original, locked) = locked_sfll(1);
-        let oracle = SimOracle::new(original);
-        let shortlist = vec![
-            locked.key.complement(),
-            Key::zeros(10),
-            locked.key.clone(),
-            Key::from_pattern(0x2A5, 10),
-        ];
-        let plain = key_confirmation(
-            &locked.locked,
-            &oracle,
-            &shortlist,
-            &KeyConfirmationConfig::default(),
-        );
-        let screened_config = KeyConfirmationConfig {
-            screen_words: 4,
-            ..KeyConfirmationConfig::default()
-        };
-        let screened = key_confirmation(&locked.locked, &oracle, &shortlist, &screened_config);
-        assert!(plain.completed && screened.completed);
-        assert_eq!(plain.key, screened.key);
-        assert_eq!(screened.key, Some(locked.key.clone()));
-    }
-
-    #[test]
-    fn screen_rejects_an_all_wrong_shortlist_without_scalar_queries() {
-        // XOR locking makes every wrong key diverge on roughly half the
-        // input space, so the 256 screen probes refute both decoys and the
-        // P/Q loop never starts.
-        let original = generate(&RandomCircuitSpec::new("kc_screen", 10, 3, 60));
-        let locked = XorLock::new(8).with_seed(7).lock(&original).expect("lock");
-        let oracle = SimOracle::new(original);
-        let wrong_a = locked.key.complement();
-        let mut bits = wrong_a.bits().to_vec();
-        bits[0] = !bits[0];
-        let wrong_b = Key::new(bits);
-        let config = KeyConfirmationConfig {
-            screen_words: 4,
-            ..KeyConfirmationConfig::default()
-        };
-        let result = key_confirmation(&locked.locked, &oracle, &[wrong_a, wrong_b], &config);
-        assert!(result.completed);
-        assert_eq!(result.key, None);
-        assert_eq!(result.iterations, 0);
-        assert_eq!(result.oracle_queries, 0);
     }
 }

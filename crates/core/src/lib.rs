@@ -94,4 +94,4 @@ pub use parallel::{
     PartitionedSearchResult, RegionDrain, RegionDrainOutcome, RegionSource,
 };
 pub use sat_attack::{sat_attack, SatAttackConfig, SatAttackResult, SatAttackStatus};
-pub use session::{AttackSession, KeyVector};
+pub use session::AttackSession;

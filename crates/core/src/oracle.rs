@@ -8,50 +8,12 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use netlist::{Netlist, WideSim};
+use netlist::Netlist;
 
 /// A black-box input/output oracle for an activated circuit.
 pub trait Oracle {
     /// Returns the circuit outputs for the given primary-input pattern.
     fn query(&self, inputs: &[bool]) -> Vec<bool>;
-
-    /// Answers `width * 64` patterns in one word-batched call.
-    ///
-    /// `inputs` holds `num_inputs() * width` words blocked input-major: the
-    /// lanes of input `i` occupy `inputs[i * width .. (i + 1) * width]`, and
-    /// bit `b` of lane `l` carries pattern number `l * 64 + b`.  Returns
-    /// `num_outputs() * width` words blocked the same way.
-    ///
-    /// The default implementation unpacks the block and issues one scalar
-    /// [`Oracle::query`] per pattern; simulation-backed oracles override it
-    /// to answer whole blocks natively, and wrappers override it to observe
-    /// or deduplicate batches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero or `inputs.len() != num_inputs() * width`.
-    fn query_words(&self, inputs: &[u64], width: usize) -> Vec<u64> {
-        assert!(width > 0, "batched query needs at least one word");
-        assert_eq!(
-            inputs.len(),
-            self.num_inputs() * width,
-            "batched stimulus width mismatch"
-        );
-        let mut out = vec![0u64; self.num_outputs() * width];
-        let mut bits = vec![false; self.num_inputs()];
-        for lane in 0..width {
-            for bit in 0..64 {
-                for (i, b) in bits.iter_mut().enumerate() {
-                    *b = (inputs[i * width + lane] >> bit) & 1 == 1;
-                }
-                let outputs = self.query(&bits);
-                for (o, &v) in outputs.iter().enumerate() {
-                    out[o * width + lane] |= u64::from(v) << bit;
-                }
-            }
-        }
-        out
-    }
 
     /// Number of primary inputs the oracle expects.
     fn num_inputs(&self) -> usize;
@@ -96,15 +58,6 @@ impl Oracle for SimOracle {
         self.netlist.evaluate(inputs, &[])
     }
 
-    fn query_words(&self, inputs: &[u64], width: usize) -> Vec<u64> {
-        let mut sim = WideSim::new(&self.netlist, width);
-        sim.run(&self.netlist, inputs, &[])
-            .expect("batched stimulus width mismatch");
-        let mut out = Vec::with_capacity(self.netlist.num_outputs() * width);
-        sim.extend_with_outputs(&self.netlist, &mut out);
-        out
-    }
-
     fn num_inputs(&self) -> usize {
         self.netlist.num_inputs()
     }
@@ -127,21 +80,6 @@ impl Oracle for ActivatedOracle {
         self.netlist.evaluate(inputs, &self.key)
     }
 
-    fn query_words(&self, inputs: &[u64], width: usize) -> Vec<u64> {
-        // Splat each key bit across all lanes of its block.
-        let key_words: Vec<u64> = self
-            .key
-            .iter()
-            .flat_map(|&b| std::iter::repeat_n(if b { !0u64 } else { 0 }, width))
-            .collect();
-        let mut sim = WideSim::new(&self.netlist, width);
-        sim.run(&self.netlist, inputs, &key_words)
-            .expect("batched stimulus width mismatch");
-        let mut out = Vec::with_capacity(self.netlist.num_outputs() * width);
-        sim.extend_with_outputs(&self.netlist, &mut out);
-        out
-    }
-
     fn num_inputs(&self) -> usize {
         self.netlist.num_inputs()
     }
@@ -159,7 +97,6 @@ impl Oracle for ActivatedOracle {
 pub struct CountingOracle<O> {
     inner: O,
     queries: AtomicUsize,
-    batched_words: AtomicUsize,
 }
 
 impl<O: Oracle> CountingOracle<O> {
@@ -168,21 +105,12 @@ impl<O: Oracle> CountingOracle<O> {
         CountingOracle {
             inner,
             queries: AtomicUsize::new(0),
-            batched_words: AtomicUsize::new(0),
         }
     }
 
-    /// Number of pattern queries issued so far.  Word-batched calls count as
-    /// `width * 64` patterns each, so this stays comparable across the
-    /// scalar and batched transports.
+    /// Number of queries issued so far.
     pub fn queries(&self) -> usize {
         self.queries.load(Ordering::Relaxed)
-    }
-
-    /// Number of 64-pattern words shipped through [`Oracle::query_words`]
-    /// (a batch of `width` words adds `width`).
-    pub fn batched_words(&self) -> usize {
-        self.batched_words.load(Ordering::Relaxed)
     }
 
     /// Returns the wrapped oracle.
@@ -195,12 +123,6 @@ impl<O: Oracle> Oracle for CountingOracle<O> {
     fn query(&self, inputs: &[bool]) -> Vec<bool> {
         self.queries.fetch_add(1, Ordering::Relaxed);
         self.inner.query(inputs)
-    }
-
-    fn query_words(&self, inputs: &[u64], width: usize) -> Vec<u64> {
-        self.queries.fetch_add(width * 64, Ordering::Relaxed);
-        self.batched_words.fetch_add(width, Ordering::Relaxed);
-        self.inner.query_words(inputs, width)
     }
 
     fn num_inputs(&self) -> usize {
@@ -232,13 +154,20 @@ mod tests {
     }
 
     #[test]
-    fn activated_oracle_equals_original() {
+    fn activated_oracle_answers_like_sim_oracle() {
         let nl = generate(&RandomCircuitSpec::new("activated", 6, 2, 30));
         let locked = TtLock::new(4).with_seed(8).lock(&nl).expect("lock");
-        let oracle = SimOracle::from_locked(locked.locked.clone(), &locked.key);
+        let activated = SimOracle::from_locked(locked.locked.clone(), &locked.key);
+        let plain = SimOracle::new(nl);
+        assert_eq!(activated.num_inputs(), plain.num_inputs());
+        assert_eq!(activated.num_outputs(), plain.num_outputs());
         for pattern in 0..64u64 {
             let bits = pattern_to_bits(pattern, 6);
-            assert_eq!(oracle.query(&bits), nl.evaluate(&bits, &[]));
+            assert_eq!(
+                activated.query(&bits),
+                plain.query(&bits),
+                "pattern {pattern}"
+            );
         }
     }
 
@@ -250,54 +179,6 @@ mod tests {
         let _ = oracle.query(&[false; 4]);
         let _ = oracle.query(&[true; 4]);
         assert_eq!(oracle.queries(), 2);
-        assert_eq!(oracle.batched_words(), 0);
-        let _ = oracle.query_words(&[0u64; 8], 2);
-        assert_eq!(oracle.queries(), 2 + 2 * 64);
-        assert_eq!(oracle.batched_words(), 2);
-    }
-
-    /// Routes every scalar query through the trait's *default* batched
-    /// implementation, to pin the default-vs-native equivalence.
-    struct DefaultOnly(SimOracle);
-
-    impl Oracle for DefaultOnly {
-        fn query(&self, inputs: &[bool]) -> Vec<bool> {
-            self.0.query(inputs)
-        }
-        fn num_inputs(&self) -> usize {
-            self.0.num_inputs()
-        }
-        fn num_outputs(&self) -> usize {
-            self.0.num_outputs()
-        }
-    }
-
-    #[test]
-    fn batched_queries_match_scalar_and_default_fallback() {
-        let nl = generate(&RandomCircuitSpec::new("batched", 5, 3, 40));
-        let locked = TtLock::new(4).with_seed(9).lock(&nl).expect("lock");
-        let activated = SimOracle::from_locked(locked.locked.clone(), &locked.key);
-        let plain = SimOracle::new(nl.clone());
-        let fallback = DefaultOnly(SimOracle::new(nl));
-        for width in [1usize, 2, 4] {
-            let inputs: Vec<u64> = (0..5 * width as u64)
-                .map(|i| (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .collect();
-            let native = plain.query_words(&inputs, width);
-            assert_eq!(native, fallback.query_words(&inputs, width));
-            assert_eq!(native, activated.query_words(&inputs, width));
-            for lane in 0..width {
-                for bit in 0..64 {
-                    let bits: Vec<bool> = (0..5)
-                        .map(|i| (inputs[i * width + lane] >> bit) & 1 == 1)
-                        .collect();
-                    let scalar = plain.query(&bits);
-                    for (o, &v) in scalar.iter().enumerate() {
-                        assert_eq!((native[o * width + lane] >> bit) & 1 == 1, v);
-                    }
-                }
-            }
-        }
     }
 
     #[test]

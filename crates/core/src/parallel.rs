@@ -169,36 +169,6 @@ impl Oracle for CachingOracle<'_> {
         outputs
     }
 
-    /// Word-batched queries deduplicate *per pattern*: each of the
-    /// `width * 64` patterns in the block resolves through the shard cache
-    /// individually, so repeats — inside the block, across blocks, or
-    /// against earlier scalar queries — never reach the real oracle twice
-    /// and [`CachingOracle::unique_queries`] counts exactly the distinct
-    /// patterns, whatever mix of transports the workers use.
-    fn query_words(&self, inputs: &[u64], width: usize) -> Vec<u64> {
-        assert!(width > 0, "batched query needs at least one word");
-        assert_eq!(
-            inputs.len(),
-            self.num_inputs() * width,
-            "batched stimulus width mismatch"
-        );
-        let n = self.num_inputs();
-        let mut out = vec![0u64; self.num_outputs() * width];
-        let mut bits = vec![false; n];
-        for lane in 0..width {
-            for bit in 0..64 {
-                for (i, b) in bits.iter_mut().enumerate() {
-                    *b = (inputs[i * width + lane] >> bit) & 1 == 1;
-                }
-                let outputs = self.query(&bits);
-                for (o, &v) in outputs.iter().enumerate() {
-                    out[o * width + lane] |= u64::from(v) << bit;
-                }
-            }
-        }
-        out
-    }
-
     fn num_inputs(&self) -> usize {
         self.inner().num_inputs()
     }
@@ -486,47 +456,6 @@ mod tests {
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.num_inputs(), 6);
         assert_eq!(cache.num_outputs(), 2);
-    }
-
-    #[test]
-    fn caching_oracle_dedups_batched_queries_per_pattern() {
-        let nl = generate(&RandomCircuitSpec::new("cache_w", 6, 2, 30));
-        let sim = SimOracle::new(nl.clone());
-        let counting = crate::oracle::CountingOracle::new(sim);
-        let cache = CachingOracle::new(&counting);
-        // Two lanes holding the same 64 patterns: the second lane and the
-        // second call must be pure cache hits.
-        let mut inputs = vec![0u64; 6 * 2];
-        for (i, chunk) in inputs.chunks_mut(2).enumerate() {
-            let word = 0xAAAA_5555_0F0F_3C3Cu64.rotate_left(i as u32 * 7);
-            chunk[0] = word;
-            chunk[1] = word;
-        }
-        let first = cache.query_words(&inputs, 2);
-        assert_eq!(first, sim_reference(&nl, &inputs, 2));
-        assert!(cache.unique_queries() <= 64);
-        let unique_after_first = cache.unique_queries();
-        let again = cache.query_words(&inputs, 2);
-        assert_eq!(again, first);
-        assert_eq!(cache.unique_queries(), unique_after_first);
-        // Only the distinct patterns reached the real oracle.
-        assert_eq!(counting.queries(), unique_after_first);
-    }
-
-    fn sim_reference(nl: &Netlist, inputs: &[u64], width: usize) -> Vec<u64> {
-        let n = nl.num_inputs();
-        let mut out = vec![0u64; nl.num_outputs() * width];
-        for lane in 0..width {
-            for bit in 0..64 {
-                let bits: Vec<bool> = (0..n)
-                    .map(|i| (inputs[i * width + lane] >> bit) & 1 == 1)
-                    .collect();
-                for (o, &v) in nl.evaluate(&bits, &[]).iter().enumerate() {
-                    out[o * width + lane] |= u64::from(v) << bit;
-                }
-            }
-        }
-        out
     }
 
     #[test]

@@ -43,16 +43,14 @@
 //!   a cofactor or HD-pair check adds no clauses at all.
 //! * **Predicate generations** — a key-confirmation predicate ϕ lives in a
 //!   retireable *generation* ([`AttackSession::begin_predicate`] /
-//!   [`AttackSession::retire_predicate`]), a frame of the key solver, and so
-//!   do the I/O constraints added with
-//!   [`AttackSession::constrain_key_with_io`] while it is live.  Retiring a
-//!   generation detaches them while the circuit encodings, the observation
-//!   log and every frame-independent learnt clause stay: one long-lived
-//!   session can confirm an unbounded sequence of predicates — this is what
-//!   lets the region search keep **one session per worker** instead of one
-//!   per key-space region.  A contradictory generation (an I/O constraint no
-//!   key can reproduce) poisons only its own frames, so the session survives
-//!   to take the next one.
+//!   [`AttackSession::retire_predicate`]), a frame of the key solver that
+//!   holds ϕ and nothing else; oracle answers never enter it.  Retiring a
+//!   generation detaches ϕ while the circuit encodings, the observation log
+//!   and every frame-independent learnt clause stay: one long-lived session
+//!   can confirm an unbounded sequence of predicates — this is what lets the
+//!   region search keep **one session per worker** instead of one per
+//!   key-space region.  A contradictory ϕ poisons only its own frame, so the
+//!   session survives to take the next one.
 //! * **Stripper verdicts** — what the functional analyses and the
 //!   equivalence check have settled about a candidate node at one `h`
 //!   (`StripperVerdict`).  A complete analysis consults the verdict before
@@ -185,18 +183,6 @@ pub(crate) enum StripperVerdict {
     NotStripper,
 }
 
-/// Which of the session's key-literal vectors an I/O constraint applies to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KeyVector {
-    /// The first key copy `K1` of the two-copy DIP formula.
-    A,
-    /// The second key copy `K2` of the two-copy DIP formula.
-    B,
-    /// The key solver's key vector `Kϕ`, which key confirmation's candidate
-    /// query solves for (returned by [`AttackSession::begin_predicate`]).
-    Predicate,
-}
-
 /// The two shared-input circuit copies plus the scoped difference constraint.
 struct DipParts {
     inputs: Vec<Lit>,
@@ -225,21 +211,14 @@ struct KeyParts {
 
 /// One predicate generation: the retireable scope of a confirmation run.
 ///
-/// ϕ and the generation-scoped I/O constraints
-/// ([`AttackSession::constrain_key_with_io`]) land in these frames, so
-/// [`AttackSession::retire_predicate`] detaches them in O(1) and
-/// [`sat::Solver::simplify`] reclaims the clauses, while the permanent
-/// machinery (circuit copies, `Kϕ`, observations, cone encodings) and every
-/// frame-independent learnt clause survive into the next generation.
+/// ϕ lands in this key-solver frame, so [`AttackSession::retire_predicate`]
+/// detaches it in O(1) and [`sat::Solver::simplify`] reclaims the clauses,
+/// while the permanent machinery (circuit copies, `Kϕ`, observations, cone
+/// encodings) and every frame-independent learnt clause survive into the
+/// next generation.
 struct PredicateGeneration {
-    /// Key-solver scope of ϕ plus this generation's `Kϕ` I/O constraints.
+    /// Key-solver scope of ϕ.
     phi_frame: FrameId,
-    /// DIP-solver scopes of this generation's `K1` and `K2` I/O constraints,
-    /// created on first use (a confirmation run adds none).  `K1` has its own
-    /// for the same reason [`DipParts::io_a_frame`] exists: the `Q` query
-    /// must leave `K1`'s I/O history dormant.
-    io_a_frame: Option<FrameId>,
-    io_b_frame: Option<FrameId>,
 }
 
 /// Dual cone-analysis input spaces with the shared difference vector and
@@ -556,12 +535,6 @@ impl<'n> AttackSession<'n> {
         frame
     }
 
-    /// Literals of the first key copy `K1`.
-    pub fn key_a_lits(&mut self) -> Vec<Lit> {
-        self.ensure_dip();
-        self.dip.as_ref().expect("just ensured").key_a.clone()
-    }
-
     /// A solver with the DIP solver's configuration, checkpoint hook,
     /// interrupt flag and conflict budget, for the key and cone solvers.
     fn sibling_solver(&self) -> Solver {
@@ -612,12 +585,10 @@ impl<'n> AttackSession<'n> {
     ///
     /// `Kϕ` lives in the key solver, where every observation
     /// ([`AttackSession::observe`]) already constrains it.  The generation
-    /// adds ϕ ([`AttackSession::add_predicate_clauses`]) and any
-    /// generation-scoped I/O constraints
-    /// ([`AttackSession::constrain_key_with_io`], on *any* key vector); all
-    /// of it is detached by [`AttackSession::retire_predicate`], after which
-    /// the session is clean for the next predicate.  Every generation gets
-    /// the same `Kϕ` literals.
+    /// adds ϕ ([`AttackSession::add_predicate_clauses`]), which
+    /// [`AttackSession::retire_predicate`] detaches, after which the session
+    /// is clean for the next predicate; the observations stay.  Every
+    /// generation gets the same `Kϕ` literals.
     ///
     /// A session supports one predicate *at a time*: two live predicates
     /// would silently conjoin and could reject a shortlist containing the
@@ -635,26 +606,22 @@ impl<'n> AttackSession<'n> {
         let keys = self.key_parts();
         let phi_frame = keys.solver.push_frame();
         let lits = keys.keys.clone();
-        self.generation = Some(PredicateGeneration {
-            phi_frame,
-            io_a_frame: None,
-            io_b_frame: None,
-        });
+        self.generation = Some(PredicateGeneration { phi_frame });
         lits
     }
 
-    /// Concludes the active predicate generation: retires its frames,
-    /// reclaims the clause database — the retired frames' clauses become
-    /// arena tombstones and a garbage collection compacts them away once
-    /// enough bytes are wasted — recycles the generation's Tseitin variables
-    /// (every variable allocated while a generation frame was the default
-    /// clause frame returns to its solver's free list), and leaves the
-    /// session ready for the next [`AttackSession::begin_predicate`].
+    /// Concludes the active predicate generation: retires its ϕ frame,
+    /// reclaims the key solver's clause database — the retired frame's
+    /// clauses become arena tombstones and a garbage collection compacts them
+    /// away once enough bytes are wasted — recycles the generation's Tseitin
+    /// variables (every variable allocated while the ϕ frame was the default
+    /// clause frame returns to the free list), and leaves the session ready
+    /// for the next [`AttackSession::begin_predicate`].
     ///
-    /// This also recovers from a *poisoned* generation (one whose I/O
-    /// constraints no key can reproduce): the contradiction lives in the
-    /// retired frames, so the session stays satisfiable — a worker that drew
-    /// a contradictory region survives to take the next one.
+    /// This also recovers from a *poisoned* generation (one whose ϕ no key
+    /// satisfies): the contradiction lives in the retired frame, so the
+    /// session stays satisfiable — a worker that drew a contradictory region
+    /// survives to take the next one.
     ///
     /// A no-op when no generation is active.
     pub fn retire_predicate(&mut self) {
@@ -665,14 +632,6 @@ impl<'n> AttackSession<'n> {
         keys.solver.retire_frame(generation.phi_frame);
         keys.solver.simplify();
         keys.clauses_at_last_simplify = keys.solver.num_clauses();
-        let dip_frames = [generation.io_a_frame, generation.io_b_frame];
-        if dip_frames.iter().any(Option::is_some) {
-            for frame in dip_frames.into_iter().flatten() {
-                self.solver.retire_frame(frame);
-            }
-            self.solver.simplify();
-            self.clauses_at_last_simplify = self.solver.num_clauses();
-        }
     }
 
     /// Returns `true` while a predicate generation is active.
@@ -714,43 +673,29 @@ impl<'n> AttackSession<'n> {
             .phi_frame
     }
 
-    /// The DIP-solver frames of the active generation's `K1` and `K2` I/O
-    /// constraints that exist.
-    fn generation_io_frames(&self) -> impl Iterator<Item = FrameId> {
-        self.generation
-            .as_ref()
-            .map(|g| [g.io_a_frame, g.io_b_frame])
-            .into_iter()
-            .flatten()
-            .flatten()
-    }
-
-    /// Searches for a distinguishing input: shared inputs `X`, two free key
-    /// copies, outputs forced to differ.  An active predicate generation's
-    /// `K1`/`K2` I/O constraints participate in the search.
+    /// Searches for a distinguishing input: shared inputs `X`, two key
+    /// copies, outputs forced to differ.  `K1` is constrained by every pair
+    /// [`AttackSession::force_dip`] recorded and `K2` by every observation,
+    /// so Unsat means every key consistent with them computes one function.
     pub fn find_dip(&mut self) -> SolveResult {
         self.ensure_dip();
         let diff = self.diff_frame();
         let io_a = self.dip.as_ref().expect("just ensured").io_a_frame;
-        let frames: Vec<FrameId> = [diff, io_a]
-            .into_iter()
-            .chain(self.generation_io_frames())
-            .collect();
         let _span = crate::trace::span("solve");
-        self.solver.solve_in(&frames, &[])
+        self.solver.solve_in(&[diff, io_a], &[])
     }
 
     /// Searches for a distinguishing input with `K1` pinned to a candidate
     /// key (the key-confirmation `Q` query).
     ///
-    /// Any I/O constraints placed on `K1` — by a previous SAT-attack run or
-    /// during the current predicate generation — stay dormant here: the
-    /// candidate must be judged purely against the other key copy's
-    /// consistency with the observed pairs, otherwise a candidate
-    /// contradicting `K1`'s old observations would be spuriously "confirmed".
-    /// Every observation and the generation's `K2` constraints *are* active,
-    /// so Unsat means every key consistent with the oracle's answers so far
-    /// — the correct key among them — agrees with the candidate everywhere.
+    /// The `K1` I/O constraints a previous SAT-attack run recorded
+    /// ([`AttackSession::force_dip`]) stay dormant here: the candidate must
+    /// be judged purely against the other key copy's consistency with the
+    /// observed pairs, otherwise a candidate contradicting `K1`'s old
+    /// observations would be spuriously "confirmed".  Every observation
+    /// constrains `K2`, so Unsat means every key consistent with the
+    /// oracle's answers so far — the correct key among them — agrees with
+    /// the candidate everywhere.
     ///
     /// # Panics
     ///
@@ -772,10 +717,8 @@ impl<'n> AttackSession<'n> {
         for &lit in &assumptions_for(&dip.key_b, candidate.bits()) {
             self.solver.set_phase(lit);
         }
-        let io_b = self.generation.as_ref().and_then(|g| g.io_b_frame);
-        let frames: Vec<FrameId> = [diff].into_iter().chain(io_b).collect();
         let _span = crate::trace::span("solve");
-        self.solver.solve_in(&frames, &assumptions)
+        self.solver.solve_in(&[diff], &assumptions)
     }
 
     /// The distinguishing input found by the last successful
@@ -857,96 +800,33 @@ impl<'n> AttackSession<'n> {
         self.observations.len()
     }
 
-    /// Adds the I/O pair `C(x̂, K, ŷ)` as a constraint on one key vector.
+    /// Classic SAT-attack bookkeeping: constrains `K1` with the observed I/O
+    /// pair in the session-wide `K1` I/O frame (see
+    /// [`AttackSession::find_dip_against`] for why it has a frame) and
+    /// records it with [`AttackSession::observe`].  The key-free logic is
+    /// simulated once and shared by both constraint passes.
     ///
-    /// Scoping: while a predicate generation is active, the constraint —
-    /// including its cone encoding — lands in the generation's frames and is
-    /// detached by [`AttackSession::retire_predicate`].  Outside a
-    /// generation, `K1` constraints are scoped to the session's `K1` I/O
-    /// frame (see [`AttackSession::find_dip_against`] for why) and `K2`
-    /// constraints are permanent; `Kϕ` requires an active generation.  To
-    /// record an oracle answer for the session's life, use
-    /// [`AttackSession::observe`].
-    ///
-    /// Only the session's precomputed key-dependent cone is encoded
+    /// Only the key-dependent cone is encoded
     /// ([`netlist::cnf::encode_key_cone`]); every key-free wire is read from
-    /// one simulator pass instead of being re-derived by constant folding
-    /// over the whole netlist.  If an output bit is key-independent and
-    /// contradicts the observation, the constrained formula becomes
-    /// unsatisfiable (the locked circuit cannot produce the observed
-    /// behaviour under any key) — within a generation the contradiction is
-    /// confined to the generation's frame.
-    pub fn constrain_key_with_io(&mut self, which: KeyVector, inputs: &[bool], outputs: &[bool]) {
+    /// the simulation.  A key-independent output bit that contradicts the
+    /// pair makes both key copies unsatisfiable for good, as
+    /// [`AttackSession::observe`] documents.
+    pub fn force_dip(&mut self, inputs: &[bool], outputs: &[bool]) {
         let node_values = self.simulate_key_free(inputs);
-        match which {
-            KeyVector::Predicate => {
-                let frame = self.phi_frame();
-                let netlist = self.netlist;
-                let cone = self.key_cone.as_ref().expect("built by the simulation");
-                let keys = self.keys.as_mut().expect("created by begin_predicate");
-                keys.solver.set_default_frame(Some(frame));
-                encode_io(
-                    netlist,
-                    &mut keys.solver,
-                    cone,
-                    &keys.keys,
-                    &node_values,
-                    outputs,
-                );
-                keys.solver.set_default_frame(None);
-                maybe_simplify(&mut keys.solver, &mut keys.clauses_at_last_simplify);
-            }
-            KeyVector::A | KeyVector::B => {
-                self.constrain_dip_key(which, &node_values, outputs);
-                maybe_simplify(&mut self.solver, &mut self.clauses_at_last_simplify);
-            }
-        }
-    }
-
-    /// Constrains `K1` (`which == KeyVector::A`) or `K2` of the DIP solver
-    /// with an I/O pair over an existing simulation pass, in the frame
-    /// [`AttackSession::constrain_key_with_io`] documents.
-    fn constrain_dip_key(&mut self, which: KeyVector, node_values: &[bool], outputs: &[bool]) {
-        debug_assert_ne!(which, KeyVector::Predicate, "Kϕ lives in the key solver");
         self.ensure_dip();
         let dip = self.dip.as_ref().expect("just ensured");
-        let k1 = which == KeyVector::A;
-        let (keys, session_frame) = if k1 {
-            (dip.key_a.clone(), Some(dip.io_a_frame))
-        } else {
-            (dip.key_b.clone(), None)
-        };
-        let frame = match &mut self.generation {
-            Some(generation) => {
-                let slot = if k1 {
-                    &mut generation.io_a_frame
-                } else {
-                    &mut generation.io_b_frame
-                };
-                Some(*slot.get_or_insert_with(|| self.solver.push_frame()))
-            }
-            None => session_frame,
-        };
+        let (key_a, io_a) = (dip.key_a.clone(), dip.io_a_frame);
         let cone = self.key_cone.as_ref().expect("built by the simulation");
-        self.solver.set_default_frame(frame);
+        self.solver.set_default_frame(Some(io_a));
         encode_io(
             self.netlist,
             &mut self.solver,
             cone,
-            &keys,
-            node_values,
+            &key_a,
+            &node_values,
             outputs,
         );
         self.solver.set_default_frame(None);
-    }
-
-    /// Classic SAT-attack bookkeeping: constrains `K1` with the observed I/O
-    /// pair (in the `K1` I/O frame) and records it with
-    /// [`AttackSession::observe`].  The key-free logic is simulated once and
-    /// shared by every constraint pass.
-    pub fn force_dip(&mut self, inputs: &[bool], outputs: &[bool]) {
-        let node_values = self.simulate_key_free(inputs);
-        self.constrain_dip_key(KeyVector::A, &node_values, outputs);
         self.observe_presimulated(inputs, &node_values, outputs);
     }
 
@@ -966,8 +846,8 @@ impl<'n> AttackSession<'n> {
     }
 
     /// Concludes the DIP loop: retires the difference constraint, reclaims
-    /// the clause database, and extracts a key consistent with every observed
-    /// I/O pair from the `K1` model.
+    /// the clause database, and extracts a key from the `K1` model that is
+    /// consistent with every pair [`AttackSession::force_dip`] recorded.
     ///
     /// The session remains usable afterwards: the next DIP query transparently
     /// re-arms the difference constraint in a fresh frame.
@@ -982,12 +862,8 @@ impl<'n> AttackSession<'n> {
             self.solver.retire_frame(frame);
             self.solver.simplify();
         }
-        let frames: Vec<FrameId> = [io_a]
-            .into_iter()
-            .chain(self.generation_io_frames())
-            .collect();
         let _span = crate::trace::span("solve");
-        let result = self.solver.solve_in(&frames, &[]);
+        let result = self.solver.solve_in(&[io_a], &[]);
         let key = (result == SolveResult::Sat).then(|| model_key(&self.solver, &key_a));
         (result, key)
     }
@@ -1535,50 +1411,72 @@ mod tests {
         }
     }
 
-    #[test]
-    fn constrain_with_impossible_io_poisons_the_session() {
-        // A circuit whose output ignores the key entirely.
-        let mut nl = netlist::Netlist::new("const_out");
-        let a = nl.add_input("a");
-        let _k = nl.add_key_input("k");
-        let g = nl.add_gate("g", GateKind::Buf, &[a]);
-        nl.add_output("g", g);
-
-        let mut session = AttackSession::new(&nl);
-        // Claim the output is 1 when the input is 0: impossible for any key.
-        session.constrain_key_with_io(KeyVector::A, &[false], &[true]);
-        let (result, key) = session.extract_key();
-        assert_eq!(result, SolveResult::Unsat);
-        assert!(key.is_none());
-    }
-
-    #[test]
-    fn retiring_a_poisoned_generation_unpoisons_the_session() {
-        // Regression for the parallel engine's worker reuse: a generation
-        // whose I/O pair is impossible (key-independent contradiction) must
-        // poison only its own frames — after retire_predicate the same
-        // session must serve further generations and DIP queries.
-        let mut nl = netlist::Netlist::new("const_out_gen");
+    /// A key-independent output `g = a` beside a keyed one `keyed = a ^ k`.
+    fn buf_and_xor() -> Netlist {
+        let mut nl = Netlist::new("buf_and_xor");
         let a = nl.add_input("a");
         let k = nl.add_key_input("k");
         let g = nl.add_gate("g", GateKind::Buf, &[a]);
         let keyed = nl.add_gate("keyed", GateKind::Xor, &[a, k]);
         nl.add_output("g", g);
         nl.add_output("keyed", keyed);
+        nl
+    }
 
+    #[test]
+    fn an_impossible_observation_poisons_the_session_for_good() {
+        let nl = buf_and_xor();
+        let oracle = crate::oracle::CountingOracle::new(crate::oracle::SimOracle::from_locked(
+            nl.clone(),
+            &Key::new(vec![true]),
+        ));
+        let mut session = AttackSession::new(&nl);
+        // Output "g" ignores the key; claiming g(0) == 1 is impossible.
+        session.observe(&[false], &[true, false]);
+
+        let attack = crate::sat_attack::sat_attack_in(
+            &mut session,
+            &oracle,
+            &crate::sat_attack::SatAttackConfig::default(),
+        );
+        assert_eq!(
+            attack.status,
+            crate::sat_attack::SatAttackStatus::Inconsistent
+        );
+        assert!(attack.key.is_none());
+
+        let confirmation = crate::key_confirmation::key_confirmation_in(
+            &mut session,
+            &oracle,
+            &[Key::new(vec![false]), Key::new(vec![true])],
+            &crate::key_confirmation::KeyConfirmationConfig::default(),
+        );
+        assert!(confirmation.completed);
+        assert_eq!(confirmation.key, None, "no key explains the observation");
+        assert_eq!(confirmation.oracle_queries, 0);
+        assert_eq!(oracle.queries(), 0);
+        assert_eq!(session.find_dip(), SolveResult::Unsat);
+    }
+
+    #[test]
+    fn retiring_a_poisoned_generation_unpoisons_the_session() {
+        // Regression for the parallel engine's worker reuse: a generation
+        // whose ϕ no key satisfies must poison only its own frame — after
+        // retire_predicate the same session must serve further generations
+        // and DIP queries.
+        let nl = buf_and_xor();
         let mut session = AttackSession::new(&nl);
         let _phi = session.begin_predicate();
-        // Output "g" ignores the key; claiming g(0) == 1 is impossible.
-        session.constrain_key_with_io(KeyVector::Predicate, &[false], &[true, false]);
+        session.add_predicate_clauses(|solver, _| solver.add_clause([]));
         let (result, key) = session.candidate_key();
         assert_eq!(result, SolveResult::Unsat, "poisoned generation is ⊥");
         assert!(key.is_none());
         session.retire_predicate();
 
-        // The session survives: a clean generation with a possible pair
-        // confirms a candidate, and the DIP machinery still works.
+        // The session survives: after a possible observation a clean
+        // generation confirms a candidate, and the DIP machinery still works.
+        session.observe(&[false], &[false, true]);
         let _phi = session.begin_predicate();
-        session.constrain_key_with_io(KeyVector::Predicate, &[false], &[false, true]);
         let (result, key) = session.candidate_key();
         assert_eq!(result, SolveResult::Sat, "session must recover");
         let key = key.expect("sat carries a key");

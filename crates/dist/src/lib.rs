@@ -69,8 +69,6 @@ pub struct FarmConfig {
     /// drain every region regardless (deterministic counters).
     pub cancel_on_winner: bool,
     /// Per-region key-confirmation budgets, shipped to every worker.
-    /// (`screen_words` is not forwarded; workers always run the plain
-    /// scalar-query trajectory.)
     pub confirm: KeyConfirmationConfig,
     /// Worker heartbeat period.
     pub heartbeat: Duration,

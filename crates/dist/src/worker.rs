@@ -188,7 +188,6 @@ pub fn run_worker(
         max_iterations,
         time_limit: (time_limit_ms > 0).then(|| Duration::from_millis(time_limit_ms)),
         conflict_budget,
-        screen_words: 0,
     };
 
     let sim = SimOracle::new(oracle_netlist);

@@ -16,11 +16,11 @@
 //! one session and asserts that the variable count and the clause-arena
 //! footprint go *flat* after warm-up — the bounded-memory guarantee that
 //! lets a parallel worker serve unbounded key-space regions — and that a
-//! poisoned (impossible-I/O) generation still un-poisons across forced GC.
+//! poisoned (unsatisfiable-ϕ) generation still un-poisons across forced GC.
 
 use fall::key_confirmation::{key_confirmation_in, KeyConfirmationConfig};
 use fall::oracle::{Oracle, SimOracle};
-use fall::session::{AttackSession, KeyVector};
+use fall::session::AttackSession;
 use locking::{LockedCircuit, LockingScheme, SfllHd, TtLock, XorLock};
 use netlist::random::{generate, RandomCircuitSpec};
 use netlist::{GateKind, Netlist};
@@ -525,9 +525,9 @@ fn change_elimination_stack(solver: &mut Solver, frozen: &[Var], round: usize) {
     }
 }
 
-/// A poisoned generation (an I/O pair no key can reproduce) must un-poison
-/// on retirement even when every conflict forces an arena compaction — GC
-/// must never resurrect or lose the frame-scoped empty clause.
+/// A poisoned generation (an empty ϕ clause) must un-poison on retirement
+/// even when every conflict forces an arena compaction — GC must never
+/// resurrect or lose the frame-scoped empty clause.
 #[test]
 fn unpoisoning_survives_forced_gc() {
     let mut nl = netlist::Netlist::new("gc_poison");
@@ -541,15 +541,15 @@ fn unpoisoning_survives_forced_gc() {
     let mut session = session_with(&nl, forced_gc());
     for round in 0..3 {
         let _phi = session.begin_predicate();
-        // Output "g" ignores the key; claiming g(0) == 1 is impossible.
-        session.constrain_key_with_io(KeyVector::Predicate, &[false], &[true, false]);
+        session.add_predicate_clauses(|s, _| s.add_clause([]));
         let (result, key) = session.candidate_key();
         assert_eq!(result, SolveResult::Unsat, "round {round}: poisoned is ⊥");
         assert!(key.is_none());
         session.retire_predicate();
 
+        // keyed(0) == 1 pins the key; later rounds re-observe a known pair.
+        session.observe(&[false], &[false, true]);
         let _phi = session.begin_predicate();
-        session.constrain_key_with_io(KeyVector::Predicate, &[false], &[false, true]);
         let (result, key) = session.candidate_key();
         assert_eq!(result, SolveResult::Sat, "round {round}: session recovers");
         assert_eq!(
