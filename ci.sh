@@ -50,8 +50,11 @@ fi
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+# The workspace clippy, build and test steps run with --offline --locked,
+# as the perfbench check below does: a manifest edit that would rewrite
+# Cargo.lock fails CI instead of silently updating the lock file.
+echo "==> cargo clippy --offline --locked --workspace --all-targets -- -D warnings"
+cargo clippy --offline --locked --workspace --all-targets -- -D warnings
 
 # Documentation gate: rustdoc must build warning-free (broken intra-doc
 # links, bad code fences, missing docs on public items all fail the build).
@@ -60,8 +63,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # The runnable walkthroughs under examples/ must keep compiling; they are
 # documentation too (quickstart, serve_client, ...).
-echo "==> cargo build --examples"
-cargo build --examples
+echo "==> cargo build --offline --locked --examples"
+cargo build --offline --locked --examples
 
 # perfbench/ (the paper-scale benchmark) is a workspace of its own, so the
 # workspace clippy/test runs above never build it.  Type-check it against the
@@ -73,12 +76,12 @@ cargo check --release --offline --locked --manifest-path perfbench/Cargo.toml \
     --target-dir target/perfbench
 
 if [ "$quick" -eq 0 ]; then
-    echo "==> cargo build --release"
-    cargo build --release
+    echo "==> cargo build --offline --locked --release"
+    cargo build --offline --locked --release
 fi
 
-echo "==> cargo test -q --workspace"
-cargo test -q --workspace
+echo "==> cargo test --offline --locked -q --workspace"
+cargo test --offline --locked -q --workspace
 
 # The frame-scoped-predicate correctness story: the differential + property
 # suites proving a recycled session is observationally equivalent to a fresh
@@ -86,8 +89,8 @@ cargo test -q --workspace
 # an equivalent key with no more unique oracle queries than a fresh session
 # per region (plus one).  Part of the workspace run above; re-run explicitly
 # so a failure is attributed to the session-reuse machinery.
-echo "==> cargo test -q --test session_reuse --test parallel_engine"
-cargo test -q --test session_reuse --test parallel_engine
+echo "==> cargo test --offline --locked -q --test session_reuse --test parallel_engine"
+cargo test --offline --locked -q --test session_reuse --test parallel_engine
 
 # The clause-arena and inprocessing correctness story: GC forced at every
 # conflict must be status-identical to GC disabled, bounded variable
@@ -98,8 +101,8 @@ cargo test -q --test session_reuse --test parallel_engine
 # variable count and arena bytes flat.  Also part of the workspace run;
 # re-run explicitly so a failure is attributed to the arena/GC/eliminator
 # machinery.
-echo "==> cargo test -q --test gc_differential"
-cargo test -q --test gc_differential
+echo "==> cargo test --offline --locked -q --test gc_differential"
+cargo test --offline --locked -q --test gc_differential
 
 # The modern-CDCL-core unit story: LBD tier accounting, EMA restart
 # forcing/blocking, adaptive strategy classification, the eliminator's
@@ -107,8 +110,8 @@ cargo test -q --test gc_differential
 # read against an eager reference walk, no walk for frozen-only reads) live
 # in the sat crate's unit tests; re-run them explicitly so a failure is
 # attributed to the solver core rather than an attack-level suite.
-echo "==> cargo test -q -p sat --lib"
-cargo test -q -p sat --lib
+echo "==> cargo test --offline --locked -q -p sat --lib"
+cargo test --offline --locked -q -p sat --lib
 
 # The stripper-verdict correctness story: fall_attack's shortlist, status,
 # analyses_used and prefilter counters must equal a sweep that runs every
@@ -117,16 +120,16 @@ cargo test -q -p sat --lib
 # candidate must answer with zero extra solves, and nothing may be recorded
 # at 2h = m or from an interrupted solve.  Also part of the workspace run;
 # re-run explicitly so a failure is attributed to the session's verdicts.
-echo "==> cargo test -q -p fall --lib stripper_verdicts"
-cargo test -q -p fall --lib stripper_verdicts
+echo "==> cargo test --offline --locked -q -p fall --lib stripper_verdicts"
+cargo test --offline --locked -q -p fall --lib stripper_verdicts
 
 # The prefilter-cache correctness story: the session's cached cofactor
 # verdicts and distance sweep must equal the per-call sweeping reference for
 # every node x input position (random, TTLock- and SFLL-locked netlists),
 # and a warm cache must answer with zero sweeps.  Also part of the workspace
 # run; re-run explicitly so a failure is attributed to the prefilter cache.
-echo "==> cargo test -q -p fall --lib prefilter"
-cargo test -q -p fall --lib prefilter
+echo "==> cargo test --offline --locked -q -p fall --lib prefilter"
+cargo test --offline --locked -q -p fall --lib prefilter
 
 # The warm-session story: fall_attack_in on one long-lived session must
 # match a fresh fall_attack per call (TTLock and SFLL-HD h = 1..3, the
@@ -138,8 +141,8 @@ cargo test -q -p fall --lib prefilter
 # and SFLL-locked netlists, with the structural stages' outputs unchanged.
 # Also part of the workspace run; re-run explicitly so a failure is
 # attributed to the warm FALL path.
-echo "==> cargo test -q -p fall --lib warm_session"
-cargo test -q -p fall --lib warm_session
+echo "==> cargo test --offline --locked -q -p fall --lib warm_session"
+cargo test --offline --locked -q -p fall --lib warm_session
 
 # The metrics story: one MetricReport type (fall::metrics) serves every
 # metric surface (serve's metrics op, the fall-dist farm, the flight
@@ -150,26 +153,26 @@ cargo test -q -p fall --lib warm_session
 # malformed input must name the offending metric or field.  Also part of the
 # workspace run; re-run explicitly so a failure is attributed to the metrics
 # module or its codec.
-echo "==> cargo test -q -p fall --lib metrics"
-cargo test -q -p fall --lib metrics
-echo "==> cargo test -q -p fall-serve --lib metric_json"
-cargo test -q -p fall-serve --lib metric_json
+echo "==> cargo test --offline --locked -q -p fall --lib metrics"
+cargo test --offline --locked -q -p fall --lib metrics
+echo "==> cargo test --offline --locked -q -p fall-serve --lib metric_json"
+cargo test --offline --locked -q -p fall-serve --lib metric_json
 
 # The wide-simulation correctness story: the W-word blocked engine must match
 # the scalar reference bit for bit for W in {1,2,4,8}, and the one-word
 # engine must match the fresh-allocation baseline.  Also part of the
 # workspace run; re-run explicitly so a failure is attributed to the
 # wide-sim machinery.
-echo "==> cargo test -q --test wide_sim"
-cargo test -q --test wide_sim
+echo "==> cargo test --offline --locked -q --test wide_sim"
+cargo test --offline --locked -q --test wide_sim
 
 # The distributed-farm correctness story: pipes and TCP farms recover the
 # serial key with bounded cross-process oracle traffic, a SIGKILLed or hung
 # worker's lease requeues and a survivor finishes, and drain-all counters
 # reproduce exactly. Also part of the workspace run; re-run explicitly so a
 # failure is attributed to the fall-dist supervisor/worker machinery.
-echo "==> cargo test -q -p fall-dist --test farm"
-cargo test -q -p fall-dist --test farm
+echo "==> cargo test --offline --locked -q -p fall-dist --test farm"
+cargo test --offline --locked -q -p fall-dist --test farm
 
 # The observability story: a flight-recorder-armed SAT attack must export a
 # structurally valid Chrome trace document (parsed back through netshim:
@@ -177,7 +180,7 @@ cargo test -q -p fall-dist --test farm
 # nested) whose span counts match the attack's own iteration/query counters,
 # and a disabled recorder must record nothing. Also part of the workspace
 # run; re-run explicitly so a failure is attributed to the tracing layer.
-echo "==> cargo test -q -p fall-bench --test trace_validate"
-cargo test -q -p fall-bench --test trace_validate
+echo "==> cargo test --offline --locked -q -p fall-bench --test trace_validate"
+cargo test --offline --locked -q -p fall-bench --test trace_validate
 
 echo "CI OK"

@@ -245,18 +245,15 @@ fn measure() -> MetricReport {
             cold.key == Some(case.locked.key.clone()) && warm.key == cold.key,
             "warm confirmation"
         );
-        assert_eq!(
-            counting.queries(),
-            cold.oracle_queries + warm.oracle_queries
-        );
+        assert_eq!(counting.queries(), cold.iterations + warm.iterations);
         report.record(
             "info_warm_confirm_first_oracle_queries",
-            cold.oracle_queries as f64,
+            cold.iterations as f64,
             false,
         );
         report.record(
             "warm_confirm_repeat_oracle_queries",
-            warm.oracle_queries as f64,
+            warm.iterations as f64,
             false,
         );
     }
@@ -410,7 +407,7 @@ fn measure() -> MetricReport {
     );
     assert_eq!(
         fall::trace::phase_count("oracle_query"),
-        single.oracle_queries as u64,
+        single.iterations as u64,
         "flight recorder must see every oracle query"
     );
     assert!(

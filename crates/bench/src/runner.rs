@@ -7,7 +7,6 @@ use fall::functional::Analysis;
 use fall::key_confirmation::KeyConfirmationConfig;
 use fall::oracle::SimOracle;
 use fall::sat_attack::{sat_attack, SatAttackConfig};
-use fall::Oracle;
 
 use crate::suite::LockCase;
 
@@ -90,11 +89,6 @@ impl Runner {
     /// Creates a runner with the given budgets.
     pub fn new(config: RunnerConfig) -> Runner {
         Runner { config }
-    }
-
-    /// The configured budgets.
-    pub fn config(&self) -> &RunnerConfig {
-        &self.config
     }
 
     /// Runs one functional-analysis attack (without oracle access) on a case.
@@ -219,11 +213,6 @@ impl Runner {
             shortlisted: result.shortlisted_keys.len(),
             elapsed,
         }
-    }
-
-    /// Verifies an attack record's oracle, exposed for tests.
-    pub fn oracle_for(&self, case: &LockCase) -> impl Oracle {
-        SimOracle::new(case.locked.original.clone())
     }
 }
 

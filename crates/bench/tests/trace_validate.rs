@@ -93,7 +93,7 @@ fn chrome_trace_export_is_structurally_valid() {
             .count()
     };
     assert_eq!(count("dip_iteration"), result.iterations + 1);
-    assert_eq!(count("oracle_query"), result.oracle_queries);
+    assert_eq!(count("oracle_query"), result.iterations);
     assert!(count("solve") > 0);
 
     // Per-thread spans must nest: sorted by start (ties: longest first),

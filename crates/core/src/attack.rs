@@ -887,7 +887,7 @@ mod warm_session {
                     &shortlist,
                     &KeyConfirmationConfig::default(),
                 );
-                (result.key, result.iterations, result.oracle_queries)
+                (result.key, result.iterations)
             };
             let mut plain = AttackSession::new(&locked.locked);
             plain.prime();

@@ -44,10 +44,9 @@ pub struct KeyConfirmationResult {
     pub key: Option<Key>,
     /// `true` if the run finished (either way) within its budgets.
     pub completed: bool,
-    /// Number of distinguishing-input iterations performed.
+    /// Number of distinguishing-input iterations performed; each issued
+    /// exactly one oracle query.
     pub iterations: usize,
-    /// Number of oracle queries issued.
-    pub oracle_queries: usize,
     /// Wall-clock time spent.
     pub elapsed: Duration,
 }
@@ -172,15 +171,12 @@ fn confirmation_loop(
     start: Instant,
 ) -> KeyConfirmationResult {
     let mut iterations = 0usize;
-    let mut oracle_queries = 0usize;
-    let unfinished =
-        |key: Option<Key>, iterations, oracle_queries, elapsed| KeyConfirmationResult {
-            key,
-            completed: false,
-            iterations,
-            oracle_queries,
-            elapsed,
-        };
+    let unfinished = |key: Option<Key>, iterations, elapsed| KeyConfirmationResult {
+        key,
+        completed: false,
+        iterations,
+        elapsed,
+    };
 
     loop {
         if iterations >= config.max_iterations
@@ -188,7 +184,7 @@ fn confirmation_loop(
                 .time_limit
                 .is_some_and(|limit| start.elapsed() >= limit)
         {
-            return unfinished(None, iterations, oracle_queries, start.elapsed());
+            return unfinished(None, iterations, start.elapsed());
         }
 
         // A `confirm_iteration` span covers each round that queries the
@@ -204,13 +200,10 @@ fn confirmation_loop(
                     key: None,
                     completed: true,
                     iterations,
-                    oracle_queries,
                     elapsed: start.elapsed(),
                 };
             }
-            (SolveResult::Unknown, _) => {
-                return unfinished(None, iterations, oracle_queries, start.elapsed())
-            }
+            (SolveResult::Unknown, _) => return unfinished(None, iterations, start.elapsed()),
             (SolveResult::Sat, key) => key.expect("sat result carries a key"),
         };
 
@@ -222,13 +215,10 @@ fn confirmation_loop(
                     key: Some(candidate),
                     completed: true,
                     iterations,
-                    oracle_queries,
                     elapsed: start.elapsed(),
                 };
             }
-            SolveResult::Unknown => {
-                return unfinished(None, iterations, oracle_queries, start.elapsed())
-            }
+            SolveResult::Unknown => return unfinished(None, iterations, start.elapsed()),
             SolveResult::Sat => {}
         }
         iterations += 1;
@@ -237,7 +227,6 @@ fn confirmation_loop(
             let _span = crate::trace::span("oracle_query");
             oracle.query(&distinguishing_input)
         };
-        oracle_queries += 1;
 
         // Lines 15–16: add the observed I/O pair to both formulas, for the
         // session's life.
@@ -314,9 +303,9 @@ mod tests {
         // Point-function schemes can force many distinguishing inputs, but the
         // candidate pool itself never leaves the two-element shortlist.
         assert!(
-            result.oracle_queries <= 1 << locked.key.len(),
+            result.iterations <= 1 << locked.key.len(),
             "used {} queries",
-            result.oracle_queries
+            result.iterations
         );
     }
 

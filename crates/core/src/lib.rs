@@ -74,7 +74,6 @@ pub mod dist;
 pub mod encode;
 pub mod equivalence;
 pub mod functional;
-pub mod heuristics;
 pub mod key_confirmation;
 pub mod metrics;
 pub mod oracle;

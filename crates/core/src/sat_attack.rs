@@ -36,16 +36,6 @@ impl Default for SatAttackConfig {
     }
 }
 
-impl SatAttackConfig {
-    /// A configuration with the given wall-clock time limit.
-    pub fn with_time_limit(limit: Duration) -> SatAttackConfig {
-        SatAttackConfig {
-            time_limit: Some(limit),
-            ..SatAttackConfig::default()
-        }
-    }
-}
-
 /// Why the SAT attack stopped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SatAttackStatus {
@@ -68,10 +58,9 @@ pub struct SatAttackResult {
     pub key: Option<Key>,
     /// Termination reason.
     pub status: SatAttackStatus,
-    /// Number of distinguishing-input iterations performed.
+    /// Number of distinguishing-input iterations performed; each issued
+    /// exactly one oracle query.
     pub iterations: usize,
-    /// Number of oracle queries issued.
-    pub oracle_queries: usize,
     /// Wall-clock time spent.
     pub elapsed: Duration,
 }
@@ -124,47 +113,30 @@ pub fn sat_attack_in(
     session.set_conflict_budget(config.conflict_budget);
 
     let mut iterations = 0usize;
-    let mut oracle_queries = 0usize;
 
     let timed_out = |start: &Instant| {
         config
             .time_limit
             .is_some_and(|limit| start.elapsed() >= limit)
     };
-    let stopped = |status, iterations, oracle_queries, elapsed| SatAttackResult {
+    let stopped = |status, iterations, elapsed| SatAttackResult {
         key: None,
         status,
         iterations,
-        oracle_queries,
         elapsed,
     };
 
     loop {
         if iterations >= config.max_iterations {
-            return stopped(
-                SatAttackStatus::IterationLimit,
-                iterations,
-                oracle_queries,
-                start.elapsed(),
-            );
+            return stopped(SatAttackStatus::IterationLimit, iterations, start.elapsed());
         }
         if timed_out(&start) {
-            return stopped(
-                SatAttackStatus::TimedOut,
-                iterations,
-                oracle_queries,
-                start.elapsed(),
-            );
+            return stopped(SatAttackStatus::TimedOut, iterations, start.elapsed());
         }
         let dip_span = crate::trace::span("dip_iteration");
         match session.find_dip() {
             SolveResult::Unknown => {
-                return stopped(
-                    SatAttackStatus::TimedOut,
-                    iterations,
-                    oracle_queries,
-                    start.elapsed(),
-                )
+                return stopped(SatAttackStatus::TimedOut, iterations, start.elapsed())
             }
             SolveResult::Unsat => break,
             SolveResult::Sat => {}
@@ -175,7 +147,6 @@ pub fn sat_attack_in(
             let _span = crate::trace::span("oracle_query");
             oracle.query(&distinguishing_input)
         };
-        oracle_queries += 1;
         session.force_dip(&distinguishing_input, &observed_output);
         drop(dip_span);
     }
@@ -190,21 +161,10 @@ pub fn sat_attack_in(
             key,
             status: SatAttackStatus::Success,
             iterations,
-            oracle_queries,
             elapsed: start.elapsed(),
         },
-        SolveResult::Unsat => stopped(
-            SatAttackStatus::Inconsistent,
-            iterations,
-            oracle_queries,
-            start.elapsed(),
-        ),
-        SolveResult::Unknown => stopped(
-            SatAttackStatus::TimedOut,
-            iterations,
-            oracle_queries,
-            start.elapsed(),
-        ),
+        SolveResult::Unsat => stopped(SatAttackStatus::Inconsistent, iterations, start.elapsed()),
+        SolveResult::Unknown => stopped(SatAttackStatus::TimedOut, iterations, start.elapsed()),
     }
 }
 
@@ -256,7 +216,6 @@ mod tests {
         let key_lits = key_copy.keys.clone();
 
         let mut iterations = 0usize;
-        let mut oracle_queries = 0usize;
 
         let timed_out = |start: &Instant| {
             config
@@ -270,7 +229,6 @@ mod tests {
                     key: None,
                     status: SatAttackStatus::IterationLimit,
                     iterations,
-                    oracle_queries,
                     elapsed: start.elapsed(),
                 };
             }
@@ -279,7 +237,6 @@ mod tests {
                     key: None,
                     status: SatAttackStatus::TimedOut,
                     iterations,
-                    oracle_queries,
                     elapsed: start.elapsed(),
                 };
             }
@@ -289,7 +246,6 @@ mod tests {
                         key: None,
                         status: SatAttackStatus::TimedOut,
                         iterations,
-                        oracle_queries,
                         elapsed: start.elapsed(),
                     }
                 }
@@ -299,7 +255,6 @@ mod tests {
             iterations += 1;
             let distinguishing_input = model_values(&dis_solver, &copy1.inputs);
             let observed_output = oracle.query(&distinguishing_input);
-            oracle_queries += 1;
 
             // Constrain both key copies of the distinguishing solver and the key
             // solver with the observed I/O behaviour.
@@ -324,21 +279,18 @@ mod tests {
                 key: Some(model_key(&key_solver, &key_lits)),
                 status: SatAttackStatus::Success,
                 iterations,
-                oracle_queries,
                 elapsed: start.elapsed(),
             },
             SolveResult::Unsat => SatAttackResult {
                 key: None,
                 status: SatAttackStatus::Inconsistent,
                 iterations,
-                oracle_queries,
                 elapsed: start.elapsed(),
             },
             SolveResult::Unknown => SatAttackResult {
                 key: None,
                 status: SatAttackStatus::TimedOut,
                 iterations,
-                oracle_queries,
                 elapsed: start.elapsed(),
             },
         }
@@ -361,8 +313,7 @@ mod tests {
                 original.evaluate(&bits, &[]),
             );
         }
-        assert_eq!(result.oracle_queries, result.iterations);
-        assert!(result.oracle_queries > 0);
+        assert!(result.iterations > 0);
     }
 
     #[test]
@@ -469,7 +420,10 @@ mod tests {
             .lock(&original)
             .expect("lock");
         let oracle = SimOracle::new(original);
-        let config = SatAttackConfig::with_time_limit(Duration::from_millis(50));
+        let config = SatAttackConfig {
+            time_limit: Some(Duration::from_millis(50)),
+            ..SatAttackConfig::default()
+        };
         let result = sat_attack(&locked.locked, &oracle, &config);
         assert!(matches!(
             result.status,

@@ -248,10 +248,9 @@ pub struct JobReport {
     /// For FALL jobs, every key that survived the functional analyses.
     pub shortlist: Vec<Key>,
     /// Distinguishing-input iterations (SAT and confirm jobs; `0` for FALL).
+    /// Each issued one oracle query, so this is also the job's query count;
+    /// a FALL job's oracle traffic shows up in the target's cache counters.
     pub iterations: usize,
-    /// Oracle queries issued by this job (SAT and confirm jobs; `0` for
-    /// FALL, whose oracle traffic shows up in the target's cache counters).
-    pub oracle_queries: usize,
     /// Time the job spent queued before a worker picked it up.
     pub queued: Duration,
     /// Time the job spent running on a worker.
@@ -882,7 +881,6 @@ impl AttackService {
                     key: None,
                     shortlist: Vec::new(),
                     iterations: 0,
-                    oracle_queries: 0,
                     queued: job.submitted.elapsed(),
                     elapsed: Duration::ZERO,
                 });
@@ -988,7 +986,6 @@ struct RunOutcome {
     key: Option<Key>,
     shortlist: Vec<Key>,
     iterations: usize,
-    oracle_queries: usize,
 }
 
 /// The life of one worker: create and prime one session, then serve jobs
@@ -1070,7 +1067,6 @@ fn run_job(
             key: None,
             shortlist: Vec::new(),
             iterations: 0,
-            oracle_queries: 0,
             queued: queued_for,
             elapsed: Duration::ZERO,
         });
@@ -1130,7 +1126,6 @@ fn run_job(
         key: outcome.key,
         shortlist: outcome.shortlist,
         iterations: outcome.iterations,
-        oracle_queries: outcome.oracle_queries,
         queued: queued_for,
         elapsed,
     });
@@ -1188,7 +1183,6 @@ fn execute(
                 key: result.key,
                 shortlist: Vec::new(),
                 iterations: result.iterations,
-                oracle_queries: result.oracle_queries,
             }
         }
         JobKind::Fall { h } => {
@@ -1214,7 +1208,6 @@ fn execute(
                 key: result.best_key().cloned(),
                 shortlist: result.shortlisted_keys,
                 iterations: 0,
-                oracle_queries: 0,
             }
         }
         JobKind::Confirm { shortlist } => {
@@ -1228,7 +1221,6 @@ fn execute(
                 key: result.key,
                 shortlist: Vec::new(),
                 iterations: result.iterations,
-                oracle_queries: result.oracle_queries,
             }
         }
     }

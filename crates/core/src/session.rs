@@ -535,10 +535,11 @@ impl<'n> AttackSession<'n> {
         frame
     }
 
-    /// A solver with the DIP solver's configuration, checkpoint hook,
-    /// interrupt flag and conflict budget, for the key and cone solvers.
+    /// A solver with the DIP solver's search parameters (including what
+    /// adaptive strategy switching retuned), checkpoint hook, interrupt flag
+    /// and conflict budget, for the key and cone solvers.
     fn sibling_solver(&self) -> Solver {
-        let mut solver = Solver::with_config(self.solver.config().clone());
+        let mut solver = self.solver.sibling();
         solver.set_checkpoint_hook(Some(checkpoint_hook()));
         solver.set_interrupt(self.interrupt.clone());
         solver.set_conflict_budget(self.conflict_budget);
@@ -1333,7 +1334,7 @@ mod tests {
         );
         assert!(attack.is_success());
         let observed = session.num_observations();
-        assert_eq!(observed, attack.oracle_queries);
+        assert_eq!(observed, attack.iterations);
         let wrong = locked.key.complement();
         assert!(!locked.key_is_functionally_correct(&wrong, 64, 1));
         let queries = oracle.queries();
@@ -1341,7 +1342,7 @@ mod tests {
             crate::key_confirmation::key_confirmation_in(&mut session, &oracle, &[wrong], &config);
         assert!(rejection.completed);
         assert_eq!(rejection.key, None);
-        assert_eq!((rejection.oracle_queries, oracle.queries()), (0, queries));
+        assert_eq!((rejection.iterations, oracle.queries()), (0, queries));
 
         // Re-observing a known pattern adds nothing.
         let (x, (_, y)) = session.observations.iter().next().expect("observed");
@@ -1453,7 +1454,7 @@ mod tests {
         );
         assert!(confirmation.completed);
         assert_eq!(confirmation.key, None, "no key explains the observation");
-        assert_eq!(confirmation.oracle_queries, 0);
+        assert_eq!(confirmation.iterations, 0);
         assert_eq!(oracle.queries(), 0);
         assert_eq!(session.find_dip(), SolveResult::Unsat);
     }

@@ -552,7 +552,7 @@ mod tests {
             };
             // Every round that queries the oracle observes its answer.
             assert_eq!(count("confirm_iteration"), result.iterations);
-            assert_eq!(count("oracle_query"), result.oracle_queries);
+            assert_eq!(count("oracle_query"), result.iterations);
             assert_eq!(count("observe"), result.iterations);
         });
     }

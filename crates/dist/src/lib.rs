@@ -105,9 +105,18 @@ impl Default for FarmConfig {
     }
 }
 
-/// Clamps the partition to the key width, mirroring the in-process search.
-fn effective_partition_bits(locked: &Netlist, requested: usize) -> usize {
-    requested.min(locked.num_key_inputs())
+/// Clamps the partition to the key width, mirroring the in-process search,
+/// and rejects a partition of 64 or more bits: its region space cannot be
+/// enumerated.
+fn effective_partition_bits(locked: &Netlist, requested: usize) -> io::Result<usize> {
+    let bits = requested.min(locked.num_key_inputs());
+    if bits >= 64 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("a {bits}-bit partition has too many regions to enumerate"),
+        ));
+    }
+    Ok(bits)
 }
 
 /// A running pipes-mode farm: the supervisor plus its worker child
@@ -127,18 +136,14 @@ impl Farm {
     /// locally behind the farm's syncing cache.  Both are shipped to the
     /// workers as `.bench` text in their `setup` frame.
     ///
-    /// # Panics
-    ///
-    /// Panics if the clamped partition width reaches 64 bits (an
-    /// unenumerable region space — the in-process search and the workers
-    /// reject it too).
-    ///
     /// # Errors
     ///
+    /// Returns [`io::ErrorKind::InvalidInput`], before spawning any worker,
+    /// if the clamped partition width reaches 64 bits (an unenumerable
+    /// region space — the in-process search and the workers reject it too).
     /// Propagates process-spawn failures.
     pub fn spawn(locked: &Netlist, oracle: &Netlist, config: &FarmConfig) -> io::Result<Farm> {
-        let partition_bits = effective_partition_bits(locked, config.partition_bits);
-        assert!(partition_bits < 64, "unenumerable partition");
+        let partition_bits = effective_partition_bits(locked, config.partition_bits)?;
         let exe = match &config.worker_exe {
             Some(exe) => exe.clone(),
             None => std::env::current_exe()?,
@@ -219,15 +224,16 @@ impl Farm {
 ///
 /// # Errors
 ///
-/// Propagates accept/clone failures while assembling the worker links.
+/// Returns [`io::ErrorKind::InvalidInput`], before accepting any
+/// connection, if the clamped partition width reaches 64 bits.  Propagates
+/// accept/clone failures while assembling the worker links.
 pub fn farm_over_tcp(
     locked: &Netlist,
     oracle: &Netlist,
     listener: &TcpListener,
     config: &FarmConfig,
 ) -> io::Result<Supervisor> {
-    let partition_bits = effective_partition_bits(locked, config.partition_bits);
-    assert!(partition_bits < 64, "unenumerable partition");
+    let partition_bits = effective_partition_bits(locked, config.partition_bits)?;
     let workers = config.workers.max(1);
     let mut links = Vec::with_capacity(workers);
     for _ in 0..workers {
@@ -324,5 +330,47 @@ pub fn maybe_run_worker_process() {
             eprintln!("fall-dist worker: {error}");
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netlist::GateKind;
+
+    /// A netlist with 64 key inputs, each XOR-ed onto one input.
+    fn wide_key_netlist() -> Netlist {
+        let mut nl = Netlist::new("wide_key");
+        for i in 0..64 {
+            let x = nl.add_input(format!("x{i}"));
+            let k = nl.add_key_input(format!("keyinput{i}"));
+            let g = nl.add_gate(format!("g{i}"), GateKind::Xor, &[x, k]);
+            nl.add_output(format!("y{i}"), g);
+        }
+        nl
+    }
+
+    #[test]
+    fn a_64_bit_partition_is_invalid_input_before_any_worker_starts() {
+        let locked = wide_key_netlist();
+        let config = FarmConfig {
+            partition_bits: 64,
+            // Were a worker spawned, this path would fail with `NotFound`.
+            worker_exe: Some(PathBuf::from("/nonexistent/fall-dist-worker")),
+            ..FarmConfig::default()
+        };
+        let error = Farm::spawn(&locked, &locked, &config)
+            .err()
+            .expect("64-bit partition");
+        assert_eq!(error.kind(), io::ErrorKind::InvalidInput, "{error}");
+
+        // Were a connection awaited, the non-blocking accept would fail
+        // with `WouldBlock`.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("non-blocking");
+        let error = farm_over_tcp(&locked, &locked, &listener, &config)
+            .err()
+            .expect("64-bit partition");
+        assert_eq!(error.kind(), io::ErrorKind::InvalidInput, "{error}");
     }
 }

@@ -194,7 +194,7 @@ fn main() {
             match farm_over_tcp(&locked, &oracle, &listener, &config) {
                 Ok(supervisor) => supervisor.wait(),
                 Err(error) => {
-                    eprintln!("fall-dist: accept failed: {error}");
+                    eprintln!("fall-dist: cannot start the farm: {error}");
                     std::process::exit(1);
                 }
             }

@@ -27,14 +27,13 @@ fn worker_exe() -> PathBuf {
 }
 
 /// The per-region reference: a fresh session per region, in region order,
-/// stopping at the first confirmed key; `oracle_queries` is the sum over the
-/// regions searched (no cache, no shared learnt clauses).
+/// stopping at the first confirmed key; `iterations` (one oracle query each)
+/// is the sum over the regions searched (no cache, no shared learnt clauses).
 fn per_region_reference(locked: &Netlist, oracle: &dyn Oracle) -> KeyConfirmationResult {
     let mut total = KeyConfirmationResult {
         key: None,
         completed: true,
         iterations: 0,
-        oracle_queries: 0,
         elapsed: Duration::ZERO,
     };
     for region in 0..1u64 << PARTITION_BITS {
@@ -50,7 +49,6 @@ fn per_region_reference(locked: &Netlist, oracle: &dyn Oracle) -> KeyConfirmatio
             },
         );
         total.iterations += result.iterations;
-        total.oracle_queries += result.oracle_queries;
         total.elapsed += result.elapsed;
         if result.key.is_some() || !result.completed {
             total.key = result.key;
@@ -102,10 +100,10 @@ fn pipes_farm_recovers_the_serial_key_with_bounded_oracle_traffic() {
     // The invariant the in-process search gates: cross-process dedup keeps
     // unique oracle traffic within a worker's-worth of the serial count.
     assert!(
-        result.unique_oracle_queries <= serial.oracle_queries + result.workers,
+        result.unique_oracle_queries <= serial.iterations + result.workers,
         "farm {} vs serial {}",
         result.unique_oracle_queries,
-        serial.oracle_queries
+        serial.iterations
     );
 }
 
@@ -331,7 +329,7 @@ fn tcp_farm_matches_the_pipes_transport() {
     assert_eq!(result.workers_crashed, 0);
     let key = result.key.as_ref().expect("key recovered over TCP");
     assert!(locked.key_is_functionally_correct(key, 200, 4));
-    assert!(result.unique_oracle_queries <= serial.oracle_queries + result.workers);
+    assert!(result.unique_oracle_queries <= serial.iterations + result.workers);
 }
 
 #[test]

@@ -1,8 +1,7 @@
-//! Structural analyses over netlists: support sets, transitive fanin cones,
-//! logic levels and size statistics.
+//! Structural analyses over netlists: support sets and transitive fanin
+//! cones, per node ([`support`], [`transitive_fanin`]) or for every node at
+//! once ([`SupportTable`]).
 
-mod levels;
 mod support;
 
-pub use levels::{logic_levels, max_level, NetlistStats};
 pub use support::{input_positions, support, transitive_fanin, SupportSet, SupportTable};

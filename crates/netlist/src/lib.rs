@@ -13,7 +13,8 @@
 //! * Tseitin CNF encoding into the [`sat`] solver ([`cnf`]),
 //! * seeded random circuit generation used as the ISCAS'85/MCNC benchmark
 //!   substitute ([`random`]),
-//! * gate-level Hamming-distance comparators used by SFLL-HD ([`hamming`]).
+//! * gate-level Hamming-distance comparators used by SFLL-HD ([`hamming`]),
+//! * Graphviz DOT export for inspecting small netlists ([`dot`]).
 //!
 //! # Example
 //!
@@ -42,7 +43,6 @@ mod gate;
 pub mod hamming;
 mod netlist;
 pub mod random;
-pub mod rewrite;
 pub mod sim;
 pub mod strash;
 

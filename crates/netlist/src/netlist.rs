@@ -296,16 +296,6 @@ impl Netlist {
         )
     }
 
-    /// Adds a gate with an automatically generated unique name.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Netlist::add_gate`].
-    pub fn add_gate_auto(&mut self, kind: GateKind, fanins: &[NodeId]) -> NodeId {
-        let name = self.fresh_name("_g");
-        self.add_gate(name, kind, fanins)
-    }
-
     /// Generates a fresh signal name with the given prefix.
     pub fn fresh_name(&mut self, prefix: &str) -> String {
         loop {

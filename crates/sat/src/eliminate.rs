@@ -1,13 +1,11 @@
 //! Bounded variable elimination (SatELite/NiVER lineage) over the flat arena.
 //!
 //! Runs as an inprocessing pass at [`Solver::simplify`] checkpoints: a
-//! variable whose positive/negative occurrence counts fit
-//! [`SolverConfig::elim_occ_limit`](crate::SolverConfig::elim_occ_limit) is
+//! variable with at most 16 positive and 16 negative occurrences is
 //! *resolved out* — every positive/negative clause pair is replaced by its
 //! resolvent — when the surviving resolvents do not grow the database beyond
-//! [`SolverConfig::elim_grow`](crate::SolverConfig::elim_grow) and none
-//! exceeds
-//! [`SolverConfig::elim_clause_limit`](crate::SolverConfig::elim_clause_limit).
+//! [`SolverConfig::elim_grow`](crate::SolverConfig::elim_grow) and none is
+//! longer than 16 literals.
 //! The variable's original clauses move onto a reconstruction stack:
 //!
 //! * A SAT answer keeps the search's assignment as the model and marks it
@@ -33,7 +31,7 @@
 //! (the recycler owns them), assigned variables, and any variable sharing a
 //! clause with an excluded one (the resolvent set would be incomplete).
 
-use super::{LBool, Lit, Recycling, Solver, Var};
+use super::{LBool, Lit, Recycling, Solver, Var, ELIM_CLAUSE_LIMIT, ELIM_OCC_LIMIT};
 use crate::clause::ClauseRef;
 
 /// One entry of the elimination reconstruction stack: the variable and the
@@ -84,7 +82,7 @@ impl Solver {
             }
         }
 
-        let limit = self.config.elim_occ_limit as u32;
+        let limit = ELIM_OCC_LIMIT as u32;
         let mut candidates: Vec<Var> = Vec::new();
         let mut slot = vec![usize::MAX; n];
         for i in 0..n {
@@ -179,7 +177,7 @@ impl Solver {
                             self.ok = false;
                             return;
                         }
-                        if r.len() > self.config.elim_clause_limit {
+                        if r.len() > ELIM_CLAUSE_LIMIT {
                             continue 'candidates;
                         }
                         resolvents.push(r);

@@ -17,7 +17,8 @@
 //! * LBD-tiered learnt-clause management (CORE / TIER2 / LOCAL) with
 //!   promotion on use and glue protection.
 //! * One-shot adaptive strategy switching after a warm-up conflict budget
-//!   ([`SearchStrategy`], [`Solver::strategy`]).
+//!   ([`SearchStrategy`], [`Solver::strategy`]); [`Solver::sibling`] starts
+//!   a new solver from the parameters it retuned.
 //! * Bounded variable elimination at [`Solver::simplify`] checkpoints with
 //!   model reconstruction and transparent resurrection under incremental use
 //!   ([`Solver::set_frozen`], [`Solver::is_eliminated`]).
@@ -32,8 +33,23 @@
 //!   spent-variable free list ([`Solver::release_var`]): retired frames give
 //!   back their clauses *and* their variables, so long-lived incremental
 //!   sessions run in bounded memory.
-//! * Optional conflict budgets so callers can impose timeouts
-//!   ([`Solver::set_conflict_budget`]).
+//! * Optional conflict budgets and a shared interrupt flag so callers can
+//!   impose timeouts and cancel searches ([`Solver::set_conflict_budget`],
+//!   [`Solver::set_interrupt`]).
+//! * [`SolverConfig`] holds only the switches the differential suites flip;
+//!   every other search parameter is a constant or retuned by adaptive
+//!   strategy switching.
+//!
+//! Clauses enter through the API ([`Solver::add_clause`] and its framed
+//! variants); the crate reads and writes no file format.
+//!
+//! # Modules
+//!
+//! The crate root re-exports everything public.  Internally, `solver` holds
+//! the CDCL loop (with bounded variable elimination in `eliminate.rs`),
+//! `clause` the flat clause arena, `heap` the VSIDS order heap, `restart`
+//! and `luby` the restart pacing, and `lit`/`lbool` the literal and
+//! three-valued types.
 //!
 //! # Example
 //!
@@ -53,8 +69,6 @@
 #![deny(missing_docs)]
 
 mod clause;
-mod cnf;
-mod dimacs;
 mod heap;
 mod lbool;
 mod lit;
@@ -62,8 +76,6 @@ mod luby;
 mod restart;
 mod solver;
 
-pub use cnf::CnfFormula;
-pub use dimacs::{parse_dimacs, write_dimacs, ParseDimacsError};
 pub use lbool::LBool;
 pub use lit::{Lit, Var};
 pub use restart::RestartMode;

@@ -157,7 +157,7 @@ mod tests {
     }
 
     #[test]
-    fn display_uses_dimacs_convention() {
+    fn display_is_one_based_and_signed() {
         let v = Var::from_index(0);
         assert_eq!(Lit::positive(v).to_string(), "1");
         assert_eq!(Lit::negative(v).to_string(), "-1");

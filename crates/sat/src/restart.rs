@@ -7,10 +7,10 @@
 //!   unconditionally.  Deterministic and instance-agnostic.
 //! * **Ema** — Glucose-lineage dynamic restarts: a fast and a slow
 //!   exponential moving average of learnt-clause LBDs are maintained per
-//!   conflict; when the fast average exceeds `restart_thr` times the slow
-//!   one the search is judged to be producing worse-than-usual clauses and
-//!   a restart is forced — unless the trail has grown well past its own
-//!   long-run average (`restart_blk`), which signals the solver is deep in
+//!   conflict; when the fast average exceeds the forcing threshold times the
+//!   slow one the search is judged to be producing worse-than-usual clauses
+//!   and a restart is forced — unless the trail has grown well past its own
+//!   long-run average (`RESTART_BLK`), which signals the solver is deep in
 //!   a promising assignment and the restart is *blocked* instead.
 //!
 //! The EMAs use a bias-corrected warm-up (the smoothing factor starts at 1
@@ -20,7 +20,15 @@
 //! bounded `LbdQueue` window of Glucose/gipsat.
 
 use crate::luby::luby;
-use crate::SolverConfig;
+
+/// Trail-blocking threshold: a forced restart is suppressed while the trail
+/// is more than this multiple of its long-run average (Glucose blocks at
+/// 1.4×), since a deep trail suggests the search is close to a model.
+const RESTART_BLK: f64 = 1.4;
+/// Minimum conflicts between EMA restart decisions: the warm-up of the fast
+/// EMA after each restart and a floor on run length (Glucose's 50-entry
+/// `LbdQueue` window).
+const RESTART_STEP: u64 = 50;
 
 /// Restart pacing discipline of a [`crate::Solver`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -147,11 +155,12 @@ impl RestartState {
         }
     }
 
-    /// Decides, at a decision point, whether to restart.  Called once per
-    /// decision, so a [`RestartDecision::Blocked`] verdict delays the next
-    /// forcing attempt by a full `restart_step` window rather than re-firing
-    /// immediately.
-    pub(crate) fn check(&mut self, trail_len: usize, config: &SolverConfig) -> RestartDecision {
+    /// Decides, at a decision point, whether to restart, forcing when the
+    /// fast LBD EMA exceeds `restart_thr` times the slow one.  Called once
+    /// per decision, so a [`RestartDecision::Blocked`] verdict delays the
+    /// next forcing attempt by a full `RESTART_STEP` window rather than
+    /// re-firing immediately.
+    pub(crate) fn check(&mut self, trail_len: usize, restart_thr: f64) -> RestartDecision {
         match self.mode {
             RestartMode::Luby => {
                 if self.conflicts_here >= self.budget {
@@ -161,13 +170,13 @@ impl RestartState {
                 }
             }
             RestartMode::Ema => {
-                if self.conflicts_here < config.restart_step {
+                if self.conflicts_here < RESTART_STEP {
                     return RestartDecision::Continue;
                 }
-                if self.fast.get() <= config.restart_thr * self.slow.get() {
+                if self.fast.get() <= restart_thr * self.slow.get() {
                     return RestartDecision::Continue;
                 }
-                if trail_len as f64 > config.restart_blk * self.trail.get() {
+                if trail_len as f64 > RESTART_BLK * self.trail.get() {
                     self.conflicts_here = 0;
                     return RestartDecision::Blocked;
                 }
@@ -211,6 +220,9 @@ impl RestartState {
 mod tests {
     use super::*;
 
+    /// The solver's default forcing threshold.
+    const THR: f64 = 1.25;
+
     #[test]
     fn ema_warmup_tracks_first_samples_quickly() {
         let mut e = Ema::new(1.0 / 4096.0);
@@ -222,37 +234,35 @@ mod tests {
 
     #[test]
     fn luby_mode_restarts_on_budget() {
-        let config = SolverConfig::default();
         let mut r = RestartState::new(RestartMode::Luby, 2);
-        assert_eq!(r.check(0, &config), RestartDecision::Continue);
+        assert_eq!(r.check(0, THR), RestartDecision::Continue);
         r.on_conflict(3, 10);
         r.on_conflict(3, 10);
-        assert_eq!(r.check(0, &config), RestartDecision::RestartLuby);
+        assert_eq!(r.check(0, THR), RestartDecision::RestartLuby);
         r.on_restart(2);
-        assert_eq!(r.check(0, &config), RestartDecision::Continue);
+        assert_eq!(r.check(0, THR), RestartDecision::Continue);
     }
 
     #[test]
     fn ema_mode_forces_on_lbd_spike_and_blocks_on_deep_trail() {
-        let config = SolverConfig::default();
         let mut r = RestartState::new(RestartMode::Ema, 100);
         // A long calm stretch establishes a low slow average...
-        for _ in 0..config.restart_step {
+        for _ in 0..RESTART_STEP {
             r.on_conflict(2, 10);
         }
-        assert_eq!(r.check(10, &config), RestartDecision::Continue);
+        assert_eq!(r.check(10, THR), RestartDecision::Continue);
         // ...then a burst of terrible clauses spikes the fast average.
-        for _ in 0..config.restart_step {
+        for _ in 0..RESTART_STEP {
             r.on_conflict(40, 10);
         }
-        assert_eq!(r.check(10, &config), RestartDecision::RestartEma);
+        assert_eq!(r.check(10, THR), RestartDecision::RestartEma);
         // The same spike with a much deeper trail than average is blocked.
-        for _ in 0..config.restart_step {
+        for _ in 0..RESTART_STEP {
             r.on_conflict(40, 10);
         }
-        assert_eq!(r.check(10_000, &config), RestartDecision::Blocked);
+        assert_eq!(r.check(10_000, THR), RestartDecision::Blocked);
         assert_eq!(
-            r.check(10_000, &config),
+            r.check(10_000, THR),
             RestartDecision::Continue,
             "blocking resets the wait window"
         );

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use crate::clause::{ClauseDb, ClauseRef, Tier};
 use crate::heap::VarOrderHeap;
 use crate::restart::{RestartDecision, RestartState};
-use crate::{CnfFormula, LBool, Lit, RestartMode, Var};
+use crate::{LBool, Lit, RestartMode, Var};
 
 #[path = "eliminate.rs"]
 mod eliminate;
@@ -20,20 +20,9 @@ pub enum SolveResult {
     Sat,
     /// The formula (under the given assumptions, if any) is unsatisfiable.
     Unsat,
-    /// The conflict or propagation budget was exhausted before a result.
+    /// The conflict budget ran out, or the interrupt flag was raised,
+    /// before a result.
     Unknown,
-}
-
-impl SolveResult {
-    /// Returns `true` for [`SolveResult::Sat`].
-    pub fn is_sat(self) -> bool {
-        self == SolveResult::Sat
-    }
-
-    /// Returns `true` for [`SolveResult::Unsat`].
-    pub fn is_unsat(self) -> bool {
-        self == SolveResult::Unsat
-    }
 }
 
 /// Counters describing the work performed by a solver instance.
@@ -49,11 +38,9 @@ pub struct SolverStats {
     pub restarts: u64,
     /// Restarts taken because a Luby conflict budget ran out.
     pub restarts_luby: u64,
-    /// Restarts forced by the fast/slow LBD EMA threshold
-    /// ([`SolverConfig::restart_thr`]).
+    /// Restarts forced by the fast/slow LBD EMA threshold.
     pub restarts_ema: u64,
-    /// EMA-forced restarts suppressed by trail-size blocking
-    /// ([`SolverConfig::restart_blk`]).
+    /// EMA-forced restarts suppressed by trail-size blocking.
     pub restarts_blocked: u64,
     /// Learnt-database reduction rounds performed.
     pub reductions: u64,
@@ -200,32 +187,20 @@ impl SolverStats {
     }
 }
 
-/// Tunable search parameters of a [`Solver`].
+/// The switches of a [`Solver`] that the differential suites flip.
 ///
-/// The defaults reproduce the solver's historical behaviour; the differential
-/// suites flip individual knobs (GC, elimination, adaptation) to compare
-/// trajectories in lockstep.
+/// The defaults are the solver's production behaviour.  Each field is a
+/// switch that a differential or unit suite turns to compare trajectories in
+/// lockstep (GC forced or off, elimination on or off, adaptation on, off or
+/// early, Luby pacing); every other search parameter is a fixed constant, or
+/// private state that adaptive strategy switching retunes
+/// ([`SearchStrategy`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct SolverConfig {
-    /// VSIDS variable-activity decay factor (0 < decay < 1, default 0.95).
-    ///
-    /// Closer to 1 gives older conflicts a longer-lived vote in branching
-    /// (steadier focus, slower to refocus after the instance changes under
-    /// incremental use); lower values make branching chase the most recent
-    /// conflicts aggressively.
-    pub var_decay: f64,
-    /// Learnt-clause activity decay factor (0 < decay < 1, default 0.999).
-    ///
-    /// Governs which learnt clauses survive database reduction: higher
-    /// values judge clauses over a longer window of usefulness, lower
-    /// values evict anything not used very recently.
-    pub cla_decay: f64,
     /// Base conflict budget of the Luby restart sequence (default 100).
     ///
     /// Only consulted in [`RestartMode::Luby`]: every restart budget is this
-    /// value times the next Luby multiplier.  Smaller bases restart
-    /// aggressively (good on shuffled/adversarial instances); larger bases
-    /// let each probe run deeper before abandoning its decision prefix.
+    /// value times the next Luby multiplier.
     pub restart_base: u64,
     /// Restart pacing discipline (default [`RestartMode::Ema`]).
     ///
@@ -235,61 +210,16 @@ pub struct SolverConfig {
     /// adaptive strategy switching selects on
     /// [`SearchStrategy::HighSuccessive`].
     pub restart_mode: RestartMode,
-    /// EMA forcing threshold (default 1.25): restart when the fast LBD EMA
-    /// exceeds this multiple of the slow one.
-    ///
-    /// Lower values (→ 1.0) restart at the slightest quality dip —
-    /// Glucose-aggressive, strong on unsatisfiable instances; higher values
-    /// demand a clear degradation first and favour satisfiable instances by
-    /// letting promising descents run.  Only used in [`RestartMode::Ema`].
-    pub restart_thr: f64,
-    /// Trail-blocking threshold (default 1.4): a forced restart is suppressed
-    /// while the trail is more than this multiple of its long-run average.
-    ///
-    /// A deep trail means the solver has committed far more of the instance
-    /// than usual — likely approaching a model — so throwing the prefix away
-    /// would be wasteful.  Raise toward ∞ to never block (pure Glucose
-    /// forcing); lower toward 1.0 to block often (model-chasing).  Only used
-    /// in [`RestartMode::Ema`].
-    pub restart_blk: f64,
-    /// Minimum conflicts between EMA restart decisions (default 50).
-    ///
-    /// Acts as both the warm-up for the fast EMA after each restart and a
-    /// floor on run length, exactly like the 50-entry `LbdQueue` refill rule
-    /// in Glucose.  Smaller steps chase the EMAs nervously; larger steps
-    /// approximate fixed-interval restarts.  Only used in
-    /// [`RestartMode::Ema`].
-    pub restart_step: u64,
-    /// LBD at or below which a learnt clause enters the CORE tier and is
-    /// never deleted by database reduction (default 3, the Chan-Seok bound).
-    ///
-    /// Raising it keeps more clauses forever — helpful when the instance
-    /// rewards accumulated lemmas (the adaptive `LowDecisions` strategy does
-    /// exactly this), at the cost of database growth; 0 disables the CORE
-    /// tier entirely and every learnt clause competes for survival.
-    pub co_lbd_bound: u32,
-    /// LBD at or below which a learnt clause enters the TIER2 tier
-    /// (default 6).
-    ///
-    /// TIER2 clauses survive reduction rounds in which they participated in
-    /// a conflict and are demoted to LOCAL otherwise.  Must be at least
-    /// `co_lbd_bound` to be meaningful; setting it equal collapses the
-    /// middle tier.
-    pub tier2_lbd_bound: u32,
     /// Enables one-shot adaptive strategy switching (default `true`).
     ///
     /// After `adapt_after_conflicts` total conflicts the solver classifies
     /// the instance from its conflict/decision profile and switches
     /// restart/decay/tier parameters once (see [`SearchStrategy`]).  Disable
-    /// for bit-reproducible parameter trajectories or when the caller tunes
-    /// the knobs itself.
+    /// for bit-reproducible parameter trajectories.
     pub adapt_strategy: bool,
     /// Warm-up conflict budget before the adaptive classification runs
     /// (default 10 000 — cumulative over the solver's lifetime, so
     /// long-lived incremental sessions classify on their real workload).
-    ///
-    /// Shorter warm-ups adapt faster but judge the instance on less
-    /// evidence; longer ones may never trigger on easy workloads.
     pub adapt_after_conflicts: u64,
     /// Enables bounded variable elimination at [`Solver::simplify`]
     /// checkpoints (default `true`).
@@ -300,28 +230,14 @@ pub struct SolverConfig {
     /// clause database textually identical to what was added — the
     /// differential suites run both settings in lockstep.
     pub elim_vars: bool,
-    /// Occurrence cap for elimination candidates (default 16): a variable
-    /// with more than this many positive *or* negative problem-clause
-    /// occurrences is skipped.
-    ///
-    /// Raising it lets elimination chew through denser variables at
-    /// quadratically growing resolution cost per candidate.
-    pub elim_occ_limit: usize,
     /// Clause-count growth budget of one elimination (default 0): a variable
     /// is only eliminated if the surviving resolvents number at most
     /// `occurrences + elim_grow`.
     ///
     /// 0 is the classic NiVER "never increase" rule; small positive values
-    /// (SatELite-style) eliminate more variables in exchange for a denser
-    /// database.
+    /// (SatELite-style) make the pass fire on the small instances of the
+    /// elimination suites.
     pub elim_grow: usize,
-    /// Length cap on resolvents produced by elimination (default 16): any
-    /// longer resolvent vetoes the candidate.
-    ///
-    /// Long resolvents are poor propagators and bloat the arena; the cap
-    /// keeps elimination focused on the short-clause structure (Tseitin
-    /// definitions) it is best at removing.
-    pub elim_clause_limit: usize,
     /// Fraction of the clause arena that may be wasted (tombstoned) before a
     /// garbage collection compacts it.  `0.0` forces a GC at every check
     /// point (a testing mode exercised by the differential suite);
@@ -332,22 +248,38 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> SolverConfig {
         SolverConfig {
-            var_decay: VAR_DECAY,
-            cla_decay: CLA_DECAY,
             restart_base: RESTART_BASE,
             restart_mode: RestartMode::Ema,
-            restart_thr: RESTART_THR,
-            restart_blk: RESTART_BLK,
-            restart_step: RESTART_STEP,
-            co_lbd_bound: CO_LBD_BOUND,
-            tier2_lbd_bound: TIER2_LBD_BOUND,
             adapt_strategy: true,
             adapt_after_conflicts: ADAPT_AFTER_CONFLICTS,
             elim_vars: true,
-            elim_occ_limit: ELIM_OCC_LIMIT,
             elim_grow: 0,
-            elim_clause_limit: ELIM_CLAUSE_LIMIT,
             gc_wasted_ratio: GC_WASTED_RATIO,
+        }
+    }
+}
+
+/// The search parameters adaptive strategy switching retunes
+/// ([`Solver::strategy`]).  They start at their Glucose-lineage defaults and
+/// change at most once per solver.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Tuning {
+    /// VSIDS variable-activity decay factor (0 < decay < 1).
+    var_decay: f64,
+    /// LBD at or below which a learnt clause enters the CORE tier and is
+    /// never deleted by database reduction.
+    co_lbd_bound: u32,
+    /// EMA forcing threshold: restart when the fast LBD EMA exceeds this
+    /// multiple of the slow one.
+    restart_thr: f64,
+}
+
+impl Default for Tuning {
+    fn default() -> Tuning {
+        Tuning {
+            var_decay: VAR_DECAY,
+            co_lbd_bound: CO_LBD_BOUND,
+            restart_thr: RESTART_THR,
         }
     }
 }
@@ -505,15 +437,17 @@ pub struct Solver {
     reconstruction_walks: Cell<u64>,
     assumptions: Vec<Lit>,
     conflict_budget: Option<u64>,
-    propagation_budget: Option<u64>,
     budget_conflicts_start: u64,
-    budget_propagations_start: u64,
     max_learnts: f64,
     stats: SolverStats,
     num_problem_clauses: usize,
     frames: Vec<Frame>,
     default_frame: Option<FrameId>,
+    /// The switches this solver was created with; adaptive strategy
+    /// switching may change `restart_mode`.
     config: SolverConfig,
+    /// What adaptive strategy switching retunes; the defaults until then.
+    tuning: Tuning,
     interrupt: Option<Arc<AtomicBool>>,
     /// Spent variables available for reuse by [`Solver::new_var`].
     free_vars: Vec<Var>,
@@ -563,25 +497,26 @@ pub struct Solver {
     checkpoint_hook: HookSlot,
 }
 
+/// Default VSIDS variable-activity decay.
 const VAR_DECAY: f64 = 0.95;
+/// Learnt-clause activity decay: which learnt clauses survive database
+/// reduction.
 const CLA_DECAY: f64 = 0.999;
 const RESTART_BASE: u64 = 100;
-/// Default [`SolverConfig::restart_thr`] (Glucose forces at fast/slow ≈ 1.25).
+/// Default EMA forcing threshold (Glucose forces at fast/slow ≈ 1.25).
 const RESTART_THR: f64 = 1.25;
-/// Default [`SolverConfig::restart_blk`] (Glucose blocks at 1.4× the trail
-/// average).
-const RESTART_BLK: f64 = 1.4;
-/// Default [`SolverConfig::restart_step`] (Glucose's 50-entry LBD window).
-const RESTART_STEP: u64 = 50;
-/// Default [`SolverConfig::co_lbd_bound`] (the Chan-Seok CORE bound).
+/// Default CORE-tier LBD bound (the Chan-Seok bound).
 const CO_LBD_BOUND: u32 = 3;
-/// Default [`SolverConfig::tier2_lbd_bound`].
+/// LBD at or below which a learnt clause enters the TIER2 tier, which
+/// survives reduction rounds in which it took part in a conflict.
 const TIER2_LBD_BOUND: u32 = 6;
 /// Default [`SolverConfig::adapt_after_conflicts`].
 const ADAPT_AFTER_CONFLICTS: u64 = 10_000;
-/// Default [`SolverConfig::elim_occ_limit`].
+/// Occurrence cap for elimination candidates: a variable with more than
+/// this many positive *or* negative problem-clause occurrences is skipped.
 const ELIM_OCC_LIMIT: usize = 16;
-/// Default [`SolverConfig::elim_clause_limit`].
+/// Length cap on resolvents produced by elimination: any longer resolvent
+/// vetoes the candidate.
 const ELIM_CLAUSE_LIMIT: usize = 16;
 /// Default [`SolverConfig::gc_wasted_ratio`], following the MiniSat lineage
 /// (batsat uses 0.20): compact once a fifth of the arena is tombstones.
@@ -609,9 +544,17 @@ impl Solver {
         }
     }
 
-    /// The search configuration this solver was created with.
-    pub fn config(&self) -> &SolverConfig {
-        &self.config
+    /// Creates an empty solver with this solver's search parameters as they
+    /// stand now: its configuration and whatever adaptive strategy switching
+    /// has retuned (decay, CORE tier, restart pacing).  The new solver's own
+    /// strategy starts at [`SearchStrategy::Initial`].
+    ///
+    /// This is how one attack's key and cone solvers inherit the DIP
+    /// solver's parameters.
+    pub fn sibling(&self) -> Solver {
+        let mut solver = Solver::with_config(self.config.clone());
+        solver.tuning = self.tuning;
+        solver
     }
 
     /// Installs (or clears) a shared interrupt flag.
@@ -663,16 +606,6 @@ impl Solver {
         self.interrupt
             .as_ref()
             .is_some_and(|flag| flag.load(Ordering::Relaxed))
-    }
-
-    /// Creates a solver preloaded with all clauses of `cnf`.
-    pub fn from_cnf(cnf: &CnfFormula) -> Solver {
-        let mut solver = Solver::new();
-        solver.ensure_vars(cnf.num_vars());
-        for clause in cnf.iter() {
-            solver.add_clause(clause.iter().copied());
-        }
-        solver
     }
 
     /// Allocates a variable: recycles one from the free list when available
@@ -745,9 +678,7 @@ impl Solver {
     /// allocating as needed.
     ///
     /// Released variables below `n` are reclaimed from the free list so the
-    /// whole index range is safe to reference (this is the bulk-load path of
-    /// [`Solver::from_cnf`]/[`Solver::add_formula`], which address variables
-    /// by index).
+    /// whole index range is safe to reference by index.
     pub fn ensure_vars(&mut self, n: usize) {
         if !self.free_vars.is_empty() || !self.pending_release.is_empty() {
             let claimed: Vec<Var> = self
@@ -876,11 +807,6 @@ impl Solver {
         self.conflict_budget = budget;
     }
 
-    /// Limits the number of propagations the *next* solve call may spend.
-    pub fn set_propagation_budget(&mut self, budget: Option<u64>) {
-        self.propagation_budget = budget;
-    }
-
     /// Adds a clause over already-created variables.
     ///
     /// Duplicate literals are removed and tautological clauses are ignored.
@@ -981,14 +907,6 @@ impl Solver {
                 self.attach_clause(cref);
                 Some(cref)
             }
-        }
-    }
-
-    /// Adds every clause of a [`CnfFormula`], creating variables as needed.
-    pub fn add_formula(&mut self, cnf: &CnfFormula) {
-        self.ensure_vars(cnf.num_vars());
-        for clause in cnf.iter() {
-            self.add_clause(clause.iter().copied());
         }
     }
 
@@ -1355,7 +1273,6 @@ impl Solver {
             return SolveResult::Unsat;
         }
         self.budget_conflicts_start = self.stats.conflicts;
-        self.budget_propagations_start = self.stats.propagations;
         self.max_learnts = (self.num_problem_clauses as f64 / 3.0).max(1000.0);
         self.model.get_mut().clear();
         self.model_pending.set(false);
@@ -1419,11 +1336,6 @@ impl Solver {
         }
         if let Some(limit) = self.conflict_budget {
             if self.stats.conflicts - self.budget_conflicts_start >= limit {
-                return true;
-            }
-        }
-        if let Some(limit) = self.propagation_budget {
-            if self.stats.propagations - self.budget_propagations_start >= limit {
                 return true;
             }
         }
@@ -1592,8 +1504,8 @@ impl Solver {
     }
 
     fn decay_activities(&mut self) {
-        self.var_inc /= self.config.var_decay;
-        self.cla_inc /= self.config.cla_decay;
+        self.var_inc /= self.tuning.var_decay;
+        self.cla_inc /= CLA_DECAY;
     }
 
     /// First-UIP conflict analysis.  Returns the learnt clause (asserting
@@ -1698,9 +1610,9 @@ impl Solver {
             let lbd = self.compute_lbd(&learnt);
             let cref = self.db.alloc(&learnt, true);
             self.db.set_lbd(cref, lbd);
-            let tier = if lbd <= self.config.co_lbd_bound {
+            let tier = if lbd <= self.tuning.co_lbd_bound {
                 Tier::Core
-            } else if lbd <= self.config.tier2_lbd_bound {
+            } else if lbd <= TIER2_LBD_BOUND {
                 Tier::Tier2
             } else {
                 Tier::Local
@@ -1772,9 +1684,9 @@ impl Solver {
             let new = self.clause_lbd(cref);
             if new < old {
                 self.db.set_lbd(cref, new);
-                if new <= self.config.co_lbd_bound {
+                if new <= self.tuning.co_lbd_bound {
                     self.db.set_tier(cref, Tier::Core);
-                } else if new <= self.config.tier2_lbd_bound && self.db.tier(cref) == Tier::Local {
+                } else if new <= TIER2_LBD_BOUND && self.db.tier(cref) == Tier::Local {
                     self.db.set_tier(cref, Tier::Tier2);
                 }
             }
@@ -1887,8 +1799,8 @@ impl Solver {
         let strategy = if decisions_per_conflict < 1.2 {
             // Propagation-dominated: almost every decision conflicts, so keep
             // more clauses and slow the activity churn.
-            self.config.co_lbd_bound = self.config.co_lbd_bound.max(4);
-            self.config.var_decay = 0.99;
+            self.tuning.co_lbd_bound = self.tuning.co_lbd_bound.max(4);
+            self.tuning.var_decay = 0.99;
             SearchStrategy::LowDecisions
         } else if self.max_conflict_streak >= 100 {
             // Long conflict bursts: EMA forcing fires constantly and just
@@ -1896,17 +1808,17 @@ impl Solver {
             self.config.restart_mode = RestartMode::Luby;
             self.restart
                 .set_mode(RestartMode::Luby, self.config.restart_base);
-            self.config.var_decay = 0.99;
+            self.tuning.var_decay = 0.99;
             SearchStrategy::HighSuccessive
         } else if average_lbd < 4.0 {
             // Glue-rich: the learnt clauses are strong, so churn activities
             // faster to exploit them.
-            self.config.var_decay = 0.91;
+            self.tuning.var_decay = 0.91;
             SearchStrategy::ManyGlues
         } else if self.max_conflict_streak < 5 {
             // Conflicts arrive isolated; restarts rarely help, so demand a
             // larger LBD degradation before forcing one.
-            self.config.restart_thr = self.config.restart_thr.max(1.4);
+            self.tuning.restart_thr = self.tuning.restart_thr.max(1.4);
             SearchStrategy::LowSuccessive
         } else {
             SearchStrategy::Generic
@@ -1950,7 +1862,10 @@ impl Solver {
                 if self.budget_exhausted() {
                     return Some(SolveResult::Unknown);
                 }
-                match self.restart.check(self.trail.len(), &self.config) {
+                match self
+                    .restart
+                    .check(self.trail.len(), self.tuning.restart_thr)
+                {
                     RestartDecision::Continue => {}
                     RestartDecision::Blocked => {
                         self.stats.restarts_blocked += 1;
@@ -2898,23 +2813,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn adaptive_strategy_classifies_after_warmup() {
+    /// A solver that adapts after 50 conflicts, loaded with a random 3-SAT
+    /// instance at the phase-transition ratio (100 variables, 426 clauses),
+    /// whose first solve spends about 200 conflicts and classifies as
+    /// [`SearchStrategy::LowSuccessive`].
+    fn early_adapting_solver() -> Solver {
         let mut s = Solver::with_config(SolverConfig {
             adapt_after_conflicts: 50,
             ..SolverConfig::default()
         });
-        assert_eq!(s.strategy(), SearchStrategy::Initial);
-        // A hard random 3-SAT-ish instance at the phase-transition ratio
-        // produces plenty of conflicts to spend the warm-up budget.
-        let mut seed = 0xABCD_u64;
+        let mut seed = 5_u64;
         let mut next = move || {
             seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
             (seed >> 33) as usize
         };
-        let num_vars = 30;
+        let num_vars = 100;
         s.ensure_vars(num_vars);
-        for _ in 0..128 {
+        for _ in 0..426 {
             let mut c: Vec<i32> = Vec::new();
             for _ in 0..3 {
                 let v = 1 + (next() % num_vars) as i32;
@@ -2922,14 +2837,33 @@ mod tests {
             }
             s.add_clause(lits(&c));
         }
+        s
+    }
+
+    #[test]
+    fn adaptive_strategy_classifies_after_warmup() {
+        let mut s = early_adapting_solver();
+        assert_eq!(s.strategy(), SearchStrategy::Initial);
         let _ = s.solve();
-        if s.stats().conflicts >= 50 {
-            assert_ne!(
-                s.strategy(),
-                SearchStrategy::Initial,
-                "warm-up spent, classification must have run"
-            );
-        }
+        assert!(s.stats().conflicts >= 50, "the instance spends the warm-up");
+        assert_ne!(
+            s.strategy(),
+            SearchStrategy::Initial,
+            "warm-up spent, classification must have run"
+        );
+    }
+
+    #[test]
+    fn sibling_inherits_the_adapted_parameters() {
+        let mut s = early_adapting_solver();
+        let _ = s.solve();
+        assert_ne!(s.strategy(), SearchStrategy::Initial);
+        assert_ne!(s.tuning, Tuning::default(), "the classification retuned");
+        let sibling = s.sibling();
+        assert_eq!(sibling.tuning, s.tuning);
+        assert_eq!(sibling.config, s.config);
+        assert_eq!(sibling.strategy(), SearchStrategy::Initial);
+        assert_eq!(sibling.stats().conflicts, 0);
     }
 
     #[test]

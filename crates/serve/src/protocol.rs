@@ -214,10 +214,8 @@ pub fn job_event_frame(id: RequestId, report: &JobReport) -> String {
         ));
     }
     fields.push(("iterations".to_string(), Value::from(report.iterations)));
-    fields.push((
-        "oracle_queries".to_string(),
-        Value::from(report.oracle_queries),
-    ));
+    // Every iteration issues one oracle query: the wire keeps both keys.
+    fields.push(("oracle_queries".to_string(), Value::from(report.iterations)));
     fields.push((
         "queued_ms".to_string(),
         Value::from(report.queued.as_secs_f64() * 1e3),

@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "key confirmation picked {} after {} oracle queries in {:.2}s",
         confirmed,
-        confirmation.oracle_queries,
+        confirmation.iterations,
         confirmation.elapsed.as_secs_f64()
     );
     assert_eq!(confirmed, sfll.key);

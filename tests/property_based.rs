@@ -13,7 +13,7 @@ use netlist::strash::strash;
 use netlist::{GateKind, Netlist, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use sat::{parse_dimacs, write_dimacs, CnfFormula, Lit, SolveResult, Solver, Var};
+use sat::{Lit, SolveResult, Solver, Var};
 
 /// Runs `property` on `cases` pseudo-random cases seeded from `seed`.
 fn check<F: FnMut(usize, &mut ChaCha8Rng)>(seed: u64, cases: usize, mut property: F) {
@@ -121,41 +121,6 @@ fn solver_matches_brute_force_up_to_12_vars() {
     });
 }
 
-/// A DIMACS round trip preserves the formula exactly (variable count, clause
-/// count, satisfiability, and a second round trip is a fixed point).
-#[test]
-fn dimacs_round_trip_is_lossless() {
-    check(104, 60, |case, rng| {
-        let (num_vars, clauses) = random_cnf(rng, 12, 30);
-        let mut cnf = CnfFormula::new();
-        while cnf.num_vars() < num_vars {
-            cnf.new_var();
-        }
-        for clause in &clauses {
-            cnf.add_clause(clause.iter().copied());
-        }
-
-        let text = write_dimacs(&cnf);
-        let reparsed = parse_dimacs(&text).expect("serialised DIMACS must parse");
-        assert_eq!(cnf, reparsed, "case {case}: round trip changed the formula");
-        assert_eq!(
-            write_dimacs(&reparsed),
-            text,
-            "case {case}: second round trip is not a fixed point"
-        );
-
-        // Satisfiability is preserved and matches brute force.
-        let a = Solver::from_cnf(&cnf).solve();
-        let b = Solver::from_cnf(&reparsed).solve();
-        assert_eq!(a, b, "case {case}");
-        assert_eq!(
-            a == SolveResult::Sat,
-            brute_force_sat(num_vars, &clauses),
-            "case {case}"
-        );
-    });
-}
-
 /// Locking with the correct key is always functionally transparent, for
 /// every scheme.
 #[test]
@@ -242,24 +207,6 @@ fn fall_shortlist_contains_no_false_positives() {
                 "case {case}: shortlisted key {key} is not functionally correct"
             );
         }
-    });
-}
-
-/// Gate-level rewriting (constant propagation + dead-logic removal) never
-/// changes the circuit function and never grows the netlist.
-#[test]
-fn rewrite_simplify_preserves_function() {
-    check(108, 24, |case, rng| {
-        let circuit = seeded_circuit(rng.gen_range(0..500u64), 8, 50);
-        let cleaned = netlist::rewrite::simplify(&circuit);
-        assert!(cleaned.num_gates() <= circuit.num_gates(), "case {case}");
-        let pattern = rng.gen_range(0..256u64);
-        let bits = pattern_to_bits(pattern, 8);
-        assert_eq!(
-            circuit.evaluate(&bits, &[]),
-            cleaned.evaluate(&bits, &[]),
-            "case {case} pattern {pattern:08b}"
-        );
     });
 }
 

@@ -640,16 +640,15 @@ fn warm_confirmations_reach_the_fresh_verdicts() {
                 );
             }
             assert_eq!(
-                result.oracle_queries,
+                result.iterations,
                 oracle.queries() - queries_before,
-                "{ctx}"
+                "{ctx}: one oracle query per iteration"
             );
             if run >= first_pass {
                 assert_eq!(
-                    result.oracle_queries, 0,
+                    result.iterations, 0,
                     "{ctx}: a settled shortlist asked the oracle"
                 );
-                assert_eq!(result.iterations, 0, "{ctx}: a settled shortlist iterated");
             }
         }
         assert_eq!(
