@@ -183,4 +183,17 @@ cargo test --offline --locked -q -p fall-dist --test farm
 echo "==> cargo test --offline --locked -q -p fall-bench --test trace_validate"
 cargo test --offline --locked -q -p fall-bench --test trace_validate
 
+# The stop story: the session interrupt flag is the only way to stop an
+# attack early.  A flag fired by a timer must end the SAT attack as
+# Interrupted; a fired flag, the config's or the session's own, must leave
+# key confirmation and FALL results marked unfinished (completed: false);
+# and the bench Runner's per-attack timer must cut a paper-scale c432 h = m/3
+# SlidingWindow run at its 500 ms budget without counting it as a defeat.
+# Also part of the workspace run; re-run explicitly so a failure is
+# attributed to the stop mechanism.
+echo "==> cargo test --offline --locked -q -p fall-bench --lib runner"
+cargo test --offline --locked -q -p fall-bench --lib runner
+echo "==> cargo test --offline --locked -q -p fall --lib interrupt"
+cargo test --offline --locked -q -p fall --lib interrupt
+
 echo "CI OK"

@@ -24,7 +24,7 @@ fn main() {
     let timeout = Duration::from_secs_f64(arg_value(&args, "--timeout").unwrap_or(3) as f64);
 
     let runner = Runner::new(RunnerConfig {
-        time_limit: timeout,
+        budget: timeout,
         validation_samples: 128,
     });
     let specs = &TABLE1_CIRCUITS[..limit.min(TABLE1_CIRCUITS.len())];
@@ -42,14 +42,14 @@ fn main() {
             eprintln!("  [{}] {} (h = {})", policy.label(), spec.name, case.h);
             match policy {
                 HdPolicy::Zero => {
-                    records.push(runner.run_fall(&case, Analysis::Unateness));
+                    records.push(runner.run_fall(&case, Some(Analysis::Unateness)));
                 }
                 _ => {
                     if 4 * case.h <= case.keys {
-                        records.push(runner.run_fall(&case, Analysis::Distance2H));
+                        records.push(runner.run_fall(&case, Some(Analysis::Distance2H)));
                     }
                     if 2 * case.h < case.keys {
-                        records.push(runner.run_fall(&case, Analysis::SlidingWindow));
+                        records.push(runner.run_fall(&case, Some(Analysis::SlidingWindow)));
                     }
                 }
             }

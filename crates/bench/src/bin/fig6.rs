@@ -22,7 +22,7 @@ fn main() {
     let timeout = Duration::from_secs_f64(arg_value(&args, "--timeout").unwrap_or(3) as f64);
 
     let runner = Runner::new(RunnerConfig {
-        time_limit: timeout,
+        budget: timeout,
         validation_samples: 128,
     });
     let specs = &TABLE1_CIRCUITS[..limit.min(TABLE1_CIRCUITS.len())];

@@ -26,6 +26,8 @@ fn main() {
         scale
     );
     let rows = table1_rows(specs, scale);
-    println!("TABLE I: Benchmark circuits (substituted, see DESIGN.md)");
+    println!(
+        "TABLE I: Benchmark circuits (seeded random stand-ins with the paper's interface sizes)"
+    );
     println!("{}", format_table1(&rows));
 }

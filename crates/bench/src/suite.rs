@@ -295,30 +295,6 @@ impl LockCase {
     }
 }
 
-/// Builds the full 20 circuits × 4 Hamming-distance policies grid (80 locked
-/// circuits, as in § VI).
-pub fn lock_grid(scale: Scale) -> Vec<LockCase> {
-    let mut cases = Vec::with_capacity(TABLE1_CIRCUITS.len() * 4);
-    for spec in &TABLE1_CIRCUITS {
-        for policy in HdPolicy::all() {
-            cases.push(LockCase::build(spec, policy, scale));
-        }
-    }
-    cases
-}
-
-/// Builds the grid for a subset of circuits (used by the quick binaries and
-/// the criterion benches).
-pub fn lock_grid_subset(scale: Scale, names: &[&str]) -> Vec<LockCase> {
-    let mut cases = Vec::new();
-    for spec in TABLE1_CIRCUITS.iter().filter(|s| names.contains(&s.name)) {
-        for policy in HdPolicy::all() {
-            cases.push(LockCase::build(spec, policy, scale));
-        }
-    }
-    cases
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,14 +336,5 @@ mod tests {
         let case = LockCase::build(&TABLE1_CIRCUITS[0], HdPolicy::EighthOfKeys, Scale::Scaled);
         assert!(case.locked.correct_key_is_functionally_correct(64, 0));
         assert_eq!(case.locked.locked.num_key_inputs(), case.keys);
-    }
-
-    #[test]
-    fn subset_grid_only_contains_requested_circuits() {
-        let cases = lock_grid_subset(Scale::Scaled, &["c432", "c880"]);
-        assert_eq!(cases.len(), 8);
-        assert!(cases
-            .iter()
-            .all(|c| c.spec.name == "c432" || c.spec.name == "c880"));
     }
 }

@@ -3,7 +3,6 @@
 //! `comparator identification → support-set matching → functional analyses →
 //! equivalence checking → (optional) key confirmation`.
 
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use locking::Key;
@@ -34,12 +33,15 @@ pub struct FallAttackConfig {
     /// Budgets for the optional key-confirmation stage.
     pub confirmation: KeyConfirmationConfig,
     /// External cancellation flag, installed into the attack's
-    /// [`AttackSession`] (see [`AttackSession::set_interrupt`]).  Once it
-    /// flips to `true`, in-flight solves return at their next check point,
-    /// the remaining analyses are skipped, and the attack returns with
-    /// whatever it had (typically [`FallStatus::NoKeysFound`] or
-    /// [`FallStatus::ConfirmationFailed`]).  Used by [`crate::service`] to
-    /// enforce per-job deadlines.
+    /// [`AttackSession`] (see [`AttackSession::set_interrupt`]); the only
+    /// way to stop the attack early.  Once it flips to `true`, in-flight
+    /// solves return at their next check point, the remaining analyses are
+    /// skipped, and the attack returns what it had with
+    /// [`FallAttackResult::completed`] `false`.  The status describes only
+    /// the work done before the cut-off: a partial sweep can shortlist one
+    /// key and report [`FallStatus::UniqueKey`].  A caller that owns the
+    /// session can install the flag there instead, as [`crate::service`]
+    /// does with each job's deadline token.
     pub interrupt: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
 }
 
@@ -136,6 +138,10 @@ pub struct FallAttackResult {
     pub prefilter: PrefilterStats,
     /// Per-stage wall-clock timings of this call.
     pub timings: StageTimings,
+    /// `false` if the interrupt in force had fired by the time the call
+    /// returned, or key confirmation ran and did not finish: the status and
+    /// shortlist then cover only the work done before the cut-off.
+    pub completed: bool,
 }
 
 impl FallAttackResult {
@@ -183,6 +189,9 @@ pub fn fall_attack_in(
     oracle: Option<&dyn Oracle>,
     config: &FallAttackConfig,
 ) -> FallAttackResult {
+    if config.interrupt.is_some() {
+        session.set_interrupt(config.interrupt.clone());
+    }
     let locked = session.netlist();
     let prefilter_before = session.prefilter_stats();
     let mut timings = StageTimings::default();
@@ -207,21 +216,22 @@ pub fn fall_attack_in(
         analyses_used: Vec::new(),
         prefilter: PrefilterStats::default(),
         timings,
+        completed: true,
     };
 
     if candidates.candidates.is_empty()
         || candidates.key_width() == 0
         || candidates.paired_keys.len() != locked.num_key_inputs()
     {
-        return base(FallStatus::NoCandidates, timings);
+        return FallAttackResult {
+            completed: !session.interrupted(),
+            ..base(FallStatus::NoCandidates, timings)
+        };
     }
 
     // Stage 3 + 4: functional analyses and equivalence checking, every
     // candidate and analysis sharing the session's cone encodings,
     // input-difference vector and Hamming-distance references.
-    if config.interrupt.is_some() {
-        session.set_interrupt(config.interrupt.clone());
-    }
     let analyses = config
         .analyses
         .clone()
@@ -230,7 +240,7 @@ pub fn fall_attack_in(
     let mut analyses_used: Vec<Analysis> = Vec::new();
     'sweep: for &candidate in &candidates.candidates {
         for &analysis in &analyses {
-            if externally_interrupted(config) {
+            if session.interrupted() {
                 break 'sweep;
             }
             let t = Instant::now();
@@ -263,16 +273,10 @@ pub fn fall_attack_in(
     result.prefilter = session.prefilter_stats().since(&prefilter_before);
 
     match result.shortlisted_keys.len() {
-        0 => result,
-        1 => {
-            result.status = FallStatus::UniqueKey;
-            result
-        }
+        0 => {}
+        1 => result.status = FallStatus::UniqueKey,
         _ => match oracle {
-            None => {
-                result.status = FallStatus::MultipleKeys;
-                result
-            }
+            None => result.status = FallStatus::MultipleKeys,
             Some(oracle) => {
                 let t = Instant::now();
                 let confirmation = key_confirmation_in(
@@ -282,6 +286,7 @@ pub fn fall_attack_in(
                     &config.confirmation,
                 );
                 result.timings.confirmation = t.elapsed();
+                result.completed = confirmation.completed;
                 match confirmation.key {
                     Some(key) => {
                         result.confirmed_key = Some(key);
@@ -291,18 +296,11 @@ pub fn fall_attack_in(
                         result.status = FallStatus::ConfirmationFailed;
                     }
                 }
-                result
             }
         },
     }
-}
-
-/// Returns `true` once the configured external interrupt flag has fired.
-fn externally_interrupted(config: &FallAttackConfig) -> bool {
-    config
-        .interrupt
-        .as_ref()
-        .is_some_and(|flag| flag.load(Ordering::Relaxed))
+    result.completed &= !session.interrupted();
+    result
 }
 
 fn run_analysis(
@@ -459,6 +457,7 @@ mod tests {
             FallStatus::ConfirmedKey,
             "{uninterrupted:?}"
         );
+        assert!(uninterrupted.completed, "{uninterrupted:?}");
 
         config.interrupt = Some(std::sync::Arc::new(std::sync::atomic::AtomicBool::new(
             true,
@@ -466,10 +465,36 @@ mod tests {
         let result = fall_attack(&locked.locked, Some(&oracle), &config);
         assert!(result.num_candidates > 0, "{result:?}");
         assert_eq!(result.status, FallStatus::NoKeysFound, "{result:?}");
+        assert!(!result.completed, "{result:?}");
         assert!(result.shortlisted_keys.is_empty());
         assert_eq!(result.confirmed_key, None);
         assert_eq!(result.timings.functional, Duration::ZERO);
         assert_eq!(result.timings.confirmation, Duration::ZERO);
+    }
+
+    #[test]
+    fn the_sessions_own_interrupt_marks_the_result_incomplete() {
+        // With no flag in the config, the session's flag is the one in
+        // force: a fired one cuts the attack, and the result says so.
+        let original = original("fa_tt");
+        let locked = TtLock::new(10)
+            .with_seed(31)
+            .lock(&original)
+            .expect("lock")
+            .optimized();
+        let config = FallAttackConfig::for_h(0);
+        let mut session = AttackSession::new(&locked.locked);
+        let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
+        session.set_interrupt(Some(std::sync::Arc::clone(&flag)));
+        let cut = fall_attack_in(&mut session, None, &config);
+        assert!(!cut.completed, "{cut:?}");
+        assert!(cut.shortlisted_keys.is_empty(), "{cut:?}");
+
+        flag.store(false, std::sync::atomic::Ordering::SeqCst);
+        let finished = fall_attack_in(&mut session, None, &config);
+        assert!(finished.completed, "{finished:?}");
+        assert_eq!(finished.status, FallStatus::UniqueKey, "{finished:?}");
+        assert_eq!(finished.best_key(), Some(&locked.key));
     }
 
     #[test]
@@ -500,7 +525,7 @@ mod stripper_verdicts {
     use netlist::random::{generate, RandomCircuitSpec};
     use netlist::sim::pattern_to_bits;
     use netlist::GateKind;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     /// What the lockstep compares: status, shortlist, `analyses_used` and

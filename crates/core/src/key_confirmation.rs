@@ -17,22 +17,21 @@ use crate::oracle::Oracle;
 use crate::session::AttackSession;
 
 /// Configuration for key confirmation.
+///
+/// A wall-clock budget is not part of the configuration: the caller owns
+/// its clock and raises the session's interrupt flag
+/// ([`AttackSession::set_interrupt`]) when the budget runs out, which ends
+/// the run unfinished (`completed: false`).
 #[derive(Clone, Debug)]
 pub struct KeyConfirmationConfig {
     /// Abort after this many distinguishing-input iterations.
     pub max_iterations: usize,
-    /// Wall-clock time limit.
-    pub time_limit: Option<Duration>,
-    /// Conflict budget per individual SAT call.
-    pub conflict_budget: Option<u64>,
 }
 
 impl Default for KeyConfirmationConfig {
     fn default() -> KeyConfirmationConfig {
         KeyConfirmationConfig {
             max_iterations: 100_000,
-            time_limit: Some(Duration::from_secs(1000)),
-            conflict_budget: None,
         }
     }
 }
@@ -42,7 +41,8 @@ impl Default for KeyConfirmationConfig {
 pub struct KeyConfirmationResult {
     /// The confirmed key, or `None` (⊥) if no shortlisted key is correct.
     pub key: Option<Key>,
-    /// `true` if the run finished (either way) within its budgets.
+    /// `true` if the run finished (either way) before its iteration cap or
+    /// the session's interrupt flag stopped it.
     pub completed: bool,
     /// Number of distinguishing-input iterations performed; each issued
     /// exactly one oracle query.
@@ -152,10 +152,8 @@ where
         "oracle width does not match the locked circuit"
     );
     // The clock covers the whole run — including the circuit encoding a
-    // fresh session performs in its first query and the ϕ encoding — so the
-    // time limit and the reported elapsed keep their pre-generation meaning.
+    // fresh session performs in its first query and the ϕ encoding.
     let start = Instant::now();
-    session.set_conflict_budget(config.conflict_budget);
     let _phi_keys = session.begin_predicate();
     session.add_predicate_clauses(add_phi);
     let result = confirmation_loop(session, oracle, config, start);
@@ -179,11 +177,7 @@ fn confirmation_loop(
     };
 
     loop {
-        if iterations >= config.max_iterations
-            || config
-                .time_limit
-                .is_some_and(|limit| start.elapsed() >= limit)
-        {
+        if iterations >= config.max_iterations {
             return unfinished(None, iterations, start.elapsed());
         }
 
@@ -268,6 +262,27 @@ mod tests {
             &KeyConfirmationConfig::default(),
         );
         assert!(result.completed);
+        assert_eq!(result.key, Some(locked.key.clone()));
+    }
+
+    #[test]
+    fn a_fired_interrupt_leaves_the_confirmation_unfinished() {
+        let (original, locked) = locked_sfll(1);
+        let oracle = SimOracle::new(original);
+        let shortlist = vec![locked.key.complement(), locked.key.clone()];
+        let mut session = AttackSession::new(&locked.locked);
+        let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
+        session.set_interrupt(Some(std::sync::Arc::clone(&flag)));
+        let config = KeyConfirmationConfig::default();
+        let result = key_confirmation_in(&mut session, &oracle, &shortlist, &config);
+        assert!(!result.completed, "{result:?}");
+        assert_eq!(result.key, None);
+        assert_eq!(result.iterations, 0);
+
+        // Lowering the flag lets the same session finish the run.
+        flag.store(false, std::sync::atomic::Ordering::SeqCst);
+        let result = key_confirmation_in(&mut session, &oracle, &shortlist, &config);
+        assert!(result.completed, "{result:?}");
         assert_eq!(result.key, Some(locked.key.clone()));
     }
 

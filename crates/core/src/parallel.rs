@@ -244,8 +244,9 @@ pub enum RegionDrainOutcome {
         /// The confirmed key.
         key: Key,
     },
-    /// A region hit its iteration/time/conflict budget without concluding;
-    /// the whole run should abort as incomplete.
+    /// A region hit its iteration cap, or the session's interrupt flag
+    /// stopped it, without concluding; the whole run should abort as
+    /// incomplete.
     Exhausted {
         /// The region whose search ran out of budget.
         region: u64,

@@ -16,22 +16,21 @@ use crate::oracle::Oracle;
 use crate::session::AttackSession;
 
 /// Configuration for the SAT attack.
+///
+/// A wall-clock budget is not part of the configuration: the caller owns
+/// its clock and raises the session's interrupt flag
+/// ([`AttackSession::set_interrupt`]) when the budget runs out, which ends
+/// the attack as [`SatAttackStatus::Interrupted`].
 #[derive(Clone, Debug)]
 pub struct SatAttackConfig {
     /// Abort after this many distinguishing-input iterations.
     pub max_iterations: usize,
-    /// Wall-clock time limit (the paper uses 1000 s).
-    pub time_limit: Option<Duration>,
-    /// Conflict budget per individual SAT call; `None` means unlimited.
-    pub conflict_budget: Option<u64>,
 }
 
 impl Default for SatAttackConfig {
     fn default() -> SatAttackConfig {
         SatAttackConfig {
             max_iterations: 100_000,
-            time_limit: Some(Duration::from_secs(1000)),
-            conflict_budget: None,
         }
     }
 }
@@ -42,8 +41,8 @@ pub enum SatAttackStatus {
     /// No distinguishing input remains; the returned key is provably correct
     /// (relative to the oracle).
     Success,
-    /// The time limit or conflict budget was exhausted first.
-    TimedOut,
+    /// The session's interrupt flag fired first.
+    Interrupted,
     /// The iteration cap was reached.
     IterationLimit,
     /// The key-consistency formula became unsatisfiable, which indicates the
@@ -110,15 +109,7 @@ pub fn sat_attack_in(
         "oracle width does not match the locked circuit"
     );
     let start = Instant::now();
-    session.set_conflict_budget(config.conflict_budget);
-
     let mut iterations = 0usize;
-
-    let timed_out = |start: &Instant| {
-        config
-            .time_limit
-            .is_some_and(|limit| start.elapsed() >= limit)
-    };
     let stopped = |status, iterations, elapsed| SatAttackResult {
         key: None,
         status,
@@ -130,13 +121,10 @@ pub fn sat_attack_in(
         if iterations >= config.max_iterations {
             return stopped(SatAttackStatus::IterationLimit, iterations, start.elapsed());
         }
-        if timed_out(&start) {
-            return stopped(SatAttackStatus::TimedOut, iterations, start.elapsed());
-        }
         let dip_span = crate::trace::span("dip_iteration");
         match session.find_dip() {
             SolveResult::Unknown => {
-                return stopped(SatAttackStatus::TimedOut, iterations, start.elapsed())
+                return stopped(SatAttackStatus::Interrupted, iterations, start.elapsed())
             }
             SolveResult::Unsat => break,
             SolveResult::Sat => {}
@@ -164,7 +152,7 @@ pub fn sat_attack_in(
             elapsed: start.elapsed(),
         },
         SolveResult::Unsat => stopped(SatAttackStatus::Inconsistent, iterations, start.elapsed()),
-        SolveResult::Unknown => stopped(SatAttackStatus::TimedOut, iterations, start.elapsed()),
+        SolveResult::Unknown => stopped(SatAttackStatus::Interrupted, iterations, start.elapsed()),
     }
 }
 
@@ -181,6 +169,8 @@ mod tests {
     use netlist::random::{generate, RandomCircuitSpec};
     use netlist::sim::pattern_to_bits;
     use sat::Solver;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     /// The pre-session SAT attack: fresh solvers and full re-encoding per query.
     ///
@@ -203,7 +193,6 @@ mod tests {
 
         // Distinguishing-input solver: two copies sharing X, with differing outputs.
         let mut dis_solver = Solver::new();
-        dis_solver.set_conflict_budget(config.conflict_budget);
         let copy1 = instantiate(locked, &mut dis_solver);
         let copy2 = instantiate_sharing_inputs(locked, &mut dis_solver, &copy1.inputs);
         let diff = encode_any_difference(&mut dis_solver, &copy1.outputs, &copy2.outputs);
@@ -211,17 +200,10 @@ mod tests {
 
         // Key solver: accumulates C(Xd, K, Yd) constraints for the final key.
         let mut key_solver = Solver::new();
-        key_solver.set_conflict_budget(config.conflict_budget);
         let key_copy = instantiate(locked, &mut key_solver);
         let key_lits = key_copy.keys.clone();
 
         let mut iterations = 0usize;
-
-        let timed_out = |start: &Instant| {
-            config
-                .time_limit
-                .is_some_and(|limit| start.elapsed() >= limit)
-        };
 
         loop {
             if iterations >= config.max_iterations {
@@ -232,19 +214,11 @@ mod tests {
                     elapsed: start.elapsed(),
                 };
             }
-            if timed_out(&start) {
-                return SatAttackResult {
-                    key: None,
-                    status: SatAttackStatus::TimedOut,
-                    iterations,
-                    elapsed: start.elapsed(),
-                };
-            }
             match dis_solver.solve() {
                 SolveResult::Unknown => {
                     return SatAttackResult {
                         key: None,
-                        status: SatAttackStatus::TimedOut,
+                        status: SatAttackStatus::Interrupted,
                         iterations,
                         elapsed: start.elapsed(),
                     }
@@ -289,7 +263,7 @@ mod tests {
             },
             SolveResult::Unknown => SatAttackResult {
                 key: None,
-                status: SatAttackStatus::TimedOut,
+                status: SatAttackStatus::Interrupted,
                 iterations,
                 elapsed: start.elapsed(),
             },
@@ -328,11 +302,7 @@ mod tests {
             .lock(&original)
             .expect("lock");
         let oracle = SimOracle::new(original);
-        let config = SatAttackConfig {
-            max_iterations: 20,
-            time_limit: None,
-            conflict_budget: None,
-        };
+        let config = SatAttackConfig { max_iterations: 20 };
         let result = sat_attack(&locked.locked, &oracle, &config);
         assert_eq!(result.status, SatAttackStatus::IterationLimit);
         assert!(result.key.is_none());
@@ -413,24 +383,30 @@ mod tests {
     }
 
     #[test]
-    fn time_limit_is_respected() {
-        let original = generate(&RandomCircuitSpec::new("sa_to", 14, 2, 100));
-        let locked = SfllHd::new(12, 0)
+    fn a_flag_fired_by_a_timer_interrupts_the_attack() {
+        // SFLL-HD0 with a 16-bit key needs on the order of 2^16 iterations,
+        // far more than the 50 ms the timer allows; the flag stops the DIP
+        // loop mid-search and the attack reports the cut-off.
+        let original = generate(&RandomCircuitSpec::new("sa_to", 18, 2, 120));
+        let locked = SfllHd::new(16, 0)
             .with_seed(7)
             .lock(&original)
             .expect("lock");
         let oracle = SimOracle::new(original);
-        let config = SatAttackConfig {
-            time_limit: Some(Duration::from_millis(50)),
-            ..SatAttackConfig::default()
+        let flag = Arc::new(AtomicBool::new(false));
+        let timer = {
+            let flag = Arc::clone(&flag);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(50));
+                flag.store(true, Ordering::SeqCst);
+            })
         };
-        let result = sat_attack(&locked.locked, &oracle, &config);
-        assert!(matches!(
-            result.status,
-            SatAttackStatus::TimedOut | SatAttackStatus::Success
-        ));
-        if result.status == SatAttackStatus::TimedOut {
-            assert!(result.elapsed >= Duration::from_millis(50));
-        }
+        let mut session = AttackSession::new(&locked.locked);
+        session.set_interrupt(Some(flag));
+        let result = sat_attack_in(&mut session, &oracle, &SatAttackConfig::default());
+        timer.join().expect("timer thread");
+        assert_eq!(result.status, SatAttackStatus::Interrupted, "{result:?}");
+        assert!(result.key.is_none());
+        assert!(result.elapsed < Duration::from_secs(5), "{result:?}");
     }
 }

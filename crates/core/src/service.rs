@@ -1091,7 +1091,6 @@ fn run_job(
 
     // Disarm: the session survives the job, whatever happened to it.
     session.set_interrupt(None);
-    session.set_conflict_budget(None);
     deactivate(shared, job.job_id);
 
     let status = if outcome.completed {
@@ -1104,10 +1103,7 @@ fn run_job(
         match job.reason.load(Ordering::SeqCst) {
             REASON_DISCONNECT | REASON_SHUTDOWN => JobStatus::Cancelled,
             REASON_TIMEOUT => JobStatus::Timeout,
-            // The in-attack wall-clock budget can fire before the reaper;
-            // past the deadline it is still a timeout, otherwise some other
-            // budget (iteration cap) stopped the run.
-            _ if elapsed >= job.timeout => JobStatus::Timeout,
+            // Nothing cancelled the job: its iteration cap stopped it.
             _ => JobStatus::Failed,
         }
     };
@@ -1170,11 +1166,7 @@ fn execute(
     let oracle: &CachingOracle<'static> = &target.oracle;
     match &job.kind {
         JobKind::SatAttack => {
-            let config = SatAttackConfig {
-                time_limit: Some(job.timeout),
-                ..SatAttackConfig::default()
-            };
-            let result = sat_attack_in(session, oracle, &config);
+            let result = sat_attack_in(session, oracle, &SatAttackConfig::default());
             RunOutcome {
                 completed: matches!(
                     result.status,
@@ -1192,11 +1184,9 @@ fn execute(
             // and everything FALL derives from the netlist (structural
             // stages, cone encodings, prefilter sweeps, stripper verdicts)
             // stays warm for the next FALL job.  The result's prefilter
-            // counters are this job's share.  The job token is threaded
-            // through the config so the deadline interrupts every stage.
-            let mut config = FallAttackConfig::for_h(h.unwrap_or(target.h));
-            config.interrupt = Some(job.token.as_flag());
-            config.confirmation.time_limit = Some(job.timeout);
+            // counters are this job's share.  The job token, already on the
+            // session, is what the deadline raises.
+            let config = FallAttackConfig::for_h(h.unwrap_or(target.h));
             let result = fall_attack_in(session, Some(oracle), &config);
             shared
                 .prefilter
@@ -1204,18 +1194,19 @@ fn execute(
                 .expect("prefilter lock")
                 .merge(&result.prefilter);
             RunOutcome {
-                completed: !job.token.is_cancelled(),
+                completed: result.completed,
                 key: result.best_key().cloned(),
                 shortlist: result.shortlisted_keys,
                 iterations: 0,
             }
         }
         JobKind::Confirm { shortlist } => {
-            let config = KeyConfirmationConfig {
-                time_limit: Some(job.timeout),
-                ..KeyConfirmationConfig::default()
-            };
-            let result = key_confirmation_in(session, oracle, shortlist, &config);
+            let result = key_confirmation_in(
+                session,
+                oracle,
+                shortlist,
+                &KeyConfirmationConfig::default(),
+            );
             RunOutcome {
                 completed: result.completed,
                 key: result.key,

@@ -72,7 +72,7 @@
 //!   table instead of walking fanin cones.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use locking::Key;
@@ -271,10 +271,9 @@ pub struct AttackSession<'n> {
     observations: HashMap<Vec<bool>, (usize, Vec<bool>)>,
     /// The cone machinery and its own solver, created on first use.
     cones: Option<ConeParts>,
-    /// The interrupt flag and conflict budget installed on the session, for
-    /// a key or cone solver created after they were set.
+    /// The interrupt flag installed on the session, for a key or cone solver
+    /// created after it was set.
     interrupt: Option<Arc<AtomicBool>>,
-    conflict_budget: Option<u64>,
     /// Key-dependent node set, computed once on the first I/O constraint and
     /// reused by every later one.
     key_cone: Option<KeyCone>,
@@ -315,7 +314,6 @@ impl<'n> AttackSession<'n> {
             observations: HashMap::new(),
             cones: None,
             interrupt: None,
-            conflict_budget: None,
             key_cone: None,
             generation: None,
             full_encodings: 0,
@@ -356,9 +354,10 @@ impl<'n> AttackSession<'n> {
     ///
     /// While the flag reads `true`, every SAT query returns
     /// [`SolveResult::Unknown`] at its next check point, which the attack
-    /// loops surface as an unfinished (`completed: false`) result.  The
-    /// parallel engine uses this to stop all workers the moment one confirms
-    /// a key.
+    /// loops surface as an unfinished (`completed: false`) result.  It is
+    /// the only way to stop an attack early: the parallel engine raises it
+    /// the moment one worker confirms a key, and budgeted callers (serve job
+    /// deadlines, the benchmark runner) raise it from their own clock.
     pub fn set_interrupt(&mut self, flag: Option<Arc<AtomicBool>>) {
         if let Some(cones) = &mut self.cones {
             cones.solver.set_interrupt(flag.clone());
@@ -368,6 +367,13 @@ impl<'n> AttackSession<'n> {
         }
         self.solver.set_interrupt(flag.clone());
         self.interrupt = flag;
+    }
+
+    /// Returns `true` once the installed interrupt flag has fired.
+    pub(crate) fn interrupted(&self) -> bool {
+        self.interrupt
+            .as_ref()
+            .is_some_and(|flag| flag.load(Ordering::Relaxed))
     }
 
     /// The netlist this session attacks.
@@ -458,18 +464,6 @@ impl<'n> AttackSession<'n> {
         self.solver.num_vars()
     }
 
-    /// Forwards to [`Solver::set_conflict_budget`] on every solver.
-    pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
-        if let Some(cones) = &mut self.cones {
-            cones.solver.set_conflict_budget(budget);
-        }
-        if let Some(keys) = &mut self.keys {
-            keys.solver.set_conflict_budget(budget);
-        }
-        self.solver.set_conflict_budget(budget);
-        self.conflict_budget = budget;
-    }
-
     /// Direct access to the DIP solver, for callers that add their own
     /// **permanent** clauses.  Clauses must only be added between queries (at
     /// decision level 0).  Replacing it before the first key or cone query
@@ -536,13 +530,12 @@ impl<'n> AttackSession<'n> {
     }
 
     /// A solver with the DIP solver's search parameters (including what
-    /// adaptive strategy switching retuned), checkpoint hook, interrupt flag
-    /// and conflict budget, for the key and cone solvers.
+    /// adaptive strategy switching retuned), checkpoint hook and interrupt
+    /// flag, for the key and cone solvers.
     fn sibling_solver(&self) -> Solver {
         let mut solver = self.solver.sibling();
         solver.set_checkpoint_hook(Some(checkpoint_hook()));
         solver.set_interrupt(self.interrupt.clone());
-        solver.set_conflict_budget(self.conflict_budget);
         solver
     }
 
@@ -875,7 +868,7 @@ impl<'n> AttackSession<'n> {
 
     /// The cone machinery, creating it and its solver on first use.  The
     /// cone solver copies the DIP solver's configuration and takes the same
-    /// checkpoint hook, interrupt flag and conflict budget.
+    /// checkpoint hook and interrupt flag.
     fn cones(&mut self) -> &mut ConeParts {
         if self.cones.is_none() {
             self.full_encodings += 1;

@@ -68,7 +68,9 @@ pub struct FarmConfig {
     /// Broadcast `cancel` the moment a worker confirms a key.  Disable to
     /// drain every region regardless (deterministic counters).
     pub cancel_on_winner: bool,
-    /// Per-region key-confirmation budgets, shipped to every worker.
+    /// Per-region key-confirmation iteration cap, shipped to every worker.
+    /// A drain has no clock of its own: `cancel` (a winner, or a caller
+    /// aborting the farm) and the lease timeout are what stop it.
     pub confirm: KeyConfirmationConfig,
     /// Worker heartbeat period.
     pub heartbeat: Duration,

@@ -5,7 +5,7 @@
 //!           [--workers N] [--partition-bits N]
 //!           [--no-steal] [--no-cancel-on-winner]
 //!           [--listen HOST:PORT]
-//!           [--max-iterations N] [--time-limit-ms N]
+//!           [--max-iterations N]
 //!           [--heartbeat-ms N] [--heartbeat-timeout-ms N] [--lease-timeout-ms N]
 //!           [--metrics-out FILE] [--trace-out FILE]
 //! ```
@@ -32,7 +32,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: fall-dist --locked FILE.bench --oracle FILE.bench [--workers N] \
          [--partition-bits N] [--no-steal] [--no-cancel-on-winner] [--listen HOST:PORT] \
-         [--max-iterations N] [--time-limit-ms N] [--heartbeat-ms N] \
+         [--max-iterations N] [--heartbeat-ms N] \
          [--heartbeat-timeout-ms N] [--lease-timeout-ms N] \
          [--metrics-out FILE] [--trace-out FILE]\n\
          \n\
@@ -119,12 +119,6 @@ fn main() {
             "--listen" => listen = Some(parse_value(&mut args, "--listen")),
             "--max-iterations" => {
                 config.confirm.max_iterations = parse_value(&mut args, "--max-iterations");
-            }
-            "--time-limit-ms" => {
-                config.confirm.time_limit = Some(Duration::from_millis(parse_value(
-                    &mut args,
-                    "--time-limit-ms",
-                )));
             }
             "--heartbeat-ms" => {
                 config.heartbeat = Duration::from_millis(parse_value(&mut args, "--heartbeat-ms"));

@@ -16,7 +16,10 @@ use sat::SolverStats;
 /// Version 2 adds the optional `stats` member of `complete` (cumulative
 /// worker telemetry) — a pure extension, so version-1 peers interoperate:
 /// an old supervisor ignores the member, an old worker never sends it.
-pub const PROTOCOL_VERSION: u64 = 2;
+/// Version 3 drops `setup`'s per-region wall-clock and per-call conflict
+/// budgets: a region drain stops at its iteration cap or a `cancel`.  A version-2 worker
+/// would reject the smaller `setup`, so the supervisor refuses its `hello`.
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// Cumulative worker telemetry piggybacked on `complete` frames.
 ///
@@ -178,8 +181,8 @@ pub enum RegionOutcome {
     Keyless,
     /// The region confirmed a key (carried in the `key` member).
     Found,
-    /// The region hit its iteration/time/conflict budget; the run must be
-    /// reported incomplete.
+    /// The region hit its iteration cap; the run must be reported
+    /// incomplete.
     Unfinished,
     /// The supervisor's `cancel` interrupted the region mid-search.
     Cancelled,
@@ -329,10 +332,6 @@ pub enum SupervisorMessage {
         partition_bits: usize,
         /// Per-region iteration budget.
         max_iterations: usize,
-        /// Per-region wall-clock budget, in milliseconds (0 = none).
-        time_limit_ms: u64,
-        /// Per-SAT-call conflict budget (absent = none).
-        conflict_budget: Option<u64>,
         /// How often the worker must send `heartbeat`.
         heartbeat_ms: u64,
     },
@@ -362,25 +361,16 @@ impl SupervisorMessage {
                 oracle,
                 partition_bits,
                 max_iterations,
-                time_limit_ms,
-                conflict_budget,
                 heartbeat_ms,
-            } => {
-                let mut fields = vec![
-                    ("op".to_string(), Value::from("setup")),
-                    ("worker".to_string(), Value::from(*worker)),
-                    ("locked".to_string(), Value::from(locked.as_str())),
-                    ("oracle".to_string(), Value::from(oracle.as_str())),
-                    ("partition_bits".to_string(), Value::from(*partition_bits)),
-                    ("max_iterations".to_string(), Value::from(*max_iterations)),
-                    ("time_limit_ms".to_string(), Value::from(*time_limit_ms)),
-                    ("heartbeat_ms".to_string(), Value::from(*heartbeat_ms)),
-                ];
-                if let Some(budget) = conflict_budget {
-                    fields.push(("conflict_budget".to_string(), Value::from(*budget)));
-                }
-                Value::object(fields)
-            }
+            } => Value::object([
+                ("op", Value::from("setup")),
+                ("worker", Value::from(*worker)),
+                ("locked", Value::from(locked.as_str())),
+                ("oracle", Value::from(oracle.as_str())),
+                ("partition_bits", Value::from(*partition_bits)),
+                ("max_iterations", Value::from(*max_iterations)),
+                ("heartbeat_ms", Value::from(*heartbeat_ms)),
+            ]),
             SupervisorMessage::Region {
                 region,
                 stolen,
@@ -430,11 +420,6 @@ impl SupervisorMessage {
                     .and_then(Value::as_u64)
                     .ok_or("setup: missing \"max_iterations\"")?
                     as usize,
-                time_limit_ms: value
-                    .get("time_limit_ms")
-                    .and_then(Value::as_u64)
-                    .ok_or("setup: missing \"time_limit_ms\"")?,
-                conflict_budget: value.get("conflict_budget").and_then(Value::as_u64),
                 heartbeat_ms: value
                     .get("heartbeat_ms")
                     .and_then(Value::as_u64)
@@ -514,8 +499,6 @@ mod tests {
                 oracle: "INPUT(a)\nOUTPUT(y)\ny = BUF(a)\n".into(),
                 partition_bits: 2,
                 max_iterations: 100,
-                time_limit_ms: 5000,
-                conflict_budget: Some(1 << 20),
                 heartbeat_ms: 250,
             },
             SupervisorMessage::Region {

@@ -452,12 +452,6 @@ fn reader_loop(
                     oracle: shared.config.oracle.clone(),
                     partition_bits: shared.config.partition_bits,
                     max_iterations: shared.config.confirm.max_iterations,
-                    time_limit_ms: shared
-                        .config
-                        .confirm
-                        .time_limit
-                        .map_or(0, |limit| limit.as_millis() as u64),
-                    conflict_budget: shared.config.confirm.conflict_budget,
                     heartbeat_ms: shared.config.heartbeat.as_millis() as u64,
                 };
                 drop(state);

@@ -163,8 +163,6 @@ pub fn run_worker(
         oracle,
         partition_bits,
         max_iterations,
-        time_limit_ms,
-        conflict_budget,
         heartbeat_ms,
         ..
     } = SupervisorMessage::parse(&first)?
@@ -184,11 +182,7 @@ pub fn run_worker(
     if oracle_netlist.num_key_inputs() != 0 {
         return Err("oracle netlist must be key-free".into());
     }
-    let config = KeyConfirmationConfig {
-        max_iterations,
-        time_limit: (time_limit_ms > 0).then(|| Duration::from_millis(time_limit_ms)),
-        conflict_budget,
-    };
+    let config = KeyConfirmationConfig { max_iterations };
 
     let sim = SimOracle::new(oracle_netlist);
     let sync = SyncingOracle::new(&sim);
@@ -367,8 +361,6 @@ mod tests {
                 oracle: bench_format::write(&oracle),
                 partition_bits,
                 max_iterations: 100,
-                time_limit_ms: 0,
-                conflict_budget: None,
                 heartbeat_ms: 1000,
             };
             let region = SupervisorMessage::Region {

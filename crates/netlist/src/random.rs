@@ -1,11 +1,11 @@
 //! Seeded random combinational circuit generation.
 //!
 //! The original evaluation uses ISCAS'85 and MCNC benchmark circuits, which
-//! are not redistributable here.  As documented in `DESIGN.md`, we substitute
-//! deterministic pseudo-random multi-level circuits with the same interface
-//! sizes (inputs, outputs, gates).  The FALL attacks never rely on the
-//! semantics of the original circuit — only on the structure the locking
-//! scheme adds — so this preserves the behaviour being measured.
+//! are not redistributable here.  We substitute deterministic pseudo-random
+//! multi-level circuits with the same interface sizes (inputs, outputs,
+//! gates).  The FALL attacks never rely on the semantics of the original
+//! circuit — only on the structure the locking scheme adds — so this
+//! preserves the behaviour being measured.
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;

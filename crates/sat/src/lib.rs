@@ -33,9 +33,9 @@
 //!   spent-variable free list ([`Solver::release_var`]): retired frames give
 //!   back their clauses *and* their variables, so long-lived incremental
 //!   sessions run in bounded memory.
-//! * Optional conflict budgets and a shared interrupt flag so callers can
-//!   impose timeouts and cancel searches ([`Solver::set_conflict_budget`],
-//!   [`Solver::set_interrupt`]).
+//! * A shared interrupt flag ([`Solver::set_interrupt`]), the one way to
+//!   stop a solve early: a caller raises it from its own clock or
+//!   cancellation path, and the solve returns [`SolveResult::Unknown`].
 //! * [`SolverConfig`] holds only the switches the differential suites flip;
 //!   every other search parameter is a constant or retuned by adaptive
 //!   strategy switching.

@@ -20,8 +20,8 @@ pub enum SolveResult {
     Sat,
     /// The formula (under the given assumptions, if any) is unsatisfiable.
     Unsat,
-    /// The conflict budget ran out, or the interrupt flag was raised,
-    /// before a result.
+    /// The interrupt flag ([`Solver::set_interrupt`]) was raised before a
+    /// result.
     Unknown,
 }
 
@@ -436,8 +436,6 @@ pub struct Solver {
     #[cfg(test)]
     reconstruction_walks: Cell<u64>,
     assumptions: Vec<Lit>,
-    conflict_budget: Option<u64>,
-    budget_conflicts_start: u64,
     max_learnts: f64,
     stats: SolverStats,
     num_problem_clauses: usize,
@@ -560,10 +558,9 @@ impl Solver {
     /// Installs (or clears) a shared interrupt flag.
     ///
     /// While the flag reads `true`, any in-flight or future solve call
-    /// returns [`SolveResult::Unknown`] at its next check point.  This is the
-    /// cancellation mechanism of the parallel attack engine: one worker
-    /// confirming a key flips the flag and every other solver backs out
-    /// promptly, regardless of budgets.
+    /// returns [`SolveResult::Unknown`] at its next check point.  It is the
+    /// solver's only stop mechanism: deadlines and cancellation (one worker
+    /// confirming a key, a job's timeout) both raise it.
     pub fn set_interrupt(&mut self, flag: Option<Arc<AtomicBool>>) {
         self.interrupt = flag;
     }
@@ -797,14 +794,6 @@ impl Solver {
     /// Number of variables currently waiting in the recycling free list.
     pub fn free_var_count(&self) -> usize {
         self.free_vars.len()
-    }
-
-    /// Limits the number of conflicts the *next* solve call may spend.
-    ///
-    /// When the budget is exhausted, [`Solver::solve`] returns
-    /// [`SolveResult::Unknown`].  Pass `None` to remove the limit.
-    pub fn set_conflict_budget(&mut self, budget: Option<u64>) {
-        self.conflict_budget = budget;
     }
 
     /// Adds a clause over already-created variables.
@@ -1272,7 +1261,6 @@ impl Solver {
             self.assumptions.clear();
             return SolveResult::Unsat;
         }
-        self.budget_conflicts_start = self.stats.conflicts;
         self.max_learnts = (self.num_problem_clauses as f64 / 3.0).max(1000.0);
         self.model.get_mut().clear();
         self.model_pending.set(false);
@@ -1283,7 +1271,7 @@ impl Solver {
             match self.search() {
                 Some(result) => break result,
                 None => {
-                    if self.budget_exhausted() {
+                    if self.interrupted() {
                         break SolveResult::Unknown;
                     }
                 }
@@ -1329,18 +1317,6 @@ impl Solver {
     // ------------------------------------------------------------------
     // Internal machinery.
     // ------------------------------------------------------------------
-
-    fn budget_exhausted(&self) -> bool {
-        if self.interrupted() {
-            return true;
-        }
-        if let Some(limit) = self.conflict_budget {
-            if self.stats.conflicts - self.budget_conflicts_start >= limit {
-                return true;
-            }
-        }
-        false
-    }
 
     fn decision_level(&self) -> usize {
         self.trail_lim.len()
@@ -1859,7 +1835,7 @@ impl Solver {
                 self.maybe_gc();
             } else {
                 self.conflict_streak = 0;
-                if self.budget_exhausted() {
+                if self.interrupted() {
                     return Some(SolveResult::Unknown);
                 }
                 match self
@@ -2104,31 +2080,6 @@ mod tests {
         assert!(x1 ^ x2);
         assert!(!(x2 ^ x3));
         assert!(x3 ^ x1);
-    }
-
-    #[test]
-    fn conflict_budget_returns_unknown_or_decides() {
-        // A small pigeonhole instance with a tiny budget should give Unknown.
-        let mut s = Solver::new();
-        let n = 7;
-        s.ensure_vars(n * (n - 1));
-        let v = |i: usize, j: usize| Lit::positive(Var::from_index(i * (n - 1) + j));
-        for i in 0..n {
-            s.add_clause((0..n - 1).map(|j| v(i, j)));
-        }
-        for j in 0..n - 1 {
-            for i1 in 0..n {
-                for i2 in (i1 + 1)..n {
-                    s.add_clause([!v(i1, j), !v(i2, j)]);
-                }
-            }
-        }
-        s.set_conflict_budget(Some(5));
-        let result = s.solve();
-        assert_eq!(result, SolveResult::Unknown);
-        // Removing the budget lets it finish (this instance is hard but feasible).
-        s.set_conflict_budget(None);
-        assert_eq!(s.solve(), SolveResult::Unsat);
     }
 
     #[test]

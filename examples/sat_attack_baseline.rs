@@ -4,8 +4,6 @@
 //!
 //! Run with: `cargo run --example sat_attack_baseline`
 
-use std::time::Duration;
-
 use fall::attack::{fall_attack, FallAttackConfig};
 use fall::key_confirmation::{key_confirmation, KeyConfirmationConfig};
 use fall::oracle::SimOracle;
@@ -31,17 +29,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 2. SFLL-HD: the SAT attack starves for distinguishing power. ----
     // Each wrong key corrupts only a handful of inputs, so the attack has to
     // rule out key classes almost one distinguishing input at a time.  At this
-    // scaled-down key width it still finishes, but the iteration count tracks
-    // the number of key equivalence classes and becomes infeasible at the
-    // paper's 64-bit keys.
+    // scaled-down key width it would still finish, but the iteration count
+    // tracks the number of key equivalence classes and becomes infeasible at
+    // the paper's 64-bit keys; the run below stops at an iteration cap.
     let sfll = SfllHd::new(12, 1).with_seed(7).lock(&original)?.optimized();
     let limited = SatAttackConfig {
-        time_limit: Some(Duration::from_secs(2)),
-        ..SatAttackConfig::default()
+        max_iterations: 100,
     };
     let result = sat_attack(&sfll.locked, &oracle, &limited);
     println!(
-        "SFLL-HD1 (12 keys): SAT attack {:?} after {} iterations in {:.2}s (2s budget)",
+        "SFLL-HD1 (12 keys): SAT attack {:?} after {} iterations in {:.2}s (100-iteration cap)",
         result.status,
         result.iterations,
         result.elapsed.as_secs_f64()
