@@ -26,7 +26,9 @@
 //!   `parallel_1w_*` partitioned search reads them from
 //!   `PartitionedSearchResult::solver_stats`), including the 100-generation
 //!   long-lived-session run, the conflicts and arena bytes `fall_h0_*` of
-//!   the h = 0 FALL attack's session, the flight-recorder span counts
+//!   the h = 0 FALL attack's session, the solves and conflicts
+//!   `fall_c432_m3_*` of a paper-scale SFLL-HD m/3 attack (c432, m = 36,
+//!   h = 12) and its unique correct key, the flight-recorder span counts
 //!   `trace_*` from the traced single SAT attack, and the farm
 //!   telemetry-report count `dist_worker_stats_reports`) — gated at the
 //!   tolerance (default 20 %);
@@ -40,7 +42,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use fall::attack::{fall_attack, fall_attack_in, FallAttackConfig};
+use fall::attack::{fall_attack, fall_attack_in, FallAttackConfig, FallStatus};
 use fall::functional::PrefilterStats;
 use fall::key_confirmation::{key_confirmation_in, KeyConfirmationConfig};
 use fall::metrics::MetricReport;
@@ -375,6 +377,36 @@ fn measure() -> MetricReport {
     report.record(
         "prefilter_patterns_simulated",
         prefilter.patterns_simulated as f64,
+        false,
+    );
+
+    // ---- Paper-scale SFLL-HD m/3 attack -------------------------------------
+    // c432 at h = m/3 (m = 36, h = 12): the cube proposal by simulation
+    // settles the stripper, so the equivalence check is the attack's SAT
+    // work.  Gated: a unique, correct key and the session's solves and
+    // conflicts (no oracle, so only the cone solver solves).
+    let c432 = TABLE1_CIRCUITS
+        .iter()
+        .find(|spec| spec.name == "c432")
+        .expect("Table I circuit");
+    let m3_case = LockCase::build(c432, HdPolicy::ThirdOfKeys, Scale::Paper);
+    let t = Instant::now();
+    let mut m3_session = AttackSession::new(&m3_case.locked.locked);
+    let m3_result = fall_attack_in(&mut m3_session, None, &FallAttackConfig::for_h(m3_case.h));
+    report.record("info_fall_c432_m3_s", t.elapsed().as_secs_f64(), false);
+    let m3_unique_correct = m3_result.status == FallStatus::UniqueKey
+        && m3_result.best_key() == Some(&m3_case.locked.key);
+    report.record(
+        "fall_c432_m3_unique_correct_key",
+        f64::from(u8::from(m3_unique_correct)),
+        true,
+    );
+    assert!(m3_unique_correct, "c432 m/3: {m3_result:?}");
+    let m3_stats = m3_session.stats();
+    report.record("fall_c432_m3_sat_solves", m3_stats.solves as f64, false);
+    report.record(
+        "fall_c432_m3_sat_conflicts",
+        m3_stats.conflicts as f64,
         false,
     );
 

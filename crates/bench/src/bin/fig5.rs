@@ -1,15 +1,16 @@
 //! Regenerates Figure 5: execution time vs number of benchmarks solved for
 //! the circuit analyses (AnalyzeUnateness / SlidingWindow / Distance2H) and
-//! the SAT attack, one panel per Hamming-distance policy.
+//! the SAT attack, one panel per Hamming-distance policy.  Each SFLL-HDh
+//! panel also shows the combined `FALL` series: every applicable analysis
+//! after the cube proposal by simulation (`FallAttackConfig::analyses`).
 //!
 //! Usage:
 //! `cargo run -p fall-bench --release --bin fig5 [--full] [--circuits N] [--timeout SECS] [--skip-sat]`
 
-use std::time::Duration;
-
 use fall::functional::Analysis;
 use fall_bench::{
-    format_fig5, AttackRecord, HdPolicy, LockCase, Runner, RunnerConfig, Scale, TABLE1_CIRCUITS,
+    cli, format_fig5, AttackRecord, HdPolicy, LockCase, Runner, RunnerConfig, Scale,
+    TABLE1_CIRCUITS,
 };
 
 fn main() {
@@ -20,8 +21,8 @@ fn main() {
         Scale::Scaled
     };
     let skip_sat = args.iter().any(|a| a == "--skip-sat");
-    let limit = arg_value(&args, "--circuits").unwrap_or(6);
-    let timeout = Duration::from_secs_f64(arg_value(&args, "--timeout").unwrap_or(3) as f64);
+    let limit = cli::flag_or_exit(&args, "--circuits", 6);
+    let timeout = cli::timeout_or_exit(&args, 3);
 
     let runner = Runner::new(RunnerConfig {
         budget: timeout,
@@ -51,6 +52,9 @@ fn main() {
                     if 2 * case.h < case.keys {
                         records.push(runner.run_fall(&case, Some(Analysis::SlidingWindow)));
                     }
+                    // The combined attack: every applicable analysis, after
+                    // the cube proposal by simulation.
+                    records.push(runner.run_fall(&case, None));
                 }
             }
             if !skip_sat {
@@ -59,11 +63,4 @@ fn main() {
         }
         println!("{}", format_fig5(policy.label(), &records));
     }
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<usize> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }

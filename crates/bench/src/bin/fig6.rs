@@ -4,10 +4,8 @@
 //! Usage:
 //! `cargo run -p fall-bench --release --bin fig6 [--full] [--circuits N] [--timeout SECS]`
 
-use std::time::Duration;
-
 use fall_bench::{
-    fig6_rows, format_fig6, AttackRecord, HdPolicy, LockCase, Runner, RunnerConfig, Scale,
+    cli, fig6_rows, format_fig6, AttackRecord, HdPolicy, LockCase, Runner, RunnerConfig, Scale,
     TABLE1_CIRCUITS,
 };
 
@@ -18,8 +16,8 @@ fn main() {
     } else {
         Scale::Scaled
     };
-    let limit = arg_value(&args, "--circuits").unwrap_or(6);
-    let timeout = Duration::from_secs_f64(arg_value(&args, "--timeout").unwrap_or(3) as f64);
+    let limit = cli::flag_or_exit(&args, "--circuits", 6);
+    let timeout = cli::timeout_or_exit(&args, 3);
 
     let runner = Runner::new(RunnerConfig {
         budget: timeout,
@@ -46,11 +44,4 @@ fn main() {
     }
     println!("FIGURE 6: mean execution times (log-scale in the paper)");
     println!("{}", format_fig6(&fig6_rows(&records)));
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<usize> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }

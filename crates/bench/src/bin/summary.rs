@@ -5,10 +5,8 @@
 //! Usage:
 //! `cargo run -p fall-bench --release --bin summary [--full] [--circuits N] [--timeout SECS]`
 
-use std::time::Duration;
-
 use fall_bench::{
-    format_headline, headline, AttackRecord, HdPolicy, LockCase, Runner, RunnerConfig, Scale,
+    cli, format_headline, headline, AttackRecord, HdPolicy, LockCase, Runner, RunnerConfig, Scale,
     TABLE1_CIRCUITS,
 };
 
@@ -19,8 +17,8 @@ fn main() {
     } else {
         Scale::Scaled
     };
-    let limit = arg_value(&args, "--circuits").unwrap_or(TABLE1_CIRCUITS.len());
-    let timeout = Duration::from_secs_f64(arg_value(&args, "--timeout").unwrap_or(5) as f64);
+    let limit = cli::flag_or_exit(&args, "--circuits", TABLE1_CIRCUITS.len());
+    let timeout = cli::timeout_or_exit(&args, 5);
 
     let runner = Runner::new(RunnerConfig {
         budget: timeout,
@@ -54,11 +52,4 @@ fn main() {
     }
     println!("SECTION VI-B headline numbers ({scale:?} suite, {timeout:?} per attack)");
     println!("{}", format_headline(&headline(&records)));
-}
-
-fn arg_value(args: &[String], flag: &str) -> Option<usize> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
 }

@@ -3,7 +3,7 @@
 //!
 //! Usage: `cargo run -p fall-bench --release --bin table1 [--full] [--circuits N]`
 
-use fall_bench::{format_table1, table1_rows, Scale, TABLE1_CIRCUITS};
+use fall_bench::{cli, format_table1, table1_rows, Scale, TABLE1_CIRCUITS};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -12,12 +12,7 @@ fn main() {
     } else {
         Scale::Scaled
     };
-    let limit = args
-        .iter()
-        .position(|a| a == "--circuits")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(TABLE1_CIRCUITS.len());
+    let limit = cli::flag_or_exit(&args, "--circuits", TABLE1_CIRCUITS.len());
 
     let specs = &TABLE1_CIRCUITS[..limit.min(TABLE1_CIRCUITS.len())];
     eprintln!(

@@ -26,6 +26,7 @@
 
 #![deny(missing_docs)]
 
+pub mod cli;
 pub mod report;
 pub mod runner;
 pub mod suite;

@@ -10,8 +10,8 @@ use netlist::{Netlist, NodeId};
 
 use crate::equivalence::candidate_equals_strip_in;
 use crate::functional::{
-    analyze_unateness_in, distance_2h_in, sliding_window_in, Analysis, CubeAssignment,
-    PrefilterStats,
+    analyze_unateness_in, distance_2h_in, propose_cube_in, sliding_window_in, Analysis,
+    CubeAssignment, PrefilterStats,
 };
 use crate::key_confirmation::{key_confirmation_in, KeyConfirmationConfig};
 use crate::oracle::Oracle;
@@ -26,6 +26,16 @@ pub struct FallAttackConfig {
     pub h: usize,
     /// Analyses to run per candidate; `None` selects
     /// [`Analysis::applicable`] for the observed key width.
+    ///
+    /// With `None` and the equivalence check on, each candidate at `0 < h`,
+    /// `2h < m` first gets its cube proposed by simulation: a satisfying
+    /// input and its pair flips give the only cube the candidate can be
+    /// `strip_h` of, and the equivalence check decides it (or a simulated
+    /// counterexample rules the candidate out).  The analyses then answer
+    /// from that verdict without a solve, so the shortlist and
+    /// `analyses_used` are what the analyses alone produce.  An explicit
+    /// list runs exactly those analyses, as the per-analysis Figure 5
+    /// series need.
     pub analyses: Option<Vec<Analysis>>,
     /// Verify suspected cubes with combinational equivalence checking
     /// (§ IV-C).  Disabling this is only useful for ablation studies.
@@ -182,6 +192,12 @@ pub fn fall_attack(
 /// confirmation history never meets a cone clause.  The result's
 /// `prefilter` counters and `timings` cover this call only.
 ///
+/// With the default analyses and the equivalence check on, each candidate
+/// first gets its cube proposed by simulation and decided by equivalence
+/// (see [`FallAttackConfig::analyses`]); the analyses then answer from that
+/// verdict.  The proposal's simulation counts in `timings.functional`, its
+/// equivalence solve in `timings.equivalence`.
+///
 /// `config.interrupt`, when set, is installed on the session and stays
 /// installed; when unset, the session's own interrupt flag stays in force.
 pub fn fall_attack_in(
@@ -236,9 +252,21 @@ pub fn fall_attack_in(
         .analyses
         .clone()
         .unwrap_or_else(|| Analysis::applicable(config.h, candidates.key_width()));
+    let propose = config.analyses.is_none() && config.equivalence_check;
     let mut shortlisted: Vec<Key> = Vec::new();
     let mut analyses_used: Vec<Analysis> = Vec::new();
     'sweep: for &candidate in &candidates.candidates {
+        if propose && !session.interrupted() {
+            let _span = crate::trace::span("propose_cube");
+            let t = Instant::now();
+            let cube = propose_cube_in(session, candidate, config.h);
+            timings.functional += t.elapsed();
+            if let Some(cube) = cube {
+                let t = Instant::now();
+                candidate_equals_strip_in(session, candidate, &cube, config.h);
+                timings.equivalence += t.elapsed();
+            }
+        }
         for &analysis in &analyses {
             if session.interrupted() {
                 break 'sweep;
@@ -520,7 +548,7 @@ mod stripper_verdicts {
     use crate::functional::{distance_2h, sliding_window};
     use crate::session::StripperVerdict;
     use crate::structural::{find_candidates, find_comparators};
-    use locking::{LockingScheme, SfllHd, TtLock};
+    use locking::{LockedCircuit, LockingScheme, SfllHd, TtLock};
     use netlist::hamming::hamming_distance_equals_const;
     use netlist::random::{generate, RandomCircuitSpec};
     use netlist::sim::pattern_to_bits;
@@ -573,20 +601,25 @@ mod stripper_verdicts {
         (status, shortlist, used, prefilter)
     }
 
+    /// A TTLock and SFLL-HD h = 1..3 locks (m = 10) of one random circuit,
+    /// with the `h` each was locked at.
+    fn lockings() -> Vec<(LockedCircuit, usize)> {
+        let seed = 3u64;
+        let original = generate(&RandomCircuitSpec::new(format!("vl{seed}"), 14, 3, 90));
+        let ttlock = TtLock::new(10).with_seed(seed).lock(&original);
+        let mut lockings = vec![(ttlock.expect("lock").optimized(), 0)];
+        for h in 1..=3 {
+            let sfll = SfllHd::new(10, h)
+                .with_seed(seed + h as u64)
+                .lock(&original);
+            lockings.push((sfll.expect("lock").optimized(), h));
+        }
+        lockings
+    }
+
     #[test]
     fn verdict_lockstep_matches_a_fresh_session_sweep() {
-        let mut lockings = Vec::new();
-        for seed in [3u64] {
-            let original = generate(&RandomCircuitSpec::new(format!("vl{seed}"), 14, 3, 90));
-            let ttlock = TtLock::new(10).with_seed(seed).lock(&original);
-            lockings.push(ttlock.expect("lock").optimized());
-            for h in 1..=3 {
-                let sfll = SfllHd::new(10, h)
-                    .with_seed(seed + h as u64)
-                    .lock(&original);
-                lockings.push(sfll.expect("lock").optimized());
-            }
-        }
+        let lockings: Vec<LockedCircuit> = lockings().into_iter().map(|(l, _)| l).collect();
         let mut strippers_found = 0;
         for locked in &lockings {
             // Every h, not only the lock's own: a wrong h makes the true
@@ -628,6 +661,54 @@ mod stripper_verdicts {
             }
         }
         assert!(strippers_found >= lockings.len(), "{strippers_found}");
+    }
+
+    #[test]
+    fn proposal_lockstep_matches_the_analyses_alone() {
+        for (locked, lock_h) in &lockings() {
+            for h in 1..=3 {
+                let label = format!("{} h={h}", locked.locked.name());
+                // The proposal runs: every analysis left to its defaults.
+                let mut session = AttackSession::new(&locked.locked);
+                let proposed = fall_attack_in(&mut session, None, &FallAttackConfig::for_h(h));
+                let (status, shortlist, used, _) = fresh_session_sweep(&locked.locked, h, true);
+                assert_eq!(
+                    (
+                        proposed.status,
+                        &proposed.shortlisted_keys,
+                        &proposed.analyses_used
+                    ),
+                    (status, &shortlist, &used),
+                    "{label}"
+                );
+                // The same analyses named explicitly skip the proposal; the
+                // results, every prefilter counter included, are the same.
+                let mut config = FallAttackConfig::for_h(h);
+                config.analyses = Some(Analysis::applicable(h, proposed.key_width));
+                let mut plain = AttackSession::new(&locked.locked);
+                let alone = fall_attack_in(&mut plain, None, &config);
+                assert_eq!(
+                    (
+                        proposed.status,
+                        &proposed.shortlisted_keys,
+                        &proposed.analyses_used
+                    ),
+                    (alone.status, &alone.shortlisted_keys, &alone.analyses_used),
+                    "{label}"
+                );
+                assert_eq!(proposed.prefilter, alone.prefilter, "{label}");
+                if h == *lock_h {
+                    assert_eq!(proposed.best_key(), Some(&locked.key), "{label}");
+                }
+                // Simulation settles candidates the analyses would solve for.
+                assert!(
+                    session.stats().solves <= plain.stats().solves,
+                    "{label}: {} > {}",
+                    session.stats().solves,
+                    plain.stats().solves
+                );
+            }
+        }
     }
 
     /// `strip_h(cube)` over `m` fresh inputs.

@@ -10,6 +10,7 @@ mod constraints;
 mod distance_2h;
 mod pair;
 mod prefilter;
+mod propose;
 mod sliding_window;
 mod unateness;
 
@@ -19,6 +20,7 @@ pub use constraints::{
 pub use distance_2h::{distance_2h, distance_2h_in};
 pub(crate) use prefilter::Prefilter;
 pub use prefilter::PrefilterStats;
+pub(crate) use propose::propose_cube_in;
 pub use sliding_window::{sliding_window, sliding_window_in};
 pub use unateness::{analyze_unateness, analyze_unateness_in};
 

@@ -260,6 +260,31 @@ impl<'n> Prefilter<'n> {
         if positions.len() > 64 || max_distance >= positions.len() {
             return true;
         }
+        let within = self
+            .satisfying_patterns(candidate, positions, max_distance)
+            .is_some();
+        self.stats.candidates_refuted += u64::from(!within);
+        within
+    }
+
+    /// The distinct satisfying patterns of `candidate` in the session's
+    /// distance sweep (at most 256, in sweep order), packed over its
+    /// support: bit `s` is the value of input `positions[s]`.  `None` when
+    /// two satisfying patterns lie more than `max_distance` apart.
+    ///
+    /// Runs the distance sweep on first use; counts no decision, so the
+    /// caller owns the verdict.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the support is wider than 64 inputs.
+    pub(crate) fn satisfying_patterns(
+        &mut self,
+        candidate: NodeId,
+        positions: &[usize],
+        max_distance: usize,
+    ) -> Option<Vec<u64>> {
+        assert!(positions.len() <= 64, "patterns are packed into one word");
         let (netlist, width, stats) = (self.netlist, self.sim.width(), &mut self.stats);
         let DistanceSweep { inputs, sim } = self
             .distance
@@ -277,8 +302,7 @@ impl<'n> Prefilter<'n> {
                 }
                 for &earlier in &witnesses {
                     if (earlier ^ pattern).count_ones() as usize > max_distance {
-                        self.stats.candidates_refuted += 1;
-                        return false;
+                        return None;
                     }
                 }
                 if witnesses.len() < 256 && !witnesses.contains(&pattern) {
@@ -286,7 +310,7 @@ impl<'n> Prefilter<'n> {
                 }
             }
         }
-        true
+        Some(witnesses)
     }
 }
 

@@ -51,13 +51,17 @@
 //!   region search keep **one session per worker** instead of one per
 //!   key-space region.  A contradictory ϕ poisons only its own frame, so the
 //!   session survives to take the next one.
-//! * **Stripper verdicts** — what the functional analyses and the
-//!   equivalence check have settled about a candidate node at one `h`
-//!   (`StripperVerdict`).  A complete analysis consults the verdict before
-//!   its SAT stage and the equivalence check before its miter solve, so a
-//!   candidate whose cube one analysis already proved or refuted costs the
-//!   next analysis no solve at all.  Verdicts are facts about the netlist,
-//!   not about any frame, so they outlive every predicate generation.
+//! * **Stripper verdicts** — what the functional analyses, the cube
+//!   proposal by simulation and the equivalence check have settled about a
+//!   candidate node at one `h` (`StripperVerdict`).  A complete analysis
+//!   consults the verdict before its SAT stage and the equivalence check
+//!   before its miter solve, so a candidate whose cube was already proved
+//!   or refuted costs the next analysis no solve at all.  A
+//!   `Stripper` verdict comes only from an equivalence UNSAT; a
+//!   `NotStripper` verdict from a refuted suspect or from a simulated
+//!   counterexample to every `strip_h` (`functional::propose`).  Verdicts
+//!   are facts about the netlist, not about any frame, so they outlive
+//!   every predicate generation.
 //!   The decided SAT-stage answer of each analysis on each candidate at
 //!   each `h` is kept too, so a second attack pass on the session solves
 //!   nothing.
@@ -172,14 +176,17 @@ fn maybe_simplify(solver: &mut Solver, clauses_at_last_simplify: &mut usize) {
 pub(crate) enum StripperVerdict {
     /// A complete analysis (one that returns exactly `k` on a true
     /// `strip_h(k)`, see [`crate::functional::Analysis::is_complete`])
-    /// returned this cube: the candidate is `strip_h` of this cube or of
-    /// none.
+    /// returned this cube, or simulation proposed it (`functional::propose`,
+    /// which also recovers exactly `k` on a true `strip_h(k)`): the
+    /// candidate is `strip_h` of this cube or of none.
     Suspect(CubeAssignment),
     /// The equivalence check proved the candidate computes `strip_h` of
-    /// this cube.
+    /// this cube.  Only an equivalence UNSAT records this verdict.
     Stripper(CubeAssignment),
-    /// The equivalence check refuted the [`StripperVerdict::Suspect`] cube,
-    /// so the candidate is `strip_h` of no cube.
+    /// The candidate is `strip_h` of no cube: the equivalence check refuted
+    /// the [`StripperVerdict::Suspect`] cube, or simulation found an exact
+    /// counterexample (satisfying patterns that no radius-`h` sphere
+    /// contains, see `functional::propose`).
     NotStripper,
 }
 
@@ -1106,6 +1113,21 @@ impl<'n> AttackSession<'n> {
                 .or_insert_with(|| StripperVerdict::Suspect(cube.clone()));
         }
         Some(cube)
+    }
+
+    /// Records what simulation concluded about `candidate` at `h` before
+    /// any analysis ran (`functional::propose`): the
+    /// [`StripperVerdict::Suspect`] cube, or a
+    /// [`StripperVerdict::NotStripper`] backed by a simulated
+    /// counterexample.  An existing verdict stays.
+    pub(crate) fn record_proposal(
+        &mut self,
+        candidate: NodeId,
+        h: usize,
+        verdict: StripperVerdict,
+    ) {
+        debug_assert!(!matches!(verdict, StripperVerdict::Stripper(_)));
+        self.verdicts.entry((candidate, h)).or_insert(verdict);
     }
 
     /// Whether `candidate` computes `strip_h(cube)`, when the verdicts
