@@ -198,4 +198,15 @@ cargo test --offline --locked -q -p fall-bench --lib runner
 echo "==> cargo test --offline --locked -q -p fall --lib interrupt"
 cargo test --offline --locked -q -p fall --lib interrupt
 
+# The hostile-input story: seeded mutations of valid frames (bit flips,
+# truncation, splicing, deep nesting, hostile numbers) fed to the netshim
+# JSON parser, both fall-dist line protocols and the farm telemetry decoder,
+# the .bench reader and a loopback fall-serve server must each get Ok or a
+# typed error (an error frame on the wire), with no panic on any thread, and
+# the server must still run a valid SAT attack afterwards.  Also part of the
+# workspace run; re-run explicitly so a failure is attributed to input
+# validation.
+echo "==> cargo test --offline --locked -q --test wire_fuzz"
+cargo test --offline --locked -q --test wire_fuzz
+
 echo "CI OK"

@@ -255,16 +255,6 @@ impl RegionBoard {
         self.shares.iter().all(VecDeque::is_empty) && self.leased.iter().all(Option::is_none)
     }
 
-    /// `true` when a lease request could be granted immediately — used to
-    /// wake parked workers after a `complete` or `fail_worker` changes the
-    /// queue.
-    pub fn grantable(&self) -> bool {
-        self.shares
-            .iter()
-            .enumerate()
-            .any(|(w, share)| !share.is_empty() && (self.steal || !self.dead[w]))
-    }
-
     /// The region `worker` currently holds, if any.
     pub fn leased(&self, worker: usize) -> Option<u64> {
         self.leased[worker]
@@ -466,7 +456,6 @@ mod tests {
         // Only the in-flight lease counts as requeued; the undisturbed
         // remainder of the share ({2}) is merely re-homed.
         assert_eq!(board.requeued(), 1);
-        assert!(board.grantable());
         board.complete(1, 1);
         // The survivor's own share comes first, then the crashed lease, then
         // the re-homed share.

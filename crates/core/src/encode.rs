@@ -2,12 +2,12 @@
 //!
 //! Every attack encodes copies of the locked circuit's characteristic
 //! relation `C(X, K, Y)` into a solver.  These helpers wrap
-//! [`netlist::cnf::encode`] with the pin-sharing patterns the attacks need
-//! (shared inputs, fixed inputs, forced outputs) and with key/input literal
-//! bookkeeping.
+//! [`netlist::cnf::IncrementalEncoder`] with the pin-sharing patterns the
+//! attacks need (shared inputs, fixed inputs, forced outputs) and with
+//! key/input literal bookkeeping.
 
 use locking::Key;
-use netlist::cnf::{encode, CircuitEncoding, PinBinding};
+use netlist::cnf::{IncrementalEncoder, PinBinding};
 use netlist::Netlist;
 use sat::{Lit, Solver};
 
@@ -22,19 +22,20 @@ pub struct CircuitCopy {
     pub outputs: Vec<Lit>,
 }
 
-impl From<CircuitEncoding> for CircuitCopy {
-    fn from(enc: CircuitEncoding) -> CircuitCopy {
-        CircuitCopy {
-            inputs: enc.inputs,
-            keys: enc.keys,
-            outputs: enc.outputs,
-        }
+/// Encodes every output cone of `locked` with the given pin binding.
+fn instantiate_with(locked: &Netlist, solver: &mut Solver, pins: &PinBinding) -> CircuitCopy {
+    let mut enc = IncrementalEncoder::new(locked, solver, pins);
+    let outputs = enc.encode_outputs(locked, solver);
+    CircuitCopy {
+        inputs: enc.inputs().to_vec(),
+        keys: enc.keys().to_vec(),
+        outputs,
     }
 }
 
 /// Instantiates a fresh copy of the circuit with all pins unconstrained.
 pub fn instantiate(locked: &Netlist, solver: &mut Solver) -> CircuitCopy {
-    encode(locked, solver, &PinBinding::default()).into()
+    instantiate_with(locked, solver, &PinBinding::default())
 }
 
 /// Instantiates a copy that shares the primary-input literals of an existing
@@ -44,7 +45,7 @@ pub fn instantiate_sharing_inputs(
     solver: &mut Solver,
     inputs: &[Lit],
 ) -> CircuitCopy {
-    encode(
+    instantiate_with(
         locked,
         solver,
         &PinBinding {
@@ -52,7 +53,6 @@ pub fn instantiate_sharing_inputs(
             keys: None,
         },
     )
-    .into()
 }
 
 /// Instantiates a copy that reuses existing key literals but has fresh input
@@ -62,7 +62,7 @@ pub fn instantiate_sharing_keys(
     solver: &mut Solver,
     keys: &[Lit],
 ) -> CircuitCopy {
-    encode(
+    instantiate_with(
         locked,
         solver,
         &PinBinding {
@@ -70,7 +70,6 @@ pub fn instantiate_sharing_keys(
             keys: Some(keys.to_vec()),
         },
     )
-    .into()
 }
 
 /// Forces a literal vector to the given constant values.

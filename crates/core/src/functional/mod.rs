@@ -6,7 +6,6 @@
 //! protected cube — and therefore the correct key.  `None` plays the role of
 //! the paper's ⊥.
 
-mod constraints;
 mod distance_2h;
 mod pair;
 mod prefilter;
@@ -14,9 +13,6 @@ mod propose;
 mod sliding_window;
 mod unateness;
 
-pub use constraints::{
-    and2_lit, equal_lit, popcount_equals_lit, popcount_lits, require_popcount_equals, xor2_lit,
-};
 pub use distance_2h::{distance_2h, distance_2h_in};
 pub(crate) use prefilter::Prefilter;
 pub use prefilter::PrefilterStats;

@@ -340,8 +340,6 @@ pub struct PartitionedSearchResult {
     pub iterations: usize,
     /// Distinct patterns that reached the real oracle (cache misses).
     pub oracle_queries: usize,
-    /// Oracle queries answered from the cache.
-    pub cache_hits: usize,
     /// Regions fully or partially searched before the run ended.
     pub regions_searched: usize,
     /// Full circuit encodings built: one (the session is primed once),
@@ -387,7 +385,6 @@ pub fn partitioned_key_search(
             completed: false,
             iterations: 0,
             oracle_queries: 0,
-            cache_hits: 0,
             regions_searched: 0,
             cone_encodings_built: 0,
             solver_stats: SolverStats::default(),
@@ -416,7 +413,6 @@ pub fn partitioned_key_search(
         completed,
         iterations: drain.iterations,
         oracle_queries: cache.unique_queries(),
-        cache_hits: cache.hits(),
         regions_searched: drain.regions_searched,
         cone_encodings_built: session.cone_encodings_built() as usize,
         solver_stats: session.stats(),

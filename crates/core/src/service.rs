@@ -84,13 +84,14 @@ pub struct ServiceConfig {
     /// Upper bound on any requested deadline (a client cannot pin a worker
     /// for longer than this).
     pub max_timeout: Duration,
-    /// Latency samples retained for the p50/p99 gauges.  Up to this many
-    /// completed jobs the percentiles are exact; past it the samples are a
-    /// uniform reservoir over the service lifetime (see
-    /// [`LatencyReservoir`]), so memory stays flat no matter how many jobs
-    /// a long-lived server completes.
-    pub latency_reservoir: usize,
 }
+
+/// Latency samples retained for the p50/p99 gauges.  Up to this many
+/// completed jobs the percentiles are exact; past it the samples are a
+/// uniform reservoir over the service lifetime (see [`LatencyReservoir`]),
+/// so memory stays flat no matter how many jobs a long-lived server
+/// completes.
+const LATENCY_RESERVOIR: usize = 4096;
 
 impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
@@ -100,7 +101,6 @@ impl Default for ServiceConfig {
             max_targets: 8,
             default_timeout: Duration::from_secs(30),
             max_timeout: Duration::from_secs(300),
-            latency_reservoir: 4096,
         }
     }
 }
@@ -477,7 +477,6 @@ pub struct AttackService {
 impl AttackService {
     /// Starts an empty pool (plus its reaper thread) with the given sizing.
     pub fn new(config: ServiceConfig) -> AttackService {
-        let config_reservoir = config.latency_reservoir;
         let shared = Arc::new(Shared {
             config,
             started: Instant::now(),
@@ -488,7 +487,7 @@ impl AttackService {
             counters: Counters::default(),
             worker_stats: Mutex::new(Vec::new()),
             prefilter: Mutex::new(PrefilterStats::default()),
-            latencies: Mutex::new(LatencyReservoir::new(config_reservoir)),
+            latencies: Mutex::new(LatencyReservoir::new(LATENCY_RESERVOIR)),
         });
         let reaper = {
             let shared = Arc::clone(&shared);

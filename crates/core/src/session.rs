@@ -81,17 +81,17 @@ use std::sync::Arc;
 
 use locking::Key;
 use netlist::analysis::SupportTable;
-use netlist::cnf::{encode_any_difference, encode_key_cone, KeyCone, Signal};
-use netlist::cnf::{IncrementalEncoder, PinBinding};
+use netlist::cnf::{
+    encode_and, encode_any_difference, encode_key_cone, encode_xor2, popcount_lits,
+    IncrementalEncoder, KeyCone, PinBinding, Signal,
+};
 use netlist::{Netlist, NodeId, DEFAULT_WIDE_WORDS};
 use sat::{FrameId, Lit, SolveResult, Solver, SolverStats};
 
 use crate::encode::{
     assumptions_for, instantiate, instantiate_sharing_inputs, model_key, model_values, CircuitCopy,
 };
-use crate::functional::{
-    and2_lit, popcount_lits, xor2_lit, Analysis, CubeAssignment, Prefilter, PrefilterStats,
-};
+use crate::functional::{Analysis, CubeAssignment, Prefilter, PrefilterStats};
 use crate::structural::{candidates_over, comparators_over, CandidateNodes, Comparator};
 
 /// The flight-recorder phase name of a solver maintenance checkpoint.
@@ -949,7 +949,7 @@ impl<'n> AttackSession<'n> {
         }
         let a = cones.enc1.inputs()[position];
         let b = cones.enc2.inputs()[position];
-        let lit = xor2_lit(&mut cones.solver, a, b);
+        let lit = encode_xor2(&mut cones.solver, a, b);
         cones.solver.set_frozen(lit.var(), true);
         cones.diff[position] = Some(lit);
         lit
@@ -1001,14 +1001,8 @@ impl<'n> AttackSession<'n> {
         let solver = &mut cones.solver;
         let reference = cones.hd.entry(positions.to_vec()).or_default();
         let lit = if k == 0 {
-            // AND over the positions' equalities: lit -> !diff for each,
-            // and some diff when !lit.
-            let lit = Lit::positive(solver.new_var());
-            for &diff in &diffs {
-                solver.add_clause([!lit, !diff]);
-            }
-            solver.add_clause(diffs.iter().copied().chain([lit]));
-            lit
+            // AND over the positions' equalities.
+            encode_and(solver, &diffs.iter().map(|&d| !d).collect::<Vec<_>>())
         } else {
             let sum = reference.popcount.get_or_insert_with(|| {
                 let sum = popcount_lits(solver, &diffs);
@@ -1022,7 +1016,7 @@ impl<'n> AttackSession<'n> {
                 let term = if (k >> i) & 1 == 1 { s } else { !s };
                 acc = Some(match acc {
                     None => term,
-                    Some(prev) => and2_lit(solver, prev, term),
+                    Some(prev) => encode_and(solver, &[prev, term]),
                 });
             }
             acc.expect("popcount has at least one bit")
@@ -1039,7 +1033,7 @@ impl<'n> AttackSession<'n> {
         if let Some(&lit) = cones.miters.get(&key) {
             return lit;
         }
-        let lit = xor2_lit(&mut cones.solver, a, b);
+        let lit = encode_xor2(&mut cones.solver, a, b);
         cones.solver.set_frozen(lit.var(), true);
         cones.miters.insert(key, lit);
         lit

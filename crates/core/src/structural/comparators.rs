@@ -7,7 +7,7 @@
 //! pairing between key bits and protected circuit inputs.
 
 use netlist::analysis::SupportTable;
-use netlist::cnf::{encode_cones, PinBinding};
+use netlist::cnf::{encode_xor, IncrementalEncoder, PinBinding};
 use netlist::{Netlist, NodeId};
 use sat::{SolveResult, Solver};
 
@@ -31,8 +31,9 @@ pub struct Comparator {
 /// that pair; gates equivalent to XOR or XNOR are reported.
 ///
 /// This is the fast default.  [`find_comparators_sat`] performs the same
-/// check with SAT queries, matching the paper's implementation, and is used
-/// for the ablation benchmark.
+/// check with SAT queries, matching the paper's implementation, and is the
+/// reference the differential test `sat_and_simulation_agree` compares it
+/// with.
 pub fn find_comparators(netlist: &Netlist) -> Vec<Comparator> {
     comparators_over(netlist, &SupportTable::new(netlist))
 }
@@ -111,8 +112,8 @@ fn classify_by_simulation(
 /// unsatisfiability queries each.
 fn classify_by_sat(netlist: &Netlist, node: NodeId, input: NodeId, key: NodeId) -> Option<bool> {
     let mut solver = Solver::new();
-    let enc = encode_cones(netlist, &mut solver, &[node], &PinBinding::default());
-    let node_lit = enc.lit(node);
+    let mut enc = IncrementalEncoder::new(netlist, &mut solver, &PinBinding::default());
+    let node_lit = enc.encode_cone(netlist, &mut solver, node);
     let input_pos = netlist
         .inputs()
         .iter()
@@ -123,40 +124,25 @@ fn classify_by_sat(netlist: &Netlist, node: NodeId, input: NodeId, key: NodeId) 
         .iter()
         .position(|&k| k == key)
         .expect("key input");
-    let x = enc.inputs[input_pos];
-    let k = enc.keys[key_pos];
+    let x = enc.inputs()[input_pos];
+    let k = enc.keys()[key_pos];
 
     // node <=> x XOR k is valid iff (node XOR (x XOR k)) is unsatisfiable.
     let is_xor = {
-        let diff = xor3_lit(&mut solver, node_lit, x, k);
+        let diff = encode_xor(&mut solver, &[node_lit, x, k]);
         solver.solve_with(&[diff]) == SolveResult::Unsat
     };
     if is_xor {
         return Some(false);
     }
     let is_xnor = {
-        let diff = xor3_lit(&mut solver, !node_lit, x, k);
+        let diff = encode_xor(&mut solver, &[!node_lit, x, k]);
         solver.solve_with(&[diff]) == SolveResult::Unsat
     };
     if is_xnor {
         return Some(true);
     }
     None
-}
-
-/// Returns a literal equivalent to `a XOR b XOR c`.
-fn xor3_lit(solver: &mut Solver, a: sat::Lit, b: sat::Lit, c: sat::Lit) -> sat::Lit {
-    let ab = xor2_lit(solver, a, b);
-    xor2_lit(solver, ab, c)
-}
-
-fn xor2_lit(solver: &mut Solver, a: sat::Lit, b: sat::Lit) -> sat::Lit {
-    let y = sat::Lit::positive(solver.new_var());
-    solver.add_clause([!a, !b, !y]);
-    solver.add_clause([a, b, !y]);
-    solver.add_clause([a, !b, y]);
-    solver.add_clause([!a, b, y]);
-    y
 }
 
 #[cfg(test)]

@@ -74,17 +74,6 @@ impl Key {
             .filter(|(a, b)| a != b)
             .count()
     }
-
-    /// Flips bit `i`, returning a new key.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn with_flipped_bit(&self, i: usize) -> Key {
-        let mut bits = self.0.clone();
-        bits[i] = !bits[i];
-        Key(bits)
-    }
 }
 
 impl fmt::Display for Key {
@@ -128,7 +117,7 @@ mod tests {
         let b = Key::from_pattern(0b0110, 4);
         assert_eq!(a.hamming_distance(&b), 2);
         assert_eq!(a.hamming_distance(&a.complement()), 4);
-        assert_eq!(a.with_flipped_bit(0).hamming_distance(&a), 1);
+        assert_eq!(Key::from_pattern(0b1011, 4).hamming_distance(&a), 1);
     }
 
     #[test]

@@ -70,7 +70,8 @@ pub fn support(netlist: &Netlist, node: NodeId) -> SupportSet {
 }
 
 /// Maps primary-input node ids to their positions in the declaration order
-/// (the index into pin vectors such as [`crate::cnf::CircuitEncoding::inputs`]).
+/// (the index into pin vectors such as
+/// [`crate::cnf::IncrementalEncoder::inputs`]).
 ///
 /// # Panics
 ///

@@ -114,6 +114,9 @@ pub fn parse_with(text: &str, options: &ParseOptions) -> Result<Netlist, Netlist
     let mut nl = Netlist::new(design_name);
     let prefix = options.key_prefix.to_ascii_lowercase();
     for name in &inputs {
+        if nl.lookup(name).is_some() {
+            return Err(NetlistError::DuplicateName(name.clone()));
+        }
         if name.to_ascii_lowercase().starts_with(&prefix) {
             nl.add_key_input(name.clone());
         } else {
@@ -304,6 +307,12 @@ G23 = NAND(G16, G19)
     fn cycle_is_rejected() {
         let text = "INPUT(a)\nOUTPUT(y)\ny = AND(a, z)\nz = NOT(y)\n";
         assert!(parse(text).is_err());
+    }
+
+    #[test]
+    fn duplicate_input_is_an_error() {
+        let text = "INPUT(a)\nINPUT(b)\nINPUT(a)\nOUTPUT(b)\n";
+        assert!(matches!(parse(text), Err(NetlistError::DuplicateName(name)) if name == "a"));
     }
 
     #[test]

@@ -3,8 +3,14 @@
 //! The attacks repeatedly instantiate copies of (parts of) a circuit inside a
 //! SAT solver: the SAT attack needs two key copies sharing the same inputs,
 //! the functional analyses need two input copies of a single cone, and so on.
-//! [`encode`] and [`encode_cones`] support this by letting the caller pin the
-//! literals used for primary and key inputs.
+//! [`IncrementalEncoder`] encodes such a copy cone by cone, with the primary
+//! and key input literals pinned by the caller ([`PinBinding`]);
+//! [`encode_key_cone`] encodes the key-dependent logic under fixed inputs
+//! (one observed I/O pair).  This module is the only place in the workspace
+//! that emits gate, miter or counter clauses; the attack session builds its
+//! input differences, miters and distance references from the public
+//! helpers ([`encode_and`], [`encode_xor`], [`encode_xor2`],
+//! [`encode_any_difference`], [`popcount_lits`]).
 
 use sat::{Lit, Solver};
 
@@ -21,38 +27,21 @@ pub struct PinBinding {
     pub keys: Option<Vec<Lit>>,
 }
 
-/// The result of encoding a circuit (or a set of cones) into a solver.
-#[derive(Clone, Debug)]
-pub struct CircuitEncoding {
-    /// Literal of every encoded node, indexed by [`NodeId::index`].  `None`
-    /// for nodes outside the encoded cones.
-    pub node_lits: Vec<Option<Lit>>,
-    /// Literals of the primary inputs, in declaration order.
-    pub inputs: Vec<Lit>,
-    /// Literals of the key inputs, in declaration order.
-    pub keys: Vec<Lit>,
-    /// Literals of the outputs, in declaration order.
-    pub outputs: Vec<Lit>,
-}
-
-impl CircuitEncoding {
-    /// Returns the literal of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node was not part of the encoded cones.
-    pub fn lit(&self, node: NodeId) -> Lit {
-        self.node_lits[node.index()].expect("node was not encoded")
-    }
-}
-
-/// Encodes the whole netlist into `solver` and returns the pin literals.
+/// An encoder that emits circuit logic into an existing solver variable space
+/// *incrementally* and memoizes every node it has already encoded.
+///
+/// An `IncrementalEncoder` is created once per (circuit copy, solver) pair
+/// and reused across queries: the first [`encode_cone`] call for a root
+/// encodes its transitive fanin, and later calls — for the same root or for
+/// any root whose cone overlaps — only encode the nodes not seen before.
+/// [`encode_outputs`] encodes a whole circuit copy.  This is the substrate
+/// of the attack session's cone memoization.
 ///
 /// # Example
 ///
 /// ```
 /// use netlist::{GateKind, Netlist};
-/// use netlist::cnf::{encode, PinBinding};
+/// use netlist::cnf::{IncrementalEncoder, PinBinding};
 /// use sat::{Solver, SolveResult};
 ///
 /// let mut nl = Netlist::new("t");
@@ -62,46 +51,17 @@ impl CircuitEncoding {
 /// nl.add_output("y", y);
 ///
 /// let mut solver = Solver::new();
-/// let enc = encode(&nl, &mut solver, &PinBinding::default());
+/// let mut enc = IncrementalEncoder::new(&nl, &mut solver, &PinBinding::default());
+/// let outputs = enc.encode_outputs(&nl, &mut solver);
 /// // Force the output true: both inputs must be true.
-/// solver.add_clause([enc.outputs[0]]);
+/// solver.add_clause([outputs[0]]);
 /// assert_eq!(solver.solve(), SolveResult::Sat);
-/// assert_eq!(solver.value(enc.inputs[0]), Some(true));
-/// assert_eq!(solver.value(enc.inputs[1]), Some(true));
+/// assert_eq!(solver.value(enc.inputs()[0]), Some(true));
+/// assert_eq!(solver.value(enc.inputs()[1]), Some(true));
 /// ```
-pub fn encode(netlist: &Netlist, solver: &mut Solver, pins: &PinBinding) -> CircuitEncoding {
-    let roots: Vec<NodeId> = netlist.outputs().iter().map(|&(_, id)| id).collect();
-    encode_cones(netlist, solver, &roots, pins)
-}
-
-/// Encodes only the transitive fanin cones of `roots` into `solver`.
-///
-/// Inputs outside the cones still receive literals (taken from `pins` or
-/// freshly allocated) so that pin vectors always have the full width.
-pub fn encode_cones(
-    netlist: &Netlist,
-    solver: &mut Solver,
-    roots: &[NodeId],
-    pins: &PinBinding,
-) -> CircuitEncoding {
-    let mut encoder = IncrementalEncoder::new(netlist, solver, pins);
-    for &root in roots {
-        encoder.encode_cone(netlist, solver, root);
-    }
-    encoder.into_encoding(netlist)
-}
-
-/// An encoder that emits circuit logic into an existing solver variable space
-/// *incrementally* and memoizes every node it has already encoded.
-///
-/// Where [`encode_cones`] re-encodes overlapping cones from scratch on every
-/// call, an `IncrementalEncoder` is created once per (circuit copy, solver)
-/// pair and reused across queries: the first [`encode_cone`] call for a root
-/// encodes its transitive fanin, and later calls — for the same root or for
-/// any root whose cone overlaps — only encode the nodes not seen before.
-/// This is the substrate of the attack session's cone memoization.
 ///
 /// [`encode_cone`]: IncrementalEncoder::encode_cone
+/// [`encode_outputs`]: IncrementalEncoder::encode_outputs
 #[derive(Clone, Debug)]
 pub struct IncrementalEncoder {
     node_lits: Vec<Option<Lit>>,
@@ -226,24 +186,6 @@ impl IncrementalEncoder {
             .iter()
             .map(|&(_, id)| self.encode_cone(netlist, solver, id))
             .collect()
-    }
-
-    /// Converts the encoder into a [`CircuitEncoding`] snapshot.
-    ///
-    /// Outputs whose cones were never encoded are skipped, mirroring
-    /// [`encode_cones`].
-    pub fn into_encoding(self, netlist: &Netlist) -> CircuitEncoding {
-        let outputs: Vec<Lit> = netlist
-            .outputs()
-            .iter()
-            .filter_map(|&(_, id)| self.node_lits[id.index()])
-            .collect();
-        CircuitEncoding {
-            node_lits: self.node_lits,
-            inputs: self.inputs,
-            keys: self.keys,
-            outputs,
-        }
     }
 }
 
@@ -534,8 +476,9 @@ fn encode_gate(
     }
 }
 
-/// Encodes `y = AND(fanins)` and returns `y`.
-fn encode_and(solver: &mut Solver, fanins: &[Lit]) -> Lit {
+/// Encodes `y = AND(fanins)` and returns `y`: a fresh variable, one binary
+/// clause `!y | f` per fanin, then `y | !f1 | ... | !fn`.
+pub fn encode_and(solver: &mut Solver, fanins: &[Lit]) -> Lit {
     let y = Lit::positive(solver.new_var());
     let mut long_clause: Vec<Lit> = Vec::with_capacity(fanins.len() + 1);
     for &f in fanins {
@@ -547,8 +490,13 @@ fn encode_and(solver: &mut Solver, fanins: &[Lit]) -> Lit {
     y
 }
 
-/// Encodes the parity of `fanins` with a chain of two-input XORs.
-fn encode_xor(solver: &mut Solver, fanins: &[Lit]) -> Lit {
+/// Encodes the parity of `fanins` with a chain of two-input XORs
+/// ([`encode_xor2`]) and returns it.
+///
+/// # Panics
+///
+/// Panics if `fanins` is empty.
+pub fn encode_xor(solver: &mut Solver, fanins: &[Lit]) -> Lit {
     let mut acc = fanins[0];
     for &f in &fanins[1..] {
         acc = encode_xor2(solver, acc, f);
@@ -556,7 +504,8 @@ fn encode_xor(solver: &mut Solver, fanins: &[Lit]) -> Lit {
     acc
 }
 
-fn encode_xor2(solver: &mut Solver, a: Lit, b: Lit) -> Lit {
+/// Encodes `y = a XOR b` with four ternary clauses and returns `y`.
+pub fn encode_xor2(solver: &mut Solver, a: Lit, b: Lit) -> Lit {
     let y = Lit::positive(solver.new_var());
     solver.add_clause([!a, !b, !y]);
     solver.add_clause([a, b, !y]);
@@ -565,22 +514,26 @@ fn encode_xor2(solver: &mut Solver, a: Lit, b: Lit) -> Lit {
     y
 }
 
-/// Adds clauses forcing `lit` to equal the constant `value`.
-pub fn assert_lit_equals(solver: &mut Solver, lit: Lit, value: bool) {
-    solver.add_clause([if value { lit } else { !lit }]);
-}
-
-/// Adds clauses forcing two literal vectors to be pairwise equal.
+/// Builds a binary counter over `bits` (a ripple of half adders) and
+/// returns the sum literals, least-significant first.
 ///
-/// # Panics
-///
-/// Panics if the vectors have different lengths.
-pub fn assert_equal(solver: &mut Solver, a: &[Lit], b: &[Lit]) {
-    assert_eq!(a.len(), b.len(), "vector widths differ");
-    for (&x, &y) in a.iter().zip(b) {
-        solver.add_clause([!x, y]);
-        solver.add_clause([x, !y]);
+/// The sum starts from a constant-false literal of the counter's own (a
+/// fresh variable and a unit clause).
+pub fn popcount_lits(solver: &mut Solver, bits: &[Lit]) -> Vec<Lit> {
+    let width = (usize::BITS as usize - bits.len().leading_zeros() as usize).max(1);
+    let zero = Lit::positive(solver.new_var());
+    solver.add_clause([!zero]);
+    let mut sum = vec![zero; width];
+    for &bit in bits {
+        let mut carry = bit;
+        for s in sum.iter_mut() {
+            let new_s = encode_xor2(solver, *s, carry);
+            let new_c = encode_and(solver, &[*s, carry]);
+            *s = new_s;
+            carry = new_c;
+        }
     }
+    sum
 }
 
 /// Creates a literal that is true iff the two literal vectors differ in at
@@ -615,16 +568,18 @@ mod tests {
             let expected = nl.evaluate(ins, keys);
 
             let mut solver = Solver::new();
-            let enc = encode(nl, &mut solver, &PinBinding::default());
-            for (i, &lit) in enc.inputs.iter().enumerate() {
-                assert_lit_equals(&mut solver, lit, ins[i]);
-            }
-            for (i, &lit) in enc.keys.iter().enumerate() {
-                assert_lit_equals(&mut solver, lit, keys[i]);
+            let mut enc = IncrementalEncoder::new(nl, &mut solver, &PinBinding::default());
+            let outputs = enc.encode_outputs(nl, &mut solver);
+            for (&lit, &value) in enc
+                .inputs()
+                .iter()
+                .zip(ins)
+                .chain(enc.keys().iter().zip(keys))
+            {
+                solver.add_clause([if value { lit } else { !lit }]);
             }
             assert_eq!(solver.solve(), SolveResult::Sat);
-            let got: Vec<bool> = enc
-                .outputs
+            let got: Vec<bool> = outputs
                 .iter()
                 .map(|&l| solver.value(l).expect("assigned"))
                 .collect();
@@ -686,32 +641,23 @@ mod tests {
         nl.add_output("y", y);
 
         let mut solver = Solver::new();
-        let first = encode(&nl, &mut solver, &PinBinding::default());
-        let second = encode(
+        let mut first = IncrementalEncoder::new(&nl, &mut solver, &PinBinding::default());
+        let first_outputs = first.encode_outputs(&nl, &mut solver);
+        let mut second = IncrementalEncoder::new(
             &nl,
             &mut solver,
             &PinBinding {
-                inputs: Some(first.inputs.clone()),
+                inputs: Some(first.inputs().to_vec()),
                 keys: None,
             },
         );
-        let diff = encode_any_difference(&mut solver, &first.outputs, &second.outputs);
+        let second_outputs = second.encode_outputs(&nl, &mut solver);
+        let diff = encode_any_difference(&mut solver, &first_outputs, &second_outputs);
         solver.add_clause([diff]);
         assert_eq!(solver.solve(), SolveResult::Sat);
-        let k1 = solver.value(first.keys[0]).unwrap();
-        let k2 = solver.value(second.keys[0]).unwrap();
+        let k1 = solver.value(first.keys()[0]).unwrap();
+        let k2 = solver.value(second.keys()[0]).unwrap();
         assert_ne!(k1, k2);
-    }
-
-    #[test]
-    fn assert_equal_forces_equality() {
-        let mut solver = Solver::new();
-        let a = Lit::positive(solver.new_var());
-        let b = Lit::positive(solver.new_var());
-        assert_equal(&mut solver, &[a], &[b]);
-        solver.add_clause([a]);
-        assert_eq!(solver.solve(), SolveResult::Sat);
-        assert_eq!(solver.value(b), Some(true));
     }
 
     #[test]
@@ -757,26 +703,6 @@ mod tests {
             assert_eq!(solver.value(l1), Some(expected[0]), "pattern {pattern:03b}");
             assert_eq!(solver.value(l2), Some(expected[1]), "pattern {pattern:03b}");
         }
-    }
-
-    #[test]
-    fn incremental_encoder_matches_batch_encoding() {
-        let mut nl = Netlist::new("same");
-        let a = nl.add_input("a");
-        let b = nl.add_input("b");
-        let k = nl.add_key_input("k");
-        let x = nl.add_gate("x", GateKind::Xor, &[a, k]);
-        let y = nl.add_gate("y", GateKind::Nand, &[x, b]);
-        nl.add_output("y", y);
-
-        let mut solver = Solver::new();
-        let mut enc = IncrementalEncoder::new(&nl, &mut solver, &PinBinding::default());
-        let outputs = enc.encode_outputs(&nl, &mut solver);
-        assert_eq!(outputs.len(), 1);
-        let snapshot = enc.into_encoding(&nl);
-        assert_eq!(snapshot.outputs, outputs);
-        assert_eq!(snapshot.inputs.len(), 2);
-        assert_eq!(snapshot.keys.len(), 1);
     }
 
     #[test]
@@ -1067,8 +993,29 @@ mod tests {
         nl.add_output("g1", g1);
         nl.add_output("g2", g2);
         let mut solver = Solver::new();
-        let enc = encode_cones(&nl, &mut solver, &[g1], &PinBinding::default());
-        assert!(enc.node_lits[g1.index()].is_some());
-        assert!(enc.node_lits[g2.index()].is_none());
+        let mut enc = IncrementalEncoder::new(&nl, &mut solver, &PinBinding::default());
+        enc.encode_cone(&nl, &mut solver, g1);
+        assert!(enc.lit(g1).is_some());
+        assert!(enc.lit(g2).is_none());
+    }
+
+    #[test]
+    fn popcount_counts_correctly() {
+        for pattern in 0..32u64 {
+            let mut solver = Solver::new();
+            let bits: Vec<Lit> = (0..5).map(|_| Lit::positive(solver.new_var())).collect();
+            let sum = popcount_lits(&mut solver, &bits);
+            for (i, &lit) in bits.iter().enumerate() {
+                let bit = (pattern >> i) & 1 == 1;
+                solver.add_clause([if bit { lit } else { !lit }]);
+            }
+            assert_eq!(solver.solve(), SolveResult::Sat);
+            let got: u32 = sum
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| (solver.value(s).unwrap() as u32) << i)
+                .sum();
+            assert_eq!(got, pattern.count_ones());
+        }
     }
 }

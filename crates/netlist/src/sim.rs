@@ -177,14 +177,6 @@ impl WideSim {
         &self.values
     }
 
-    /// Appends the lane blocks of every declared output (declaration order)
-    /// to `out` — the gather step of the batched-oracle protocol.
-    pub fn extend_with_outputs(&self, netlist: &Netlist, out: &mut Vec<u64>) {
-        for (_, id) in netlist.outputs() {
-            out.extend_from_slice(self.node(*id));
-        }
-    }
-
     /// Consumes the scratch and returns the raw node-major value buffer.
     pub fn into_values(self) -> Vec<u64> {
         self.values
@@ -611,20 +603,6 @@ mod tests {
         ));
         assert!(sim.run(&nl, &[0; 6], &[0]).is_err());
         assert!(sim.run(&nl, &[0; 6], &[]).is_ok());
-    }
-
-    #[test]
-    fn extend_with_outputs_gathers_declaration_order() {
-        let nl = full_adder();
-        let mut sim = WideSim::new(&nl, 2);
-        let inputs = [1u64, 2, 3, 4, 5, 6];
-        sim.run(&nl, &inputs, &[]).expect("widths match");
-        let mut out = Vec::new();
-        sim.extend_with_outputs(&nl, &mut out);
-        let sum = nl.lookup("sum").unwrap();
-        let cout = nl.lookup("cout").unwrap();
-        assert_eq!(out[..2], *sim.node(sum));
-        assert_eq!(out[2..4], *sim.node(cout));
     }
 
     #[test]

@@ -37,21 +37,6 @@ pub fn strash(netlist: &Netlist) -> Netlist {
     Aig::from_netlist(netlist).to_netlist()
 }
 
-/// Applies [`strash`] repeatedly until the gate count stops shrinking.
-///
-/// A single pass is already idempotent for most circuits; this exists for
-/// callers that want a fixed point guarantee.
-pub fn strash_to_fixpoint(netlist: &Netlist) -> Netlist {
-    let mut current = strash(netlist);
-    loop {
-        let next = strash(&current);
-        if next.num_gates() >= current.num_gates() {
-            return current;
-        }
-        current = next;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,18 +79,6 @@ mod tests {
                     "unexpected gate kind {kind}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn fixpoint_is_no_larger_than_single_pass() {
-        let nl = majority_plus_d();
-        let once = strash(&nl);
-        let fixed = strash_to_fixpoint(&nl);
-        assert!(fixed.num_gates() <= once.num_gates());
-        for pattern in 0..16u64 {
-            let bits = pattern_to_bits(pattern, 4);
-            assert_eq!(nl.evaluate(&bits, &[]), fixed.evaluate(&bits, &[]));
         }
     }
 

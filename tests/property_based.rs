@@ -7,6 +7,7 @@
 //! failures reproducible (the failing case index and inputs are reported).
 
 use locking::{Key, LockingScheme, SfllHd, TtLock, XorLock};
+use netlist::cnf::{IncrementalEncoder, PinBinding};
 use netlist::random::{generate, RandomCircuitSpec};
 use netlist::sim::pattern_to_bits;
 use netlist::strash::strash;
@@ -54,16 +55,13 @@ fn cnf_encoding_matches_simulation() {
         let expected = circuit.evaluate(&bits, &[]);
 
         let mut solver = Solver::new();
-        let enc = netlist::cnf::encode(&circuit, &mut solver, &netlist::cnf::PinBinding::default());
-        for (lit, value) in enc.inputs.iter().zip(&bits) {
+        let mut enc = IncrementalEncoder::new(&circuit, &mut solver, &PinBinding::default());
+        let outputs = enc.encode_outputs(&circuit, &mut solver);
+        for (lit, value) in enc.inputs().iter().zip(&bits) {
             solver.add_clause([if *value { *lit } else { !*lit }]);
         }
         assert_eq!(solver.solve(), SolveResult::Sat, "case {case}");
-        let got: Vec<bool> = enc
-            .outputs
-            .iter()
-            .map(|&l| solver.value(l).unwrap())
-            .collect();
+        let got: Vec<bool> = outputs.iter().map(|&l| solver.value(l).unwrap()).collect();
         assert_eq!(got, expected, "case {case} pattern {pattern:08b}");
     });
 }
