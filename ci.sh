@@ -10,9 +10,11 @@
 #                  cone_encodings_built) plus a pipes-mode fall-dist farm
 #                  smoke (clean 2-worker run and a crash-requeue run, gating the
 #                  dist_* counters and the dist_worker_stats_reports
-#                  telemetry count), a paper-scale SFLL-HD m/3 FALL attack
-#                  on c432 (gating the fall_c432_m3_* key, solve and
-#                  conflict counters) and a flight-recorder-armed SAT attack
+#                  telemetry count), a paper-scale TTLock FALL attack on des
+#                  (m = 64; gating fall_des_h0_unique_correct_key and
+#                  fall_des_h0_comparators = 64), a paper-scale SFLL-HD m/3
+#                  FALL attack on c432 (gating the fall_c432_m3_* key, solve
+#                  and conflict counters) and a flight-recorder-armed SAT attack
 #                  (gating the trace_* span counts and exporting the Chrome
 #                  trace to BENCH_trace.json), write BENCH_parallel.json,
 #                  and fail if any tracked metric regresses >20% against the

@@ -26,7 +26,9 @@
 //!   `parallel_1w_*` partitioned search reads them from
 //!   `PartitionedSearchResult::solver_stats`), including the 100-generation
 //!   long-lived-session run, the conflicts and arena bytes `fall_h0_*` of
-//!   the h = 0 FALL attack's session, the solves and conflicts
+//!   the h = 0 FALL attack's session, the unique correct key and the
+//!   comparator count `fall_des_h0_*` of a paper-scale TTLock attack (des,
+//!   m = 64), the solves and conflicts
 //!   `fall_c432_m3_*` of a paper-scale SFLL-HD m/3 attack (c432, m = 36,
 //!   h = 12) and its unique correct key, the flight-recorder span counts
 //!   `trace_*` from the traced single SAT attack, and the farm
@@ -379,6 +381,34 @@ fn measure() -> MetricReport {
         prefilter.patterns_simulated as f64,
         false,
     );
+
+    // ---- Paper-scale TTLock attack ------------------------------------------
+    // des at h = 0 (m = 64), the largest Table I circuit: the structural
+    // stage's one-sweep comparator classifier must pair all 64 key inputs,
+    // and the attack must shortlist exactly the correct key.
+    let des = TABLE1_CIRCUITS
+        .iter()
+        .find(|spec| spec.name == "des")
+        .expect("Table I circuit");
+    let des_case = LockCase::build(des, HdPolicy::Zero, Scale::Paper);
+    let t = Instant::now();
+    let mut des_session = AttackSession::new(&des_case.locked.locked);
+    let des_result = fall_attack_in(&mut des_session, None, &FallAttackConfig::for_h(0));
+    report.record("info_fall_des_h0_s", t.elapsed().as_secs_f64(), false);
+    let des_unique_correct = des_result.status == FallStatus::UniqueKey
+        && des_result.best_key() == Some(&des_case.locked.key);
+    report.record(
+        "fall_des_h0_unique_correct_key",
+        f64::from(u8::from(des_unique_correct)),
+        true,
+    );
+    report.record(
+        "fall_des_h0_comparators",
+        des_result.num_comparators as f64,
+        true,
+    );
+    assert!(des_unique_correct, "des h = 0: {des_result:?}");
+    assert_eq!(des_result.num_comparators, 64, "des h = 0 comparators");
 
     // ---- Paper-scale SFLL-HD m/3 attack -------------------------------------
     // c432 at h = m/3 (m = 36, h = 12): the cube proposal by simulation

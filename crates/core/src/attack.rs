@@ -1033,11 +1033,20 @@ mod warm_session {
             if s.len() != 2 {
                 continue;
             }
-            let truth: Vec<bool> = [(false, false), (true, false), (false, true), (true, true)]
-                .iter()
-                .map(|&(iv, kv)| netlist.evaluate_node(node, &[(input, iv), (key, kv)]))
-                .collect();
-            let xnor = match truth.as_slice() {
+            // One scalar simulation per assignment of the pair, independent
+            // of the word sweep under test.
+            let truth =
+                [(false, false), (true, false), (false, true), (true, true)].map(|(iv, kv)| {
+                    let inputs: Vec<bool> =
+                        netlist.inputs().iter().map(|&i| i == input && iv).collect();
+                    let keys: Vec<bool> = netlist
+                        .key_inputs()
+                        .iter()
+                        .map(|&k| k == key && kv)
+                        .collect();
+                    netlist.node_values(&inputs, &keys).expect("widths match")[node.index()]
+                });
+            let xnor = match truth {
                 [false, true, true, false] => false,
                 [true, false, false, true] => true,
                 _ => continue,

@@ -5,6 +5,13 @@
 //! whose support is exactly one key input and one circuit input and whose
 //! function is XOR or XNOR of the two.  Finding them gives the attacker the
 //! pairing between key bits and protected circuit inputs.
+//!
+//! [`find_comparators`] classifies every candidate gate in one 64-way
+//! simulation sweep of the netlist: with all primary inputs driven by one
+//! lane pattern and all key inputs by another, four lanes enumerate the
+//! assignments of every `(input, key)` pair at once, and each candidate's
+//! word is its truth table.  [`find_comparators_sat`] is the paper's
+//! SAT-based method, kept as the reference.
 
 use netlist::analysis::SupportTable;
 use netlist::cnf::{encode_xor, IncrementalEncoder, PinBinding};
@@ -24,16 +31,29 @@ pub struct Comparator {
     pub xnor: bool,
 }
 
-/// Finds all comparator gates by exhaustive cofactor enumeration.
+/// Lane patterns of the one-sweep classifier: every primary input carries
+/// `INPUT_LANES` and every key input `KEY_LANES`, so lanes 0–3 hold
+/// `(x, k) = (0,0), (1,0), (0,1), (1,1)` for every input/key pair at once.
+const INPUT_LANES: u64 = 0b1010;
+const KEY_LANES: u64 = 0b1100;
+/// The low four lanes of a gate computing `x XOR k` / `x XNOR k`.
+const XOR_TRUTH: u64 = 0b0110;
+const XNOR_TRUTH: u64 = 0b1001;
+
+/// Finds all comparator gates with one word-parallel simulation sweep.
 ///
-/// For every gate whose support is exactly one circuit input and one key
-/// input, the gate's local function is evaluated on all four assignments of
-/// that pair; gates equivalent to XOR or XNOR are reported.
+/// The candidates are the gates whose support is exactly one circuit input
+/// `x` and one key input `k`.  One [`Netlist::node_words`] sweep drives
+/// every primary input with `0b1010` and every key input with `0b1100`, so
+/// lanes 0–3 enumerate the four assignments of every `(x, k)` pair at once.
+/// A candidate depends on nothing but its own `x` and `k`, so the low four
+/// bits of its word are its truth table: `0b0110` is XOR, `0b1001` is XNOR,
+/// anything else is not a comparator.  The cost is one sweep of the
+/// netlist, however many candidates there are.
 ///
 /// This is the fast default.  [`find_comparators_sat`] performs the same
 /// check with SAT queries, matching the paper's implementation, and is the
-/// reference the differential test `sat_and_simulation_agree` compares it
-/// with.
+/// reference the differential tests compare it with.
 pub fn find_comparators(netlist: &Netlist) -> Vec<Comparator> {
     comparators_over(netlist, &SupportTable::new(netlist))
 }
@@ -41,10 +61,21 @@ pub fn find_comparators(netlist: &Netlist) -> Vec<Comparator> {
 /// [`find_comparators`] over a precomputed support table (the cached one
 /// of an [`crate::session::AttackSession`]).
 pub(crate) fn comparators_over(netlist: &Netlist, supports: &SupportTable) -> Vec<Comparator> {
+    let words = netlist
+        .node_words(
+            &vec![INPUT_LANES; netlist.num_inputs()],
+            &vec![KEY_LANES; netlist.num_key_inputs()],
+        )
+        .expect("widths are constructed to match");
     candidate_pairs(netlist, supports)
         .into_iter()
         .filter_map(|(node, input, key)| {
-            classify_by_simulation(netlist, node, input, key).map(|xnor| Comparator {
+            let xnor = match words[node.index()] & 0b1111 {
+                XOR_TRUTH => false,
+                XNOR_TRUTH => true,
+                _ => return None,
+            };
+            Some(Comparator {
                 node,
                 input,
                 key,
@@ -86,30 +117,10 @@ fn candidate_pairs(netlist: &Netlist, supports: &SupportTable) -> Vec<(NodeId, N
     result
 }
 
-/// Evaluates the gate's function on the four assignments of `(input, key)`;
-/// returns `Some(true)` for XNOR, `Some(false)` for XOR, `None` otherwise.
-fn classify_by_simulation(
-    netlist: &Netlist,
-    node: NodeId,
-    input: NodeId,
-    key: NodeId,
-) -> Option<bool> {
-    let truth: Vec<bool> = [(false, false), (true, false), (false, true), (true, true)]
-        .iter()
-        .map(|&(iv, kv)| netlist.evaluate_node(node, &[(input, iv), (key, kv)]))
-        .collect();
-    if truth == [false, true, true, false] {
-        Some(false) // XOR
-    } else if truth == [true, false, false, true] {
-        Some(true) // XNOR
-    } else {
-        None
-    }
-}
-
-/// SAT-based variant of [`classify_by_simulation`]: checks validity of
-/// `cktfn(node) <=> input XOR key` (and the XNOR variant) with two
-/// unsatisfiability queries each.
+/// SAT-based classification of one candidate: checks validity of
+/// `cktfn(node) <=> input XOR key` (and the XNOR variant) with one
+/// unsatisfiability query each; returns `Some(true)` for XNOR, `Some(false)`
+/// for XOR, `None` otherwise.
 fn classify_by_sat(netlist: &Netlist, node: NodeId, input: NodeId, key: NodeId) -> Option<bool> {
     let mut solver = Solver::new();
     let mut enc = IncrementalEncoder::new(netlist, &mut solver, &PinBinding::default());

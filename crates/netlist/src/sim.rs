@@ -408,30 +408,6 @@ impl Netlist {
         }
         Ok(values)
     }
-
-    /// Evaluates the function of a single node given values for (a superset
-    /// of) its support.  Inputs not mentioned default to `false`.
-    ///
-    /// This is useful for exhaustively enumerating the local function of a
-    /// node whose support is small (for example comparator identification).
-    /// Supplied ids resolve through the netlist's precomputed position maps
-    /// ([`Netlist::input_position`]), so the cost is O(values), not
-    /// O(values × inputs); ids that are not inputs are ignored.
-    pub fn evaluate_node(&self, node: NodeId, input_values: &[(NodeId, bool)]) -> bool {
-        let mut inputs = vec![false; self.num_inputs()];
-        let mut keys = vec![false; self.num_key_inputs()];
-        for &(id, value) in input_values {
-            if let Some(pos) = self.input_position(id) {
-                inputs[pos] = value;
-            } else if let Some(pos) = self.key_input_position(id) {
-                keys[pos] = value;
-            }
-        }
-        let values = self
-            .node_values(&inputs, &keys)
-            .expect("widths are constructed to match");
-        values[node.index()]
-    }
 }
 
 /// Converts an integer pattern into a little-endian bit vector of width `n`.
@@ -617,20 +593,6 @@ mod tests {
         ));
         assert!(nl.evaluate_words(&[0, 0], &[]).is_err());
         assert!(nl.node_words_fresh(&[0, 0], &[]).is_err());
-    }
-
-    #[test]
-    fn evaluate_node_uses_defaults() {
-        let mut nl = Netlist::new("t");
-        let a = nl.add_input("a");
-        let b = nl.add_input("b");
-        let g = nl.add_gate("g", GateKind::Or, &[a, b]);
-        nl.add_output("g", g);
-        assert!(!nl.evaluate_node(g, &[]));
-        assert!(nl.evaluate_node(g, &[(a, true)]));
-        assert!(nl.evaluate_node(g, &[(b, true)]));
-        // Non-input ids (gates) are silently ignored, as before.
-        assert!(!nl.evaluate_node(g, &[(g, true)]));
     }
 
     #[test]

@@ -30,16 +30,19 @@
 
 pub mod protocol;
 
+use std::collections::HashMap;
 use std::io::BufWriter;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use fall::oracle::SimOracle;
-use fall::service::{AttackService, JobKind, JobReport, JobSpec, RegisterError, SubmitError};
+use fall::service::{
+    AttackService, ClientId, JobKind, JobReport, JobSpec, RegisterError, SubmitError,
+};
 use netlist::bench_format;
 use netshim::{LineError, LineReader, Value};
 
@@ -75,9 +78,11 @@ struct ServerState {
     stopping: AtomicBool,
     stop_flag: Mutex<bool>,
     stop_wake: Condvar,
-    /// Socket clones of live connections, force-closed at stop time so
-    /// blocked reader threads wake up.
-    conns: Mutex<Vec<TcpStream>>,
+    /// Socket clones of live connections by connection id, force-closed at
+    /// stop time so blocked reader threads wake up.  A connection removes
+    /// its own entry when it ends.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    /// Connection threads; the accept loop drops the finished ones.
     conn_threads: Mutex<Vec<JoinHandle<()>>>,
     local_addr: SocketAddr,
     max_frame: usize,
@@ -119,7 +124,7 @@ impl Server {
             stopping: AtomicBool::new(false),
             stop_flag: Mutex::new(false),
             stop_wake: Condvar::new(),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             conn_threads: Mutex::new(Vec::new()),
             local_addr,
             max_frame: config.max_frame,
@@ -167,7 +172,7 @@ impl Server {
         // Drain the pool first: this cancels active jobs, so the per-job
         // reports flush out and connection forwarder threads can finish.
         self.service.shutdown();
-        for conn in self.state.conns.lock().expect("conns lock").drain(..) {
+        for (_, conn) in self.state.conns.lock().expect("conns lock").drain() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         let threads: Vec<JoinHandle<()>> =
@@ -185,6 +190,7 @@ impl Drop for Server {
 }
 
 fn accept_loop(listener: &TcpListener, service: &Arc<AttackService>, state: &Arc<ServerState>) {
+    let mut next_id = 0u64;
     loop {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
@@ -192,6 +198,9 @@ fn accept_loop(listener: &TcpListener, service: &Arc<AttackService>, state: &Arc
                 if state.stopping.load(Ordering::SeqCst) {
                     break;
                 }
+                // A failing accept (say, out of file descriptors) fails
+                // again at once; back off instead of spinning.
+                std::thread::sleep(Duration::from_millis(10));
                 continue;
             }
         };
@@ -203,18 +212,58 @@ fn accept_loop(listener: &TcpListener, service: &Arc<AttackService>, state: &Arc
         // delayed ACK of the previous frame.  Best effort: a socket that
         // refuses the option still works, only slower.
         let _ = stream.set_nodelay(true);
+        let id = next_id;
+        next_id += 1;
         if let Ok(clone) = stream.try_clone() {
-            state.conns.lock().expect("conns lock").push(clone);
+            state.conns.lock().expect("conns lock").insert(id, clone);
         }
         let service = Arc::clone(service);
         let state_for_conn = Arc::clone(state);
         let handle =
-            std::thread::spawn(move || handle_connection(stream, &service, &state_for_conn));
-        state
-            .conn_threads
+            std::thread::spawn(move || handle_connection(id, stream, &service, &state_for_conn));
+        let mut threads = state.conn_threads.lock().expect("threads lock");
+        threads.retain(|thread| !thread.is_finished());
+        threads.push(handle);
+    }
+}
+
+/// The end of a connection, run on drop so that it also runs while a
+/// panicking request handler unwinds: the client's jobs are cancelled, the
+/// frame channels close, the forwarder and writer threads flush and are
+/// joined, and the socket is shut down and forgotten, so the peer reads EOF.
+struct ConnectionEnd<'a> {
+    id: u64,
+    client: ClientId,
+    service: &'a AttackService,
+    state: &'a ServerState,
+    /// The job-report and frame senders; dropped before the joins so the
+    /// forwarder and writer threads see their channels close.
+    channels: Option<(Sender<JobReport>, Sender<String>)>,
+    /// The forwarder and writer threads, joined in this order.
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Drop for ConnectionEnd<'_> {
+    fn drop(&mut self) {
+        // Whatever this client still has in flight dies with the
+        // connection; the pool sessions survive for the next client.
+        self.service.cancel_client(self.client);
+        self.channels = None;
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
+        // Forget the server's clone of the socket and shut it down, so the
+        // peer reads EOF even if some other handle to it is still open.  A
+        // poisoned lock must not turn an unwinding panic into an abort.
+        let conn = self
+            .state
+            .conns
             .lock()
-            .expect("threads lock")
-            .push(handle);
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.id);
+        if let Some(conn) = conn {
+            let _ = conn.shutdown(Shutdown::Both);
+        }
     }
 }
 
@@ -225,14 +274,23 @@ enum Flow {
     Close,
 }
 
-fn handle_connection(stream: TcpStream, service: &Arc<AttackService>, state: &Arc<ServerState>) {
+fn handle_connection(
+    id: u64,
+    stream: TcpStream,
+    service: &Arc<AttackService>,
+    state: &Arc<ServerState>,
+) {
+    let mut end = ConnectionEnd {
+        id,
+        client: service.next_client(),
+        service,
+        state,
+        channels: None,
+        threads: Vec::new(),
+    };
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    // The server also holds a clone of this socket (for forced close at stop
-    // time), so dropping our handles alone would not send FIN; shut the
-    // socket down explicitly once the protocol loop ends.
-    let closer = stream.try_clone();
     // All frames — immediate responses and asynchronous job events — funnel
     // through one channel into one writer thread, so interleaved writers can
     // never corrupt the framing.
@@ -246,7 +304,6 @@ fn handle_connection(stream: TcpStream, service: &Arc<AttackService>, state: &Ar
         }
     });
 
-    let client = service.next_client();
     let (reply_tx, reply_rx) = mpsc::channel::<JobReport>();
     let forward = out_tx.clone();
     let forwarder = std::thread::spawn(move || {
@@ -258,6 +315,10 @@ fn handle_connection(stream: TcpStream, service: &Arc<AttackService>, state: &Ar
         }
     });
 
+    end.channels = Some((reply_tx, out_tx));
+    end.threads = vec![forwarder, writer];
+    let client = end.client;
+    let (reply_tx, out_tx) = end.channels.as_ref().expect("open until the end");
     let mut reader = LineReader::new(stream, state.max_frame);
     loop {
         match reader.read_line() {
@@ -265,7 +326,7 @@ fn handle_connection(stream: TcpStream, service: &Arc<AttackService>, state: &Ar
                 if line.trim().is_empty() {
                     continue;
                 }
-                let flow = handle_request(&line, service, state, client, &reply_tx, &out_tx);
+                let flow = handle_request(&line, service, state, client, reply_tx, out_tx);
                 if flow == Flow::Close {
                     break;
                 }
@@ -291,24 +352,13 @@ fn handle_connection(stream: TcpStream, service: &Arc<AttackService>, state: &Ar
             Err(LineError::Io(_)) => break,
         }
     }
-
-    // Whatever this client still has in flight dies with the connection; the
-    // pool sessions survive for the next client.
-    service.cancel_client(client);
-    drop(reply_tx);
-    drop(out_tx);
-    let _ = forwarder.join();
-    let _ = writer.join();
-    if let Ok(closer) = closer {
-        let _ = closer.shutdown(Shutdown::Both);
-    }
 }
 
 fn handle_request(
     line: &str,
     service: &Arc<AttackService>,
     state: &Arc<ServerState>,
-    client: fall::service::ClientId,
+    client: ClientId,
     reply_tx: &Sender<JobReport>,
     out_tx: &Sender<String>,
 ) -> Flow {
@@ -484,7 +534,7 @@ fn handle_attack(
     request: &Value,
     id: RequestId,
     service: &Arc<AttackService>,
-    client: fall::service::ClientId,
+    client: ClientId,
     reply_tx: &Sender<JobReport>,
 ) -> String {
     let Some(target) = request.get("target").and_then(Value::as_str) else {
@@ -551,5 +601,99 @@ fn handle_attack(
         Err(SubmitError::BadRequest(reason)) => {
             protocol::error_frame(id, ErrorCode::BadRequest, &reason)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+    use std::time::Instant;
+
+    /// One connect / `hello` / close cycle; returns the response frame.
+    fn hello(addr: SocketAddr) -> Value {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut writer = stream.try_clone().expect("clone");
+        netshim::write_line(&mut writer, r#"{"op":"hello","id":1}"#).expect("send");
+        let line = LineReader::new(stream, 1 << 20)
+            .read_line()
+            .expect("read frame")
+            .expect("connection open");
+        Value::parse(&line).expect("response is valid JSON")
+    }
+
+    #[test]
+    fn closed_connections_release_their_socket_and_thread() {
+        let server = Server::start(ServerConfig::default()).expect("start");
+        for _ in 0..100 {
+            hello(server.local_addr());
+        }
+        // A connection deregisters as its thread ends, just after the peer
+        // closes; give the last few a moment.
+        let live = || server.state.conns.lock().expect("conns lock").len();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while live() > 2 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert!(live() <= 2, "{} socket clones held", live());
+        let frame = hello(server.local_addr());
+        assert_eq!(
+            frame.get("server").and_then(Value::as_str),
+            Some("fall-serve")
+        );
+        let threads = server
+            .state
+            .conn_threads
+            .lock()
+            .expect("threads lock")
+            .len();
+        assert!(threads <= 4, "{threads} connection handles held");
+    }
+
+    #[test]
+    fn a_panicking_connection_thread_still_sends_eof() {
+        let server = Server::start(ServerConfig::default()).expect("start");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        // Registered as the accept loop registers a connection: the server
+        // holds a clone, so the thread's own handle closing is not enough.
+        let id = u64::MAX;
+        server
+            .state
+            .conns
+            .lock()
+            .expect("conns lock")
+            .insert(id, stream.try_clone().expect("clone"));
+        let service = Arc::clone(&server.service);
+        let state = Arc::clone(&server.state);
+        let thread = std::thread::spawn(move || {
+            let _end = ConnectionEnd {
+                id,
+                client: service.next_client(),
+                service: &service,
+                state: &state,
+                channels: None,
+                threads: Vec::new(),
+            };
+            let _stream = stream;
+            panic!("request handler panicked");
+        });
+        peer.set_read_timeout(Some(Duration::from_secs(1)))
+            .expect("read timeout");
+        let start = Instant::now();
+        let read = peer.read(&mut [0u8; 1]);
+        assert!(matches!(read, Ok(0)), "expected EOF, got {read:?}");
+        assert!(start.elapsed() < Duration::from_secs(1));
+        assert!(thread.join().is_err(), "the thread panicked");
+        assert!(!server
+            .state
+            .conns
+            .lock()
+            .expect("conns lock")
+            .contains_key(&id));
     }
 }
