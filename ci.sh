@@ -10,9 +10,12 @@
 #                  cone_encodings_built) plus a pipes-mode fall-dist farm
 #                  smoke (clean 2-worker run and a crash-requeue run, gating the
 #                  dist_* counters and the dist_worker_stats_reports
-#                  telemetry count), a paper-scale TTLock FALL attack on des
-#                  (m = 64; gating fall_des_h0_unique_correct_key and
-#                  fall_des_h0_comparators = 64), a paper-scale SFLL-HD m/3
+#                  telemetry count), paper-scale TTLock FALL attacks on des
+#                  (m = 64; gating fall_des_h0_unique_correct_key,
+#                  fall_des_h0_comparators = 64 and fall_des_h0_sat_solves)
+#                  and on apex4 (m = 10; gating
+#                  fall_apex4_h0_unique_correct_key and
+#                  fall_apex4_h0_sat_solves = 0), a paper-scale SFLL-HD m/3
 #                  FALL attack on c432 (gating the fall_c432_m3_* key, solve
 #                  and conflict counters) and a flight-recorder-armed SAT attack
 #                  (gating the trace_* span counts and exporting the Chrome
@@ -126,6 +129,17 @@ cargo test --offline --locked -q -p sat --lib
 # re-run explicitly so a failure is attributed to the session's verdicts.
 echo "==> cargo test --offline --locked -q -p fall --lib stripper_verdicts"
 cargo test --offline --locked -q -p fall --lib stripper_verdicts
+
+# The cube-proposal correctness story: one sweep of every assignment of a
+# support of up to 12 inputs must decide each node at each h exactly as its
+# brute-force truth table does (seeded random netlists plus strippers of
+# every width from 1 to 12, plain and strashed, every h in 0..=m), with no
+# solve and nothing recorded at 2h = m, and agree with the equivalence
+# check; an m = 13 stripper takes the SAT-backed fallback paths.  Also part
+# of the workspace run; re-run explicitly so a failure is attributed to the
+# enumeration.
+echo "==> cargo test --offline --locked -q -p fall --lib enumeration_matches_truth_tables"
+cargo test --offline --locked -q -p fall --lib enumeration_matches_truth_tables
 
 # The prefilter-cache correctness story: the session's cached cofactor
 # verdicts and distance sweep must equal the per-call sweeping reference for

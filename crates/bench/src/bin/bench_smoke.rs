@@ -26,9 +26,11 @@
 //!   `parallel_1w_*` partitioned search reads them from
 //!   `PartitionedSearchResult::solver_stats`), including the 100-generation
 //!   long-lived-session run, the conflicts and arena bytes `fall_h0_*` of
-//!   the h = 0 FALL attack's session, the unique correct key and the
-//!   comparator count `fall_des_h0_*` of a paper-scale TTLock attack (des,
-//!   m = 64), the solves and conflicts
+//!   the h = 0 FALL attack's session, the unique correct key, the
+//!   comparator count and the solves `fall_des_h0_*` of a paper-scale
+//!   TTLock attack (des, m = 64), the unique correct key and the solves
+//!   `fall_apex4_h0_*` of a paper-scale TTLock attack (apex4, m = 10), the
+//!   solves and conflicts
 //!   `fall_c432_m3_*` of a paper-scale SFLL-HD m/3 attack (c432, m = 36,
 //!   h = 12) and its unique correct key, the flight-recorder span counts
 //!   `trace_*` from the traced single SAT attack, and the farm
@@ -382,10 +384,12 @@ fn measure() -> MetricReport {
         false,
     );
 
-    // ---- Paper-scale TTLock attack ------------------------------------------
+    // ---- Paper-scale TTLock attacks -----------------------------------------
     // des at h = 0 (m = 64), the largest Table I circuit: the structural
     // stage's one-sweep comparator classifier must pair all 64 key inputs,
-    // and the attack must shortlist exactly the correct key.
+    // and the attack must shortlist exactly the correct key.  Each candidate
+    // costs at most one witness solve before the analyses answer from its
+    // verdict, so the session's solves are gated too.
     let des = TABLE1_CIRCUITS
         .iter()
         .find(|spec| spec.name == "des")
@@ -407,8 +411,37 @@ fn measure() -> MetricReport {
         des_result.num_comparators as f64,
         true,
     );
+    report.record(
+        "fall_des_h0_sat_solves",
+        des_session.stats().solves as f64,
+        false,
+    );
     assert!(des_unique_correct, "des h = 0: {des_result:?}");
     assert_eq!(des_result.num_comparators, 64, "des h = 0 comparators");
+    // apex4 at h = 0 (m = 10, about 2 000 candidates): one enumeration sweep
+    // decides every candidate, so the attack makes no solve at all.
+    let apex4 = TABLE1_CIRCUITS
+        .iter()
+        .find(|spec| spec.name == "apex4")
+        .expect("Table I circuit");
+    let apex4_case = LockCase::build(apex4, HdPolicy::Zero, Scale::Paper);
+    let t = Instant::now();
+    let mut apex4_session = AttackSession::new(&apex4_case.locked.locked);
+    let apex4_result = fall_attack_in(&mut apex4_session, None, &FallAttackConfig::for_h(0));
+    report.record("info_fall_apex4_h0_s", t.elapsed().as_secs_f64(), false);
+    let apex4_unique_correct = apex4_result.status == FallStatus::UniqueKey
+        && apex4_result.best_key() == Some(&apex4_case.locked.key);
+    report.record(
+        "fall_apex4_h0_unique_correct_key",
+        f64::from(u8::from(apex4_unique_correct)),
+        true,
+    );
+    report.record(
+        "fall_apex4_h0_sat_solves",
+        apex4_session.stats().solves as f64,
+        false,
+    );
+    assert!(apex4_unique_correct, "apex4 h = 0: {apex4_result:?}");
 
     // ---- Paper-scale SFLL-HD m/3 attack -------------------------------------
     // c432 at h = m/3 (m = 36, h = 12): the cube proposal by simulation

@@ -27,15 +27,18 @@ pub struct FallAttackConfig {
     /// Analyses to run per candidate; `None` selects
     /// [`Analysis::applicable`] for the observed key width.
     ///
-    /// With `None` and the equivalence check on, each candidate at `0 < h`,
-    /// `2h < m` first gets its cube proposed by simulation: a satisfying
-    /// input and its pair flips give the only cube the candidate can be
-    /// `strip_h` of, and the equivalence check decides it (or a simulated
-    /// counterexample rules the candidate out).  The analyses then answer
-    /// from that verdict without a solve, so the shortlist and
-    /// `analyses_used` are what the analyses alone produce.  An explicit
-    /// list runs exactly those analyses, as the per-analysis Figure 5
-    /// series need.
+    /// With `None` and the equivalence check on, each candidate is first
+    /// settled before the analyses run (`m` = its support size): at
+    /// `m <= 12` (`2h != m`) by enumerating its whole truth table, which
+    /// decides it with no solve; at `m > 12` and `h = 0` by one witness
+    /// solve, whose single flips rule the candidate out or leave the
+    /// witness as the only cube it can be; at `m > 12`, `0 < h`, `2h < m`
+    /// by a satisfying input and its pair flips, which give the only cube
+    /// the candidate can be `strip_h` of.  The equivalence check decides a
+    /// proposed cube.  The analyses then answer from that verdict without a
+    /// solve, so the shortlist and `analyses_used` are what the analyses
+    /// alone produce.  An explicit list runs exactly those analyses, as the
+    /// per-analysis Figure 5 series need.
     pub analyses: Option<Vec<Analysis>>,
     /// Verify suspected cubes with combinational equivalence checking
     /// (§ IV-C).  Disabling this is only useful for ablation studies.
@@ -193,10 +196,11 @@ pub fn fall_attack(
 /// `prefilter` counters and `timings` cover this call only.
 ///
 /// With the default analyses and the equivalence check on, each candidate
-/// first gets its cube proposed by simulation and decided by equivalence
-/// (see [`FallAttackConfig::analyses`]); the analyses then answer from that
-/// verdict.  The proposal's simulation counts in `timings.functional`, its
-/// equivalence solve in `timings.equivalence`.
+/// is first settled by enumeration, or gets its cube proposed by
+/// simulation and decided by equivalence (see
+/// [`FallAttackConfig::analyses`]); the analyses then answer from that
+/// verdict.  The proposal's simulation and witness solve count in
+/// `timings.functional`, its equivalence solve in `timings.equivalence`.
 ///
 /// `config.interrupt`, when set, is installed on the session and stays
 /// installed; when unset, the session's own interrupt flag stays in force.
@@ -252,7 +256,7 @@ pub fn fall_attack_in(
         .analyses
         .clone()
         .unwrap_or_else(|| Analysis::applicable(config.h, candidates.key_width()));
-    let propose = config.analyses.is_none() && config.equivalence_check;
+    let propose = config.analyses.is_none() && config.equivalence_check && !analyses.is_empty();
     let mut shortlisted: Vec<Key> = Vec::new();
     let mut analyses_used: Vec<Analysis> = Vec::new();
     'sweep: for &candidate in &candidates.candidates {
@@ -666,7 +670,7 @@ mod stripper_verdicts {
     #[test]
     fn proposal_lockstep_matches_the_analyses_alone() {
         for (locked, lock_h) in &lockings() {
-            for h in 1..=3 {
+            for h in 0..=3 {
                 let label = format!("{} h={h}", locked.locked.name());
                 // The proposal runs: every analysis left to its defaults.
                 let mut session = AttackSession::new(&locked.locked);
@@ -807,6 +811,63 @@ mod stripper_verdicts {
             let fresh = fresh.expect("a fresh session yields a cube");
             assert!(!candidate_equals_strip(&nl, out, &fresh, h));
         }
+    }
+
+    #[test]
+    fn a_decided_bottom_settles_the_candidate_and_an_interrupted_one_does_not() {
+        // SFLL-HD1 over m = 8, analysed at h = 2 (4h <= m): the stripper's
+        // satisfying inputs lie within distance 2 of each other, so the
+        // distance prefilter passes, and Distance2H's SAT stage finds no
+        // pair at distance 4: a decided ⊥.
+        let original = generate(&RandomCircuitSpec::new("bottom", 12, 3, 80));
+        let locked = SfllHd::new(8, 1)
+            .with_seed(5)
+            .lock(&original)
+            .expect("lock")
+            .optimized();
+        let nl = &locked.locked;
+        let h = 2;
+        let candidates = find_candidates(nl, &find_comparators(nl)).candidates;
+        let mut settled = 0;
+        for &candidate in &candidates {
+            let mut session = AttackSession::new(nl);
+            let solves = session.stats().solves;
+            if distance_2h_in(&mut session, candidate, h).is_some()
+                || session.stats().solves == solves
+            {
+                continue; // a cube, or ⊥ from the prefilter
+            }
+            assert_eq!(
+                session.stripper_verdict(candidate, h),
+                Some(&StripperVerdict::NotStripper)
+            );
+            let solves = session.stats().solves;
+            assert_eq!(sliding_window_in(&mut session, candidate, h), None);
+            assert_eq!(session.stats().solves, solves, "no solve after ⊥");
+            assert_eq!(
+                sliding_window(nl, candidate, h),
+                None,
+                "a fresh session agrees"
+            );
+            settled += 1;
+
+            // Interrupted, the same ⊥ records nothing, and SlidingWindow
+            // solves again once the flag clears.
+            let mut session = AttackSession::new(nl);
+            let flag = Arc::new(AtomicBool::new(true));
+            session.set_interrupt(Some(Arc::clone(&flag)));
+            assert_eq!(distance_2h_in(&mut session, candidate, h), None);
+            assert_eq!(session.stripper_verdict(candidate, h), None);
+            flag.store(false, Ordering::Relaxed);
+            let solves = session.stats().solves;
+            assert_eq!(sliding_window_in(&mut session, candidate, h), None);
+            assert!(session.stats().solves > solves, "SlidingWindow solved");
+        }
+        assert!(
+            settled > 0,
+            "no decided ⊥ among {} candidates",
+            candidates.len()
+        );
     }
 
     #[test]

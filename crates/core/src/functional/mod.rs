@@ -16,7 +16,7 @@ mod unateness;
 pub use distance_2h::{distance_2h, distance_2h_in};
 pub(crate) use prefilter::Prefilter;
 pub use prefilter::PrefilterStats;
-pub(crate) use propose::propose_cube_in;
+pub(crate) use propose::{propose_cube_in, Enumeration};
 pub use sliding_window::{sliding_window, sliding_window_in};
 pub use unateness::{analyze_unateness, analyze_unateness_in};
 
@@ -62,8 +62,9 @@ impl Analysis {
 
     /// Whether the analysis is complete for a candidate with `m` support
     /// inputs: on a true `strip_h(k)` it returns exactly `k` (Lemma 1 at
-    /// `h = 0`, Lemmas 2 and 3 at `2h < m`, Algorithm 3 at `4h <= m`).
-    /// Only complete analyses read and record the session's stripper
+    /// `h = 0`, Lemmas 2 and 3 at `2h < m`, Algorithm 3 at `4h <= m`).  So
+    /// at `2h != m` its decided ⊥ means the candidate is `strip_h` of no
+    /// cube.  Only complete analyses read and record the session's stripper
     /// verdicts ([`crate::session::AttackSession::settle_cube`]).
     pub(crate) fn is_complete(self, h: usize, m: usize) -> bool {
         match self {

@@ -32,11 +32,13 @@ pub fn sliding_window(netlist: &Netlist, candidate: NodeId, h: usize) -> Option<
 /// At `2h < m` (`m` = the candidate's support size) the analysis is
 /// complete and runs through the session's stripper verdicts: once the
 /// equivalence check ([`crate::equivalence::candidate_equals_strip_in`])
-/// has proved the candidate to be `strip_h` of a cube, the answer is that
-/// cube (Lemmas 2 and 3) without a solve, and once it has refuted the cube
-/// another complete analysis suspected, the answer is ⊥.  The word-parallel
-/// prefilter runs first either way, so the prefilter counters do not depend
-/// on the verdicts.
+/// or the cube proposal's enumeration has proved the candidate to be
+/// `strip_h` of a cube, the answer is that cube (Lemmas 2 and 3) without a
+/// solve, and once the candidate is known to be `strip_h` of no cube (a
+/// refuted suspect, a simulated counterexample, or another complete
+/// analysis's decided ⊥), the answer is ⊥.  Its own decided ⊥ is recorded
+/// the same way.  The word-parallel prefilter runs first either way, so
+/// the prefilter counters do not depend on the verdicts.
 pub fn sliding_window_in(
     session: &mut AttackSession<'_>,
     candidate: NodeId,

@@ -39,12 +39,15 @@ pub fn analyze_unateness(netlist: &Netlist, candidate: NodeId) -> Option<CubeAss
 ///
 /// The analysis is complete for `strip_0` (the cube itself) and runs
 /// through the session's stripper verdicts at `h = 0`: once the equivalence
-/// check ([`crate::equivalence::candidate_equals_strip_in`]) has proved the
-/// candidate to be `strip_0` of a cube, the answer is that cube (Lemma 1)
-/// without a solve, and once it has refuted the cube another complete
-/// analysis suspected, the answer is ⊥.  The word-parallel prefilter runs
-/// first either way, so the prefilter counters do not depend on the
-/// verdicts.  An undecided (interrupted) cofactor query yields ⊥.
+/// check ([`crate::equivalence::candidate_equals_strip_in`]) or the cube
+/// proposal's enumeration has proved the candidate to be `strip_0` of a
+/// cube, the answer is that cube (Lemma 1) without a solve, and once the
+/// candidate is known to be no cube (a refuted suspect, a simulated
+/// counterexample, or another complete analysis's decided ⊥), the answer
+/// is ⊥.  Its own decided ⊥ is recorded the same way.  The word-parallel
+/// prefilter runs first either way, so the prefilter counters do not
+/// depend on the verdicts.  An undecided (interrupted) cofactor query
+/// yields ⊥ and records nothing.
 pub fn analyze_unateness_in(
     session: &mut AttackSession<'_>,
     candidate: NodeId,

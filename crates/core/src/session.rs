@@ -57,8 +57,10 @@
 //!   consults the verdict before its SAT stage and the equivalence check
 //!   before its miter solve, so a candidate whose cube was already proved
 //!   or refuted costs the next analysis no solve at all.  A
-//!   `Stripper` verdict comes only from an equivalence UNSAT; a
-//!   `NotStripper` verdict from a refuted suspect or from a simulated
+//!   `Stripper` verdict comes from an equivalence UNSAT or from the
+//!   candidate's whole truth table (`functional::propose` enumerates
+//!   supports of up to 12 inputs); a `NotStripper` verdict from a refuted
+//!   suspect, from a complete analysis's decided ⊥, or from a simulated
 //!   counterexample to every `strip_h` (`functional::propose`).  Verdicts
 //!   are facts about the netlist, not about any frame, so they outlive
 //!   every predicate generation.
@@ -91,7 +93,7 @@ use sat::{FrameId, Lit, SolveResult, Solver, SolverStats};
 use crate::encode::{
     assumptions_for, instantiate, instantiate_sharing_inputs, model_key, model_values, CircuitCopy,
 };
-use crate::functional::{Analysis, CubeAssignment, Prefilter, PrefilterStats};
+use crate::functional::{Analysis, CubeAssignment, Enumeration, Prefilter, PrefilterStats};
 use crate::structural::{candidates_over, comparators_over, CandidateNodes, Comparator};
 
 /// The flight-recorder phase name of a solver maintenance checkpoint.
@@ -176,17 +178,19 @@ fn maybe_simplify(solver: &mut Solver, clauses_at_last_simplify: &mut usize) {
 pub(crate) enum StripperVerdict {
     /// A complete analysis (one that returns exactly `k` on a true
     /// `strip_h(k)`, see [`crate::functional::Analysis::is_complete`])
-    /// returned this cube, or simulation proposed it (`functional::propose`,
-    /// which also recovers exactly `k` on a true `strip_h(k)`): the
-    /// candidate is `strip_h` of this cube or of none.
+    /// returned this cube, or `functional::propose` proposed it from a
+    /// witness and its flips (which also recovers exactly `k` on a true
+    /// `strip_h(k)`): the candidate is `strip_h` of this cube or of none.
     Suspect(CubeAssignment),
-    /// The equivalence check proved the candidate computes `strip_h` of
-    /// this cube.  Only an equivalence UNSAT records this verdict.
+    /// The candidate computes `strip_h` of this cube: the equivalence check
+    /// proved it (an UNSAT), or `functional::propose` read it off the
+    /// candidate's complete truth table over a support of at most 12
+    /// inputs.
     Stripper(CubeAssignment),
     /// The candidate is `strip_h` of no cube: the equivalence check refuted
-    /// the [`StripperVerdict::Suspect`] cube, or simulation found an exact
-    /// counterexample (satisfying patterns that no radius-`h` sphere
-    /// contains, see `functional::propose`).
+    /// the [`StripperVerdict::Suspect`] cube, a complete analysis's SAT
+    /// stage decided ⊥, or simulation found an exact counterexample (an
+    /// on-set that is no radius-`h` sphere, see `functional::propose`).
     NotStripper,
 }
 
@@ -293,6 +297,9 @@ pub struct AttackSession<'n> {
     /// The analysis prefilters' sweep cache and counters, allocated on first
     /// use ([`AttackSession::prefilter`]).
     prefilter: Option<Prefilter<'n>>,
+    /// Every node's truth table over the last support the cube proposal
+    /// enumerated ([`AttackSession::enumeration`]).
+    enumeration: Option<Enumeration>,
     /// Stripper verdicts keyed by `(candidate, h)`.
     verdicts: BTreeMap<(NodeId, usize), StripperVerdict>,
     /// Decided SAT-stage answers of the analyses, keyed by
@@ -326,6 +333,7 @@ impl<'n> AttackSession<'n> {
             full_encodings: 0,
             clauses_at_last_simplify: 0,
             prefilter: None,
+            enumeration: None,
             verdicts: BTreeMap::new(),
             answers: BTreeMap::new(),
             cone_unknowns: 0,
@@ -411,6 +419,23 @@ impl<'n> AttackSession<'n> {
         let netlist = self.netlist;
         self.prefilter
             .get_or_insert_with(|| Prefilter::new(netlist, DEFAULT_WIDE_WORDS))
+    }
+
+    /// Every node's truth table over the input positions `positions` (at
+    /// most 12), from one simulation sweep of every assignment.  The sweep
+    /// is kept until a different support is asked for: every candidate of
+    /// an attack has the same support, so one sweep serves them all.  It
+    /// counts nothing in [`PrefilterStats`].
+    pub(crate) fn enumeration(&mut self, positions: &[usize]) -> &Enumeration {
+        let netlist = self.netlist;
+        if self
+            .enumeration
+            .as_ref()
+            .is_none_or(|enumeration| enumeration.positions() != positions)
+        {
+            self.enumeration = Some(Enumeration::run(netlist, positions));
+        }
+        self.enumeration.as_ref().expect("just built")
     }
 
     /// Prefilter decision counters accumulated by every analysis that ran
@@ -1069,9 +1094,12 @@ impl<'n> AttackSession<'n> {
     /// analysis found would fail the equivalence check.  Otherwise the
     /// answer this analysis gave the candidate at `h` before is returned, or
     /// `extract` runs; its answer is kept unless one of its solves came back
-    /// [`SolveResult::Unknown`], and a cube a complete analysis returns is
-    /// recorded as the [`StripperVerdict::Suspect`].  `extract` must return
-    /// ⊥ whenever one of its solves came back [`SolveResult::Unknown`].
+    /// [`SolveResult::Unknown`].  When `2h != m`, a complete analysis's
+    /// decided answer is also a verdict: a cube is recorded as the
+    /// [`StripperVerdict::Suspect`], and ⊥ as
+    /// [`StripperVerdict::NotStripper`] (a true `strip_h(k)` would have
+    /// given `k`), which replaces a suspect.  `extract` must return ⊥
+    /// whenever one of its solves came back [`SolveResult::Unknown`].
     ///
     /// One attack pass asks each (candidate, `h`, analysis) once, so the
     /// kept answers only serve later passes on the same session.
@@ -1097,30 +1125,42 @@ impl<'n> AttackSession<'n> {
         }
         let unknowns = self.cone_unknowns;
         let answer = extract(self);
-        if self.cone_unknowns == unknowns {
+        let decided = self.cone_unknowns == unknowns;
+        if decided {
             self.answers.insert(key, answer.clone());
         }
-        let cube = answer?;
-        if complete && 2 * h != cube.len() {
-            self.verdicts
-                .entry((candidate, h))
-                .or_insert_with(|| StripperVerdict::Suspect(cube.clone()));
+        if complete && 2 * h != m {
+            match &answer {
+                Some(cube) => {
+                    self.verdicts
+                        .entry((candidate, h))
+                        .or_insert_with(|| StripperVerdict::Suspect(cube.clone()));
+                }
+                // A proven stripper never reaches `extract`, so this
+                // replaces at most a suspect.
+                None if decided => {
+                    self.verdicts
+                        .insert((candidate, h), StripperVerdict::NotStripper);
+                }
+                None => {}
+            }
         }
-        Some(cube)
+        answer
     }
 
-    /// Records what simulation concluded about `candidate` at `h` before
-    /// any analysis ran (`functional::propose`): the
-    /// [`StripperVerdict::Suspect`] cube, or a
+    /// Records what `functional::propose` concluded about `candidate` at
+    /// `h` before any analysis ran: a [`StripperVerdict::Stripper`] or
+    /// [`StripperVerdict::NotStripper`] read off its complete truth table,
+    /// the [`StripperVerdict::Suspect`] cube, or a
     /// [`StripperVerdict::NotStripper`] backed by a simulated
-    /// counterexample.  An existing verdict stays.
+    /// counterexample or a witness solve's UNSAT.  An existing verdict
+    /// stays.
     pub(crate) fn record_proposal(
         &mut self,
         candidate: NodeId,
         h: usize,
         verdict: StripperVerdict,
     ) {
-        debug_assert!(!matches!(verdict, StripperVerdict::Stripper(_)));
         self.verdicts.entry((candidate, h)).or_insert(verdict);
     }
 

@@ -458,8 +458,10 @@ mod tests {
         use locking::{LockingScheme, SfllHd};
         use netlist::random::{generate, RandomCircuitSpec};
 
-        let original = generate(&RandomCircuitSpec::new("trace_fall", 14, 3, 90));
-        let locked = SfllHd::new(10, 1)
+        // m = 14: the cube proposal enumerates supports of up to 12 inputs
+        // without a solve, so a narrower lock would record none.
+        let original = generate(&RandomCircuitSpec::new("trace_fall", 18, 3, 120));
+        let locked = SfllHd::new(14, 1)
             .with_seed(8)
             .lock(&original)
             .expect("lock")
