@@ -85,6 +85,11 @@ cargo check --release --offline --locked --manifest-path perfbench/Cargo.toml \
 if [ "$quick" -eq 0 ]; then
     echo "==> cargo build --offline --locked --release"
     cargo build --offline --locked --release
+    # One walkthrough is also run, not only built: it stops an SFLL SAT
+    # attack by raising the session's interrupt flag from the oracle's
+    # 100th answer, then confirms a FALL shortlist (about a second).
+    echo "==> cargo run --offline --locked --release --example sat_attack_baseline"
+    cargo run --offline --locked --release --example sat_attack_baseline
 fi
 
 echo "==> cargo test --offline --locked -q --workspace"
@@ -123,10 +128,10 @@ cargo test --offline --locked -q -p sat --lib
 # The stripper-verdict correctness story: fall_attack's shortlist, status,
 # analyses_used and prefilter counters must equal a sweep that runs every
 # analysis and equivalence check on a fresh session (seeded TTLock/SFLL-HDh
-# netlists x h, with and without the equivalence check), a proven or refuted
-# candidate must answer with zero extra solves, and nothing may be recorded
-# at 2h = m or from an interrupted solve.  Also part of the workspace run;
-# re-run explicitly so a failure is attributed to the session's verdicts.
+# netlists x h), a proven or refuted candidate must answer with zero extra
+# solves, and nothing may be recorded at 2h = m or from an interrupted solve.
+# Also part of the workspace run; re-run explicitly so a failure is
+# attributed to the session's verdicts.
 echo "==> cargo test --offline --locked -q -p fall --lib stripper_verdicts"
 cargo test --offline --locked -q -p fall --lib stripper_verdicts
 
@@ -203,8 +208,10 @@ cargo test --offline --locked -q -p fall-bench --test trace_validate
 
 # The stop story: the session interrupt flag is the only way to stop an
 # attack early.  A flag fired by a timer must end the SAT attack as
-# Interrupted; a fired flag, the config's or the session's own, must leave
-# key confirmation and FALL results marked unfinished (completed: false);
+# Interrupted; a flag raised from the oracle's n-th answer must stop the SAT
+# attack and key confirmation after exactly n iterations; a fired flag, the
+# config's or the session's own, must leave key confirmation and FALL
+# results marked unfinished (completed: false);
 # and the bench Runner's per-attack timer must cut a paper-scale c432 h = m/3
 # SlidingWindow run at its 500 ms budget without counting it as a defeat.
 # Also part of the workspace run; re-run explicitly so a failure is

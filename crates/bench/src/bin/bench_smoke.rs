@@ -48,11 +48,11 @@ use std::time::Instant;
 
 use fall::attack::{fall_attack, fall_attack_in, FallAttackConfig, FallStatus};
 use fall::functional::PrefilterStats;
-use fall::key_confirmation::{key_confirmation_in, KeyConfirmationConfig};
+use fall::key_confirmation::key_confirmation_in;
 use fall::metrics::MetricReport;
 use fall::oracle::{CountingOracle, SimOracle};
 use fall::parallel::partitioned_key_search;
-use fall::sat_attack::{sat_attack, SatAttackConfig};
+use fall::sat_attack::sat_attack;
 use fall::session::AttackSession;
 use fall_bench::{regressions_against, HdPolicy, LockCase, Scale, TABLE1_CIRCUITS};
 use fall_serve::protocol::MetricJson;
@@ -116,13 +116,12 @@ fn measure() -> MetricReport {
     let case = LockCase::build(&TABLE1_CIRCUITS[0], HdPolicy::Zero, Scale::Scaled);
     let locked = &case.locked.locked;
     let oracle = SimOracle::new(case.locked.original.clone());
-    let config = KeyConfirmationConfig::default();
 
     let cone = KeyCone::of(locked);
     report.record("key_cone_gates", cone.num_gates() as f64, false);
 
     let t = Instant::now();
-    let search = partitioned_key_search(locked, &oracle, PARTITION_BITS, &config);
+    let search = partitioned_key_search(locked, &oracle, PARTITION_BITS);
     report.record(
         "info_partitioned_search_s",
         t.elapsed().as_secs_f64(),
@@ -160,7 +159,7 @@ fn measure() -> MetricReport {
     // The session rebinds ϕ per region, so the circuit is encoded once
     // (deterministic: the session is primed before the first region).
     let t = Instant::now();
-    let wide = partitioned_key_search(locked, &oracle, WIDE_PARTITION_BITS, &config);
+    let wide = partitioned_key_search(locked, &oracle, WIDE_PARTITION_BITS);
     report.record(
         "info_partitioned_8regions_s",
         t.elapsed().as_secs_f64(),
@@ -200,7 +199,7 @@ fn measure() -> MetricReport {
         } else {
             vec![ll_locked.key.complement()]
         };
-        let result = key_confirmation_in(&mut ll_session, &ll_oracle, &shortlist, &config);
+        let result = key_confirmation_in(&mut ll_session, &ll_oracle, &shortlist);
         assert!(
             result.completed && result.key.is_some() == (generation % 2 == 0),
             "long-lived generation {generation}"
@@ -245,8 +244,8 @@ fn measure() -> MetricReport {
         let counting = CountingOracle::new(oracle.clone());
         let shortlist = [case.locked.key.complement(), case.locked.key.clone()];
         let mut session = AttackSession::new(locked);
-        let cold = key_confirmation_in(&mut session, &counting, &shortlist, &config);
-        let warm = key_confirmation_in(&mut session, &counting, &shortlist, &config);
+        let cold = key_confirmation_in(&mut session, &counting, &shortlist);
+        let warm = key_confirmation_in(&mut session, &counting, &shortlist);
         assert!(
             cold.key == Some(case.locked.key.clone()) && warm.key == cold.key,
             "warm confirmation"
@@ -488,7 +487,7 @@ fn measure() -> MetricReport {
     fall::trace::reset();
     fall::trace::set_enabled(true);
     let t = Instant::now();
-    let single = sat_attack(&pf_locked.locked, &pf_oracle, &SatAttackConfig::default());
+    let single = sat_attack(&pf_locked.locked, &pf_oracle);
     fall::trace::set_enabled(false);
     report.record("info_sat_attack_single_s", t.elapsed().as_secs_f64(), false);
     assert!(single.is_success(), "single sat attack");

@@ -12,9 +12,9 @@ use std::time::{Duration, Instant};
 
 use fall::attack::{fall_attack, FallAttackConfig, FallStatus};
 use fall::functional::Analysis;
-use fall::key_confirmation::{key_confirmation_in, KeyConfirmationConfig};
+use fall::key_confirmation::key_confirmation_in;
 use fall::oracle::SimOracle;
-use fall::sat_attack::{sat_attack_in, SatAttackConfig};
+use fall::sat_attack::sat_attack_in;
 use fall::session::AttackSession;
 use locking::Key;
 
@@ -174,7 +174,7 @@ impl Runner {
         let start = Instant::now();
         let mut session = AttackSession::new(&case.locked.locked);
         session.set_interrupt(Some(timer.flag()));
-        let result = sat_attack_in(&mut session, &oracle, &SatAttackConfig::default());
+        let result = sat_attack_in(&mut session, &oracle);
         let elapsed = start.elapsed();
         drop(timer);
         AttackRecord {
@@ -213,12 +213,7 @@ impl Runner {
         let start = Instant::now();
         let mut session = AttackSession::new(&case.locked.locked);
         session.set_interrupt(Some(timer.flag()));
-        let result = key_confirmation_in(
-            &mut session,
-            &oracle,
-            &shortlist,
-            &KeyConfirmationConfig::default(),
-        );
+        let result = key_confirmation_in(&mut session, &oracle, &shortlist);
         let elapsed = start.elapsed();
         drop(timer);
         AttackRecord {

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use fall::oracle::SimOracle;
-use fall::sat_attack::{sat_attack, SatAttackConfig};
+use fall::sat_attack::sat_attack;
 use fall::trace;
 use locking::{LockingScheme, XorLock};
 use netlist::random::{generate, RandomCircuitSpec};
@@ -29,14 +29,14 @@ fn chrome_trace_export_is_structurally_valid() {
 
     // The zero-perturbation contract's observable half: with the recorder
     // off (the default), running an attack records nothing at all.
-    let untraced = sat_attack(&locked.locked, &oracle, &SatAttackConfig::default());
+    let untraced = sat_attack(&locked.locked, &oracle);
     assert!(untraced.is_success());
     assert_eq!(trace::phase_count("dip_iteration"), 0);
     assert!(trace::events().is_empty());
 
     trace::reset();
     trace::set_enabled(true);
-    let result = sat_attack(&locked.locked, &oracle, &SatAttackConfig::default());
+    let result = sat_attack(&locked.locked, &oracle);
     trace::set_enabled(false);
     assert!(result.is_success(), "attack under tracing succeeds");
     assert_eq!(trace::events_dropped(), 0, "ring must not overflow");

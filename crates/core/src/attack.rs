@@ -13,7 +13,7 @@ use crate::functional::{
     analyze_unateness_in, distance_2h_in, propose_cube_in, sliding_window_in, Analysis,
     CubeAssignment, PrefilterStats,
 };
-use crate::key_confirmation::{key_confirmation_in, KeyConfirmationConfig};
+use crate::key_confirmation::key_confirmation_in;
 use crate::oracle::Oracle;
 use crate::session::AttackSession;
 use crate::structural::CandidateNodes;
@@ -27,24 +27,20 @@ pub struct FallAttackConfig {
     /// Analyses to run per candidate; `None` selects
     /// [`Analysis::applicable`] for the observed key width.
     ///
-    /// With `None` and the equivalence check on, each candidate is first
-    /// settled before the analyses run (`m` = its support size): at
-    /// `m <= 12` (`2h != m`) by enumerating its whole truth table, which
-    /// decides it with no solve; at `m > 12` and `h = 0` by one witness
-    /// solve, whose single flips rule the candidate out or leave the
-    /// witness as the only cube it can be; at `m > 12`, `0 < h`, `2h < m`
-    /// by a satisfying input and its pair flips, which give the only cube
-    /// the candidate can be `strip_h` of.  The equivalence check decides a
-    /// proposed cube.  The analyses then answer from that verdict without a
-    /// solve, so the shortlist and `analyses_used` are what the analyses
-    /// alone produce.  An explicit list runs exactly those analyses, as the
-    /// per-analysis Figure 5 series need.
+    /// With `None`, each candidate is first settled before the analyses
+    /// run (`m` = its support size): at `m <= 12` (`2h != m`) by
+    /// enumerating its whole truth table, which decides it with no solve;
+    /// at `m > 12` and `h = 0` by one witness solve, whose single flips
+    /// rule the candidate out or leave the witness as the only cube it can
+    /// be; at `m > 12`, `0 < h`, `2h < m` by a satisfying input and its
+    /// pair flips, which give the only cube the candidate can be `strip_h`
+    /// of.  The equivalence check (§ IV-C) decides a proposed cube, as it
+    /// decides every cube an analysis returns.  The analyses then answer
+    /// from that verdict without a solve, so the shortlist and
+    /// `analyses_used` are what the analyses alone produce.  An explicit
+    /// list runs exactly those analyses, as the per-analysis Figure 5
+    /// series need.
     pub analyses: Option<Vec<Analysis>>,
-    /// Verify suspected cubes with combinational equivalence checking
-    /// (§ IV-C).  Disabling this is only useful for ablation studies.
-    pub equivalence_check: bool,
-    /// Budgets for the optional key-confirmation stage.
-    pub confirmation: KeyConfirmationConfig,
     /// External cancellation flag, installed into the attack's
     /// [`AttackSession`] (see [`AttackSession::set_interrupt`]); the only
     /// way to stop the attack early.  Once it flips to `true`, in-flight
@@ -64,8 +60,6 @@ impl FallAttackConfig {
         FallAttackConfig {
             h,
             analyses: None,
-            equivalence_check: true,
-            confirmation: KeyConfirmationConfig::default(),
             interrupt: None,
         }
     }
@@ -132,8 +126,8 @@ impl StageTimings {
 pub struct FallAttackResult {
     /// How the attack concluded.
     pub status: FallStatus,
-    /// All distinct keys that survived the functional analyses (and the
-    /// equivalence check, when enabled).
+    /// All distinct keys that survived the functional analyses and the
+    /// equivalence check.
     pub shortlisted_keys: Vec<Key>,
     /// The key singled out by key confirmation, when that stage ran.
     pub confirmed_key: Option<Key>,
@@ -195,11 +189,10 @@ pub fn fall_attack(
 /// confirmation history never meets a cone clause.  The result's
 /// `prefilter` counters and `timings` cover this call only.
 ///
-/// With the default analyses and the equivalence check on, each candidate
-/// is first settled by enumeration, or gets its cube proposed by
-/// simulation and decided by equivalence (see
-/// [`FallAttackConfig::analyses`]); the analyses then answer from that
-/// verdict.  The proposal's simulation and witness solve count in
+/// With the default analyses, each candidate is first settled by
+/// enumeration, or gets its cube proposed by simulation and decided by
+/// equivalence (see [`FallAttackConfig::analyses`]); the analyses then
+/// answer from that verdict.  The proposal's simulation and witness solve count in
 /// `timings.functional`, its equivalence solve in `timings.equivalence`.
 ///
 /// `config.interrupt`, when set, is installed on the session and stays
@@ -256,7 +249,7 @@ pub fn fall_attack_in(
         .analyses
         .clone()
         .unwrap_or_else(|| Analysis::applicable(config.h, candidates.key_width()));
-    let propose = config.analyses.is_none() && config.equivalence_check && !analyses.is_empty();
+    let propose = config.analyses.is_none() && !analyses.is_empty();
     let mut shortlisted: Vec<Key> = Vec::new();
     let mut analyses_used: Vec<Analysis> = Vec::new();
     'sweep: for &candidate in &candidates.candidates {
@@ -279,13 +272,11 @@ pub fn fall_attack_in(
             let cube = run_analysis(session, candidate, analysis, config.h);
             timings.functional += t.elapsed();
             let Some(cube) = cube else { continue };
-            if config.equivalence_check {
-                let t = Instant::now();
-                let equivalent = candidate_equals_strip_in(session, candidate, &cube, config.h);
-                timings.equivalence += t.elapsed();
-                if !equivalent {
-                    continue;
-                }
+            let t = Instant::now();
+            let equivalent = candidate_equals_strip_in(session, candidate, &cube, config.h);
+            timings.equivalence += t.elapsed();
+            if !equivalent {
+                continue;
             }
             let Some(key) = cube_to_key(locked, &candidates, &cube) else {
                 continue;
@@ -311,12 +302,7 @@ pub fn fall_attack_in(
             None => result.status = FallStatus::MultipleKeys,
             Some(oracle) => {
                 let t = Instant::now();
-                let confirmation = key_confirmation_in(
-                    session,
-                    oracle,
-                    &result.shortlisted_keys,
-                    &config.confirmation,
-                );
+                let confirmation = key_confirmation_in(session, oracle, &result.shortlisted_keys);
                 result.timings.confirmation = t.elapsed();
                 result.completed = confirmation.completed;
                 match confirmation.key {
@@ -375,6 +361,7 @@ mod tests {
     use super::*;
     use crate::oracle::SimOracle;
     use locking::{LockingScheme, SfllHd, TtLock, XorLock};
+    use netlist::hamming::hamming_distance_equals_const;
     use netlist::random::{generate, RandomCircuitSpec};
 
     fn original(name: &str) -> Netlist {
@@ -429,23 +416,49 @@ mod tests {
         }
     }
 
-    #[test]
-    fn key_confirmation_resolves_ambiguity() {
-        // Without the equivalence check, spurious cubes can survive; with an
-        // oracle the confirmation stage must still recover the correct key.
-        let original = original("fa_confirm");
-        let locked = SfllHd::new(9, 1)
+    /// A TTLock'd circuit with one extra output `HD(protected inputs, k',
+    /// 0)` in both the locked netlist and the oracle, `k'` the complement
+    /// of the lock's key: two equivalence-proven strippers, so FALL
+    /// shortlists two keys and only key confirmation can pick the lock's.
+    fn two_stripper_lock() -> (Netlist, SimOracle, Key) {
+        let locked = TtLock::new(10)
             .with_seed(77)
-            .lock(&original)
+            .lock(&original("fa_confirm"))
             .expect("lock")
             .optimized();
-        let oracle = SimOracle::new(locked.original.clone());
-        let mut config = FallAttackConfig::for_h(1);
-        config.equivalence_check = false;
-        let result = fall_attack(&locked.locked, Some(&oracle), &config);
-        assert!(result.status.is_success(), "{result:?}");
-        let best = result.best_key().expect("a key was produced");
-        assert!(locked.key_is_functionally_correct(best, 256, 9));
+        let decoy = locked.key.complement();
+        let (mut netlist, mut oracle) = (locked.locked, locked.original);
+        for nl in [&mut netlist, &mut oracle] {
+            let xs: Vec<NodeId> = locked
+                .protected_inputs
+                .iter()
+                .map(|name| nl.lookup(name).expect("protected input"))
+                .collect();
+            let out = hamming_distance_equals_const(nl, &xs, decoy.bits(), 0);
+            nl.add_output("decoy", out);
+        }
+        (netlist, SimOracle::new(oracle), locked.key)
+    }
+
+    #[test]
+    fn key_confirmation_resolves_ambiguity() {
+        let (locked, oracle, key) = two_stripper_lock();
+        let config = FallAttackConfig::for_h(0);
+        let oracle_less = fall_attack(&locked, None, &config);
+        assert_eq!(
+            oracle_less.status,
+            FallStatus::MultipleKeys,
+            "{oracle_less:?}"
+        );
+        assert_eq!(oracle_less.shortlisted_keys.len(), 2, "{oracle_less:?}");
+        assert!(oracle_less.shortlisted_keys.contains(&key));
+        assert!(oracle_less.shortlisted_keys.contains(&key.complement()));
+
+        let result = fall_attack(&locked, Some(&oracle), &config);
+        assert_eq!(result.status, FallStatus::ConfirmedKey, "{result:?}");
+        assert!(result.completed, "{result:?}");
+        assert_eq!(result.confirmed_key.as_ref(), Some(&key));
+        assert_eq!(result.best_key(), Some(&key));
     }
 
     #[test]
@@ -472,18 +485,11 @@ mod tests {
 
     #[test]
     fn a_fired_interrupt_skips_the_analyses_and_confirmation() {
-        // The `key_confirmation_resolves_ambiguity` instance: uninterrupted,
-        // it shortlists several keys and runs key confirmation.
-        let original = original("fa_confirm");
-        let locked = SfllHd::new(9, 1)
-            .with_seed(77)
-            .lock(&original)
-            .expect("lock")
-            .optimized();
-        let oracle = SimOracle::new(locked.original.clone());
-        let mut config = FallAttackConfig::for_h(1);
-        config.equivalence_check = false;
-        let uninterrupted = fall_attack(&locked.locked, Some(&oracle), &config);
+        // Uninterrupted, this lock shortlists two keys and runs key
+        // confirmation (`key_confirmation_resolves_ambiguity`).
+        let (locked, oracle, _) = two_stripper_lock();
+        let mut config = FallAttackConfig::for_h(0);
+        let uninterrupted = fall_attack(&locked, Some(&oracle), &config);
         assert_eq!(
             uninterrupted.status,
             FallStatus::ConfirmedKey,
@@ -494,7 +500,7 @@ mod tests {
         config.interrupt = Some(std::sync::Arc::new(std::sync::atomic::AtomicBool::new(
             true,
         )));
-        let result = fall_attack(&locked.locked, Some(&oracle), &config);
+        let result = fall_attack(&locked, Some(&oracle), &config);
         assert!(result.num_candidates > 0, "{result:?}");
         assert_eq!(result.status, FallStatus::NoKeysFound, "{result:?}");
         assert!(!result.completed, "{result:?}");
@@ -567,7 +573,7 @@ mod stripper_verdicts {
 
     /// `fall_attack`'s oracle-less sweep with every analysis call and every
     /// equivalence check on a fresh session, so no verdict is ever shared.
-    fn fresh_session_sweep(locked: &Netlist, h: usize, equivalence_check: bool) -> Outcome {
+    fn fresh_session_sweep(locked: &Netlist, h: usize) -> Outcome {
         let candidates = find_candidates(locked, &find_comparators(locked));
         let mut prefilter = PrefilterStats::default();
         if candidates.candidates.is_empty()
@@ -583,7 +589,7 @@ mod stripper_verdicts {
                 let cube = run_analysis(&mut session, candidate, analysis, h);
                 prefilter.merge(&session.prefilter_stats());
                 let Some(cube) = cube else { continue };
-                if equivalence_check && !candidate_equals_strip(locked, candidate, &cube, h) {
+                if !candidate_equals_strip(locked, candidate, &cube, h) {
                     continue;
                 }
                 let Some(key) = cube_to_key(locked, &candidates, &cube) else {
@@ -629,39 +635,32 @@ mod stripper_verdicts {
             // Every h, not only the lock's own: a wrong h makes the true
             // stripper a non-stripper for the analyses and the check.
             for h in 0..=3 {
-                for equivalence_check in [true, false] {
-                    let mut config = FallAttackConfig::for_h(h);
-                    config.equivalence_check = equivalence_check;
-                    let result = fall_attack(&locked.locked, None, &config);
-                    let got = (
-                        result.status,
-                        result.shortlisted_keys.clone(),
-                        result.analyses_used.clone(),
-                        result.prefilter.polarities_refuted,
-                        result.prefilter.candidates_refuted,
-                    );
-                    let (status, shortlist, used, fresh) =
-                        fresh_session_sweep(&locked.locked, h, equivalence_check);
-                    let want = (
-                        status,
-                        shortlist,
-                        used,
-                        fresh.polarities_refuted,
-                        fresh.candidates_refuted,
-                    );
-                    let label = format!("{} h={h} eq={equivalence_check}", locked.locked.name());
-                    assert_eq!(got, want, "{label}");
-                    // The shared session reuses its prefilter sweeps, so it
-                    // runs at most what the fresh sessions ran in total.
-                    assert!(result.prefilter.sweeps <= fresh.sweeps, "{label}");
-                    assert!(
-                        result.prefilter.patterns_simulated <= fresh.patterns_simulated,
-                        "{label}"
-                    );
-                    strippers_found += usize::from(
-                        equivalence_check && result.shortlisted_keys.contains(&locked.key),
-                    );
-                }
+                let result = fall_attack(&locked.locked, None, &FallAttackConfig::for_h(h));
+                let got = (
+                    result.status,
+                    result.shortlisted_keys.clone(),
+                    result.analyses_used.clone(),
+                    result.prefilter.polarities_refuted,
+                    result.prefilter.candidates_refuted,
+                );
+                let (status, shortlist, used, fresh) = fresh_session_sweep(&locked.locked, h);
+                let want = (
+                    status,
+                    shortlist,
+                    used,
+                    fresh.polarities_refuted,
+                    fresh.candidates_refuted,
+                );
+                let label = format!("{} h={h}", locked.locked.name());
+                assert_eq!(got, want, "{label}");
+                // The shared session reuses its prefilter sweeps, so it
+                // runs at most what the fresh sessions ran in total.
+                assert!(result.prefilter.sweeps <= fresh.sweeps, "{label}");
+                assert!(
+                    result.prefilter.patterns_simulated <= fresh.patterns_simulated,
+                    "{label}"
+                );
+                strippers_found += usize::from(result.shortlisted_keys.contains(&locked.key));
             }
         }
         assert!(strippers_found >= lockings.len(), "{strippers_found}");
@@ -675,7 +674,7 @@ mod stripper_verdicts {
                 // The proposal runs: every analysis left to its defaults.
                 let mut session = AttackSession::new(&locked.locked);
                 let proposed = fall_attack_in(&mut session, None, &FallAttackConfig::for_h(h));
-                let (status, shortlist, used, _) = fresh_session_sweep(&locked.locked, h, true);
+                let (status, shortlist, used, _) = fresh_session_sweep(&locked.locked, h);
                 assert_eq!(
                     (
                         proposed.status,
@@ -934,7 +933,6 @@ mod stripper_verdicts {
 #[cfg(test)]
 mod warm_session {
     use super::*;
-    use crate::key_confirmation::KeyConfirmationConfig;
     use crate::oracle::SimOracle;
     use crate::structural::{find_candidates, find_comparators, Comparator};
     use locking::{LockedCircuit, LockingScheme, SfllHd, TtLock};
@@ -1048,12 +1046,7 @@ mod warm_session {
                 Key::new(vec![true; locked.key.len()]),
             ];
             let confirm = |session: &mut AttackSession<'_>| {
-                let result = key_confirmation_in(
-                    session,
-                    &oracle,
-                    &shortlist,
-                    &KeyConfirmationConfig::default(),
-                );
+                let result = key_confirmation_in(session, &oracle, &shortlist);
                 (result.key, result.iterations)
             };
             let mut plain = AttackSession::new(&locked.locked);

@@ -16,33 +16,15 @@ use sat::{Lit, SolveResult, Solver};
 use crate::oracle::Oracle;
 use crate::session::AttackSession;
 
-/// Configuration for key confirmation.
-///
-/// A wall-clock budget is not part of the configuration: the caller owns
-/// its clock and raises the session's interrupt flag
-/// ([`AttackSession::set_interrupt`]) when the budget runs out, which ends
-/// the run unfinished (`completed: false`).
-#[derive(Clone, Debug)]
-pub struct KeyConfirmationConfig {
-    /// Abort after this many distinguishing-input iterations.
-    pub max_iterations: usize,
-}
-
-impl Default for KeyConfirmationConfig {
-    fn default() -> KeyConfirmationConfig {
-        KeyConfirmationConfig {
-            max_iterations: 100_000,
-        }
-    }
-}
-
 /// The outcome of a key-confirmation run.
 #[derive(Clone, Debug)]
 pub struct KeyConfirmationResult {
     /// The confirmed key, or `None` (⊥) if no shortlisted key is correct.
     pub key: Option<Key>,
-    /// `true` if the run finished (either way) before its iteration cap or
-    /// the session's interrupt flag stopped it.
+    /// `true` if the run finished (either way); `false` if the session's
+    /// interrupt flag ([`AttackSession::set_interrupt`]) stopped it first.
+    /// The flag is the only way to stop a run early: the caller owns the
+    /// clock and raises it when its budget runs out.
     pub completed: bool,
     /// Number of distinguishing-input iterations performed; each issued
     /// exactly one oracle query.
@@ -65,10 +47,9 @@ pub fn key_confirmation(
     locked: &Netlist,
     oracle: &dyn Oracle,
     suspected_keys: &[Key],
-    config: &KeyConfirmationConfig,
 ) -> KeyConfirmationResult {
     let mut session = AttackSession::new(locked);
-    key_confirmation_in(&mut session, oracle, suspected_keys, config)
+    key_confirmation_in(&mut session, oracle, suspected_keys)
 }
 
 /// Runs key confirmation over a shortlist through an existing session (see
@@ -82,7 +63,6 @@ pub fn key_confirmation_in(
     session: &mut AttackSession<'_>,
     oracle: &dyn Oracle,
     suspected_keys: &[Key],
-    config: &KeyConfirmationConfig,
 ) -> KeyConfirmationResult {
     assert!(!suspected_keys.is_empty(), "shortlist must not be empty");
     for key in suspected_keys {
@@ -92,7 +72,7 @@ pub fn key_confirmation_in(
             "suspected key width does not match the circuit"
         );
     }
-    key_confirmation_with_predicate_in(session, oracle, config, |solver, key_lits| {
+    key_confirmation_with_predicate_in(session, oracle, |solver, key_lits| {
         add_shortlist_phi(solver, key_lits, suspected_keys);
     })
 }
@@ -140,7 +120,6 @@ fn add_shortlist_phi(solver: &mut Solver, key_lits: &[Lit], suspected_keys: &[Ke
 pub fn key_confirmation_with_predicate_in<F>(
     session: &mut AttackSession<'_>,
     oracle: &dyn Oracle,
-    config: &KeyConfirmationConfig,
     add_phi: F,
 ) -> KeyConfirmationResult
 where
@@ -156,7 +135,7 @@ where
     let start = Instant::now();
     let _phi_keys = session.begin_predicate();
     session.add_predicate_clauses(add_phi);
-    let result = confirmation_loop(session, oracle, config, start);
+    let result = confirmation_loop(session, oracle, start);
     session.retire_predicate();
     result
 }
@@ -165,22 +144,17 @@ where
 fn confirmation_loop(
     session: &mut AttackSession<'_>,
     oracle: &dyn Oracle,
-    config: &KeyConfirmationConfig,
     start: Instant,
 ) -> KeyConfirmationResult {
     let mut iterations = 0usize;
-    let unfinished = |key: Option<Key>, iterations, elapsed| KeyConfirmationResult {
-        key,
+    let unfinished = |iterations, elapsed| KeyConfirmationResult {
+        key: None,
         completed: false,
         iterations,
         elapsed,
     };
 
     loop {
-        if iterations >= config.max_iterations {
-            return unfinished(None, iterations, start.elapsed());
-        }
-
         // A `confirm_iteration` span covers each round that queries the
         // oracle, so the span count equals `iterations`; the final round's
         // solves are traced only by their own `solve` spans.
@@ -197,7 +171,7 @@ fn confirmation_loop(
                     elapsed: start.elapsed(),
                 };
             }
-            (SolveResult::Unknown, _) => return unfinished(None, iterations, start.elapsed()),
+            (SolveResult::Unknown, _) => return unfinished(iterations, start.elapsed()),
             (SolveResult::Sat, key) => key.expect("sat result carries a key"),
         };
 
@@ -212,7 +186,7 @@ fn confirmation_loop(
                     elapsed: start.elapsed(),
                 };
             }
-            SolveResult::Unknown => return unfinished(None, iterations, start.elapsed()),
+            SolveResult::Unknown => return unfinished(iterations, start.elapsed()),
             SolveResult::Sat => {}
         }
         iterations += 1;
@@ -232,6 +206,7 @@ fn confirmation_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::tests::InterruptAfter;
     use crate::oracle::SimOracle;
     use locking::{LockingScheme, SfllHd, TtLock};
     use netlist::random::{generate, RandomCircuitSpec};
@@ -255,12 +230,7 @@ mod tests {
             locked.key.clone(),
             Key::from_pattern(0x2A5, 10),
         ];
-        let result = key_confirmation(
-            &locked.locked,
-            &oracle,
-            &shortlist,
-            &KeyConfirmationConfig::default(),
-        );
+        let result = key_confirmation(&locked.locked, &oracle, &shortlist);
         assert!(result.completed);
         assert_eq!(result.key, Some(locked.key.clone()));
     }
@@ -273,17 +243,44 @@ mod tests {
         let mut session = AttackSession::new(&locked.locked);
         let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
         session.set_interrupt(Some(std::sync::Arc::clone(&flag)));
-        let config = KeyConfirmationConfig::default();
-        let result = key_confirmation_in(&mut session, &oracle, &shortlist, &config);
+        let result = key_confirmation_in(&mut session, &oracle, &shortlist);
         assert!(!result.completed, "{result:?}");
         assert_eq!(result.key, None);
         assert_eq!(result.iterations, 0);
 
         // Lowering the flag lets the same session finish the run.
         flag.store(false, std::sync::atomic::Ordering::SeqCst);
-        let result = key_confirmation_in(&mut session, &oracle, &shortlist, &config);
+        let result = key_confirmation_in(&mut session, &oracle, &shortlist);
         assert!(result.completed, "{result:?}");
         assert_eq!(result.key, Some(locked.key.clone()));
+    }
+
+    #[test]
+    fn an_oracle_raised_interrupt_stops_the_run_after_exactly_n_queries() {
+        let (original, locked) = locked_sfll(1);
+        let shortlist = vec![
+            locked.key.complement(),
+            Key::zeros(10),
+            locked.key.clone(),
+            Key::from_pattern(0x2A5, 10),
+        ];
+        let full = key_confirmation(
+            &locked.locked,
+            &SimOracle::new(original.clone()),
+            &shortlist,
+        );
+        assert!(full.completed && full.iterations > 2, "{full:?}");
+
+        // Raised on the second answer, the flag stops the run before its
+        // third candidate: the solver checks it before its first decision.
+        let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let oracle = InterruptAfter::new(SimOracle::new(original), 2, std::sync::Arc::clone(&flag));
+        let mut session = AttackSession::new(&locked.locked);
+        session.set_interrupt(Some(flag));
+        let result = key_confirmation_in(&mut session, &oracle, &shortlist);
+        assert!(!result.completed, "{result:?}");
+        assert_eq!(result.key, None);
+        assert_eq!(result.iterations, 2);
     }
 
     #[test]
@@ -291,12 +288,7 @@ mod tests {
         let (original, locked) = locked_sfll(0);
         let oracle = SimOracle::new(original);
         let shortlist = vec![locked.key.complement(), Key::zeros(10)];
-        let result = key_confirmation(
-            &locked.locked,
-            &oracle,
-            &shortlist,
-            &KeyConfirmationConfig::default(),
-        );
+        let result = key_confirmation(&locked.locked, &oracle, &shortlist);
         assert!(result.completed);
         assert_eq!(result.key, None, "wrong guesses must be detected");
     }
@@ -307,12 +299,7 @@ mod tests {
         let locked = TtLock::new(8).with_seed(5).lock(&original).expect("lock");
         let oracle = SimOracle::new(original);
         let shortlist = vec![locked.key.clone(), locked.key.complement()];
-        let result = key_confirmation(
-            &locked.locked,
-            &oracle,
-            &shortlist,
-            &KeyConfirmationConfig::default(),
-        );
+        let result = key_confirmation(&locked.locked, &oracle, &shortlist);
         assert!(result.completed);
         assert_eq!(result.key, Some(locked.key.clone()));
         // Point-function schemes can force many distinguishing inputs, but the
@@ -333,12 +320,7 @@ mod tests {
             .expect("lock");
         let oracle = SimOracle::new(original.clone());
         let mut session = AttackSession::new(&locked.locked);
-        let result = key_confirmation_with_predicate_in(
-            &mut session,
-            &oracle,
-            &KeyConfirmationConfig::default(),
-            |_, _| {},
-        );
+        let result = key_confirmation_with_predicate_in(&mut session, &oracle, |_, _| {});
         assert!(result.completed);
         let key = result.key.expect("key recovered");
         assert!(locked.key_is_functionally_correct(&key, 200, 3));

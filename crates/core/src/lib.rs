@@ -86,11 +86,11 @@ pub mod trace;
 pub mod unlock;
 
 pub use attack::{fall_attack, fall_attack_in, FallAttackConfig, FallAttackResult, FallStatus};
-pub use key_confirmation::{key_confirmation, KeyConfirmationConfig, KeyConfirmationResult};
+pub use key_confirmation::{key_confirmation, KeyConfirmationResult};
 pub use oracle::{CountingOracle, Oracle, SimOracle};
 pub use parallel::{
     drain_regions, partitioned_key_search, AtomicRegionSource, CachingOracle, CancelToken,
     PartitionedSearchResult, RegionDrain, RegionDrainOutcome, RegionSource,
 };
-pub use sat_attack::{sat_attack, SatAttackConfig, SatAttackResult, SatAttackStatus};
+pub use sat_attack::{sat_attack, SatAttackResult, SatAttackStatus};
 pub use session::AttackSession;

@@ -135,11 +135,51 @@ impl<O: Oracle> Oracle for CountingOracle<O> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use locking::{LockingScheme, TtLock};
     use netlist::random::{generate, RandomCircuitSpec};
     use netlist::sim::pattern_to_bits;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+
+    /// Raises an interrupt flag once the wrapped oracle has answered
+    /// `limit` queries.  The solver checks the flag before its first
+    /// decision, so a DIP loop on a session holding the flag stops after
+    /// exactly `limit` iterations.
+    pub(crate) struct InterruptAfter<O> {
+        inner: CountingOracle<O>,
+        limit: usize,
+        flag: Arc<AtomicBool>,
+    }
+
+    impl<O: Oracle> InterruptAfter<O> {
+        pub(crate) fn new(inner: O, limit: usize, flag: Arc<AtomicBool>) -> InterruptAfter<O> {
+            InterruptAfter {
+                inner: CountingOracle::new(inner),
+                limit,
+                flag,
+            }
+        }
+    }
+
+    impl<O: Oracle> Oracle for InterruptAfter<O> {
+        fn query(&self, inputs: &[bool]) -> Vec<bool> {
+            let answer = self.inner.query(inputs);
+            if self.inner.queries() >= self.limit {
+                self.flag.store(true, Ordering::SeqCst);
+            }
+            answer
+        }
+
+        fn num_inputs(&self) -> usize {
+            self.inner.num_inputs()
+        }
+
+        fn num_outputs(&self) -> usize {
+            self.inner.num_outputs()
+        }
+    }
 
     #[test]
     fn sim_oracle_matches_netlist() {

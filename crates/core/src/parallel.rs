@@ -38,7 +38,7 @@ use locking::Key;
 use netlist::Netlist;
 use sat::SolverStats;
 
-use crate::key_confirmation::{key_confirmation_with_predicate_in, KeyConfirmationConfig};
+use crate::key_confirmation::key_confirmation_with_predicate_in;
 use crate::oracle::Oracle;
 use crate::session::AttackSession;
 
@@ -244,11 +244,11 @@ pub enum RegionDrainOutcome {
         /// The confirmed key.
         key: Key,
     },
-    /// A region hit its iteration cap, or the session's interrupt flag
-    /// stopped it, without concluding; the whole run should abort as
-    /// incomplete.
+    /// The session's interrupt flag stopped a region search without
+    /// concluding while the [`CancelToken`] had not fired (the session
+    /// holds a flag of its own); the whole run should abort as incomplete.
     Exhausted {
-        /// The region whose search ran out of budget.
+        /// The region whose search was stopped.
         region: u64,
     },
     /// The shared [`CancelToken`] fired (another worker won, or the caller
@@ -275,7 +275,7 @@ pub struct RegionDrain {
 /// Region `r` constrains key bit `b < partition_bits` to `(r >> b) & 1` —
 /// the §VI-D partition.  `partition_bits` must be below 64.  Completed
 /// keyless regions are acknowledged via [`RegionSource::complete_region`]; a
-/// winner or a budget exhaustion ends the drain immediately (the *caller*
+/// winner or an interrupted region ends the drain immediately (the *caller*
 /// decides whether to cancel the rest of a farm).  The session must already
 /// be primed and must not have a predicate generation in flight.
 pub fn drain_regions(
@@ -283,7 +283,6 @@ pub fn drain_regions(
     oracle: &dyn Oracle,
     source: &dyn RegionSource,
     partition_bits: usize,
-    config: &KeyConfirmationConfig,
     cancel: &CancelToken,
 ) -> RegionDrain {
     let mut iterations = 0;
@@ -298,7 +297,7 @@ pub fn drain_regions(
         regions_searched += 1;
         let _region_span = crate::trace::span("region_drain");
 
-        let result = key_confirmation_with_predicate_in(session, oracle, config, |s, keys| {
+        let result = key_confirmation_with_predicate_in(session, oracle, |s, keys| {
             for (bit, &lit) in keys.iter().enumerate().take(partition_bits) {
                 let value = (region >> bit) & 1 == 1;
                 s.add_clause([if value { lit } else { !lit }]);
@@ -310,8 +309,8 @@ pub fn drain_regions(
             break RegionDrainOutcome::Winner { region, key };
         }
         if !result.completed {
-            // Distinguish "the token fired and interrupted us" from a
-            // genuine budget exhaustion.
+            // Distinguish "the token fired and interrupted us" from the
+            // session's own flag stopping the region.
             if cancel.is_cancelled() {
                 break RegionDrainOutcome::Cancelled;
             }
@@ -333,8 +332,8 @@ pub struct PartitionedSearchResult {
     /// The confirmed key, or `None` if no region contained one.
     pub key: Option<Key>,
     /// `true` if the search finished: either a key was confirmed or every
-    /// region completed (proving no key exists).  `false` when a region hit
-    /// its budgets or the partition was unenumerable.
+    /// region completed (proving no key exists).  `false` when the
+    /// partition was unenumerable.
     pub completed: bool,
     /// Distinguishing-input iterations summed across all regions.
     pub iterations: usize,
@@ -375,7 +374,6 @@ pub fn partitioned_key_search(
     locked: &Netlist,
     oracle: &(dyn Oracle + Sync),
     partition_bits: usize,
-    config: &KeyConfirmationConfig,
 ) -> PartitionedSearchResult {
     let start = Instant::now();
     let partition_bits = partition_bits.min(locked.num_key_inputs());
@@ -400,7 +398,6 @@ pub fn partitioned_key_search(
         &cache,
         &AtomicRegionSource::new(1u64 << partition_bits),
         partition_bits,
-        config,
         &CancelToken::new(),
     );
     let (key, completed) = match drain.outcome {
@@ -487,9 +484,8 @@ mod tests {
             .lock(&original)
             .expect("lock");
         let oracle = SimOracle::new(original);
-        let config = KeyConfirmationConfig::default();
         for requested in [0usize, 2, 3, 5, 10] {
-            let result = partitioned_key_search(&locked.locked, &oracle, requested, &config);
+            let result = partitioned_key_search(&locked.locked, &oracle, requested);
             assert!(result.completed, "p = {requested}");
             let key = result.key.as_ref().expect("key recovered");
             assert!(
@@ -506,12 +502,7 @@ mod tests {
         let unrelated = generate(&RandomCircuitSpec::new("par_none2", 8, 2, 50).with_seed(7));
         let locked = XorLock::new(4).with_seed(3).lock(&original).expect("lock");
         let oracle = SimOracle::new(unrelated);
-        let result = partitioned_key_search(
-            &locked.locked,
-            &oracle,
-            2,
-            &KeyConfirmationConfig::default(),
-        );
+        let result = partitioned_key_search(&locked.locked, &oracle, 2);
         assert!(result.completed);
         assert_eq!(result.key, None);
         assert_eq!(result.regions_searched, 4);
@@ -542,8 +533,7 @@ mod tests {
         let (locked, original) = wide_key_circuit_and_original();
         let oracle = SimOracle::new(original);
         for bits in [64usize, 65, usize::MAX] {
-            let result =
-                partitioned_key_search(&locked, &oracle, bits, &KeyConfirmationConfig::default());
+            let result = partitioned_key_search(&locked, &oracle, bits);
             assert!(!result.completed, "bits {bits}");
             assert_eq!(result.key, None);
             assert_eq!(result.iterations, 0);
@@ -567,12 +557,7 @@ mod tests {
             .find(|locked| locked.key.bits()[..3].iter().all(|&bit| bit))
             .expect("some seed puts the key in the last region");
         let oracle = SimOracle::new(original);
-        let result = partitioned_key_search(
-            &locked.locked,
-            &oracle,
-            3,
-            &KeyConfirmationConfig::default(),
-        );
+        let result = partitioned_key_search(&locked.locked, &oracle, 3);
         assert!(result.completed);
         let key = result.key.as_ref().expect("key recovered");
         assert!(locked.key_is_functionally_correct(key, 200, 4));

@@ -15,26 +15,6 @@ use sat::SolveResult;
 use crate::oracle::Oracle;
 use crate::session::AttackSession;
 
-/// Configuration for the SAT attack.
-///
-/// A wall-clock budget is not part of the configuration: the caller owns
-/// its clock and raises the session's interrupt flag
-/// ([`AttackSession::set_interrupt`]) when the budget runs out, which ends
-/// the attack as [`SatAttackStatus::Interrupted`].
-#[derive(Clone, Debug)]
-pub struct SatAttackConfig {
-    /// Abort after this many distinguishing-input iterations.
-    pub max_iterations: usize,
-}
-
-impl Default for SatAttackConfig {
-    fn default() -> SatAttackConfig {
-        SatAttackConfig {
-            max_iterations: 100_000,
-        }
-    }
-}
-
 /// Why the SAT attack stopped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SatAttackStatus {
@@ -43,8 +23,6 @@ pub enum SatAttackStatus {
     Success,
     /// The session's interrupt flag fired first.
     Interrupted,
-    /// The iteration cap was reached.
-    IterationLimit,
     /// The key-consistency formula became unsatisfiable, which indicates the
     /// oracle does not correspond to the locked circuit.
     Inconsistent,
@@ -81,16 +59,17 @@ impl SatAttackResult {
 /// so every learnt clause from the DIP search keeps working for the
 /// extraction query.
 ///
+/// The attack has no budget: it runs until no distinguishing input remains.
+/// A caller with a budget runs [`sat_attack_in`] on a session whose
+/// interrupt flag ([`AttackSession::set_interrupt`]) it raises, which ends
+/// the attack as [`SatAttackStatus::Interrupted`].
+///
 /// # Panics
 ///
 /// Panics if the oracle input width differs from the locked circuit's.
-pub fn sat_attack(
-    locked: &Netlist,
-    oracle: &dyn Oracle,
-    config: &SatAttackConfig,
-) -> SatAttackResult {
+pub fn sat_attack(locked: &Netlist, oracle: &dyn Oracle) -> SatAttackResult {
     let mut session = AttackSession::new(locked);
-    sat_attack_in(&mut session, oracle, config)
+    sat_attack_in(&mut session, oracle)
 }
 
 /// Runs the SAT attack through an existing session (see [`sat_attack`]).
@@ -98,11 +77,7 @@ pub fn sat_attack(
 /// # Panics
 ///
 /// Panics if the oracle input width differs from the locked circuit's.
-pub fn sat_attack_in(
-    session: &mut AttackSession<'_>,
-    oracle: &dyn Oracle,
-    config: &SatAttackConfig,
-) -> SatAttackResult {
+pub fn sat_attack_in(session: &mut AttackSession<'_>, oracle: &dyn Oracle) -> SatAttackResult {
     assert_eq!(
         oracle.num_inputs(),
         session.netlist().num_inputs(),
@@ -118,9 +93,6 @@ pub fn sat_attack_in(
     };
 
     loop {
-        if iterations >= config.max_iterations {
-            return stopped(SatAttackStatus::IterationLimit, iterations, start.elapsed());
-        }
         let dip_span = crate::trace::span("dip_iteration");
         match session.find_dip() {
             SolveResult::Unknown => {
@@ -163,6 +135,7 @@ mod tests {
         constrain_equal_const, instantiate, instantiate_sharing_inputs, instantiate_sharing_keys,
         model_key, model_values,
     };
+    use crate::oracle::tests::InterruptAfter;
     use crate::oracle::{CountingOracle, SimOracle};
     use locking::{LockingScheme, SfllHd, XorLock};
     use netlist::cnf::encode_any_difference;
@@ -179,11 +152,7 @@ mod tests {
     /// # Panics
     ///
     /// Panics if the oracle input width differs from the locked circuit's.
-    fn sat_attack_fresh(
-        locked: &Netlist,
-        oracle: &dyn Oracle,
-        config: &SatAttackConfig,
-    ) -> SatAttackResult {
+    fn sat_attack_fresh(locked: &Netlist, oracle: &dyn Oracle) -> SatAttackResult {
         assert_eq!(
             oracle.num_inputs(),
             locked.num_inputs(),
@@ -206,14 +175,6 @@ mod tests {
         let mut iterations = 0usize;
 
         loop {
-            if iterations >= config.max_iterations {
-                return SatAttackResult {
-                    key: None,
-                    status: SatAttackStatus::IterationLimit,
-                    iterations,
-                    elapsed: start.elapsed(),
-                };
-            }
             match dis_solver.solve() {
                 SolveResult::Unknown => {
                     return SatAttackResult {
@@ -275,7 +236,7 @@ mod tests {
         let original = generate(&RandomCircuitSpec::new("sa_xor", 8, 3, 60));
         let locked = XorLock::new(8).with_seed(5).lock(&original).expect("lock");
         let oracle = CountingOracle::new(SimOracle::new(original.clone()));
-        let result = sat_attack(&locked.locked, &oracle, &SatAttackConfig::default());
+        let result = sat_attack(&locked.locked, &oracle);
         assert!(result.is_success(), "status {:?}", result.status);
         let key = result.key.expect("key");
         // The recovered key need not be bit-identical to the inserted one but
@@ -291,20 +252,25 @@ mod tests {
     }
 
     #[test]
-    fn needs_many_iterations_on_sfll() {
+    fn an_oracle_raised_interrupt_stops_the_sfll_dip_loop_at_20() {
         // SFLL-HD0 with a 10-bit key: each wrong key is ruled out one
         // distinguishing input at a time, so the SAT attack needs on the
-        // order of 2^10 iterations — this is the resilience property.  With a
-        // small iteration cap the attack must fail.
+        // order of 2^10 iterations — this is the resilience property.  An
+        // oracle that raises the session's flag on its 20th answer stops
+        // the attack there: the solver checks the flag before its first
+        // decision, so the next DIP solve returns at once.
         let original = generate(&RandomCircuitSpec::new("sa_sfll", 12, 2, 80));
         let locked = SfllHd::new(10, 0)
             .with_seed(3)
             .lock(&original)
             .expect("lock");
-        let oracle = SimOracle::new(original);
-        let config = SatAttackConfig { max_iterations: 20 };
-        let result = sat_attack(&locked.locked, &oracle, &config);
-        assert_eq!(result.status, SatAttackStatus::IterationLimit);
+        let flag = Arc::new(AtomicBool::new(false));
+        let oracle = InterruptAfter::new(SimOracle::new(original), 20, Arc::clone(&flag));
+        let mut session = AttackSession::new(&locked.locked);
+        session.set_interrupt(Some(flag));
+        let result = sat_attack_in(&mut session, &oracle);
+        assert_eq!(result.status, SatAttackStatus::Interrupted, "{result:?}");
+        assert_eq!(result.iterations, 20);
         assert!(result.key.is_none());
     }
 
@@ -318,7 +284,7 @@ mod tests {
             .lock(&original)
             .expect("lock");
         let oracle = SimOracle::new(original.clone());
-        let result = sat_attack(&locked.locked, &oracle, &SatAttackConfig::default());
+        let result = sat_attack(&locked.locked, &oracle);
         assert!(result.is_success());
         let key = result.key.expect("key");
         for pattern in 0..256u64 {
@@ -342,8 +308,8 @@ mod tests {
                 .lock(&original)
                 .expect("lock");
             let oracle = SimOracle::new(original.clone());
-            let incremental = sat_attack(&locked.locked, &oracle, &SatAttackConfig::default());
-            let fresh = sat_attack_fresh(&locked.locked, &oracle, &SatAttackConfig::default());
+            let incremental = sat_attack(&locked.locked, &oracle);
+            let fresh = sat_attack_fresh(&locked.locked, &oracle);
             assert!(
                 incremental.is_success(),
                 "incremental: {:?}",
@@ -372,7 +338,7 @@ mod tests {
         let unrelated = generate(&RandomCircuitSpec::new("sa_bad2", 8, 3, 60).with_seed(99));
         let locked = XorLock::new(4).with_seed(5).lock(&original).expect("lock");
         let oracle = SimOracle::new(unrelated);
-        let result = sat_attack(&locked.locked, &oracle, &SatAttackConfig::default());
+        let result = sat_attack(&locked.locked, &oracle);
         // Either the constraints become contradictory, or a "key" survives
         // that at least matches all queried patterns; both are acceptable
         // outcomes, but a crash or hang is not.
@@ -403,7 +369,7 @@ mod tests {
         };
         let mut session = AttackSession::new(&locked.locked);
         session.set_interrupt(Some(flag));
-        let result = sat_attack_in(&mut session, &oracle, &SatAttackConfig::default());
+        let result = sat_attack_in(&mut session, &oracle);
         timer.join().expect("timer thread");
         assert_eq!(result.status, SatAttackStatus::Interrupted, "{result:?}");
         assert!(result.key.is_none());

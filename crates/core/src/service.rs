@@ -55,11 +55,11 @@ use sat::SolverStats;
 
 use crate::attack::{fall_attack_in, FallAttackConfig};
 use crate::functional::PrefilterStats;
-use crate::key_confirmation::{key_confirmation_in, KeyConfirmationConfig};
+use crate::key_confirmation::key_confirmation_in;
 use crate::metrics::MetricReport;
 use crate::oracle::Oracle;
 use crate::parallel::{CachingOracle, CancelToken};
-use crate::sat_attack::{sat_attack_in, SatAttackConfig, SatAttackStatus};
+use crate::sat_attack::{sat_attack_in, SatAttackStatus};
 use crate::session::AttackSession;
 
 /// Identifies one client across every queue of the service.  Handed out by
@@ -215,8 +215,8 @@ pub enum JobStatus {
     /// The client disconnected or the service shut down before the job
     /// finished.
     Cancelled,
-    /// The attack stopped on a non-deadline budget (e.g. iteration cap)
-    /// without a verdict.
+    /// The attack stopped without a verdict, and no deadline, disconnect
+    /// or shutdown was recorded as the reason.
     Failed,
 }
 
@@ -1102,7 +1102,7 @@ fn run_job(
         match job.reason.load(Ordering::SeqCst) {
             REASON_DISCONNECT | REASON_SHUTDOWN => JobStatus::Cancelled,
             REASON_TIMEOUT => JobStatus::Timeout,
-            // Nothing cancelled the job: its iteration cap stopped it.
+            // Unfinished, with no recorded reason.
             _ => JobStatus::Failed,
         }
     };
@@ -1165,7 +1165,7 @@ fn execute(
     let oracle: &CachingOracle<'static> = &target.oracle;
     match &job.kind {
         JobKind::SatAttack => {
-            let result = sat_attack_in(session, oracle, &SatAttackConfig::default());
+            let result = sat_attack_in(session, oracle);
             RunOutcome {
                 completed: matches!(
                     result.status,
@@ -1200,12 +1200,7 @@ fn execute(
             }
         }
         JobKind::Confirm { shortlist } => {
-            let result = key_confirmation_in(
-                session,
-                oracle,
-                shortlist,
-                &KeyConfirmationConfig::default(),
-            );
+            let result = key_confirmation_in(session, oracle, shortlist);
             RunOutcome {
                 completed: result.completed,
                 key: result.key,

@@ -1273,11 +1273,7 @@ mod tests {
         let oracle = crate::oracle::SimOracle::new(original.clone());
 
         let mut session = AttackSession::new(&locked.locked);
-        let first = crate::sat_attack::sat_attack_in(
-            &mut session,
-            &oracle,
-            &crate::sat_attack::SatAttackConfig::default(),
-        );
+        let first = crate::sat_attack::sat_attack_in(&mut session, &oracle);
         assert!(first.is_success(), "{:?}", first.status);
         let recovered = first.key.expect("key");
 
@@ -1287,7 +1283,6 @@ mod tests {
             &mut session,
             &oracle,
             &[recovered.clone(), recovered.complement()],
-            &crate::key_confirmation::KeyConfirmationConfig::default(),
         );
         assert!(confirmation.completed);
         let confirmed = confirmation.key.expect("a correct key is in the shortlist");
@@ -1299,20 +1294,12 @@ mod tests {
         // dormant in the Q query, not masquerade as "no distinguishing
         // input").
         let mut session2 = AttackSession::new(&locked.locked);
-        let first2 = crate::sat_attack::sat_attack_in(
-            &mut session2,
-            &oracle,
-            &crate::sat_attack::SatAttackConfig::default(),
-        );
+        let first2 = crate::sat_attack::sat_attack_in(&mut session2, &oracle);
         let recovered2 = first2.key.expect("key");
         let wrong = recovered2.complement();
         assert!(!locked.key_is_functionally_correct(&wrong, 128, 1));
-        let rejection = crate::key_confirmation::key_confirmation_in(
-            &mut session2,
-            &oracle,
-            &[wrong],
-            &crate::key_confirmation::KeyConfirmationConfig::default(),
-        );
+        let rejection =
+            crate::key_confirmation::key_confirmation_in(&mut session2, &oracle, &[wrong]);
         assert!(rejection.completed);
         assert_eq!(
             rejection.key, None,
@@ -1370,17 +1357,12 @@ mod tests {
         let original = generate(&RandomCircuitSpec::new("sess_obs", 6, 2, 40));
         let locked = XorLock::new(4).with_seed(7).lock(&original).expect("lock");
         let oracle = crate::oracle::CountingOracle::new(crate::oracle::SimOracle::new(original));
-        let config = crate::key_confirmation::KeyConfirmationConfig::default();
 
         // The SAT attack observes pairs before any key solver exists; the
         // first confirmation's key solver must start from all of them, so a
         // wrong-only shortlist is ⊥ without a single oracle query.
         let mut session = AttackSession::new(&locked.locked);
-        let attack = crate::sat_attack::sat_attack_in(
-            &mut session,
-            &oracle,
-            &crate::sat_attack::SatAttackConfig::default(),
-        );
+        let attack = crate::sat_attack::sat_attack_in(&mut session, &oracle);
         assert!(attack.is_success());
         let observed = session.num_observations();
         assert_eq!(observed, attack.iterations);
@@ -1388,7 +1370,7 @@ mod tests {
         assert!(!locked.key_is_functionally_correct(&wrong, 64, 1));
         let queries = oracle.queries();
         let rejection =
-            crate::key_confirmation::key_confirmation_in(&mut session, &oracle, &[wrong], &config);
+            crate::key_confirmation::key_confirmation_in(&mut session, &oracle, &[wrong]);
         assert!(rejection.completed);
         assert_eq!(rejection.key, None);
         assert_eq!((rejection.iterations, oracle.queries()), (0, queries));
@@ -1484,11 +1466,7 @@ mod tests {
         // Output "g" ignores the key; claiming g(0) == 1 is impossible.
         session.observe(&[false], &[true, false]);
 
-        let attack = crate::sat_attack::sat_attack_in(
-            &mut session,
-            &oracle,
-            &crate::sat_attack::SatAttackConfig::default(),
-        );
+        let attack = crate::sat_attack::sat_attack_in(&mut session, &oracle);
         assert_eq!(
             attack.status,
             crate::sat_attack::SatAttackStatus::Inconsistent
@@ -1499,7 +1477,6 @@ mod tests {
             &mut session,
             &oracle,
             &[Key::new(vec![false]), Key::new(vec![true])],
-            &crate::key_confirmation::KeyConfirmationConfig::default(),
         );
         assert!(confirmation.completed);
         assert_eq!(confirmation.key, None, "no key explains the observation");

@@ -522,7 +522,7 @@ mod tests {
 
     #[test]
     fn traced_key_confirmation_records_one_span_per_iteration() {
-        use crate::key_confirmation::{key_confirmation, KeyConfirmationConfig};
+        use crate::key_confirmation::key_confirmation;
         use crate::oracle::SimOracle;
         use locking::{Key, LockingScheme, TtLock};
         use netlist::random::{generate, RandomCircuitSpec};
@@ -533,12 +533,7 @@ mod tests {
         let shortlist = [locked.key.complement(), Key::zeros(10), locked.key.clone()];
         with_recorder(|| {
             record_duration("confirm_thread", Duration::ZERO);
-            let result = key_confirmation(
-                &locked.locked,
-                &oracle,
-                &shortlist,
-                &KeyConfirmationConfig::default(),
-            );
+            let result = key_confirmation(&locked.locked, &oracle, &shortlist);
             assert!(result.completed && result.iterations > 0, "{result:?}");
             let events = events();
             let tid = events

@@ -43,7 +43,6 @@ use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use fall::KeyConfirmationConfig;
 use netlist::{bench_format, Netlist};
 
 pub use supervisor::{FarmResult, Supervisor, WorkerLink};
@@ -68,10 +67,6 @@ pub struct FarmConfig {
     /// Broadcast `cancel` the moment a worker confirms a key.  Disable to
     /// drain every region regardless (deterministic counters).
     pub cancel_on_winner: bool,
-    /// Per-region key-confirmation iteration cap, shipped to every worker.
-    /// A drain has no clock of its own: `cancel` (a winner, or a caller
-    /// aborting the farm) and the lease timeout are what stop it.
-    pub confirm: KeyConfirmationConfig,
     /// Worker heartbeat period.
     pub heartbeat: Duration,
     /// Silence longer than this kills the worker and requeues its lease.
@@ -96,7 +91,6 @@ impl Default for FarmConfig {
             partition_bits: 2,
             steal: true,
             cancel_on_winner: true,
-            confirm: KeyConfirmationConfig::default(),
             heartbeat: Duration::from_millis(200),
             heartbeat_timeout: Duration::from_secs(10),
             lease_timeout: Duration::from_secs(300),

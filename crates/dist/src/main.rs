@@ -5,7 +5,6 @@
 //!           [--workers N] [--partition-bits N]
 //!           [--no-steal] [--no-cancel-on-winner]
 //!           [--listen HOST:PORT]
-//!           [--max-iterations N]
 //!           [--heartbeat-ms N] [--heartbeat-timeout-ms N] [--lease-timeout-ms N]
 //!           [--metrics-out FILE] [--trace-out FILE]
 //! ```
@@ -17,6 +16,11 @@
 //! ```text
 //! fall-dist __fall-dist-worker --connect HOST:PORT
 //! ```
+//!
+//! A region search has no iteration cap: it ends when key confirmation
+//! concludes, when the supervisor broadcasts `cancel` (the first winner,
+//! unless `--no-cancel-on-winner`), or when it outlasts
+//! `--lease-timeout-ms`, which kills the worker and requeues the region.
 //!
 //! The result is printed as one JSON line (the farm counters gated by the
 //! bench suite), plus a human summary on stderr.
@@ -32,8 +36,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: fall-dist --locked FILE.bench --oracle FILE.bench [--workers N] \
          [--partition-bits N] [--no-steal] [--no-cancel-on-winner] [--listen HOST:PORT] \
-         [--max-iterations N] [--heartbeat-ms N] \
-         [--heartbeat-timeout-ms N] [--lease-timeout-ms N] \
+         [--heartbeat-ms N] [--heartbeat-timeout-ms N] [--lease-timeout-ms N] \
          [--metrics-out FILE] [--trace-out FILE]\n\
          \n\
          worker mode (started by the supervisor, or manually for --listen farms):\n\
@@ -117,9 +120,6 @@ fn main() {
             "--no-steal" => config.steal = false,
             "--no-cancel-on-winner" => config.cancel_on_winner = false,
             "--listen" => listen = Some(parse_value(&mut args, "--listen")),
-            "--max-iterations" => {
-                config.confirm.max_iterations = parse_value(&mut args, "--max-iterations");
-            }
             "--heartbeat-ms" => {
                 config.heartbeat = Duration::from_millis(parse_value(&mut args, "--heartbeat-ms"));
             }

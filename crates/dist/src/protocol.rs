@@ -17,9 +17,11 @@ use sat::SolverStats;
 /// worker telemetry) — a pure extension, so version-1 peers interoperate:
 /// an old supervisor ignores the member, an old worker never sends it.
 /// Version 3 drops `setup`'s per-region wall-clock and per-call conflict
-/// budgets: a region drain stops at its iteration cap or a `cancel`.  A version-2 worker
-/// would reject the smaller `setup`, so the supervisor refuses its `hello`.
-pub const PROTOCOL_VERSION: u64 = 3;
+/// budgets.  Version 4 drops its per-region iteration cap: a region drain stops
+/// when key confirmation concludes or at a `cancel`, and the supervisor's
+/// lease timeout bounds it.  An older worker would reject the smaller
+/// `setup`, so the supervisor refuses any `hello` of another version.
+pub const PROTOCOL_VERSION: u64 = 4;
 
 /// Cumulative worker telemetry piggybacked on `complete` frames.
 ///
@@ -181,8 +183,9 @@ pub enum RegionOutcome {
     Keyless,
     /// The region confirmed a key (carried in the `key` member).
     Found,
-    /// The region hit its iteration cap; the run must be reported
-    /// incomplete.
+    /// The worker session's interrupt flag stopped the region without a
+    /// `cancel` ([`fall::parallel::RegionDrainOutcome::Exhausted`]); the
+    /// run must be reported incomplete.
     Unfinished,
     /// The supervisor's `cancel` interrupted the region mid-search.
     Cancelled,
@@ -330,8 +333,6 @@ pub enum SupervisorMessage {
         oracle: String,
         /// Number of fixed key bits (`2^partition_bits` regions).
         partition_bits: usize,
-        /// Per-region iteration budget.
-        max_iterations: usize,
         /// How often the worker must send `heartbeat`.
         heartbeat_ms: u64,
     },
@@ -360,7 +361,6 @@ impl SupervisorMessage {
                 locked,
                 oracle,
                 partition_bits,
-                max_iterations,
                 heartbeat_ms,
             } => Value::object([
                 ("op", Value::from("setup")),
@@ -368,7 +368,6 @@ impl SupervisorMessage {
                 ("locked", Value::from(locked.as_str())),
                 ("oracle", Value::from(oracle.as_str())),
                 ("partition_bits", Value::from(*partition_bits)),
-                ("max_iterations", Value::from(*max_iterations)),
                 ("heartbeat_ms", Value::from(*heartbeat_ms)),
             ]),
             SupervisorMessage::Region {
@@ -414,11 +413,6 @@ impl SupervisorMessage {
                     .get("partition_bits")
                     .and_then(Value::as_u64)
                     .ok_or("setup: missing \"partition_bits\"")?
-                    as usize,
-                max_iterations: value
-                    .get("max_iterations")
-                    .and_then(Value::as_u64)
-                    .ok_or("setup: missing \"max_iterations\"")?
                     as usize,
                 heartbeat_ms: value
                     .get("heartbeat_ms")
@@ -498,7 +492,6 @@ mod tests {
                 locked: "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n".into(),
                 oracle: "INPUT(a)\nOUTPUT(y)\ny = BUF(a)\n".into(),
                 partition_bits: 2,
-                max_iterations: 100,
                 heartbeat_ms: 250,
             },
             SupervisorMessage::Region {

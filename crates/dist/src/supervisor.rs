@@ -19,7 +19,6 @@ use std::time::{Duration, Instant};
 
 use fall::dist::{Lease, PairStore, RegionBoard};
 use fall::metrics::MetricReport;
-use fall::KeyConfirmationConfig;
 use locking::Key;
 use netshim::{write_line, LineReader};
 use sat::SolverStats;
@@ -153,7 +152,6 @@ struct SetupParams {
     locked: String,
     oracle: String,
     partition_bits: usize,
-    confirm: KeyConfirmationConfig,
     heartbeat: Duration,
 }
 
@@ -222,7 +220,6 @@ impl Supervisor {
                 locked,
                 oracle,
                 partition_bits,
-                confirm: config.confirm.clone(),
                 heartbeat: config.heartbeat,
             },
         });
@@ -451,7 +448,6 @@ fn reader_loop(
                     locked: shared.config.locked.clone(),
                     oracle: shared.config.oracle.clone(),
                     partition_bits: shared.config.partition_bits,
-                    max_iterations: shared.config.confirm.max_iterations,
                     heartbeat_ms: shared.config.heartbeat.as_millis() as u64,
                 };
                 drop(state);

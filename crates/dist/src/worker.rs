@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use fall::dist::SyncingOracle;
 use fall::parallel::{drain_regions, CancelToken, RegionDrainOutcome, RegionSource};
-use fall::{AttackSession, KeyConfirmationConfig, SimOracle};
+use fall::{AttackSession, SimOracle};
 use netlist::bench_format;
 use netshim::{write_line, LineReader};
 use sat::SolverStats;
@@ -162,7 +162,6 @@ pub fn run_worker(
         locked,
         oracle,
         partition_bits,
-        max_iterations,
         heartbeat_ms,
         ..
     } = SupervisorMessage::parse(&first)?
@@ -182,7 +181,6 @@ pub fn run_worker(
     if oracle_netlist.num_key_inputs() != 0 {
         return Err("oracle netlist must be key-free".into());
     }
-    let config = KeyConfirmationConfig { max_iterations };
 
     let sim = SimOracle::new(oracle_netlist);
     let sync = SyncingOracle::new(&sim);
@@ -261,14 +259,7 @@ pub fn run_worker(
             .reported_iterations
             .lock()
             .expect("iteration count poisoned") = 0;
-        let drain = drain_regions(
-            &mut session,
-            &sync,
-            &source,
-            partition_bits,
-            &config,
-            &cancel,
-        );
+        let drain = drain_regions(&mut session, &sync, &source, partition_bits, &cancel);
         let remaining_iterations = drain.iterations
             - *source
                 .reported_iterations
@@ -360,7 +351,6 @@ mod tests {
                 locked: bench_format::write(&locked),
                 oracle: bench_format::write(&oracle),
                 partition_bits,
-                max_iterations: 100,
                 heartbeat_ms: 1000,
             };
             let region = SupervisorMessage::Region {

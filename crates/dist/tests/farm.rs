@@ -7,6 +7,8 @@
 //! the exact re-exec path production farms use.
 
 use std::collections::VecDeque;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::Mutex;
@@ -14,7 +16,8 @@ use std::time::{Duration, Instant};
 
 use fall::key_confirmation::{key_confirmation_with_predicate_in, KeyConfirmationResult};
 use fall::parallel::{drain_regions, CachingOracle, CancelToken, RegionDrainOutcome, RegionSource};
-use fall::{AttackSession, KeyConfirmationConfig, Oracle, SimOracle};
+use fall::{AttackSession, Oracle, SimOracle};
+use fall_dist::protocol::WorkerMessage;
 use fall_dist::{farm_over_tcp, Farm, FarmConfig, FarmResult, WorkerOptions, WORKER_SENTINEL};
 use locking::{LockedCircuit, LockingScheme, SfllHd};
 use netlist::random::{generate, RandomCircuitSpec};
@@ -38,16 +41,11 @@ fn per_region_reference(locked: &Netlist, oracle: &dyn Oracle) -> KeyConfirmatio
     };
     for region in 0..1u64 << PARTITION_BITS {
         let mut session = AttackSession::new(locked);
-        let result = key_confirmation_with_predicate_in(
-            &mut session,
-            oracle,
-            &KeyConfirmationConfig::default(),
-            |solver, keys| {
-                for (bit, &lit) in keys.iter().enumerate().take(PARTITION_BITS) {
-                    solver.add_clause([if (region >> bit) & 1 == 1 { lit } else { !lit }]);
-                }
-            },
-        );
+        let result = key_confirmation_with_predicate_in(&mut session, oracle, |solver, keys| {
+            for (bit, &lit) in keys.iter().enumerate().take(PARTITION_BITS) {
+                solver.add_clause([if (region >> bit) & 1 == 1 { lit } else { !lit }]);
+            }
+        });
         total.iterations += result.iterations;
         total.elapsed += result.elapsed;
         if result.key.is_some() || !result.completed {
@@ -203,7 +201,6 @@ fn drained_unique_queries(locked: &Netlist, original: &Netlist, sequences: &[&[u
             &cache,
             &source,
             PARTITION_BITS,
-            &KeyConfirmationConfig::default(),
             &CancelToken::new(),
         )
         .outcome
@@ -306,7 +303,7 @@ fn crash_on_first_lease_hook_exercises_the_requeue_path_deterministically() {
 #[test]
 fn tcp_farm_matches_the_pipes_transport() {
     let (locked, original, serial) = smoke_case();
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr").to_string();
 
     let mut workers = Vec::new();
@@ -330,6 +327,48 @@ fn tcp_farm_matches_the_pipes_transport() {
     let key = result.key.as_ref().expect("key recovered over TCP");
     assert!(locked.key_is_functionally_correct(key, 200, 4));
     assert!(result.unique_oracle_queries <= serial.iterations + result.workers);
+}
+
+/// The supervisor kills a worker whose `hello` announces another protocol
+/// version before sending it anything; the farm finishes on the others.
+#[test]
+fn a_hello_of_another_protocol_version_is_refused() {
+    let (locked, original, _serial) = smoke_case();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+
+    // A version-3 worker, which would expect a `setup` with an iteration
+    // cap: it must read EOF, and no `setup` frame before it.
+    let stale = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(&addr).expect("connect");
+            let hello = WorkerMessage::Hello { protocol: 3 }.to_frame();
+            stream
+                .write_all(format!("{hello}\n").as_bytes())
+                .expect("send hello");
+            let mut received = String::new();
+            stream.read_to_string(&mut received).expect("read to EOF");
+            received
+        })
+    };
+    let mut worker = Command::new(worker_exe())
+        .args([WORKER_SENTINEL, "--connect", &addr])
+        .spawn()
+        .expect("spawn TCP worker");
+    let result = farm_over_tcp(&locked.locked, &original, &listener, &base_config(2))
+        .expect("accept")
+        .wait();
+    let _ = worker.wait();
+    let received = stale.join().expect("stale worker");
+
+    assert!(!received.contains("\"setup\""), "{received}");
+    assert!(result.completed);
+    let key = result
+        .key
+        .as_ref()
+        .expect("the current worker recovers the key");
+    assert!(locked.key_is_functionally_correct(key, 200, 4));
 }
 
 #[test]

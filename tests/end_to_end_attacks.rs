@@ -4,9 +4,9 @@
 
 use fall::attack::{fall_attack, FallAttackConfig, FallStatus};
 use fall::functional::Analysis;
-use fall::key_confirmation::{key_confirmation, KeyConfirmationConfig};
+use fall::key_confirmation::key_confirmation;
 use fall::oracle::SimOracle;
-use fall::sat_attack::{sat_attack, SatAttackConfig};
+use fall::sat_attack::sat_attack;
 use locking::{Key, LockingScheme, SfllHd, TtLock, XorLock};
 use netlist::random::{generate, RandomCircuitSpec};
 use netlist::Netlist;
@@ -78,7 +78,7 @@ fn sat_attack_and_fall_agree_on_xor_locking_vs_sfll() {
         .lock(&original)
         .expect("lock")
         .optimized();
-    let sat_result = sat_attack(&xor_locked.locked, &oracle, &SatAttackConfig::default());
+    let sat_result = sat_attack(&xor_locked.locked, &oracle);
     assert!(sat_result.is_success());
     assert!(xor_locked.key_is_functionally_correct(sat_result.key.as_ref().unwrap(), 256, 2));
     let fall_result = fall_attack(&xor_locked.locked, None, &FallAttackConfig::for_h(0));
@@ -105,22 +105,12 @@ fn key_confirmation_rejects_wrong_shortlists_and_accepts_correct_ones() {
     let oracle = SimOracle::new(original);
 
     let wrong_only = vec![locked.key.complement(), Key::zeros(10)];
-    let result = key_confirmation(
-        &locked.locked,
-        &oracle,
-        &wrong_only,
-        &KeyConfirmationConfig::default(),
-    );
+    let result = key_confirmation(&locked.locked, &oracle, &wrong_only);
     assert!(result.completed);
     assert_eq!(result.key, None);
 
     let with_correct = vec![locked.key.complement(), locked.key.clone()];
-    let result = key_confirmation(
-        &locked.locked,
-        &oracle,
-        &with_correct,
-        &KeyConfirmationConfig::default(),
-    );
+    let result = key_confirmation(&locked.locked, &oracle, &with_correct);
     assert_eq!(result.key, Some(locked.key.clone()));
 }
 

@@ -18,7 +18,7 @@
 //! lets a parallel worker serve unbounded key-space regions — and that a
 //! poisoned (unsatisfiable-ϕ) generation still un-poisons across forced GC.
 
-use fall::key_confirmation::{key_confirmation_in, KeyConfirmationConfig};
+use fall::key_confirmation::key_confirmation_in;
 use fall::oracle::{Oracle, SimOracle};
 use fall::session::AttackSession;
 use locking::{LockedCircuit, LockingScheme, SfllHd, TtLock, XorLock};
@@ -214,7 +214,6 @@ fn forced_gc_confirmation_runs_match_disabled_gc() {
     check(302, 4, |case_index, rng| {
         let case = random_case(rng);
         let oracle = SimOracle::new(case.locked.original.clone());
-        let config = KeyConfirmationConfig::default();
         let mut gc = session_with(&case.locked.locked, forced_gc());
         let mut nogc = session_with(&case.locked.locked, disabled_gc());
 
@@ -224,8 +223,8 @@ fn forced_gc_confirmation_runs_match_disabled_gc() {
             } else {
                 vec![case.locked.key.complement()]
             };
-            let gc_result = key_confirmation_in(&mut gc, &oracle, &shortlist, &config);
-            let nogc_result = key_confirmation_in(&mut nogc, &oracle, &shortlist, &config);
+            let gc_result = key_confirmation_in(&mut gc, &oracle, &shortlist);
+            let nogc_result = key_confirmation_in(&mut nogc, &oracle, &shortlist);
             let ctx = format!("case {case_index} round {round} [{}]", case.label);
             assert!(gc_result.completed && nogc_result.completed, "{ctx}");
             assert_eq!(
@@ -262,7 +261,6 @@ fn hundred_generations_keep_vars_and_arena_bounded() {
         .lock(&original)
         .expect("lock");
     let oracle = SimOracle::new(original);
-    let config = KeyConfirmationConfig::default();
     let mut session = AttackSession::new(&locked.locked);
 
     const WARMUP: usize = 10;
@@ -277,7 +275,7 @@ fn hundred_generations_keep_vars_and_arena_bounded() {
         } else {
             vec![locked.key.complement()]
         };
-        let result = key_confirmation_in(&mut session, &oracle, &shortlist, &config);
+        let result = key_confirmation_in(&mut session, &oracle, &shortlist);
         assert!(result.completed, "generation {generation}");
         assert_eq!(
             result.key.is_some(),

@@ -2,9 +2,7 @@
 //! (`fall::parallel::partitioned_key_search`: one primed session draining
 //! every region) against a fresh-session-per-region reference.
 
-use fall::key_confirmation::{
-    key_confirmation_with_predicate_in, KeyConfirmationConfig, KeyConfirmationResult,
-};
+use fall::key_confirmation::{key_confirmation_with_predicate_in, KeyConfirmationResult};
 use fall::oracle::{CountingOracle, Oracle, SimOracle};
 use fall::parallel::{partitioned_key_search, CachingOracle};
 use fall::session::AttackSession;
@@ -23,7 +21,6 @@ fn per_region_reference(
     oracle: &dyn Oracle,
     partition_bits: usize,
 ) -> KeyConfirmationResult {
-    let config = KeyConfirmationConfig::default();
     let mut total = KeyConfirmationResult {
         key: None,
         completed: true,
@@ -32,12 +29,11 @@ fn per_region_reference(
     };
     for region in 0..1u64 << partition_bits {
         let mut session = AttackSession::new(locked);
-        let result =
-            key_confirmation_with_predicate_in(&mut session, oracle, &config, |solver, keys| {
-                for (bit, &lit) in keys.iter().enumerate().take(partition_bits) {
-                    solver.add_clause([if (region >> bit) & 1 == 1 { lit } else { !lit }]);
-                }
-            });
+        let result = key_confirmation_with_predicate_in(&mut session, oracle, |solver, keys| {
+            for (bit, &lit) in keys.iter().enumerate().take(partition_bits) {
+                solver.add_clause([if (region >> bit) & 1 == 1 { lit } else { !lit }]);
+            }
+        });
         total.iterations += result.iterations;
         total.elapsed += result.elapsed;
         if result.key.is_some() || !result.completed {
@@ -84,12 +80,7 @@ fn partitioned_search_key_is_equivalent_to_the_per_region_reference() {
     let reference_unlocked = apply_key(&locked.locked, &reference_key);
     assert!(equivalent_to(&reference_unlocked, &original, 512, 3));
 
-    let result = partitioned_key_search(
-        &locked.locked,
-        &oracle,
-        PARTITION_BITS,
-        &KeyConfirmationConfig::default(),
-    );
+    let result = partitioned_key_search(&locked.locked, &oracle, PARTITION_BITS);
     assert!(result.completed, "search must finish");
     let key = result.key.expect("search recovers a key");
     let unlocked = apply_key(&locked.locked, &key);
@@ -112,12 +103,7 @@ fn partitioned_search_does_not_exceed_per_region_oracle_queries() {
     let reference_queries = counting.queries();
     assert_eq!(reference_queries, reference.iterations);
 
-    let result = partitioned_key_search(
-        &locked.locked,
-        &sim,
-        PARTITION_BITS,
-        &KeyConfirmationConfig::default(),
-    );
+    let result = partitioned_key_search(&locked.locked, &sim, PARTITION_BITS);
     assert!(result.completed && result.key.is_some());
     assert!(
         result.oracle_queries <= reference_queries + 1,
@@ -139,12 +125,7 @@ fn caching_oracle_bounds_real_oracle_traffic() {
         .optimized();
     let counting = CountingOracle::new(SimOracle::new(original));
     let cache = CachingOracle::new(&counting);
-    let result = partitioned_key_search(
-        &locked.locked,
-        &cache,
-        PARTITION_BITS,
-        &KeyConfirmationConfig::default(),
-    );
+    let result = partitioned_key_search(&locked.locked, &cache, PARTITION_BITS);
     assert!(result.completed && result.key.is_some());
     assert_eq!(counting.queries(), cache.unique_queries());
 }
@@ -166,12 +147,7 @@ fn long_lived_worker_sessions_match_per_region_baseline() {
     let reference_unlocked = apply_key(&locked.locked, &reference_key);
     assert!(equivalent_to(&reference_unlocked, &original, 512, 7));
 
-    let result = partitioned_key_search(
-        &locked.locked,
-        &oracle,
-        partition_bits,
-        &KeyConfirmationConfig::default(),
-    );
+    let result = partitioned_key_search(&locked.locked, &oracle, partition_bits);
     assert!(result.completed, "search must finish");
     let key = result.key.expect("long-lived session recovers a key");
     let unlocked = apply_key(&locked.locked, &key);

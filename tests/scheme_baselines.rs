@@ -6,7 +6,7 @@
 
 use fall::attack::{fall_attack, FallAttackConfig};
 use fall::oracle::SimOracle;
-use fall::sat_attack::{sat_attack, SatAttackConfig};
+use fall::sat_attack::sat_attack;
 use fall::unlock::{apply_key, equivalent_to};
 use locking::{AntiSat, LockingScheme, SarLock, XorLock};
 use netlist::random::{generate, RandomCircuitSpec};
@@ -59,7 +59,7 @@ fn sat_attack_key_unlocks_sarlock_and_antisat() {
         .lock(&original)
         .expect("lock")
         .optimized();
-    let result = sat_attack(&sarlock.locked, &oracle, &SatAttackConfig::default());
+    let result = sat_attack(&sarlock.locked, &oracle);
     let key = result.key.expect("SAT attack finishes on small SARLock");
     let unlocked = apply_key(&sarlock.locked, &key);
     assert!(equivalent_to(&unlocked, &original, 2048, 3));
@@ -69,7 +69,7 @@ fn sat_attack_key_unlocks_sarlock_and_antisat() {
         .lock(&original)
         .expect("lock")
         .optimized();
-    let result = sat_attack(&antisat.locked, &oracle, &SatAttackConfig::default());
+    let result = sat_attack(&antisat.locked, &oracle);
     let key = result.key.expect("SAT attack finishes on small Anti-SAT");
     let unlocked = apply_key(&antisat.locked, &key);
     assert!(equivalent_to(&unlocked, &original, 2048, 4));
@@ -86,7 +86,7 @@ fn xor_locking_recovered_key_need_not_match_but_must_unlock() {
         .expect("lock")
         .optimized();
     let oracle = SimOracle::new(original.clone());
-    let result = sat_attack(&locked.locked, &oracle, &SatAttackConfig::default());
+    let result = sat_attack(&locked.locked, &oracle);
     assert!(result.is_success());
     let unlocked = apply_key(&locked.locked, &result.key.expect("key"));
     assert!(equivalent_to(&unlocked, &original, 2048, 5));

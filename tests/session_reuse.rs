@@ -29,7 +29,6 @@ use fall::encode::{
 };
 use fall::key_confirmation::{
     key_confirmation, key_confirmation_in, key_confirmation_with_predicate_in,
-    KeyConfirmationConfig,
 };
 use fall::oracle::{CountingOracle, Oracle, SimOracle};
 use fall::session::AttackSession;
@@ -437,7 +436,6 @@ fn one_session_serves_many_confirmation_runs() {
         .lock(&original)
         .expect("lock");
     let oracle = SimOracle::new(original);
-    let config = KeyConfirmationConfig::default();
     let mut session = AttackSession::new(&locked.locked);
 
     for round in 0..8 {
@@ -446,12 +444,12 @@ fn one_session_serves_many_confirmation_runs() {
         // the session clean for the next round.
         if round % 2 == 0 {
             let shortlist = [locked.key.clone(), locked.key.complement()];
-            let result = key_confirmation_in(&mut session, &oracle, &shortlist, &config);
+            let result = key_confirmation_in(&mut session, &oracle, &shortlist);
             assert!(result.completed, "round {round}");
             assert_eq!(result.key, Some(locked.key.clone()), "round {round}");
         } else {
             let shortlist = [locked.key.complement()];
-            let result = key_confirmation_in(&mut session, &oracle, &shortlist, &config);
+            let result = key_confirmation_in(&mut session, &oracle, &shortlist);
             assert!(result.completed, "round {round}");
             assert_eq!(result.key, None, "round {round}: wrong-only shortlist");
         }
@@ -536,12 +534,7 @@ fn incremental_and_fresh_confirmation_agree() {
             Key::from_pattern(0x155, 10),
         ],
     ] {
-        let incremental = key_confirmation(
-            &locked.locked,
-            &oracle,
-            &shortlist,
-            &KeyConfirmationConfig::default(),
-        );
+        let incremental = key_confirmation(&locked.locked, &oracle, &shortlist);
         let fresh = key_confirmation_fresh(
             &locked.locked,
             &oracle,
@@ -567,7 +560,6 @@ fn warm_confirmations_reach_the_fresh_verdicts() {
         let case = random_case(rng);
         let locked = &case.locked;
         let oracle = CountingOracle::new(SimOracle::new(locked.original.clone()));
-        let config = KeyConfirmationConfig::default();
         let width = locked.key.len();
         let decoy =
             |rng: &mut ChaCha8Rng| Key::from_pattern(rng.gen_range(0..1u64 << width), width);
@@ -608,15 +600,10 @@ fn warm_confirmations_reach_the_fresh_verdicts() {
             let want = key_confirmation_fresh(&locked.locked, &fresh_oracle, mode);
             let queries_before = oracle.queries();
             let result = match mode {
-                PhiMode::Shortlist(keys) => {
-                    key_confirmation_in(&mut session, &oracle, keys, &config)
-                }
-                _ => key_confirmation_with_predicate_in(
-                    &mut session,
-                    &oracle,
-                    &config,
-                    |solver, keys| apply_mode(solver, keys, mode),
-                ),
+                PhiMode::Shortlist(keys) => key_confirmation_in(&mut session, &oracle, keys),
+                _ => key_confirmation_with_predicate_in(&mut session, &oracle, |solver, keys| {
+                    apply_mode(solver, keys, mode)
+                }),
             };
             assert!(result.completed, "{ctx}: unfinished");
             // The verdict is ⊥ or "this key is correct".  Where ϕ admits

@@ -187,7 +187,7 @@ fn farm_corpus() -> Vec<Vec<u8>> {
         (vec![false; 6], vec![true, true]),
     ];
     let worker = [
-        WorkerMessage::Hello { protocol: 3 },
+        WorkerMessage::Hello { protocol: 4 },
         WorkerMessage::Lease {
             pairs: pairs.clone(),
         },
@@ -207,7 +207,6 @@ fn farm_corpus() -> Vec<Vec<u8>> {
             locked: bench_format::write(&locked),
             oracle: bench_format::write(&oracle),
             partition_bits: 2,
-            max_iterations: 100,
             heartbeat_ms: 250,
         },
         SupervisorMessage::Region {
