@@ -12,7 +12,8 @@
 #                  dist_* counters and the dist_worker_stats_reports
 #                  telemetry count), paper-scale TTLock FALL attacks on des
 #                  (m = 64; gating fall_des_h0_unique_correct_key,
-#                  fall_des_h0_comparators = 64 and fall_des_h0_sat_solves)
+#                  fall_des_h0_comparators = 64, fall_des_h0_sat_solves and
+#                  fall_des_h0_prefilter_refuted, higher is better)
 #                  and on apex4 (m = 10; gating
 #                  fall_apex4_h0_unique_correct_key and
 #                  fall_apex4_h0_sat_solves = 0), a paper-scale SFLL-HD m/3

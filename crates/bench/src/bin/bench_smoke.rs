@@ -27,8 +27,9 @@
 //!   `PartitionedSearchResult::solver_stats`), including the 100-generation
 //!   long-lived-session run, the conflicts and arena bytes `fall_h0_*` of
 //!   the h = 0 FALL attack's session, the unique correct key, the
-//!   comparator count and the solves `fall_des_h0_*` of a paper-scale
-//!   TTLock attack (des, m = 64), the unique correct key and the solves
+//!   comparator count, the solves and the prefilter refutations
+//!   `fall_des_h0_*` of a paper-scale TTLock attack (des, m = 64), the
+//!   unique correct key and the solves
 //!   `fall_apex4_h0_*` of a paper-scale TTLock attack (apex4, m = 10), the
 //!   solves and conflicts
 //!   `fall_c432_m3_*` of a paper-scale SFLL-HD m/3 attack (c432, m = 36,
@@ -388,7 +389,9 @@ fn measure() -> MetricReport {
     // stage's one-sweep comparator classifier must pair all 64 key inputs,
     // and the attack must shortlist exactly the correct key.  Each candidate
     // costs at most one witness solve before the analyses answer from its
-    // verdict, so the session's solves are gated too.
+    // verdict, so the session's solves are gated too.  So are the prefilter
+    // refutations (higher is better): its cofactor sweeps cover only the
+    // candidates' fan-in cones, and no refutation may be lost there.
     let des = TABLE1_CIRCUITS
         .iter()
         .find(|spec| spec.name == "des")
@@ -414,6 +417,11 @@ fn measure() -> MetricReport {
         "fall_des_h0_sat_solves",
         des_session.stats().solves as f64,
         false,
+    );
+    report.record(
+        "fall_des_h0_prefilter_refuted",
+        des_result.prefilter.total_refuted() as f64,
+        true,
     );
     assert!(des_unique_correct, "des h = 0: {des_result:?}");
     assert_eq!(des_result.num_comparators, 64, "des h = 0 comparators");

@@ -13,15 +13,20 @@
 //! disabled.
 //!
 //! Both filters run through [`Prefilter`], the cache each
-//! [`crate::session::AttackSession`] owns: one netlist sweep evaluates
-//! `width * 64` patterns, no sweep depends on the candidate, so each runs at
-//! most once per session, and later candidates only read its results (lane
-//! words scanned with bitwise masks and `count_ones`).  Every decision is
-//! tallied in [`PrefilterStats`], which the attack surfaces on its result.
+//! [`crate::session::AttackSession`] owns: one sweep evaluates `width * 64`
+//! patterns over the *cover* — the union of the fan-in cones of the nodes
+//! queried, seeded with the session's candidates ([`netlist::Cover`]) — not
+//! over the whole netlist.  No sweep depends on the candidate, so each runs
+//! at most once per session, and later candidates only read its results
+//! (lane words scanned with bitwise masks and `count_ones`).  Every
+//! decision is tallied in [`PrefilterStats`], which the attack surfaces on
+//! its result.
 
-use netlist::{Netlist, NodeId, WideSim};
+use netlist::{Cover, Netlist, NodeId, WideSim};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+use super::Enumeration;
 
 /// Fixed seed: the filters are part of deterministic analyses.
 const SEED: u64 = 0xFA11_F17E;
@@ -39,11 +44,15 @@ pub struct PrefilterStats {
     /// satisfying assignments too far apart.
     pub candidates_refuted: u64,
     /// Patterns pushed through the wide simulator by the sweeps this
-    /// session actually ran (`width * 64` per sweep).  Sweeps are cached for
-    /// the whole session, so later candidates add nothing here.
+    /// session's queries needed (`width * 64` per counted sweep).  Sweeps
+    /// are cached for the whole session, so later candidates add nothing
+    /// here; a sweep covers only the queried nodes' fan-in cones, so this
+    /// counts patterns, not node evaluations.
     pub patterns_simulated: u64,
-    /// Wide netlist sweeps this session actually ran: two per input position
+    /// Wide sweeps this session's queries needed: two per input position
     /// any unateness query touched, plus one for the first distance query.
+    /// Re-running a cached sweep over a grown cover (a query on a node
+    /// outside it) counts nothing.
     pub sweeps: u64,
 }
 
@@ -75,8 +84,16 @@ impl PrefilterStats {
     }
 }
 
-/// The session-owned prefilter cache: the fixed random stimuli, the
-/// simulation scratch and every sweep result a later call can reuse.
+/// The session-owned simulation cache of the functional stage: one
+/// [`Cover`], the fixed random stimuli, the simulation scratch and every
+/// sweep result a later call can reuse.
+///
+/// Every simulation here evaluates only the cover, the topologically
+/// ordered union of the fan-in cones of the nodes asked about.  The session
+/// seeds it with its candidates, so an attack never leaves it; a query on
+/// any other node grows it first, and every cached sweep is then re-run
+/// over the grown cover on the same stimulus (uncounted: the old nodes'
+/// values do not change, the new nodes get theirs).
 ///
 /// Neither filter's sweeps depend on the candidate — the netlist is fixed
 /// and every candidate sees the same seeded stimulus — so each sweep runs at
@@ -85,18 +102,23 @@ impl PrefilterStats {
 /// * **Cofactor verdicts.**  The first time input position `p` is asked
 ///   for, the two cofactor sweeps (`x_p = 0`, then `x_p = 1`, every other
 ///   pin on the shared random block) run once and leave a 2-bit
-///   refuted-polarity verdict for *every* node.  Any later candidate on `p`
-///   is a lookup.
+///   refuted-polarity verdict for every cover node.  Any later candidate on
+///   `p` is a lookup.
 /// * **Distance sweep.**  The distance filter's single sweep runs on its
 ///   first use and is kept; each call only harvests its candidate's lanes.
 ///
 /// Every polarity, refutation and verdict is therefore exactly what a
-/// per-call sweep computes; only [`PrefilterStats::sweeps`] and
-/// [`PrefilterStats::patterns_simulated`] shrink, because they count the
-/// sweeps that actually ran.  Memory: 2 bits per node for each input
-/// position queried, plus the sweep buffers (`width` words per node each).
+/// per-call whole-netlist sweep computes; only [`PrefilterStats::sweeps`]
+/// and [`PrefilterStats::patterns_simulated`] shrink, because they count
+/// the sweeps that actually ran.  The cube proposal's simulations share the
+/// cover: the support enumeration ([`Prefilter::enumeration`]) and the
+/// single-word flips ([`Prefilter::simulate_word`]), neither counted here.
+/// Memory: 2 bits per node for each input position queried, plus the sweep
+/// buffers (`width` words per node each).
 pub(crate) struct Prefilter<'n> {
     netlist: &'n Netlist,
+    /// The nodes every simulation here evaluates.
+    cover: Cover,
     /// Scratch of the cofactor sweeps.
     sim: WideSim,
     /// The shared random input block of the cofactor sweeps (pin-major, like
@@ -104,7 +126,8 @@ pub(crate) struct Prefilter<'n> {
     base: Vec<u64>,
     /// The random key block every sweep of the cofactor stimulus uses.
     keys: Vec<u64>,
-    /// Snapshot of the `x_p = 0` sweep while the `x_p = 1` sweep runs.
+    /// The cover nodes' blocks of the `x_p = 0` sweep (in cover order)
+    /// while the `x_p = 1` sweep runs.
     cofactor0: Vec<u64>,
     /// Per input position, two bits per node (bit `2n`: positive unateness
     /// of node `n` refuted, bit `2n + 1`: negative refuted); empty until the
@@ -112,19 +135,28 @@ pub(crate) struct Prefilter<'n> {
     refuted: Vec<Vec<u64>>,
     /// The distance filter's sweep, run on first use.
     distance: Option<DistanceSweep>,
+    /// Every node's truth table over the last support enumerated.
+    enumeration: Option<Enumeration>,
+    /// Single-word scratch and all-zero stimuli of
+    /// [`Prefilter::simulate_word`].
+    word: WideSim,
+    word_inputs: Vec<u64>,
+    word_keys: Vec<u64>,
     stats: PrefilterStats,
 }
 
 /// The distance filter's stimulus and the node values it produced.
 struct DistanceSweep {
     inputs: Vec<u64>,
+    keys: Vec<u64>,
     sim: WideSim,
 }
 
 impl<'n> Prefilter<'n> {
     /// An empty cache for `netlist` sweeping `width * 64` patterns at a
-    /// time.  Nothing is simulated until the first query.
-    pub(crate) fn new(netlist: &'n Netlist, width: usize) -> Prefilter<'n> {
+    /// time, its cover seeded with `roots`.  Nothing is simulated until the
+    /// first query.
+    pub(crate) fn new(netlist: &'n Netlist, width: usize, roots: &[NodeId]) -> Prefilter<'n> {
         let mut rng = ChaCha8Rng::seed_from_u64(SEED);
         let base = (0..netlist.num_inputs() * width)
             .map(|_| rng.gen())
@@ -134,12 +166,17 @@ impl<'n> Prefilter<'n> {
             .collect();
         Prefilter {
             netlist,
+            cover: Cover::of(netlist, roots.iter().copied()),
             sim: WideSim::new(netlist, width),
             base,
             keys,
             cofactor0: Vec::new(),
             refuted: vec![Vec::new(); netlist.num_inputs()],
             distance: None,
+            enumeration: None,
+            word: WideSim::new(netlist, 1),
+            word_inputs: vec![0; netlist.num_inputs()],
+            word_keys: vec![0; netlist.num_key_inputs()],
             stats: PrefilterStats::default(),
         }
     }
@@ -147,6 +184,26 @@ impl<'n> Prefilter<'n> {
     /// The counters accumulated by every query so far.
     pub(crate) fn stats(&self) -> PrefilterStats {
         self.stats
+    }
+
+    /// Grows the cover to hold `node`, re-runs every cached prefilter sweep
+    /// over the grown cover, uncounted (the stimuli are fixed, so the nodes
+    /// already covered keep their values and verdicts), and drops the
+    /// enumeration for the next call to rebuild.
+    fn include(&mut self, node: NodeId) {
+        if self.cover.contains(node) {
+            return;
+        }
+        self.cover.extend(self.netlist, [node]);
+        self.enumeration = None;
+        if let Some(DistanceSweep { inputs, keys, sim }) = &mut self.distance {
+            sweep(self.netlist, &self.cover, sim, inputs, keys, None);
+        }
+        for position in 0..self.refuted.len() {
+            if !self.refuted[position].is_empty() {
+                self.refuted[position] = self.sweep_cofactors(position, false);
+            }
+        }
     }
 
     /// For every support input of `candidate` (given by its primary-input
@@ -166,6 +223,7 @@ impl<'n> Prefilter<'n> {
         candidate: NodeId,
         positions: &[usize],
     ) -> Vec<(bool, bool)> {
+        self.include(candidate);
         let (word, shift) = (candidate.index() / 32, 2 * (candidate.index() % 32));
         let mut result = Vec::with_capacity(positions.len());
         for &position in positions {
@@ -180,16 +238,18 @@ impl<'n> Prefilter<'n> {
         result
     }
 
-    /// The refuted-polarity bits of every node for input position
+    /// The refuted-polarity bits of every cover node for input position
     /// `position`, sweeping both cofactors on first use.
     fn cofactor_verdicts(&mut self, position: usize) -> &[u64] {
         if self.refuted[position].is_empty() {
-            self.refuted[position] = self.sweep_cofactors(position);
+            self.refuted[position] = self.sweep_cofactors(position, true);
         }
         &self.refuted[position]
     }
 
-    fn sweep_cofactors(&mut self, position: usize) -> Vec<u64> {
+    /// Both cofactor sweeps of `position` over the cover (`counted`: in the
+    /// stats) and the verdict bits they leave.
+    fn sweep_cofactors(&mut self, position: usize, counted: bool) -> Vec<u64> {
         // Cofactor x_p = 0 across every lane, then x_p = 1; all other pins
         // keep the shared random block.
         let w = self.sim.width();
@@ -198,20 +258,24 @@ impl<'n> Prefilter<'n> {
         self.base[pin.clone()].fill(0);
         sweep(
             self.netlist,
+            &self.cover,
             &mut self.sim,
             &self.base,
             &self.keys,
-            &mut self.stats,
+            counted.then_some(&mut self.stats),
         );
         self.cofactor0.clear();
-        self.cofactor0.extend_from_slice(self.sim.values());
+        for &node in self.cover.nodes() {
+            self.cofactor0.extend_from_slice(self.sim.node(node));
+        }
         self.base[pin.clone()].fill(!0u64);
         sweep(
             self.netlist,
+            &self.cover,
             &mut self.sim,
             &self.base,
             &self.keys,
-            &mut self.stats,
+            counted.then_some(&mut self.stats),
         );
         self.base[pin].copy_from_slice(&saved);
 
@@ -219,17 +283,18 @@ impl<'n> Prefilter<'n> {
         // the mirror image refutes negative unateness.
         let mut refuted = vec![0u64; self.netlist.num_nodes().div_ceil(32)];
         let lanes = self
-            .cofactor0
-            .chunks_exact(w)
-            .zip(self.sim.values().chunks_exact(w));
-        for (node, (f0, f1)) in lanes.enumerate() {
+            .cover
+            .nodes()
+            .iter()
+            .zip(self.cofactor0.chunks_exact(w));
+        for (&node, f0) in lanes {
             let (mut pos_witness, mut neg_witness) = (0u64, 0u64);
-            for (&lo, &hi) in f0.iter().zip(f1) {
+            for (&lo, &hi) in f0.iter().zip(self.sim.node(node)) {
                 pos_witness |= lo & !hi;
                 neg_witness |= !lo & hi;
             }
             let bits = u64::from(pos_witness != 0) | u64::from(neg_witness != 0) << 1;
-            refuted[node / 32] |= bits << (2 * (node % 32));
+            refuted[node.index() / 32] |= bits << (2 * (node.index() % 32));
         }
         refuted
     }
@@ -285,10 +350,12 @@ impl<'n> Prefilter<'n> {
         max_distance: usize,
     ) -> Option<Vec<u64>> {
         assert!(positions.len() <= 64, "patterns are packed into one word");
-        let (netlist, width, stats) = (self.netlist, self.sim.width(), &mut self.stats);
-        let DistanceSweep { inputs, sim } = self
+        self.include(candidate);
+        let (netlist, cover, width) = (self.netlist, &self.cover, self.sim.width());
+        let stats = &mut self.stats;
+        let DistanceSweep { inputs, sim, .. } = self
             .distance
-            .get_or_insert_with(|| DistanceSweep::run(netlist, width, stats));
+            .get_or_insert_with(|| DistanceSweep::run(netlist, cover, width, stats));
 
         let mut witnesses: Vec<u64> = Vec::new();
         for (lane, &word) in sim.node(candidate).iter().enumerate() {
@@ -312,10 +379,60 @@ impl<'n> Prefilter<'n> {
         }
         Some(witnesses)
     }
+
+    /// Every node's truth table over the input positions `positions` (at
+    /// most 12), read at `candidate`, from one sweep of the cover with every
+    /// assignment on its own lane.  The sweep is kept until a different
+    /// support is asked for or the cover grows: every candidate of an
+    /// attack has the same support, so one sweep serves them all.  It
+    /// counts nothing in [`PrefilterStats`].
+    pub(crate) fn enumeration(&mut self, candidate: NodeId, positions: &[usize]) -> &Enumeration {
+        self.include(candidate);
+        if self
+            .enumeration
+            .as_ref()
+            .is_none_or(|enumeration| enumeration.positions() != positions)
+        {
+            self.enumeration = Some(Enumeration::run(self.netlist, &self.cover, positions));
+        }
+        self.enumeration.as_ref().expect("just built")
+    }
+
+    /// `candidate`'s word from one single-word simulation of the cover in
+    /// which input `positions[s]` carries `lanes(s)` and every other input
+    /// and key is 0.  Counts nothing in [`PrefilterStats`].
+    pub(crate) fn simulate_word(
+        &mut self,
+        candidate: NodeId,
+        positions: &[usize],
+        lanes: impl Fn(usize) -> u64,
+    ) -> u64 {
+        self.include(candidate);
+        for (slot, &position) in positions.iter().enumerate() {
+            self.word_inputs[position] = lanes(slot);
+        }
+        self.word
+            .run_cover(
+                self.netlist,
+                &self.cover,
+                &self.word_inputs,
+                &self.word_keys,
+            )
+            .expect("stimulus widths match the netlist");
+        for &position in positions {
+            self.word_inputs[position] = 0;
+        }
+        self.word.node(candidate)[0]
+    }
 }
 
 impl DistanceSweep {
-    fn run(netlist: &Netlist, width: usize, stats: &mut PrefilterStats) -> DistanceSweep {
+    fn run(
+        netlist: &Netlist,
+        cover: &Cover,
+        width: usize,
+        stats: &mut PrefilterStats,
+    ) -> DistanceSweep {
         let mut rng = ChaCha8Rng::seed_from_u64(SEED ^ 0x5EA9_C0DE);
         let inputs: Vec<u64> = (0..netlist.num_inputs() * width)
             .map(|_| rng.gen())
@@ -324,35 +441,45 @@ impl DistanceSweep {
             .map(|_| rng.gen())
             .collect();
         let mut sim = WideSim::new(netlist, width);
-        sweep(netlist, &mut sim, &inputs, &keys, stats);
-        DistanceSweep { inputs, sim }
+        sweep(netlist, cover, &mut sim, &inputs, &keys, Some(stats));
+        DistanceSweep { inputs, keys, sim }
     }
 }
 
-/// One wide netlist sweep, traced as a `prefilter_sweep` span and counted.
+/// One wide sweep of `cover`.  A sweep a query needs (`stats` given) is
+/// traced as a `prefilter_sweep` span and counted; the re-run of a cached
+/// sweep over a grown cover is neither.
 fn sweep(
     netlist: &Netlist,
+    cover: &Cover,
     sim: &mut WideSim,
     inputs: &[u64],
     keys: &[u64],
-    stats: &mut PrefilterStats,
+    stats: Option<&mut PrefilterStats>,
 ) {
-    let _span = crate::trace::span("prefilter_sweep");
-    sim.run(netlist, inputs, keys)
+    let _span = stats
+        .is_some()
+        .then(|| crate::trace::span("prefilter_sweep"));
+    sim.run_cover(netlist, cover, inputs, keys)
         .expect("widths are consistent");
-    stats.sweeps += 1;
-    stats.patterns_simulated += sim.patterns_per_sweep() as u64;
+    if let Some(stats) = stats {
+        stats.sweeps += 1;
+        stats.patterns_simulated += sim.patterns_per_sweep() as u64;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attack::{fall_attack_in, FallAttackConfig, FallStatus};
+    use crate::session::AttackSession;
     use locking::{LockingScheme, SfllHd, TtLock};
-    use netlist::analysis::SupportTable;
+    use netlist::analysis::{transitive_fanin, SupportTable};
     use netlist::hamming::hamming_distance_equals_const;
     use netlist::random::{generate, RandomCircuitSpec};
     use netlist::sim::pattern_to_bits;
     use netlist::{GateKind, DEFAULT_WIDE_WORDS};
+    use std::collections::BTreeSet;
 
     /// Reference for [`Prefilter::unateness_polarities`]: the per-call
     /// algorithm, which regenerates the seeded block and sweeps both
@@ -465,7 +592,7 @@ mod tests {
     }
 
     fn prefilter(nl: &Netlist) -> Prefilter<'_> {
-        Prefilter::new(nl, DEFAULT_WIDE_WORDS)
+        Prefilter::new(nl, DEFAULT_WIDE_WORDS, &[])
     }
 
     #[test]
@@ -544,7 +671,7 @@ mod tests {
         nl.add_output("xorf", xorf);
         let all = [0, 1, 2, 3, 4];
         for width in [1usize, 2, 4, 8] {
-            let mut filter = Prefilter::new(&nl, width);
+            let mut filter = Prefilter::new(&nl, width, &[]);
             assert!(
                 !filter.satisfying_within_distance(orf, &all, 2),
                 "width {width}"
@@ -636,6 +763,102 @@ mod tests {
             );
             assert!(reference.sweeps > cached.sweeps);
         }
+    }
+
+    /// Nodes outside `cover` whose block in `sim` is not all zero: a sweep
+    /// restricted to the cover never writes them.
+    fn written_outside(nl: &Netlist, cover: &Cover, sim: &WideSim) -> usize {
+        nl.iter()
+            .filter(|&(node, _)| !cover.contains(node))
+            .filter(|&(node, _)| sim.node(node).iter().any(|&w| w != 0))
+            .count()
+    }
+
+    #[test]
+    fn sweeps_cover_only_the_candidates_cones_until_a_query_grows_them() {
+        let original = generate(&RandomCircuitSpec::new("pf_cover", 18, 3, 120).with_seed(7));
+        let locked = TtLock::new(14)
+            .with_seed(11)
+            .lock(&original)
+            .expect("lock")
+            .optimized();
+        let nl = &locked.locked;
+        let mut session = AttackSession::new(nl);
+        let candidates = session.candidates().candidates.clone();
+        let result = fall_attack_in(&mut session, None, &FallAttackConfig::for_h(0));
+        assert_eq!(result.status, FallStatus::UniqueKey, "{result:?}");
+        let filter = session.prefilter();
+
+        // The cover is the candidates' fan-in cones, and an attack never
+        // leaves it.
+        let cones: BTreeSet<NodeId> = candidates
+            .iter()
+            .flat_map(|&candidate| transitive_fanin(nl, candidate))
+            .collect();
+        let cover: Vec<NodeId> = cones.into_iter().collect();
+        assert_eq!(filter.cover.nodes(), cover.as_slice());
+        assert!(cover.len() < nl.num_nodes(), "{} nodes", cover.len());
+        // No sweep wrote a node outside it (the cofactor sweeps ran, and so
+        // did the flips of the witness solve) ...
+        assert!(filter.stats().sweeps > 0);
+        let flipped = |node: &NodeId| filter.word.node(*node)[0] != 0;
+        assert!(filter.cover.nodes().iter().any(flipped));
+        assert_eq!(written_outside(nl, &filter.cover, &filter.sim), 0);
+        assert_eq!(written_outside(nl, &filter.cover, &filter.word), 0);
+        // ... though a whole-netlist sweep writes many of them.
+        let mut whole = WideSim::new(nl, DEFAULT_WIDE_WORDS);
+        whole.run(nl, &filter.base, &filter.keys).expect("widths");
+        assert!(written_outside(nl, &filter.cover, &whole) > 0);
+
+        // Analyses on every node outside the cover grow it, and still give
+        // the per-call reference's verdicts and decision counters.
+        let supports = SupportTable::new(nl);
+        let outside: Vec<NodeId> = nl
+            .iter()
+            .map(|(node, _)| node)
+            .filter(|&node| !filter.cover.contains(node))
+            .collect();
+        let mut sim = WideSim::new(nl, DEFAULT_WIDE_WORDS);
+        let mut reference = PrefilterStats::default();
+        let mut queried: BTreeSet<usize> = (0..nl.num_inputs())
+            .filter(|&position| !filter.refuted[position].is_empty())
+            .collect();
+        let before = filter.stats();
+        for &node in &outside {
+            let inputs: Vec<usize> = supports.primary_positions(node).collect();
+            assert_eq!(
+                filter.unateness_polarities(node, &inputs),
+                reference_unateness_polarities(nl, node, &inputs, &mut sim, &mut reference),
+                "{node:?}"
+            );
+            assert_eq!(
+                filter.satisfying_within_distance(node, &inputs, 2),
+                reference_satisfying_within_distance(
+                    nl,
+                    node,
+                    &inputs,
+                    2,
+                    &mut sim,
+                    &mut reference
+                ),
+                "{node:?}"
+            );
+            assert!(filter.cover.contains(node));
+            queried.extend(inputs);
+        }
+        let grown = filter.stats().since(&before);
+        assert_eq!(grown.polarities_refuted, reference.polarities_refuted);
+        assert_eq!(grown.candidates_refuted, reference.candidates_refuted);
+        assert!(grown.total_refuted() > 0);
+        // Growth re-runs the cached sweeps uncounted: the session still
+        // counts one cofactor pair per queried position and one distance
+        // sweep.
+        let total = filter.stats();
+        assert_eq!(total.sweeps, 2 * queried.len() as u64 + 1);
+        assert_eq!(
+            total.patterns_simulated,
+            total.sweeps * DEFAULT_WIDE_WORDS as u64 * 64
+        );
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //!   complete truth table over that support.  The session keeps the sweep
 //!   for its support ([`Enumeration`]): every candidate of an attack has
 //!   the same support, the protected inputs, so one sweep serves them all.
+//!   Like every simulation of the functional stage, it evaluates only the
+//!   candidates' fan-in cones ([`netlist::Cover`]).
 //!   A `strip_h(k)` has exactly `C(m, h)` satisfying inputs, and at each
 //!   position `C(m − 1, h)` of them agree with `k`, the other
 //!   `C(m − 1, h − 1)` differ; so `k` is the per-position majority of the
@@ -41,7 +43,7 @@
 //! paper's complete analyses answer from the verdict without a solve, so
 //! their results do not change.
 
-use netlist::{Netlist, NodeId, WideSim};
+use netlist::{Cover, Netlist, NodeId, WideSim};
 use sat::SolveResult;
 
 use super::CubeAssignment;
@@ -128,19 +130,20 @@ enum Proposal {
 }
 
 /// Every node's complete truth table over one set of input positions
-/// (at most [`ENUMERATION_LIMIT`] of them), which the session keeps for its
-/// support ([`AttackSession::enumeration`]).
+/// (at most [`ENUMERATION_LIMIT`] of them), which the session's prefilter
+/// keeps for its support ([`super::Prefilter::enumeration`]).  Only the
+/// cover's nodes have one.
 pub(crate) struct Enumeration {
     positions: Vec<usize>,
     sim: WideSim,
 }
 
 impl Enumeration {
-    /// One sweep with every assignment of `positions` on its own lane:
-    /// lane `t` gives input `positions[s]` bit `s` of `t`, every other input
-    /// and every key 0.  Supports under 6 inputs fill one word, repeating
-    /// the `2^m` assignments.
-    pub(crate) fn run(netlist: &Netlist, positions: &[usize]) -> Enumeration {
+    /// One sweep of `cover` with every assignment of `positions` on its own
+    /// lane: lane `t` gives input `positions[s]` bit `s` of `t`, every other
+    /// input and every key 0.  Supports under 6 inputs fill one word,
+    /// repeating the `2^m` assignments.
+    pub(crate) fn run(netlist: &Netlist, cover: &Cover, positions: &[usize]) -> Enumeration {
         /// Lane `t` of word `s` is bit `s` of `t`, for `s < 6`.
         const LANE_BITS: [u64; 6] = [
             0xAAAA_AAAA_AAAA_AAAA,
@@ -164,7 +167,7 @@ impl Enumeration {
         }
         let keys = vec![0u64; netlist.num_key_inputs() * width];
         let mut sim = WideSim::new(netlist, width);
-        sim.run(netlist, &inputs, &keys)
+        sim.run_cover(netlist, cover, &inputs, &keys)
             .expect("stimulus widths match the netlist");
         Enumeration {
             positions: positions.to_vec(),
@@ -198,7 +201,7 @@ fn decide_by_enumeration(
     if 2 * h == m || h > m {
         return None;
     }
-    let enumeration = session.enumeration(positions);
+    let enumeration = session.prefilter().enumeration(candidate, positions);
     let size: usize = enumeration
         .table(candidate)
         .map(|lanes| lanes.count_ones() as usize)
@@ -251,9 +254,7 @@ fn propose_by_witness_solve(
         let (x1, _) = session.input_pair(position);
         witness |= u64::from(session.value(x1).expect("model")) << slot;
     }
-    let flips = simulate_flips(session.netlist(), candidate, positions, witness, |slot| {
-        1 << slot
-    });
+    let flips = simulate_flips(session, candidate, positions, witness, |slot| 1 << slot);
     Some(if flips == 0 {
         Proposal::Suspect(witness)
     } else {
@@ -276,7 +277,7 @@ fn propose_by_pair_flips(
         .satisfying_patterns(candidate, positions, 2 * h)?;
     let &witness = patterns.first()?;
     // Lane 0 is the witness; lane j >= 1 flips positions 0 and j.
-    let flips = simulate_flips(session.netlist(), candidate, positions, witness, |slot| {
+    let flips = simulate_flips(session, candidate, positions, witness, |slot| {
         if slot == 0 {
             low_bits(m) & !1
         } else {
@@ -305,28 +306,26 @@ fn distance(a: u64, b: u64) -> usize {
 }
 
 /// The candidate's output on `witness` with support slot `s` flipped in the
-/// lanes `flipped(s)` (lanes `0..m`), from one single-word simulation.
-/// Patterns are packed over the support as in
-/// [`super::Prefilter::satisfying_patterns`]; inputs outside the support
-/// and the key inputs, which the candidate does not read, are 0.
+/// lanes `flipped(s)` (lanes `0..m`), from one single-word simulation of
+/// the session's cover ([`super::Prefilter::simulate_word`]).  Patterns are
+/// packed over the support as in [`super::Prefilter::satisfying_patterns`];
+/// inputs outside the support and the key inputs, which the candidate does
+/// not read, are 0.
 fn simulate_flips(
-    netlist: &Netlist,
+    session: &mut AttackSession<'_>,
     candidate: NodeId,
     positions: &[usize],
     witness: u64,
     flipped: impl Fn(usize) -> u64,
 ) -> u64 {
-    let m = positions.len();
-    let mut inputs = vec![0u64; netlist.num_inputs()];
-    for (slot, &position) in positions.iter().enumerate() {
+    let lanes = |slot: usize| {
         let value = if (witness >> slot) & 1 == 1 { !0 } else { 0 };
-        inputs[position] = value ^ flipped(slot);
-    }
-    let keys = vec![0u64; netlist.num_key_inputs()];
-    let values = netlist
-        .node_words(&inputs, &keys)
-        .expect("stimulus widths match the netlist");
-    values[candidate.index()] & low_bits(m)
+        value ^ flipped(slot)
+    };
+    session
+        .prefilter()
+        .simulate_word(candidate, positions, lanes)
+        & low_bits(positions.len())
 }
 
 /// The one cube `k` at distance `h` from `witness` that agrees with the

@@ -69,8 +69,8 @@
 //!   nothing.
 //! * **Prefilter cache** — the word-parallel prefilters' sweeps depend only
 //!   on the netlist and a fixed seed, never on the candidate, so the session
-//!   runs each of them once and every later candidate reads the result
-//!   (see `functional::prefilter`).
+//!   runs each of them once, over the candidates' fan-in cones only, and
+//!   every later candidate reads the result (see `functional::prefilter`).
 //! * **Structural cache** — every node's support (one
 //!   [`netlist::analysis::SupportTable`] sweep), the comparators and the
 //!   candidate nodes are facts about the netlist alone, computed on first
@@ -93,7 +93,7 @@ use sat::{FrameId, Lit, SolveResult, Solver, SolverStats};
 use crate::encode::{
     assumptions_for, instantiate, instantiate_sharing_inputs, model_key, model_values, CircuitCopy,
 };
-use crate::functional::{Analysis, CubeAssignment, Enumeration, Prefilter, PrefilterStats};
+use crate::functional::{Analysis, CubeAssignment, Prefilter, PrefilterStats};
 use crate::structural::{candidates_over, comparators_over, CandidateNodes, Comparator};
 
 /// The flight-recorder phase name of a solver maintenance checkpoint.
@@ -294,12 +294,10 @@ pub struct AttackSession<'n> {
     /// DIP formula and the dual cone input spaces count one each).
     full_encodings: u64,
     clauses_at_last_simplify: usize,
-    /// The analysis prefilters' sweep cache and counters, allocated on first
-    /// use ([`AttackSession::prefilter`]).
+    /// The functional stage's simulation cache (prefilter sweeps, support
+    /// enumeration) and counters, allocated on first use
+    /// ([`AttackSession::prefilter`]).
     prefilter: Option<Prefilter<'n>>,
-    /// Every node's truth table over the last support the cube proposal
-    /// enumerated ([`AttackSession::enumeration`]).
-    enumeration: Option<Enumeration>,
     /// Stripper verdicts keyed by `(candidate, h)`.
     verdicts: BTreeMap<(NodeId, usize), StripperVerdict>,
     /// Decided SAT-stage answers of the analyses, keyed by
@@ -333,7 +331,6 @@ impl<'n> AttackSession<'n> {
             full_encodings: 0,
             clauses_at_last_simplify: 0,
             prefilter: None,
-            enumeration: None,
             verdicts: BTreeMap::new(),
             answers: BTreeMap::new(),
             cone_unknowns: 0,
@@ -414,28 +411,17 @@ impl<'n> AttackSession<'n> {
     /// The session's prefilter cache ([`DEFAULT_WIDE_WORDS`] words per
     /// sweep, allocated on first use): every sweep it runs serves every
     /// later candidate, because the netlist and the seeded stimuli are
-    /// fixed for the session's lifetime.
+    /// fixed for the session's lifetime.  Its simulations evaluate only the
+    /// fan-in cones of the session's [`AttackSession::candidates`] (and of
+    /// any other node a query asks about).
     pub(crate) fn prefilter(&mut self) -> &mut Prefilter<'n> {
-        let netlist = self.netlist;
-        self.prefilter
-            .get_or_insert_with(|| Prefilter::new(netlist, DEFAULT_WIDE_WORDS))
-    }
-
-    /// Every node's truth table over the input positions `positions` (at
-    /// most 12), from one simulation sweep of every assignment.  The sweep
-    /// is kept until a different support is asked for: every candidate of
-    /// an attack has the same support, so one sweep serves them all.  It
-    /// counts nothing in [`PrefilterStats`].
-    pub(crate) fn enumeration(&mut self, positions: &[usize]) -> &Enumeration {
-        let netlist = self.netlist;
-        if self
-            .enumeration
-            .as_ref()
-            .is_none_or(|enumeration| enumeration.positions() != positions)
-        {
-            self.enumeration = Some(Enumeration::run(netlist, positions));
+        if self.prefilter.is_none() {
+            let netlist = self.netlist;
+            let prefilter =
+                Prefilter::new(netlist, DEFAULT_WIDE_WORDS, &self.candidates().candidates);
+            self.prefilter = Some(prefilter);
         }
-        self.enumeration.as_ref().expect("just built")
+        self.prefilter.as_mut().expect("just built")
     }
 
     /// Prefilter decision counters accumulated by every analysis that ran

@@ -49,4 +49,4 @@ pub mod strash;
 pub use error::NetlistError;
 pub use gate::GateKind;
 pub use netlist::{Netlist, Node, NodeId, NodeKind};
-pub use sim::{WideSim, DEFAULT_WIDE_WORDS};
+pub use sim::{Cover, WideSim, DEFAULT_WIDE_WORDS};

@@ -2,7 +2,8 @@
 //!
 //! The workhorse is [`WideSim`]: a reusable, cache-blocked scratch buffer
 //! that evaluates `W` 64-bit words (`W * 64` patterns) per sweep over the
-//! netlist.  [`Netlist::node_words`] is the `W = 1` case expressed through
+//! netlist, or over a [`Cover`] (the fan-in cones of the nodes a caller
+//! reads).  [`Netlist::node_words`] is the `W = 1` case expressed through
 //! the same engine; [`Netlist::node_words_fresh`] preserves the original
 //! allocate-per-call 64-way implementation as the throughput baseline for
 //! the bench-smoke regression gate and the differential suite.
@@ -98,6 +99,50 @@ impl WideSim {
         inputs: &[u64],
         keys: &[u64],
     ) -> Result<(), NetlistError> {
+        self.check(netlist, inputs, keys)?;
+        self.load(netlist.inputs(), 0..netlist.num_inputs(), inputs);
+        self.load(netlist.key_inputs(), 0..netlist.num_key_inputs(), keys);
+        self.evaluate(netlist, netlist.iter().map(|(id, _)| id));
+        Ok(())
+    }
+
+    /// [`WideSim::run`] restricted to `cover`: loads only the cover's pins
+    /// and evaluates only its gates, so only the cover's lane blocks are
+    /// defined afterwards (every other node keeps whatever an earlier sweep
+    /// left).  Each cover node's block equals what [`WideSim::run`] on the
+    /// same stimulus gives it, because a cover holds every fanin of its
+    /// nodes.
+    ///
+    /// # Errors
+    ///
+    /// The same [`NetlistError::StimulusWidth`] checks as [`WideSim::run`],
+    /// on the whole stimulus.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `netlist` or `cover` has a different node count than the
+    /// one this scratch was allocated for.
+    pub fn run_cover(
+        &mut self,
+        netlist: &Netlist,
+        cover: &Cover,
+        inputs: &[u64],
+        keys: &[u64],
+    ) -> Result<(), NetlistError> {
+        self.check(netlist, inputs, keys)?;
+        assert_eq!(
+            cover.member.len(),
+            self.num_nodes,
+            "cover shape does not match the simulation scratch"
+        );
+        self.load(netlist.inputs(), cover.inputs.iter().copied(), inputs);
+        self.load(netlist.key_inputs(), cover.keys.iter().copied(), keys);
+        self.evaluate(netlist, cover.nodes.iter().copied());
+        Ok(())
+    }
+
+    /// Checks the netlist shape and both stimulus widths.
+    fn check(&self, netlist: &Netlist, inputs: &[u64], keys: &[u64]) -> Result<(), NetlistError> {
         assert_eq!(
             netlist.num_nodes(),
             self.num_nodes,
@@ -116,14 +161,25 @@ impl WideSim {
                 got: keys.len(),
             });
         }
-        for (pos, &id) in netlist.inputs().iter().enumerate() {
-            self.values[id.index() * w..][..w].copy_from_slice(&inputs[pos * w..][..w]);
+        Ok(())
+    }
+
+    /// Copies the stimulus lanes of the pins `pins[pos]` at `positions`
+    /// into their blocks.
+    fn load(&mut self, pins: &[NodeId], positions: impl Iterator<Item = usize>, stimulus: &[u64]) {
+        let w = self.width;
+        for pos in positions {
+            let id = pins[pos];
+            self.values[id.index() * w..][..w].copy_from_slice(&stimulus[pos * w..][..w]);
         }
-        for (pos, &id) in netlist.key_inputs().iter().enumerate() {
-            self.values[id.index() * w..][..w].copy_from_slice(&keys[pos * w..][..w]);
-        }
-        for (id, node) in netlist.iter() {
-            let NodeKind::Gate { kind, fanins } = node.kind() else {
+    }
+
+    /// Evaluates the gates among `nodes` (topologically ordered; inputs are
+    /// skipped) from their fanins' blocks.
+    fn evaluate(&mut self, netlist: &Netlist, nodes: impl Iterator<Item = NodeId>) {
+        let w = self.width;
+        for id in nodes {
+            let NodeKind::Gate { kind, fanins } = netlist.node(id).kind() else {
                 continue;
             };
             // Fanins are topologically earlier, so their blocks all sit
@@ -162,24 +218,94 @@ impl WideSim {
                 }
             }
         }
-        Ok(())
     }
 
-    /// The lane block of a node after the last [`WideSim::run`].
+    /// The lane block of a node after the last [`WideSim::run`] (or the
+    /// last [`WideSim::run_cover`] whose cover holds the node).
     pub fn node(&self, id: NodeId) -> &[u64] {
         &self.values[id.index() * self.width..][..self.width]
-    }
-
-    /// Every node's lane block after the last [`WideSim::run`], in the
-    /// node-major layout described on [`WideSim`] (`num_nodes * width`
-    /// words).
-    pub fn values(&self) -> &[u64] {
-        &self.values
     }
 
     /// Consumes the scratch and returns the raw node-major value buffer.
     pub fn into_values(self) -> Vec<u64> {
         self.values
+    }
+}
+
+/// The topologically ordered union of the transitive fan-in cones of a set
+/// of root nodes: everything a simulation has to evaluate to read those
+/// roots ([`WideSim::run_cover`]).
+///
+/// A cover only grows ([`Cover::extend`]); it is closed under fanin, so
+/// every node in it can be evaluated from cover nodes alone.
+///
+/// ```
+/// use netlist::{Cover, GateKind, Netlist};
+///
+/// let mut nl = Netlist::new("t");
+/// let a = nl.add_input("a");
+/// let b = nl.add_input("b");
+/// let g = nl.add_gate("g", GateKind::Not, &[a]);
+/// let h = nl.add_gate("h", GateKind::And, &[a, b]);
+///
+/// let mut cover = Cover::of(&nl, [g]);
+/// assert_eq!(cover.nodes(), &[a, g]);
+/// assert!(!cover.contains(h));
+/// cover.extend(&nl, [h]);
+/// assert_eq!(cover.nodes(), &[a, b, g, h]);
+/// ```
+#[derive(Clone, Debug)]
+pub struct Cover {
+    /// Membership, indexed by node.
+    member: Vec<bool>,
+    /// The members in ascending (topological) order.
+    nodes: Vec<NodeId>,
+    /// Positions of the member primary inputs in [`Netlist::inputs`].
+    inputs: Vec<usize>,
+    /// Positions of the member key inputs in [`Netlist::key_inputs`].
+    keys: Vec<usize>,
+}
+
+impl Cover {
+    /// The cover of `roots` in `netlist`.
+    pub fn of(netlist: &Netlist, roots: impl IntoIterator<Item = NodeId>) -> Cover {
+        let mut cover = Cover {
+            member: vec![false; netlist.num_nodes()],
+            nodes: Vec::new(),
+            inputs: Vec::new(),
+            keys: Vec::new(),
+        };
+        cover.extend(netlist, roots);
+        cover
+    }
+
+    /// Adds the fan-in cones of `roots`.
+    pub fn extend(&mut self, netlist: &Netlist, roots: impl IntoIterator<Item = NodeId>) {
+        let mut stack: Vec<NodeId> = roots.into_iter().collect();
+        while let Some(node) = stack.pop() {
+            if !std::mem::replace(&mut self.member[node.index()], true) {
+                self.nodes.push(node);
+                stack.extend_from_slice(netlist.node(node).fanins());
+            }
+        }
+        self.nodes.sort_unstable();
+        let members = |ids: &[NodeId]| -> Vec<usize> {
+            (0..ids.len())
+                .filter(|&pos| self.member[ids[pos].index()])
+                .collect()
+        };
+        self.inputs = members(netlist.inputs());
+        self.keys = members(netlist.key_inputs());
+    }
+
+    /// Returns `true` if `node` is in the cover.
+    pub fn contains(&self, node: NodeId) -> bool {
+        self.member[node.index()]
+    }
+
+    /// The cover's nodes (inputs included) in topological order.
+    pub fn nodes(&self) -> &[NodeId] {
+        &self.nodes
     }
 }
 

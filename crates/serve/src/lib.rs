@@ -304,13 +304,22 @@ fn handle_connection(
         }
     });
 
+    // A job can finish before `submit` returns.  The request handler holds
+    // `acks` from the submit until the acknowledgement is queued, and the
+    // forwarder takes it before queuing each event, so a job's event never
+    // overtakes its acknowledgement.
+    let acks = Arc::new(Mutex::new(()));
     let (reply_tx, reply_rx) = mpsc::channel::<JobReport>();
     let forward = out_tx.clone();
+    let forwarder_acks = Arc::clone(&acks);
     let forwarder = std::thread::spawn(move || {
         while let Ok(report) = reply_rx.recv() {
             // The job tag encodes the originating request id (id + 1; 0 for
             // requests without an id).
             let id = report.tag.checked_sub(1);
+            let _acked = forwarder_acks
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             let _ = forward.send(protocol::job_event_frame(id, &report));
         }
     });
@@ -326,7 +335,7 @@ fn handle_connection(
                 if line.trim().is_empty() {
                     continue;
                 }
-                let flow = handle_request(&line, service, state, client, reply_tx, out_tx);
+                let flow = handle_request(&line, service, state, client, reply_tx, out_tx, &acks);
                 if flow == Flow::Close {
                     break;
                 }
@@ -361,6 +370,7 @@ fn handle_request(
     client: ClientId,
     reply_tx: &Sender<JobReport>,
     out_tx: &Sender<String>,
+    acks: &Mutex<()>,
 ) -> Flow {
     let send = |frame: String| {
         let _ = out_tx.send(frame);
@@ -384,7 +394,10 @@ fn handle_request(
     match op {
         "hello" => send(protocol::hello_frame(id, &service.targets())),
         "register" => send(handle_register(&request, id, service)),
-        "attack" => send(handle_attack(&request, id, service, client, reply_tx)),
+        "attack" => {
+            let _acked = acks.lock().unwrap_or_else(PoisonError::into_inner);
+            send(handle_attack(&request, id, service, client, reply_tx));
+        }
         "metrics" => match request.get("format").and_then(Value::as_str) {
             None | Some("json") => send(protocol::metrics_frame(id, &service.metrics())),
             Some("prometheus") => send(protocol::prometheus_frame(id, &service.metrics())),

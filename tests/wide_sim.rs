@@ -1,9 +1,10 @@
 //! Differential tests for the wide bit-parallel simulation engine: every
-//! width must agree with the scalar reference bit for bit.
+//! width must agree with the scalar reference bit for bit, and a sweep
+//! restricted to a cover with the whole-netlist sweep on every cover node.
 
 use locking::{LockingScheme, SfllHd, TtLock};
 use netlist::random::{generate, RandomCircuitSpec};
-use netlist::{Netlist, WideSim};
+use netlist::{Cover, Netlist, NetlistError, NodeId, WideSim};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -48,32 +49,105 @@ fn assert_wide_matches_scalar(nl: &Netlist, seed: u64) {
     }
 }
 
-#[test]
-fn wide_sim_matches_scalar_on_random_netlists() {
-    for (i, (inputs, outputs, gates)) in [(6usize, 2usize, 40usize), (10, 3, 80), (14, 4, 150)]
+fn random_netlists() -> Vec<Netlist> {
+    [(6usize, 2usize, 40usize), (10, 3, 80), (14, 4, 150)]
         .into_iter()
         .enumerate()
-    {
-        let nl = generate(&RandomCircuitSpec::new(
-            format!("ws_plain{i}"),
-            inputs,
-            outputs,
-            gates,
-        ));
-        assert_wide_matches_scalar(&nl, 0x51D0 + i as u64);
-    }
+        .map(|(i, (inputs, outputs, gates))| {
+            generate(&RandomCircuitSpec::new(
+                format!("ws_plain{i}"),
+                inputs,
+                outputs,
+                gates,
+            ))
+        })
+        .collect()
 }
 
-#[test]
-fn wide_sim_matches_scalar_on_locked_netlists() {
+/// A TTLock- and an SFLL-HD-locked netlist (key inputs included).
+fn locked_netlists() -> [Netlist; 2] {
     let original = generate(&RandomCircuitSpec::new("ws_locked", 12, 3, 90));
     let tt = TtLock::new(8).with_seed(3).lock(&original).expect("lock");
     let hd = SfllHd::new(10, 1)
         .with_seed(5)
         .lock(&original)
         .expect("lock");
-    assert_wide_matches_scalar(&tt.locked, 0xA11);
-    assert_wide_matches_scalar(&hd.optimized().locked, 0xB22);
+    [tt.locked, hd.optimized().locked]
+}
+
+#[test]
+fn wide_sim_matches_scalar_on_random_netlists() {
+    for (i, nl) in random_netlists().iter().enumerate() {
+        assert_wide_matches_scalar(nl, 0x51D0 + i as u64);
+    }
+}
+
+#[test]
+fn wide_sim_matches_scalar_on_locked_netlists() {
+    let [tt, hd] = locked_netlists();
+    assert_wide_matches_scalar(&tt, 0xA11);
+    assert_wide_matches_scalar(&hd, 0xB22);
+}
+
+/// For random root sets, growing one cover: a cover sweep must leave every
+/// cover node with the whole-netlist sweep's block and every other node
+/// untouched, at widths 1 and 8.
+fn assert_cover_matches_whole_netlist(nl: &Netlist, seed: u64) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    for width in [1usize, 8] {
+        let mut cover = Cover::of(nl, []);
+        let mut sim = WideSim::new(nl, width);
+        let mut whole = WideSim::new(nl, width);
+        for _ in 0..6 {
+            let roots: Vec<NodeId> = (0..rng.gen_range(1..4))
+                .map(|_| {
+                    nl.iter()
+                        .nth(rng.gen_range(0..nl.num_nodes()))
+                        .expect("node")
+                        .0
+                })
+                .collect();
+            cover.extend(nl, roots.iter().copied());
+            assert!(roots.iter().all(|&root| cover.contains(root)));
+            let inputs = stimulus(&mut rng, nl.num_inputs(), width);
+            let keys = stimulus(&mut rng, nl.num_key_inputs(), width);
+            // What the previous sweep left outside the cover must survive.
+            let stale: Vec<Vec<u64>> = nl.iter().map(|(id, _)| sim.node(id).to_vec()).collect();
+            sim.run_cover(nl, &cover, &inputs, &keys)
+                .expect("stimulus fits");
+            whole.run(nl, &inputs, &keys).expect("stimulus fits");
+            for (id, _) in nl.iter() {
+                let expected = if cover.contains(id) {
+                    whole.node(id)
+                } else {
+                    &stale[id.index()]
+                };
+                assert_eq!(sim.node(id), expected, "width {width} node {id:?}");
+            }
+        }
+        // A stimulus of the wrong width fails as `run` does.
+        let (inputs, keys) = (nl.num_inputs() * width, nl.num_key_inputs() * width);
+        for (inputs, keys) in [(inputs - 1, keys), (inputs, keys + 1)] {
+            let inputs = stimulus(&mut rng, inputs, 1);
+            let keys = stimulus(&mut rng, keys, 1);
+            let result = sim.run_cover(nl, &cover, &inputs, &keys);
+            assert!(
+                matches!(result, Err(NetlistError::StimulusWidth { .. })),
+                "{result:?}"
+            );
+            assert_eq!(result, whole.run(nl, &inputs, &keys));
+        }
+    }
+}
+
+#[test]
+fn cover_sweeps_match_whole_netlist_sweeps() {
+    for (i, nl) in random_netlists().iter().enumerate() {
+        assert_cover_matches_whole_netlist(nl, 0xC0 + i as u64);
+    }
+    for (i, nl) in locked_netlists().iter().enumerate() {
+        assert_cover_matches_whole_netlist(nl, 0xC1C0 + i as u64);
+    }
 }
 
 #[test]
