@@ -212,7 +212,8 @@ cargo test --offline --locked -q -p fall-bench --test trace_validate
 # Interrupted; a flag raised from the oracle's n-th answer must stop the SAT
 # attack and key confirmation after exactly n iterations; a fired flag, the
 # config's or the session's own, must leave key confirmation and FALL
-# results marked unfinished (completed: false);
+# results marked unfinished (completed: false); the same flag must end a
+# region drain as Cancelled without acknowledging the region it stopped;
 # and the bench Runner's per-attack timer must cut a paper-scale c432 h = m/3
 # SlidingWindow run at its 500 ms budget without counting it as a defeat.
 # Also part of the workspace run; re-run explicitly so a failure is
@@ -232,5 +233,14 @@ cargo test --offline --locked -q -p fall --lib interrupt
 # validation.
 echo "==> cargo test --offline --locked -q --test wire_fuzz"
 cargo test --offline --locked -q --test wire_fuzz
+
+# The spec story: docs/PROTOCOL.md is the normative wire specification, so
+# its two "Protocol version" lines must equal both PROTOCOL_VERSION
+# constants, its job-event status row must list exactly the JobStatus wire
+# names and its `complete` row exactly the RegionOutcome names.  Also part
+# of the workspace run; re-run explicitly so a failure is attributed to the
+# document, not the code.
+echo "==> cargo test --offline --locked -q --test protocol_doc"
+cargo test --offline --locked -q --test protocol_doc
 
 echo "CI OK"

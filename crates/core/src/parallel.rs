@@ -244,15 +244,8 @@ pub enum RegionDrainOutcome {
         /// The confirmed key.
         key: Key,
     },
-    /// The session's interrupt flag stopped a region search without
-    /// concluding while the [`CancelToken`] had not fired (the session
-    /// holds a flag of its own); the whole run should abort as incomplete.
-    Exhausted {
-        /// The region whose search was stopped.
-        region: u64,
-    },
-    /// The shared [`CancelToken`] fired (another worker won, or the caller
-    /// aborted) before or during a region search.
+    /// The session's interrupt flag fired (another worker won, or the
+    /// caller aborted) before or during a region search.
     Cancelled,
 }
 
@@ -275,20 +268,22 @@ pub struct RegionDrain {
 /// Region `r` constrains key bit `b < partition_bits` to `(r >> b) & 1` —
 /// the §VI-D partition.  `partition_bits` must be below 64.  Completed
 /// keyless regions are acknowledged via [`RegionSource::complete_region`]; a
-/// winner or an interrupted region ends the drain immediately (the *caller*
-/// decides whether to cancel the rest of a farm).  The session must already
-/// be primed and must not have a predicate generation in flight.
+/// winner ends the drain immediately (the *caller* decides whether to cancel
+/// the rest of a farm).  The session's interrupt flag is the only stop
+/// signal: once it has fired no further region is pulled, and a region it
+/// stopped mid-search ends the drain as [`RegionDrainOutcome::Cancelled`]
+/// without an acknowledgement.  The session must already be primed and must
+/// not have a predicate generation in flight.
 pub fn drain_regions(
     session: &mut AttackSession,
     oracle: &dyn Oracle,
     source: &dyn RegionSource,
     partition_bits: usize,
-    cancel: &CancelToken,
 ) -> RegionDrain {
     let mut iterations = 0;
     let mut regions_searched = 0;
     let outcome = loop {
-        if cancel.is_cancelled() {
+        if session.interrupted() {
             break RegionDrainOutcome::Cancelled;
         }
         let Some(region) = source.next_region() else {
@@ -309,12 +304,7 @@ pub fn drain_regions(
             break RegionDrainOutcome::Winner { region, key };
         }
         if !result.completed {
-            // Distinguish "the token fired and interrupted us" from the
-            // session's own flag stopping the region.
-            if cancel.is_cancelled() {
-                break RegionDrainOutcome::Cancelled;
-            }
-            break RegionDrainOutcome::Exhausted { region };
+            break RegionDrainOutcome::Cancelled;
         }
         let stats = session.stats();
         source.complete_region(region, result.iterations, &stats);
@@ -398,12 +388,11 @@ pub fn partitioned_key_search(
         &cache,
         &AtomicRegionSource::new(1u64 << partition_bits),
         partition_bits,
-        &CancelToken::new(),
     );
     let (key, completed) = match drain.outcome {
         RegionDrainOutcome::Winner { key, .. } => (Some(key), true),
         RegionDrainOutcome::Drained => (None, true),
-        RegionDrainOutcome::Exhausted { .. } | RegionDrainOutcome::Cancelled => (None, false),
+        RegionDrainOutcome::Cancelled => (None, false),
     };
     PartitionedSearchResult {
         key,
@@ -420,6 +409,7 @@ pub fn partitioned_key_search(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::tests::InterruptAfter;
     use crate::oracle::SimOracle;
     use locking::{LockingScheme, SfllHd, XorLock};
     use netlist::random::{generate, RandomCircuitSpec};
@@ -542,10 +532,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn one_session_encodes_the_circuit_once_across_eight_regions() {
-        // The key sits in the last of 8 regions, so every region is searched
-        // on the one session.
+    /// An SFLL-HD0 lock of a random 9-input circuit whose 6-bit key sits in
+    /// the last of the 8 regions a 3-bit partition makes.
+    fn key_in_the_last_of_eight_regions() -> (Netlist, locking::LockedCircuit) {
         let original = generate(&RandomCircuitSpec::new("pe_frames", 9, 2, 60));
         let locked = (0..64u64)
             .map(|seed| {
@@ -556,6 +545,57 @@ mod tests {
             })
             .find(|locked| locked.key.bits()[..3].iter().all(|&bit| bit))
             .expect("some seed puts the key in the last region");
+        (original, locked)
+    }
+
+    /// Deals out `0..regions` and records every acknowledged region.
+    struct RecordingSource {
+        regions: AtomicRegionSource,
+        acknowledged: Mutex<Vec<u64>>,
+    }
+
+    impl RegionSource for RecordingSource {
+        fn next_region(&self) -> Option<u64> {
+            self.regions.next_region()
+        }
+
+        fn complete_region(&self, region: u64, _iterations: usize, _stats: &SolverStats) {
+            self.acknowledged.lock().expect("log poisoned").push(region);
+        }
+    }
+
+    #[test]
+    fn the_sessions_own_interrupt_ends_the_drain_as_cancelled() {
+        // No token is involved: the oracle raises the session's flag on its
+        // first answer, inside region 0, which the key does not lie in.
+        let (original, locked) = key_in_the_last_of_eight_regions();
+        let flag = Arc::new(AtomicBool::new(false));
+        let oracle = InterruptAfter::new(SimOracle::new(original), 1, Arc::clone(&flag));
+        let mut session = AttackSession::new(&locked.locked);
+        session.set_interrupt(Some(flag));
+        session.prime();
+        let source = RecordingSource {
+            regions: AtomicRegionSource::new(8),
+            acknowledged: Mutex::new(Vec::new()),
+        };
+        let drain = drain_regions(&mut session, &oracle, &source, 3);
+        assert_eq!(drain.outcome, RegionDrainOutcome::Cancelled);
+        assert_eq!(
+            drain.regions_searched, 1,
+            "no region is pulled after the flag"
+        );
+        assert_eq!(drain.iterations, 1);
+        assert!(
+            source.acknowledged.lock().expect("log poisoned").is_empty(),
+            "the stopped region is not acknowledged"
+        );
+    }
+
+    #[test]
+    fn one_session_encodes_the_circuit_once_across_eight_regions() {
+        // The key sits in the last of 8 regions, so every region is searched
+        // on the one session.
+        let (original, locked) = key_in_the_last_of_eight_regions();
         let oracle = SimOracle::new(original);
         let result = partitioned_key_search(&locked.locked, &oracle, 3);
         assert!(result.completed);

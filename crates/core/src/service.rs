@@ -215,9 +215,6 @@ pub enum JobStatus {
     /// The client disconnected or the service shut down before the job
     /// finished.
     Cancelled,
-    /// The attack stopped without a verdict, and no deadline, disconnect
-    /// or shutdown was recorded as the reason.
-    Failed,
 }
 
 impl JobStatus {
@@ -228,7 +225,6 @@ impl JobStatus {
             JobStatus::NoKey => "no_key",
             JobStatus::Timeout => "timeout",
             JobStatus::Cancelled => "cancelled",
-            JobStatus::Failed => "failed",
         }
     }
 }
@@ -427,7 +423,6 @@ struct Counters {
     jobs_busy: AtomicU64,
     jobs_timeout: AtomicU64,
     jobs_cancelled: AtomicU64,
-    jobs_failed: AtomicU64,
     /// Jobs that actually ran on a worker session, by kind (busy-rejected
     /// and cancelled-while-queued jobs never reach a session and are not
     /// counted here).
@@ -766,7 +761,6 @@ impl AttackService {
             ("serve_jobs_busy", &counters.jobs_busy),
             ("serve_jobs_timeout", &counters.jobs_timeout),
             ("serve_jobs_cancelled", &counters.jobs_cancelled),
-            ("serve_jobs_failed", &counters.jobs_failed),
             ("serve_jobs_sat", &counters.jobs_sat),
             ("serve_jobs_fall", &counters.jobs_fall),
             ("serve_jobs_confirm", &counters.jobs_confirm),
@@ -1054,10 +1048,7 @@ fn run_job(
     // must not consume solver time.
     if job.token.is_cancelled() {
         deactivate(shared, job.job_id);
-        let status = match job.reason.load(Ordering::SeqCst) {
-            REASON_TIMEOUT => JobStatus::Timeout,
-            _ => JobStatus::Cancelled,
-        };
+        let status = stopped_status(&job.reason);
         count_status(shared, status);
         let _ = job.reply.send(JobReport {
             job_id: job.job_id,
@@ -1099,12 +1090,7 @@ fn run_job(
             JobStatus::NoKey
         }
     } else {
-        match job.reason.load(Ordering::SeqCst) {
-            REASON_DISCONNECT | REASON_SHUTDOWN => JobStatus::Cancelled,
-            REASON_TIMEOUT => JobStatus::Timeout,
-            // Unfinished, with no recorded reason.
-            _ => JobStatus::Failed,
-        }
+        stopped_status(&job.reason)
     };
     count_status(shared, status);
     shared
@@ -1139,6 +1125,15 @@ fn solver_metric_name(field: &str) -> String {
     }
 }
 
+/// The status of a job its token stopped, from the reason the canceller
+/// stored before firing the token: only the deadline is a timeout.
+fn stopped_status(reason: &AtomicU8) -> JobStatus {
+    match reason.load(Ordering::SeqCst) {
+        REASON_TIMEOUT => JobStatus::Timeout,
+        _ => JobStatus::Cancelled,
+    }
+}
+
 /// Bumps the counter matching a final job status.
 fn count_status(shared: &Shared, status: JobStatus) {
     let counters = &shared.counters;
@@ -1147,7 +1142,6 @@ fn count_status(shared: &Shared, status: JobStatus) {
         JobStatus::NoKey => &counters.jobs_no_key,
         JobStatus::Timeout => &counters.jobs_timeout,
         JobStatus::Cancelled => &counters.jobs_cancelled,
-        JobStatus::Failed => &counters.jobs_failed,
     };
     counter.fetch_add(1, Ordering::Relaxed);
     if matches!(status, JobStatus::KeyFound | JobStatus::NoKey) {

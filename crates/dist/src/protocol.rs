@@ -13,15 +13,16 @@ use sat::SolverStats;
 
 /// Protocol revision carried by the worker's `hello`.
 ///
-/// Version 2 adds the optional `stats` member of `complete` (cumulative
-/// worker telemetry) — a pure extension, so version-1 peers interoperate:
-/// an old supervisor ignores the member, an old worker never sends it.
-/// Version 3 drops `setup`'s per-region wall-clock and per-call conflict
-/// budgets.  Version 4 drops its per-region iteration cap: a region drain stops
-/// when key confirmation concludes or at a `cancel`, and the supervisor's
-/// lease timeout bounds it.  An older worker would reject the smaller
-/// `setup`, so the supervisor refuses any `hello` of another version.
-pub const PROTOCOL_VERSION: u64 = 4;
+/// Version 2 adds the `stats` member of `complete` (cumulative worker
+/// telemetry).  Version 3 drops `setup`'s per-region wall-clock and per-call
+/// conflict budgets.  Version 4 drops its per-region iteration cap: a region
+/// drain stops when key confirmation concludes or at a `cancel`, and the
+/// supervisor's lease timeout bounds it.  Version 5 makes `stats` required
+/// and drops the `complete` outcome for a region stopped without a
+/// `cancel`: a worker's only stop signal is `cancel`.  Peers of different
+/// versions send frames the other rejects, so the supervisor refuses any
+/// `hello` of another version.
+pub const PROTOCOL_VERSION: u64 = 5;
 
 /// Cumulative worker telemetry piggybacked on `complete` frames.
 ///
@@ -167,10 +168,9 @@ pub enum WorkerMessage {
         key: Option<Key>,
         /// Newly-discovered oracle pairs.
         pairs: Vec<IoPair>,
-        /// Cumulative worker telemetry (protocol ≥ 2; absent from older
-        /// workers).  Boxed so the rare `complete` frame does not inflate
-        /// the size of every queued `WorkerMessage`.
-        stats: Option<Box<WorkerTelemetry>>,
+        /// Cumulative worker telemetry.  Boxed so the rare `complete` frame
+        /// does not inflate the size of every queued `WorkerMessage`.
+        stats: Box<WorkerTelemetry>,
     },
     /// Periodic liveness signal.
     Heartbeat,
@@ -183,10 +183,6 @@ pub enum RegionOutcome {
     Keyless,
     /// The region confirmed a key (carried in the `key` member).
     Found,
-    /// The worker session's interrupt flag stopped the region without a
-    /// `cancel` ([`fall::parallel::RegionDrainOutcome::Exhausted`]); the
-    /// run must be reported incomplete.
-    Unfinished,
     /// The supervisor's `cancel` interrupted the region mid-search.
     Cancelled,
 }
@@ -197,7 +193,6 @@ impl RegionOutcome {
         match self {
             RegionOutcome::Keyless => "keyless",
             RegionOutcome::Found => "found",
-            RegionOutcome::Unfinished => "unfinished",
             RegionOutcome::Cancelled => "cancelled",
         }
     }
@@ -207,7 +202,6 @@ impl RegionOutcome {
         match text {
             "keyless" => Ok(RegionOutcome::Keyless),
             "found" => Ok(RegionOutcome::Found),
-            "unfinished" => Ok(RegionOutcome::Unfinished),
             "cancelled" => Ok(RegionOutcome::Cancelled),
             other => Err(format!("unknown region outcome {other:?}")),
         }
@@ -240,12 +234,10 @@ impl WorkerMessage {
                     ("outcome".to_string(), Value::from(outcome.as_str())),
                     ("iterations".to_string(), Value::from(*iterations)),
                     ("pairs".to_string(), pairs_to_value(pairs)),
+                    ("stats".to_string(), stats.to_value()),
                 ];
                 if let Some(key) = key {
                     fields.push(("key".to_string(), Value::from(bits_to_wire(key.bits()))));
-                }
-                if let Some(stats) = stats {
-                    fields.push(("stats".to_string(), stats.to_value()));
                 }
                 Value::object(fields)
             }
@@ -300,10 +292,9 @@ impl WorkerMessage {
                 if outcome == RegionOutcome::Found && key.is_none() {
                     return Err("complete: outcome \"found\" requires a key".into());
                 }
-                let stats = match value.get("stats") {
-                    Some(stats) => Some(Box::new(WorkerTelemetry::from_value(stats)?)),
-                    None => None,
-                };
+                let stats = Box::new(WorkerTelemetry::from_value(
+                    value.get("stats").ok_or("complete: missing \"stats\"")?,
+                )?);
                 Ok(WorkerMessage::Complete {
                     region,
                     outcome,
@@ -456,7 +447,7 @@ mod tests {
                 iterations: 17,
                 key: Some(Key::new(vec![true, false, true])),
                 pairs: vec![(vec![false, false], vec![true])],
-                stats: None,
+                stats: Box::default(),
             },
             WorkerMessage::Complete {
                 region: 1,
@@ -464,7 +455,7 @@ mod tests {
                 iterations: 4,
                 key: None,
                 pairs: Vec::new(),
-                stats: Some(Box::new(WorkerTelemetry {
+                stats: Box::new(WorkerTelemetry {
                     solver: SolverStats {
                         conflicts: 41,
                         solves: 7,
@@ -473,7 +464,7 @@ mod tests {
                     },
                     oracle_hits: 12,
                     oracle_unique: 5,
-                })),
+                }),
             },
             WorkerMessage::Heartbeat,
         ];
@@ -515,9 +506,24 @@ mod tests {
         assert!(WorkerMessage::parse("{\"op\":\"nope\"}").is_err());
         // found without a key
         assert!(WorkerMessage::parse(
-            "{\"op\":\"complete\",\"region\":0,\"outcome\":\"found\",\"iterations\":1}"
+            "{\"op\":\"complete\",\"region\":0,\"outcome\":\"found\",\"iterations\":1,\
+             \"stats\":{}}"
         )
         .is_err());
+        // complete without stats, or with an outcome version 5 dropped
+        assert_eq!(
+            WorkerMessage::parse(
+                "{\"op\":\"complete\",\"region\":0,\"outcome\":\"keyless\",\"iterations\":1}"
+            ),
+            Err("complete: missing \"stats\"".to_string())
+        );
+        assert_eq!(
+            WorkerMessage::parse(
+                "{\"op\":\"complete\",\"region\":0,\"outcome\":\"unfinished\",\
+                 \"iterations\":1,\"stats\":{}}"
+            ),
+            Err("unknown region outcome \"unfinished\"".to_string())
+        );
         assert!(SupervisorMessage::parse("{\"op\":\"region\"}").is_err());
         assert!(bits_from_wire("01x").is_err());
         // stats must be an object of non-negative integers...

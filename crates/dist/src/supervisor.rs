@@ -50,9 +50,8 @@ pub struct FarmResult {
     pub key: Option<Key>,
     /// `true` if the search finished: a key was confirmed, or every region
     /// was retired keyless (crashed workers' leases included — a requeued
-    /// region completed by a survivor still counts).  `false` when a region
-    /// hit its budgets, the run was cancelled with regions unsettled, or
-    /// every worker died.
+    /// region completed by a survivor still counts).  `false` when the run
+    /// was cancelled with regions unsettled, or every worker died.
     pub completed: bool,
     /// Distinguishing-input iterations summed across all workers.
     pub iterations: usize,
@@ -76,10 +75,9 @@ pub struct FarmResult {
     /// [`SolverStats::absorb`] (sums, except the LBD EMAs, which are maxima).
     pub solver_stats: SolverStats,
     /// The latest telemetry snapshot per worker (`None` for a worker that
-    /// never completed a region, e.g. one that crashed on its first lease or
-    /// spoke protocol version 1).
+    /// never completed a region, e.g. one that crashed on its first lease).
     pub worker_telemetry: Vec<Option<WorkerTelemetry>>,
-    /// `complete` frames that carried a `stats` member.
+    /// `complete` frames received; each carries a `stats` snapshot.
     pub stats_reports: usize,
     /// Wall-clock time of the whole run.
     pub elapsed: Duration,
@@ -123,7 +121,6 @@ struct State {
     /// Workers whose lease request is waiting for the queue to refill.
     parked: Vec<bool>,
     winner: Option<Key>,
-    exhausted: bool,
     cancelled_regions: usize,
     iterations: usize,
     workers_crashed: usize,
@@ -131,7 +128,7 @@ struct State {
     /// snapshots are cumulative, so absorbing a frame is idempotent and the
     /// farm aggregate is exactly the sum of the latest snapshots.
     telemetry: Vec<Option<WorkerTelemetry>>,
-    /// `complete` frames that carried telemetry.
+    /// `complete` frames received, each with telemetry.
     stats_reports: usize,
     cancel_sent: bool,
     last_heartbeat: Vec<Instant>,
@@ -203,7 +200,6 @@ impl Supervisor {
                 sync_pos: vec![0; workers],
                 parked: vec![false; workers],
                 winner: None,
-                exhausted: false,
                 cancelled_regions: 0,
                 iterations: 0,
                 workers_crashed: 0,
@@ -318,8 +314,8 @@ impl Supervisor {
 
     /// The run's result as of now, from the locked state.
     fn snapshot(&self, state: &State) -> FarmResult {
-        let completed = state.winner.is_some()
-            || (!state.exhausted && state.cancelled_regions == 0 && state.board.done());
+        let completed =
+            state.winner.is_some() || (state.cancelled_regions == 0 && state.board.done());
         FarmResult {
             key: state.winner.clone(),
             completed,
@@ -478,10 +474,8 @@ fn reader_loop(
                 }
                 state.pairs.merge(pairs);
                 state.iterations += iterations;
-                if let Some(stats) = stats {
-                    state.telemetry[worker] = Some(*stats);
-                    state.stats_reports += 1;
-                }
+                state.telemetry[worker] = Some(*stats);
+                state.stats_reports += 1;
                 state.lease_start[worker] = None;
                 state.board.complete(worker, region);
                 match outcome {
@@ -493,10 +487,6 @@ fn reader_loop(
                         if cancel_on_winner {
                             broadcast_cancel(shared, &mut state);
                         }
-                    }
-                    RegionOutcome::Unfinished => {
-                        state.exhausted = true;
-                        broadcast_cancel(shared, &mut state);
                     }
                     RegionOutcome::Cancelled => state.cancelled_regions += 1,
                 }

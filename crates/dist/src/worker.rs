@@ -30,12 +30,12 @@ use crate::protocol::{
 
 /// The cumulative telemetry snapshot attached to every `complete` frame:
 /// the session's lifetime [`SolverStats`] plus the syncing cache's counters.
-fn telemetry(stats: SolverStats, oracle: &SyncingOracle<'_>) -> Option<Box<WorkerTelemetry>> {
-    Some(Box::new(WorkerTelemetry {
+fn telemetry(stats: SolverStats, oracle: &SyncingOracle<'_>) -> Box<WorkerTelemetry> {
+    Box::new(WorkerTelemetry {
         solver: stats,
         oracle_hits: oracle.hits() as u64,
         oracle_unique: oracle.local_unique() as u64,
-    }))
+    })
 }
 
 /// Tuning and test knobs of a worker process.
@@ -259,7 +259,7 @@ pub fn run_worker(
             .reported_iterations
             .lock()
             .expect("iteration count poisoned") = 0;
-        let drain = drain_regions(&mut session, &sync, &source, partition_bits, &cancel);
+        let drain = drain_regions(&mut session, &sync, &source, partition_bits);
         let remaining_iterations = drain.iterations
             - *source
                 .reported_iterations
@@ -283,20 +283,6 @@ pub fn run_worker(
                         stats: telemetry(session.stats(), &sync),
                     },
                 );
-            }
-            RegionDrainOutcome::Exhausted { region } => {
-                let _ = send_message(
-                    &writer,
-                    &WorkerMessage::Complete {
-                        region,
-                        outcome: RegionOutcome::Unfinished,
-                        iterations: remaining_iterations,
-                        key: None,
-                        pairs: sync.take_outbox(),
-                        stats: telemetry(session.stats(), &sync),
-                    },
-                );
-                break;
             }
             RegionDrainOutcome::Cancelled => {
                 if let Some(region) = outstanding {

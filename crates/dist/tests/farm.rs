@@ -15,7 +15,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use fall::key_confirmation::{key_confirmation_with_predicate_in, KeyConfirmationResult};
-use fall::parallel::{drain_regions, CachingOracle, CancelToken, RegionDrainOutcome, RegionSource};
+use fall::parallel::{drain_regions, CachingOracle, RegionDrainOutcome, RegionSource};
 use fall::{AttackSession, Oracle, SimOracle};
 use fall_dist::protocol::WorkerMessage;
 use fall_dist::{farm_over_tcp, Farm, FarmConfig, FarmResult, WorkerOptions, WORKER_SENTINEL};
@@ -196,14 +196,8 @@ fn drained_unique_queries(locked: &Netlist, original: &Netlist, sequences: &[&[u
         let mut session = AttackSession::new(locked);
         session.prime();
         let source = Sequence(Mutex::new(sequence.iter().copied().collect()));
-        while let RegionDrainOutcome::Winner { .. } = drain_regions(
-            &mut session,
-            &cache,
-            &source,
-            PARTITION_BITS,
-            &CancelToken::new(),
-        )
-        .outcome
+        while let RegionDrainOutcome::Winner { .. } =
+            drain_regions(&mut session, &cache, &source, PARTITION_BITS).outcome
         {}
     }
     cache.unique_queries()
@@ -337,13 +331,13 @@ fn a_hello_of_another_protocol_version_is_refused() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr").to_string();
 
-    // A version-3 worker, which would expect a `setup` with an iteration
-    // cap: it must read EOF, and no `setup` frame before it.
+    // A version-4 worker, whose `complete` may omit `stats`: it must read
+    // EOF, and no `setup` frame before it.
     let stale = {
         let addr = addr.clone();
         std::thread::spawn(move || {
             let mut stream = TcpStream::connect(&addr).expect("connect");
-            let hello = WorkerMessage::Hello { protocol: 3 }.to_frame();
+            let hello = WorkerMessage::Hello { protocol: 4 }.to_frame();
             stream
                 .write_all(format!("{hello}\n").as_bytes())
                 .expect("send hello");

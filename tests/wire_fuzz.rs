@@ -17,7 +17,9 @@ use std::sync::Once;
 use std::time::Duration;
 
 use fall::service::ServiceConfig;
-use fall_dist::protocol::{RegionOutcome, SupervisorMessage, WorkerMessage, WorkerTelemetry};
+use fall_dist::protocol::{
+    RegionOutcome, SupervisorMessage, WorkerMessage, WorkerTelemetry, PROTOCOL_VERSION,
+};
 use fall_serve::{Server, ServerConfig};
 use locking::{Key, LockingScheme, XorLock};
 use netlist::random::{generate, RandomCircuitSpec};
@@ -187,7 +189,9 @@ fn farm_corpus() -> Vec<Vec<u8>> {
         (vec![false; 6], vec![true, true]),
     ];
     let worker = [
-        WorkerMessage::Hello { protocol: 4 },
+        WorkerMessage::Hello {
+            protocol: PROTOCOL_VERSION,
+        },
         WorkerMessage::Lease {
             pairs: pairs.clone(),
         },
@@ -197,7 +201,7 @@ fn farm_corpus() -> Vec<Vec<u8>> {
             iterations: 17,
             key: Some(key),
             pairs: pairs.clone(),
-            stats: Some(Box::new(telemetry)),
+            stats: Box::new(telemetry),
         },
         WorkerMessage::Heartbeat,
     ];
