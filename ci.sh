@@ -15,8 +15,9 @@
 #                  fall_des_h0_comparators = 64, fall_des_h0_sat_solves and
 #                  fall_des_h0_prefilter_refuted, higher is better)
 #                  and on apex4 (m = 10; gating
-#                  fall_apex4_h0_unique_correct_key and
-#                  fall_apex4_h0_sat_solves = 0), a paper-scale SFLL-HD m/3
+#                  fall_apex4_h0_unique_correct_key,
+#                  fall_apex4_h0_sat_solves = 0 and
+#                  fall_apex4_h0_cone_encodings = 0), a paper-scale SFLL-HD m/3
 #                  FALL attack on c432 (gating the fall_c432_m3_* key, solve
 #                  and conflict counters) and a flight-recorder-armed SAT attack
 #                  (gating the trace_* span counts and exporting the Chrome

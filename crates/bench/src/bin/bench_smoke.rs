@@ -29,7 +29,7 @@
 //!   the h = 0 FALL attack's session, the unique correct key, the
 //!   comparator count, the solves and the prefilter refutations
 //!   `fall_des_h0_*` of a paper-scale TTLock attack (des, m = 64), the
-//!   unique correct key and the solves
+//!   unique correct key, the solves and the cone encodings
 //!   `fall_apex4_h0_*` of a paper-scale TTLock attack (apex4, m = 10), the
 //!   solves and conflicts
 //!   `fall_c432_m3_*` of a paper-scale SFLL-HD m/3 attack (c432, m = 36,
@@ -426,7 +426,8 @@ fn measure() -> MetricReport {
     assert!(des_unique_correct, "des h = 0: {des_result:?}");
     assert_eq!(des_result.num_comparators, 64, "des h = 0 comparators");
     // apex4 at h = 0 (m = 10, about 2 000 candidates): one enumeration sweep
-    // decides every candidate, so the attack makes no solve at all.
+    // decides every candidate, so the attack makes no solve at all, and the
+    // analyses answer from the verdicts without encoding a cone.
     let apex4 = TABLE1_CIRCUITS
         .iter()
         .find(|spec| spec.name == "apex4")
@@ -446,6 +447,11 @@ fn measure() -> MetricReport {
     report.record(
         "fall_apex4_h0_sat_solves",
         apex4_session.stats().solves as f64,
+        false,
+    );
+    report.record(
+        "fall_apex4_h0_cone_encodings",
+        apex4_session.cone_encodings_built() as f64,
         false,
     );
     assert!(apex4_unique_correct, "apex4 h = 0: {apex4_result:?}");

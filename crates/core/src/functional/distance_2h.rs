@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use netlist::{Netlist, NodeId};
 use sat::SolveResult;
 
-use super::pair::{build_hd_query, HdPairQuery};
+use super::pair::{settle_pair_analysis, HdPairQuery};
 use super::{Analysis, CubeAssignment};
 use crate::session::AttackSession;
 
@@ -38,25 +38,18 @@ pub fn distance_2h(netlist: &Netlist, candidate: NodeId, h: usize) -> Option<Cub
 /// cube, the answer is that cube (Algorithm 3) without a solve, and once
 /// the candidate is known to be `strip_h` of no cube (a refuted suspect, a
 /// simulated counterexample, or another complete analysis's decided ⊥),
-/// the answer is ⊥.  Its own decided ⊥ is recorded the same way.  The
-/// word-parallel prefilter runs first either way, so the prefilter
-/// counters do not depend on the verdicts.
+/// the answer is ⊥.  Its own decided ⊥ is recorded the same way.  A
+/// candidate the verdicts decide costs no cone encoding: only an open
+/// candidate gets the pair query of Algorithm 3 (both cone copies and the
+/// distance-`2h` literal).  The word-parallel prefilter runs on every
+/// candidate either way, so the prefilter counters do not depend on the
+/// verdicts.
 pub fn distance_2h_in(
     session: &mut AttackSession<'_>,
     candidate: NodeId,
     h: usize,
 ) -> Option<CubeAssignment> {
-    let query = build_hd_query(session, candidate, 2 * h)?;
-    if !session
-        .prefilter()
-        .satisfying_within_distance(candidate, &query.positions, 2 * h)
-    {
-        return None;
-    }
-    let m = query.inputs.len();
-    session.settle_cube(candidate, h, Analysis::Distance2H, m, |session| {
-        extract_cube(session, &query)
-    })
+    settle_pair_analysis(session, candidate, h, Analysis::Distance2H, extract_cube)
 }
 
 /// The SAT stage of Algorithm 3: a distance-`2h` model pair, then one query

@@ -10,7 +10,7 @@
 use netlist::{Netlist, NodeId};
 use sat::SolveResult;
 
-use super::pair::{build_hd_query, HdPairQuery};
+use super::pair::{settle_pair_analysis, HdPairQuery};
 use super::{Analysis, CubeAssignment};
 use crate::session::AttackSession;
 
@@ -37,26 +37,17 @@ pub fn sliding_window(netlist: &Netlist, candidate: NodeId, h: usize) -> Option<
 /// solve, and once the candidate is known to be `strip_h` of no cube (a
 /// refuted suspect, a simulated counterexample, or another complete
 /// analysis's decided ⊥), the answer is ⊥.  Its own decided ⊥ is recorded
-/// the same way.  The word-parallel prefilter runs first either way, so
-/// the prefilter counters do not depend on the verdicts.
+/// the same way.  A candidate the verdicts decide costs no cone encoding:
+/// only an open candidate gets the pair query of Algorithm 2 (both cone
+/// copies and the distance-`2h` literal).  The word-parallel prefilter runs
+/// on every candidate either way, so the prefilter counters do not depend
+/// on the verdicts.
 pub fn sliding_window_in(
     session: &mut AttackSession<'_>,
     candidate: NodeId,
     h: usize,
 ) -> Option<CubeAssignment> {
-    let query = build_hd_query(session, candidate, 2 * h)?;
-    // Word-parallel pre-filter: two satisfying assignments further than 2h
-    // apart prove the candidate is not a radius-h sphere function.
-    if !session
-        .prefilter()
-        .satisfying_within_distance(candidate, &query.positions, 2 * h)
-    {
-        return None;
-    }
-    let m = query.inputs.len();
-    session.settle_cube(candidate, h, Analysis::SlidingWindow, m, |session| {
-        extract_cube(session, &query)
-    })
+    settle_pair_analysis(session, candidate, h, Analysis::SlidingWindow, extract_cube)
 }
 
 /// The SAT stage of Algorithm 2: a distance-`2h` model pair, then one

@@ -334,11 +334,11 @@ pub struct TargetInfo {
 }
 
 /// Cancellation reasons, recorded in each job's reason cell before its token
-/// is cancelled so the worker can label the incomplete result.
+/// is cancelled so the worker can label the incomplete result: a deadline
+/// is a timeout, a client disconnect or a server shutdown a cancellation.
 const REASON_NONE: u8 = 0;
 const REASON_TIMEOUT: u8 = 1;
-const REASON_DISCONNECT: u8 = 2;
-const REASON_SHUTDOWN: u8 = 3;
+const REASON_CANCELLED: u8 = 2;
 
 /// A job sitting in a target queue.
 struct QueuedJob {
@@ -709,7 +709,7 @@ impl AttackService {
 
     /// Cancels everything a client has in flight: queued jobs are dropped
     /// (counted as cancelled) and active jobs are cancelled through their
-    /// tokens with the *disconnect* reason.  Called by the transport when a
+    /// tokens with the *cancelled* reason.  Called by the transport when a
     /// connection closes.
     pub fn cancel_client(&self, client: ClientId) {
         let targets: Vec<Arc<Target>> = self
@@ -725,7 +725,7 @@ impl AttackService {
                 queue.queued -= jobs.len();
                 queue.rotation.retain(|c| *c != client);
                 for job in jobs {
-                    job.reason.store(REASON_DISCONNECT, Ordering::SeqCst);
+                    job.reason.store(REASON_CANCELLED, Ordering::SeqCst);
                     job.token.cancel();
                     self.shared
                         .counters
@@ -738,7 +738,7 @@ impl AttackService {
         for job in active.iter().filter(|j| j.client == client) {
             let _ = job.reason.compare_exchange(
                 REASON_NONE,
-                REASON_DISCONNECT,
+                REASON_CANCELLED,
                 Ordering::SeqCst,
                 Ordering::SeqCst,
             );
@@ -861,7 +861,7 @@ impl AttackService {
             };
             target.available.notify_all();
             for job in drained {
-                job.reason.store(REASON_SHUTDOWN, Ordering::SeqCst);
+                job.reason.store(REASON_CANCELLED, Ordering::SeqCst);
                 job.token.cancel();
                 self.shared
                     .counters
@@ -884,7 +884,7 @@ impl AttackService {
             for job in active.iter() {
                 let _ = job.reason.compare_exchange(
                     REASON_NONE,
-                    REASON_SHUTDOWN,
+                    REASON_CANCELLED,
                     Ordering::SeqCst,
                     Ordering::SeqCst,
                 );

@@ -1069,16 +1069,40 @@ impl<'n> AttackSession<'n> {
         self.verdicts.get(&(candidate, h))
     }
 
-    /// Runs the SAT stage `extract` of `analysis` on `candidate` at `h`
-    /// (`m` = the candidate's support size) through the session's stripper
-    /// verdicts and answers.
+    /// The answer `analysis` gives `candidate` at `h` (`m` = the
+    /// candidate's support size) without a solve, when the session already
+    /// decides it.
     ///
     /// For a complete analysis a settled candidate needs no solve: on a
     /// proven [`StripperVerdict::Stripper`] the answer is its cube, exactly
     /// what the analysis computes on `strip_h` of that cube, and on
     /// [`StripperVerdict::NotStripper`] it is ⊥, because any cube the
-    /// analysis found would fail the equivalence check.  Otherwise the
-    /// answer this analysis gave the candidate at `h` before is returned, or
+    /// analysis found would fail the equivalence check.  Otherwise it is the
+    /// decided answer this analysis gave the candidate at `h` before, if
+    /// any.  `None` leaves the candidate open.
+    pub(crate) fn decided_answer(
+        &self,
+        candidate: NodeId,
+        h: usize,
+        analysis: Analysis,
+        m: usize,
+    ) -> Option<Option<CubeAssignment>> {
+        if analysis.is_complete(h, m) {
+            match self.stripper_verdict(candidate, h) {
+                Some(StripperVerdict::Stripper(cube)) => return Some(Some(cube.clone())),
+                Some(StripperVerdict::NotStripper) => return Some(None),
+                Some(StripperVerdict::Suspect(_)) | None => {}
+            }
+        }
+        self.answers.get(&(candidate, h, analysis)).cloned()
+    }
+
+    /// Runs the SAT stage `extract` of `analysis` on `candidate` at `h`
+    /// (`m` = the candidate's support size) through the session's stripper
+    /// verdicts and answers.
+    ///
+    /// A candidate the session already decides
+    /// ([`AttackSession::decided_answer`]) gets that answer.  Otherwise
     /// `extract` runs; its answer is kept unless one of its solves came back
     /// [`SolveResult::Unknown`].  When `2h != m`, a complete analysis's
     /// decided answer is also a verdict: a cube is recorded as the
@@ -1097,18 +1121,11 @@ impl<'n> AttackSession<'n> {
         m: usize,
         extract: impl FnOnce(&mut Self) -> Option<CubeAssignment>,
     ) -> Option<CubeAssignment> {
+        if let Some(answer) = self.decided_answer(candidate, h, analysis, m) {
+            return answer;
+        }
         let complete = analysis.is_complete(h, m);
-        if complete {
-            match self.stripper_verdict(candidate, h) {
-                Some(StripperVerdict::Stripper(cube)) => return Some(cube.clone()),
-                Some(StripperVerdict::NotStripper) => return None,
-                Some(StripperVerdict::Suspect(_)) | None => {}
-            }
-        }
         let key = (candidate, h, analysis);
-        if let Some(answer) = self.answers.get(&key) {
-            return answer.clone();
-        }
         let unknowns = self.cone_unknowns;
         let answer = extract(self);
         let decided = self.cone_unknowns == unknowns;
